@@ -3,6 +3,7 @@ package tca
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 
 	"tca/internal/workload"
@@ -68,7 +69,7 @@ func TestReservedMarketEliminatesWriteSkew(t *testing.T) {
 	if testing.Short() {
 		t.Skip("concurrent audited run")
 	}
-	res, err := RunConcurrencyCell("market-res", StatefulDataflow, 16, 600)
+	res, err := RunCell("market-res", StatefulDataflow, 600, CellOptions{Clients: 16, Audit: true, LogDir: os.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +82,8 @@ func TestReservedMarketEliminatesWriteSkew(t *testing.T) {
 	if res.GraphCycles != 0 {
 		t.Errorf("GraphCycles = %d, want 0", res.GraphCycles)
 	}
-	if res.Issued-res.Rejected < 100 {
-		t.Fatalf("degenerate run: %d accepted of %d issued", res.Issued-res.Rejected, res.Issued)
+	if res.Applied() < 100 {
+		t.Fatalf("degenerate run: %d applied of %d issued", res.Applied(), res.Issued)
 	}
 }
 
@@ -226,7 +227,7 @@ func TestNewMixesRegistered(t *testing.T) {
 	for _, mix := range []string{"booking", "ledger"} {
 		mix := mix
 		t.Run(mix, func(t *testing.T) {
-			res, err := RunConcurrencyCell(mix, Actors, 8, 300)
+			res, err := RunCell(mix, Actors, 300, CellOptions{Clients: 8, Audit: true, LogDir: os.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}

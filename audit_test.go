@@ -251,11 +251,11 @@ func TestAuditorWindowBounded(t *testing.T) {
 // exact on every mix — the acceptance bar for the precedence-graph
 // verdict (no false anomalies on isolated cells).
 func TestConcurrencyCellLiveAudit(t *testing.T) {
-	for _, mix := range AuditedMixes {
+	for _, mix := range Mixes() {
 		mix := mix
 		t.Run(mix, func(t *testing.T) {
 			t.Parallel()
-			res, err := RunConcurrencyCellOpts(mix, Deterministic, 8, 120, ConcurrencyOptions{Audit: true})
+			res, err := RunCell(mix, Deterministic, 120, CellOptions{Clients: 8, Audit: true})
 			if err != nil {
 				t.Fatal(err)
 			}

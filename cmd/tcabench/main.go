@@ -1,18 +1,22 @@
-// Command tcabench runs the repository's headline experiments directly
-// (without the testing harness) and prints one table per experiment — the
-// rows EXPERIMENTS.md records. Use `go test -bench .` for the full suite
-// with statistically settled numbers; tcabench is the quick look.
+// Command tcabench runs the experiment registry (internal/experiments)
+// directly, without the testing harness, and prints one table per
+// experiment — the rows EXPERIMENTS.md records. Use `go test -bench .`
+// for the same rows with statistically settled numbers; tcabench is the
+// quick look.
 //
 // With -json the tables are replaced by a machine-readable summary on
 // stdout (one row object per table row, metrics keyed by name), which
 // `make bench-json` writes to BENCH_latest.json so the perf trajectory
 // can be tracked across PRs.
 //
-// With -grid the single-run tables are replaced by the statistical gate
-// grid (internal/grid): each pinned row runs -repeats times with the
-// seed varied deterministically (-seed + repeat index), and the summary
-// carries mean/std/min/max throughput plus pooled-p99 latency per row —
-// what `make bench-gate` diffs against ci/bench_baseline.json.
+// With -grid the registry's gate-marked rows run instead of the table
+// rows, each -repeats times with the seed varied deterministically
+// (-seed + repeat index), and the summary carries mean/std/min/max
+// throughput plus pooled-p99 latency per row — what `make bench-gate`
+// diffs against ci/bench_baseline.json.
+//
+// A row whose run fails is named on stderr and left out of the output;
+// the other rows still run and the exit status is 1.
 //
 // `tcabench -compare old.json new.json` diffs two summaries and flags
 // throughput regressions beyond -threshold (default ±20%). When both
@@ -25,51 +29,28 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
-	"sync"
 	"text/tabwriter"
 	"time"
 
-	"tca"
-	"tca/internal/core"
-	"tca/internal/faas"
-	"tca/internal/fabric"
+	"tca/internal/experiments"
 	"tca/internal/grid"
-	"tca/internal/metrics"
-	"tca/internal/mq"
-	"tca/internal/workload"
 )
 
-// allModels is the five-cell sweep order shared by the matrix experiments.
-var allModels = []tca.ProgrammingModel{
-	tca.Microservices, tca.Actors, tca.CloudFunctions, tca.StatefulDataflow, tca.Deterministic,
-}
-
-// reporter accumulates rows for the -json summary alongside the tables.
-// The row schema (grid.BenchRow) is shared with the grid runner and the
-// comparison, so every emitter and consumer agree on what a row means.
-type reporter struct {
-	rows []grid.BenchRow
-}
-
-func (r *reporter) add(exp, row string, m map[string]float64) {
-	r.rows = append(r.rows, grid.BenchRow{Experiment: exp, Row: row, Metrics: m})
-}
-
-// auditOn is the -audit escape hatch: off drops the live auditors (and
-// the final order verdict) from the concurrency experiments, measuring
-// the raw harness.
-var auditOn = true
-
-// arrivalMode is the -arrival selection for e23's open-loop stream.
-var arrivalMode = "poisson"
-
 func main() {
+	all := experiments.All()
+	var ids []string
+	valid := map[string]bool{"all": true}
+	for _, e := range all {
+		ids = append(ids, e.Experiment)
+		valid[e.Experiment] = true
+	}
+	known := strings.Join(ids, ",")
+
 	ops := flag.Int("ops", 500, "operations per experiment cell")
 	experiment := flag.String("experiment", "all",
-		"comma-separated experiments to run: f1,e6,e10,e16,e17,e18,e19,e20,e21,e22,e23,e24 (or all)")
+		"comma-separated experiments to run: "+known+" (or all)")
 	jsonOut := flag.Bool("json", false,
 		"emit a machine-readable JSON summary on stdout instead of tables")
 	audit := flag.String("audit", "live",
@@ -80,7 +61,7 @@ func main() {
 		"compare two -json summaries instead of running: tcabench -compare old.json new.json")
 	threshold := flag.Float64("threshold", 20,
 		"with -compare, flag throughput deltas beyond this percentage")
-	gridRun := flag.Bool("grid", false,
+	gate := flag.Bool("grid", false,
 		"run the pinned statistical gate grid instead of the tables; JSON summary on stdout")
 	repeats := flag.Int("repeats", 3,
 		"with -grid, how many seeded repeats each row runs")
@@ -94,796 +75,120 @@ func main() {
 		}
 		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *threshold))
 	}
-	if *gridRun {
-		os.Exit(runGrid(*ops, *repeats, *seed))
-	}
-	switch *audit {
-	case "live":
-		auditOn = true
-	case "off":
-		auditOn = false
-	default:
+	if *audit != "live" && *audit != "off" {
 		fmt.Fprintf(os.Stderr, "tcabench: unknown -audit mode %q (use live or off)\n", *audit)
 		os.Exit(2)
 	}
-	switch *arrival {
-	case "poisson", "bursty":
-		arrivalMode = *arrival
-	default:
+	if *arrival != "poisson" && *arrival != "bursty" {
 		fmt.Fprintf(os.Stderr, "tcabench: unknown -arrival process %q (use poisson or bursty)\n", *arrival)
 		os.Exit(2)
-	}
-
-	known := []struct {
-		name string
-		run  func(*tabwriter.Writer, *reporter, int)
-	}{
-		{"f1", runF1},
-		{"e6", runE6},
-		{"e10", runE10},
-		{"e16", runE16},
-		{"e17", runE17},
-		{"e18", runE18},
-		{"e19", runE19},
-		{"e20", runE20},
-		{"e21", runE21},
-		{"e22", runE22},
-		{"e23", runE23},
-		{"e24", runE24},
 	}
 	selected := map[string]bool{}
 	for _, name := range strings.Split(strings.ToLower(*experiment), ",") {
 		name = strings.TrimSpace(name)
-		valid := name == "all"
-		for _, exp := range known {
-			valid = valid || name == exp.name
-		}
-		if !valid {
-			fmt.Fprintf(os.Stderr, "tcabench: unknown experiment %q (use f1,e6,e10,e16,e17,e18,e19,e20,e21,e22,e23,e24 or all)\n", name)
+		if !valid[name] {
+			fmt.Fprintf(os.Stderr, "tcabench: unknown experiment %q (use %s or all)\n", name, known)
 			os.Exit(2)
 		}
 		selected[name] = true
 	}
-	tableOut := io.Writer(os.Stdout)
-	if *jsonOut {
-		tableOut = io.Discard
+
+	// The tables and -json are the grid at one repeat under the default
+	// seed; -grid is the gate rows at -repeats.
+	sum := grid.Summary{OpsPerCell: *ops}
+	if *gate {
+		sum.Repeats, sum.BaseSeed = *repeats, *seed
 	}
-	w := tabwriter.NewWriter(tableOut, 2, 4, 2, ' ', 0)
-	rep := &reporter{}
-	for _, exp := range known {
-		if selected["all"] || selected[exp.name] {
-			exp.run(w, rep, *ops)
+	failed := false
+	for _, e := range all {
+		if !selected["all"] && !selected[e.Experiment] {
+			continue
+		}
+		spec := e.Spec
+		spec.Ops, spec.Repeats, spec.BaseSeed = *ops, sum.Repeats, sum.BaseSeed
+		spec.List = e.Rows(*gate)
+		if len(spec.List) == 0 {
+			continue
+		}
+		for i, row := range spec.List {
+			// -audit and -arrival override the knobs of the rows that declare them.
+			spec.List[i] = row.With("audit", *audit).With("arrival", *arrival)
+		}
+		var observe func(grid.Row, int)
+		if *gate {
+			observe = func(row grid.Row, r int) {
+				fmt.Fprintf(os.Stderr, "grid %s %s repeat %d/%d\n", e.Experiment, row.Name(), r+1, spec.Repeats)
+			}
+		}
+		var rows []grid.BenchRow
+		for _, res := range grid.Run(spec, e.Run, observe) {
+			if res.Err != nil {
+				fmt.Fprintf(os.Stderr, "tcabench: FAILED %v\n", res.Err)
+				failed = true
+				continue
+			}
+			rows = append(rows, res.BenchRow(spec))
+		}
+		if e.Derive != nil {
+			e.Derive(rows)
+		}
+		sum.Rows = append(sum.Rows, rows...)
+		if !*jsonOut && !*gate {
+			printTable(e, rows)
 		}
 	}
-	w.Flush()
-	if *jsonOut {
+	if *jsonOut || *gate {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(grid.Summary{OpsPerCell: *ops, Rows: rep.rows}); err != nil {
+		if err := enc.Encode(sum); err != nil {
 			fmt.Fprintf(os.Stderr, "tcabench: %v\n", err)
 			os.Exit(1)
 		}
 	}
+	if failed {
+		os.Exit(1)
+	}
 }
 
-// runF1 prints the taxonomy matrix: the same bank workload under every
-// programming model, with per-cell guarantees and costs.
-func runF1(w *tabwriter.Writer, rep *reporter, ops int) {
-	fmt.Fprintln(w, "F1: taxonomy matrix — bank transfers under every programming model")
-	fmt.Fprintln(w, "model\treal-us/op\tsim-lat-p50\tsim-lat-p99\thops/op\tguarantee")
-	for _, model := range allModels {
-		env := tca.NewEnv(1, 3)
-		bank, err := tca.NewBank(model, env)
-		if err != nil {
-			fmt.Fprintf(w, "%v\terror: %v\n", model, err)
-			continue
-		}
-		const accounts = 64
-		for a := 0; a < accounts; a++ {
-			bank.Deposit(a, 1_000_000)
-		}
-		gen := workload.NewBank(7, accounts, 0)
-		simHist := metrics.NewHistogram()
-		var hops int64
-		start := time.Now()
-		for i := 0; i < ops; i++ {
-			op := gen.Next()
-			tr := fabric.NewTrace()
-			bank.Transfer(fmt.Sprintf("f1-%d", i), op.From, op.To, op.Amount, tr)
-			simHist.RecordDuration(tr.Total())
-			hops += int64(tr.Hops())
-		}
-		bank.Settle()
-		elapsed := time.Since(start)
-		snap := simHist.Snapshot()
-		fmt.Fprintf(w, "%v\t%.1f\t%v\t%v\t%.1f\t%s\n",
-			model,
-			float64(elapsed.Microseconds())/float64(ops),
-			time.Duration(snap.P50).Round(time.Microsecond),
-			time.Duration(snap.P99).Round(time.Microsecond),
-			float64(hops)/float64(ops),
-			bank.Guarantee())
-		rep.add("f1", model.String(), map[string]float64{
-			"real_us_op": float64(elapsed.Microseconds()) / float64(ops),
-			"sim_p50_us": float64(snap.P50) / 1e3,
-			"sim_p99_us": float64(snap.P99) / 1e3,
-			"hops_op":    float64(hops) / float64(ops),
-		})
-		bank.Close()
+// printTable renders one experiment's rows under its declared columns; a
+// column a row does not report prints as "-".
+func printTable(e experiments.Experiment, rows []grid.BenchRow) {
+	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "%s: %s\nrow", strings.ToUpper(e.Experiment), e.Title)
+	for _, key := range e.Columns {
+		fmt.Fprintf(w, "\t%s", experiments.Unit(key))
 	}
 	fmt.Fprintln(w)
-}
-
-// runE6 prints the cold-start experiment.
-func runE6(w *tabwriter.Writer, rep *reporter, ops int) {
-	fmt.Fprintln(w, "E6: FaaS cold starts — simulated invocation latency")
-	fmt.Fprintln(w, "policy\tsim-p50\tsim-p99\tcold-starts")
-	for _, tc := range []struct {
-		name       string
-		evictEvery int
-	}{
-		{"always-warm", 0},
-		{"evict-every-10", 10},
-		{"evict-every-2", 2},
-	} {
-		p := faas.NewPlatform(fabric.SingleNode(), faas.DefaultConfig())
-		p.Register("fn", func(ctx *faas.Ctx, payload []byte) ([]byte, error) { return nil, nil })
-		hist := metrics.NewHistogram()
-		for i := 0; i < ops; i++ {
-			if tc.evictEvery > 0 && i%tc.evictEvery == 0 {
-				p.EvictIdle("fn")
-			}
-			tr := fabric.NewTrace()
-			p.Invoke("fn", "k", nil, tr)
-			hist.RecordDuration(tr.Total())
-		}
-		snap := hist.Snapshot()
-		cold := p.Metrics().Counter("faas.cold_starts").Value()
-		fmt.Fprintf(w, "%s\t%v\t%v\t%d\n",
-			tc.name,
-			time.Duration(snap.P50).Round(time.Microsecond),
-			time.Duration(snap.P99).Round(time.Microsecond),
-			cold)
-		rep.add("e6", tc.name, map[string]float64{
-			"sim_p50_us":  float64(snap.P50) / 1e3,
-			"sim_p99_us":  float64(snap.P99) / 1e3,
-			"cold_starts": float64(cold),
-		})
-	}
-	fmt.Fprintln(w)
-}
-
-// runE16 prints the deterministic core's partition-scaling experiment:
-// the same transfer workload against 1/2/4/8 log partitions, all
-// shard-local traffic, on the real write-ahead log (a throwaway temp
-// directory per cell, removed per cell) — the serial append cost
-// sharding overlaps. The cell driver (runE16Cell, in grid.go) is shared
-// with the gate grid's model-mode rows.
-func runE16(w *tabwriter.Writer, rep *reporter, ops int) {
-	fmt.Fprintln(w, "E16: core partition scaling — shard-local transfers, real WAL per partition")
-	fmt.Fprintln(w, "partitions\tthroughput\tspeedup")
-	var base float64
-	for _, parts := range []int{1, 2, 4, 8} {
-		rate, _, err := runE16Cell(parts, ops, false, 11)
-		if err != nil {
-			fmt.Fprintf(w, "%d\terror: %v\n", parts, err)
-			continue
-		}
-		if parts == 1 {
-			base = rate
-		}
-		fmt.Fprintf(w, "%d\t%.0f tx/s\t%.1fx\n", parts, rate, rate/base)
-		rep.add("e16", fmt.Sprintf("partitions=%d", parts), map[string]float64{
-			"tx_s":    rate,
-			"speedup": rate / base,
-		})
-	}
-	fmt.Fprintln(w)
-}
-
-// runMatrixCell drives one cell with a seeded op stream and reports the
-// shared matrix metrics. next returns the op name, its args and whether
-// the op should be recorded against the audit when accepted; record
-// replays it on the serial reference; verify returns the anomalies.
-func runMatrixCell(cell tca.Cell, ops int,
-	next func(i int) (name string, args []byte),
-	record func(i int, accepted bool),
-	verify func() ([]string, error),
-) (rate float64, p50, p99 time.Duration, anomalies int, err error) {
-	simHist := metrics.NewHistogram()
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		name, args := next(i)
-		tr := fabric.NewTrace()
-		_, invErr := cell.Invoke(fmt.Sprintf("op-%d", i), name, args, tr)
-		record(i, invErr == nil)
-		simHist.RecordDuration(tr.Total())
-		// Bound the eventual cell's in-flight choreography (wide E19
-		// posts are hundreds of chunked messages each, so keep the
-		// backlog short).
-		if cell.Model() == tca.StatefulDataflow && i%64 == 63 {
-			cell.Settle()
-		}
-	}
-	if err = cell.Settle(); err != nil {
-		return
-	}
-	elapsed := time.Since(start)
-	var anomalyList []string
-	anomalyList, err = verify()
-	if err != nil {
-		return
-	}
-	snap := simHist.Snapshot()
-	return float64(ops) / elapsed.Seconds(),
-		time.Duration(snap.P50).Round(time.Microsecond),
-		time.Duration(snap.P99).Round(time.Microsecond),
-		len(anomalyList), nil
-}
-
-// runE17 prints the TPC-C taxonomy matrix: the same seeded
-// NewOrder/Payment stream under every programming model through the
-// application layer (tca.App), with the integrity-constraint audit per
-// cell — swept over the cross-warehouse rate (the app-level counterpart
-// of E16's cross-partition ratio) and the query rate (TPCCConfig.
-// QueryFrac: the standard's OrderStatus/StockLevel on every cell's
-// ReadOnly fast path — the matrix's read-path column).
-func runE17(w *tabwriter.Writer, rep *reporter, ops int) {
-	fmt.Fprintln(w, "E17: TPC-C matrix — one tca.App, every programming model, audited invariants")
-	fmt.Fprintln(w, "model\twh\tremote\tquery\ttx/s\tsim-p50\tsim-p99\tanomalies")
-	for _, sweep := range []struct {
-		warehouses int
-		remotePct  int
-		queryPct   int
-	}{
-		{1, 0, 0}, {4, 0, 0}, {4, 50, 0}, {4, 0, 30},
-	} {
-		cfg := workload.DefaultTPCCConfig(sweep.warehouses)
-		cfg.RemoteFrac = workload.RemoteFrac(float64(sweep.remotePct) / 100)
-		cfg.QueryFrac = float64(sweep.queryPct) / 100
-		for _, model := range allModels {
-			env := tca.NewEnv(1, 3)
-			cell, err := tca.Deploy(model, tca.TPCCApp(), env)
-			if err != nil {
-				fmt.Fprintf(w, "%v\t%d\t%d%%\t%d%%\terror: %v\n", model, sweep.warehouses, sweep.remotePct, sweep.queryPct, err)
-				continue
-			}
-			gen := workload.NewTPCC(11, cfg)
-			audit := tca.NewTPCCAuditor()
-			var pending workload.TPCCOp
-			rate, p50, p99, anomalies, err := runMatrixCell(cell, ops,
-				func(i int) (string, []byte) {
-					pending = gen.Next()
-					args, _ := json.Marshal(pending)
-					return pending.Kind.String(), args
-				},
-				func(i int, accepted bool) {
-					if accepted || cell.Model() == tca.StatefulDataflow {
-						audit.RecordOp(pending)
-					}
-				},
-				func() ([]string, error) { return audit.Verify(cell) },
-			)
-			if err != nil {
-				fmt.Fprintf(w, "%v\t%d\t%d%%\t%d%%\terror: %v\n", model, sweep.warehouses, sweep.remotePct, sweep.queryPct, err)
-				cell.Close()
-				continue
-			}
-			fmt.Fprintf(w, "%v\t%d\t%d%%\t%d%%\t%.0f\t%v\t%v\t%d\n",
-				model, sweep.warehouses, sweep.remotePct, sweep.queryPct, rate, p50, p99, anomalies)
-			rep.add("e17", fmt.Sprintf("%s/wh=%d/remote=%d%%/query=%d%%", model, sweep.warehouses, sweep.remotePct, sweep.queryPct),
-				map[string]float64{
-					"tx_s":       rate,
-					"sim_p50_us": float64(p50) / 1e3,
-					"sim_p99_us": float64(p99) / 1e3,
-					"anomalies":  float64(anomalies),
-				})
-			cell.Close()
-		}
-	}
-	fmt.Fprintln(w)
-}
-
-// runE18 prints the marketplace taxonomy matrix (supersedes E15): one
-// MarketApp under every programming model, audited for the
-// checkout/price write skew, plus the read-only path A/B on the two
-// cells whose query shortcut is largest.
-func runE18(w *tabwriter.Writer, rep *reporter, ops int) {
-	fmt.Fprintln(w, "E18: marketplace matrix — carts/checkouts/queries/price updates, write-skew audit")
-	fmt.Fprintln(w, "model\tzipf\ttx/s\tsim-p50\tsim-p99\tanomalies")
-	for _, zipf := range []float64{1.1, 4.0} {
-		cfg := workload.DefaultMarketConfig()
-		cfg.ZipfS = zipf
-		for _, model := range allModels {
-			env := tca.NewEnv(1, 3)
-			cell, err := tca.Deploy(model, tca.MarketApp(), env)
-			if err != nil {
-				fmt.Fprintf(w, "%v\t%.1f\terror: %v\n", model, zipf, err)
-				continue
-			}
-			gen := workload.NewMarket(5, cfg)
-			audit := tca.NewMarketAuditor()
-			var pending workload.MarketOp
-			rate, p50, p99, anomalies, err := runMatrixCell(cell, ops,
-				func(i int) (string, []byte) {
-					pending = gen.Next()
-					args, _ := json.Marshal(pending)
-					return pending.Kind.String(), args
-				},
-				func(i int, accepted bool) {
-					if accepted || cell.Model() == tca.StatefulDataflow {
-						audit.RecordOp(pending)
-					}
-				},
-				func() ([]string, error) { return audit.Verify(cell) },
-			)
-			if err != nil {
-				fmt.Fprintf(w, "%v\t%.1f\terror: %v\n", model, zipf, err)
-				cell.Close()
-				continue
-			}
-			fmt.Fprintf(w, "%v\t%.1f\t%.0f\t%v\t%v\t%d\n", model, zipf, rate, p50, p99, anomalies)
-			rep.add("e18", fmt.Sprintf("%s/zipf=%.1f", model, zipf), map[string]float64{
-				"tx_s":       rate,
-				"sim_p50_us": float64(p50) / 1e3,
-				"sim_p99_us": float64(p99) / 1e3,
-				"anomalies":  float64(anomalies),
-			})
-			cell.Close()
-		}
-	}
-	fmt.Fprintln(w, "read-only path A/B — pure query-product stream, hint honored vs stripped")
-	fmt.Fprintln(w, "model\tread-only\tquery/s\tsim-p50")
-	queryName := workload.MarketQueryProduct.String()
-	for _, model := range []tca.ProgrammingModel{tca.Actors, tca.Deterministic} {
-		for _, hint := range []bool{true, false} {
-			env := tca.NewEnv(1, 3)
-			op, _ := tca.MarketApp().Op(queryName)
-			op.ReadOnly = hint
-			cell, err := tca.Deploy(model, tca.NewApp("market-query").Register(op), env)
-			if err != nil {
-				fmt.Fprintf(w, "%v\t%v\terror: %v\n", model, hint, err)
-				continue
-			}
-			query := workload.MarketOp{Kind: workload.MarketQueryProduct, Product: 1}
-			args, _ := json.Marshal(query)
-			simHist := metrics.NewHistogram()
-			start := time.Now()
-			for i := 0; i < ops; i++ {
-				tr := fabric.NewTrace()
-				cell.Invoke(fmt.Sprintf("rp-%d", i), queryName, args, tr)
-				simHist.RecordDuration(tr.Total())
-			}
-			elapsed := time.Since(start)
-			snap := simHist.Snapshot()
-			rate := float64(ops) / elapsed.Seconds()
-			fmt.Fprintf(w, "%v\t%v\t%.0f\t%v\n",
-				model, hint, rate, time.Duration(snap.P50).Round(time.Microsecond))
-			rep.add("e18", fmt.Sprintf("readpath/%s/ro=%v", model, hint), map[string]float64{
-				"query_s":    rate,
-				"sim_p50_us": float64(snap.P50) / 1e3,
-			})
-			cell.Close()
-		}
-	}
-	fmt.Fprintln(w)
-}
-
-// runE19 prints the social-network matrix: compose-post fan-out whose
-// declared key set is the follower-timeline list, under every model, with
-// one read-timeline query per five ops and 10% follow/unfollow churn
-// mutating the graph between posts. The sweep crosses the statefun
-// runtime's 32-send budget: wide posts chunk their choreography across
-// continuation rounds instead of failing, so the old cliff is now a cost
-// curve. The whole state model commutes, so every cell must audit clean
-// (exact delivery + read-your-writes) — cost curves, not anomalies.
-func runE19(w *tabwriter.Writer, rep *reporter, ops int) {
-	fmt.Fprintln(w, "E19: social matrix — compose-post fan-out over follower timelines, exact delivery audit")
-	fmt.Fprintln(w, "model\tfanout\ttx/s\tsim-p50\tsim-p99\tanomalies")
-	for _, fanout := range []int{8, 24, 64, 128} {
-		users := 64
-		if users < 2*fanout {
-			users = 2 * fanout
-		}
-		for _, model := range allModels {
-			env := tca.NewEnv(1, 3)
-			// Partitions shards the deterministic cell so wide posts pay
-			// the cross-partition path; other models ignore it.
-			cell, err := tca.DeployWith(model, tca.SocialApp(), env, tca.Options{Partitions: 4})
-			if err != nil {
-				fmt.Fprintf(w, "%v\t%d\terror: %v\n", model, fanout, err)
-				continue
-			}
-			gen := workload.NewSocialChurn(9, users, fanout, 0.10)
-			audit := tca.NewSocialAuditor()
-			var pending workload.SocialOp
-			var isQuery bool
-			rate, p50, p99, anomalies, err := runMatrixCell(cell, ops,
-				func(i int) (string, []byte) {
-					if isQuery = i%5 == 4; isQuery {
-						args, _ := json.Marshal(struct {
-							User int `json:"user"`
-						}{i % users})
-						return tca.SocialReadTimeline, args
-					}
-					pending = gen.Next()
-					args, _ := json.Marshal(pending)
-					return tca.SocialOpName(pending), args
-				},
-				func(i int, accepted bool) {
-					if !isQuery && (accepted || cell.Model() == tca.StatefulDataflow) {
-						audit.RecordOp(pending)
-					}
-				},
-				func() ([]string, error) { return audit.Verify(cell) },
-			)
-			if err != nil {
-				fmt.Fprintf(w, "%v\t%d\terror: %v\n", model, fanout, err)
-				cell.Close()
-				continue
-			}
-			fmt.Fprintf(w, "%v\t%d\t%.0f\t%v\t%v\t%d\n", model, fanout, rate, p50, p99, anomalies)
-			rep.add("e19", fmt.Sprintf("%s/fanout=%d", model, fanout), map[string]float64{
-				"tx_s":       rate,
-				"sim_p50_us": float64(p50) / 1e3,
-				"sim_p99_us": float64(p99) / 1e3,
-				"anomalies":  float64(anomalies),
-			})
-			cell.Close()
-		}
-	}
-	fmt.Fprintln(w)
-}
-
-// runE20 prints the concurrency matrix: every cell driven through
-// pipelined client Sessions (Cell.Submit) by workload.ClosedLoop at
-// rising client counts, on the TPC-C and social mixes, via the shared
-// driver tca.RunConcurrencyCell (the same code path as
-// BenchmarkE20_ConcurrencyMatrix, so the two surfaces cannot drift),
-// with the deterministic cell on a real temp-dir write-ahead log.
-// Reports pipelined throughput, the accept-vs-apply latency split
-// (acknowledged is not applied on the log-based cells), rejected
-// submissions, and the live auditor's verdict: exact anomalies (no
-// serializable completion order explains the value), live constraint
-// violations, mismatches a legal reorder explains (the false positives a
-// completion-order audit would have reported), and precedence-graph
-// cycles. -audit=off drops the auditor and the last four columns.
-func runE20(w *tabwriter.Writer, rep *reporter, ops int) {
-	fmt.Fprintln(w, "E20: concurrency matrix — pipelined Sessions, accept vs apply latency, audited live")
-	fmt.Fprintln(w, "mix\tmodel\tclients\ttx/s\taccept-p50\taccept-p99\tapply-p50\tapply-p99\trejected\tanomalies\tviol\treorder\tcycles")
-	for _, mix := range tca.ConcurrencyMixes {
-		for _, clients := range []int{1, 4, 16, 64} {
-			for _, model := range allModels {
-				res, err := tca.RunConcurrencyCellOpts(mix, model, clients, ops,
-					tca.ConcurrencyOptions{Audit: auditOn, LogDir: os.TempDir()})
-				if err != nil {
-					fmt.Fprintf(w, "%s\t%v\t%d\terror: %v\n", mix, model, clients, err)
-					continue
-				}
-				fmt.Fprintf(w, "%s\t%v\t%d\t%.0f\t%v\t%v\t%v\t%v\t%d\t%d\t%d\t%d\t%d\n",
-					mix, model, clients, res.Throughput(),
-					res.AcceptP50.Round(time.Microsecond), res.AcceptP99.Round(time.Microsecond),
-					res.ApplyP50.Round(time.Microsecond), res.ApplyP99.Round(time.Microsecond),
-					res.Rejected, len(res.Anomalies), res.Violations, res.Reordered, res.GraphCycles)
-				rep.add("e20", fmt.Sprintf("%s/%s/clients=%d", mix, model, clients), map[string]float64{
-					"tx_s":          res.Throughput(),
-					"accept_p50_us": float64(res.AcceptP50) / 1e3,
-					"accept_p99_us": float64(res.AcceptP99) / 1e3,
-					"apply_p50_us":  float64(res.ApplyP50) / 1e3,
-					"apply_p99_us":  float64(res.ApplyP99) / 1e3,
-					"rejected":      float64(res.Rejected),
-					"anomalies":     float64(len(res.Anomalies)),
-					"violations":    float64(res.Violations),
-					"reordered":     float64(res.Reordered),
-					"graph_cycles":  float64(res.GraphCycles),
-				})
-			}
-		}
-	}
-	fmt.Fprintln(w)
-}
-
-// e21Models are the two log-based cells E21 sweeps: the isolated
-// deterministic core (the audit should confirm exactness) and the
-// unisolated dataflow cell (the audit should attribute its drift), the
-// two ends of the taxonomy's consistency spectrum.
-var e21Models = []tca.ProgrammingModel{tca.Deterministic, tca.StatefulDataflow}
-
-// runE21 prints the live-audit-overhead sweep: all four workload mixes
-// under their incremental auditors at rising client counts, each cell run
-// twice — auditing on and off — so the overhead of in-loop auditing
-// (Record + O(delta) Observe + bounded live sampling) is a measured
-// column, not a claim. With -audit=off only the baseline runs.
-func runE21(w *tabwriter.Writer, rep *reporter, ops int) {
-	fmt.Fprintln(w, "E21: live-audit overhead — incremental auditors inside the concurrency loop")
-	fmt.Fprintln(w, "mix\tmodel\tclients\ttx/s audited\ttx/s off\toverhead\tanomalies\tviol\treorder\tcycles")
-	for _, mix := range tca.AuditedMixes {
-		for _, clients := range []int{1, 4, 16, 64} {
-			for _, model := range e21Models {
-				off, err := tca.RunConcurrencyCellOpts(mix, model, clients, ops, tca.ConcurrencyOptions{Audit: false})
-				if err != nil {
-					fmt.Fprintf(w, "%s\t%v\t%d\terror: %v\n", mix, model, clients, err)
-					continue
-				}
-				if !auditOn {
-					fmt.Fprintf(w, "%s\t%v\t%d\t-\t%.0f\t-\t-\t-\t-\t-\n", mix, model, clients, off.Throughput())
-					rep.add("e21", fmt.Sprintf("%s/%s/clients=%d", mix, model, clients), map[string]float64{
-						"tx_s_off": off.Throughput(),
-					})
-					continue
-				}
-				on, err := tca.RunConcurrencyCellOpts(mix, model, clients, ops, tca.ConcurrencyOptions{Audit: true})
-				if err != nil {
-					fmt.Fprintf(w, "%s\t%v\t%d\terror: %v\n", mix, model, clients, err)
-					continue
-				}
-				overhead := 0.0
-				if off.Throughput() > 0 {
-					overhead = 100 * (1 - on.Throughput()/off.Throughput())
-				}
-				fmt.Fprintf(w, "%s\t%v\t%d\t%.0f\t%.0f\t%.1f%%\t%d\t%d\t%d\t%d\n",
-					mix, model, clients, on.Throughput(), off.Throughput(), overhead,
-					len(on.Anomalies), on.Violations, on.Reordered, on.GraphCycles)
-				rep.add("e21", fmt.Sprintf("%s/%s/clients=%d", mix, model, clients), map[string]float64{
-					"tx_s_audited":       on.Throughput(),
-					"tx_s_off":           off.Throughput(),
-					"audit_overhead_pct": overhead,
-					"anomalies":          float64(len(on.Anomalies)),
-					"violations":         float64(on.Violations),
-					"reordered":          float64(on.Reordered),
-					"graph_cycles":       float64(on.GraphCycles),
-				})
-			}
-		}
-	}
-	fmt.Fprintln(w)
-}
-
-// runE10 prints the open-vs-closed-loop experiment.
-func runE10(w *tabwriter.Writer, rep *reporter, ops int) {
-	fmt.Fprintln(w, "E10: open vs closed load models — service capacity 10k ops/s")
-	fmt.Fprintln(w, "driver\tthroughput\tp50\tp99")
-	service := workload.SpinService(1, 100*time.Microsecond)
-	rows := []struct {
-		name string
-		run  func() workload.DriverResult
-	}{
-		{"closed 4 clients", func() workload.DriverResult {
-			return workload.ClosedLoop(4, ops/4, 0, service)
-		}},
-		{"open 0.5x capacity", func() workload.DriverResult {
-			return workload.OpenLoop(1, ops, 5000, service)
-		}},
-		{"open 2x capacity", func() workload.DriverResult {
-			return workload.OpenLoop(1, ops, 20000, service)
-		}},
-	}
 	for _, r := range rows {
-		res := r.run()
-		fmt.Fprintf(w, "%s\t%.0f ops/s\t%v\t%v\n",
-			r.name, res.Throughput(),
-			time.Duration(res.Latency.P50).Round(time.Microsecond),
-			time.Duration(res.Latency.P99).Round(time.Microsecond))
-		rep.add("e10", r.name, map[string]float64{
-			"ops_s":  res.Throughput(),
-			"p50_us": float64(res.Latency.P50) / 1e3,
-			"p99_us": float64(res.Latency.P99) / 1e3,
-		})
+		fmt.Fprint(w, r.Row)
+		for _, key := range e.Columns {
+			cell := "-"
+			if v, ok := r.Metrics[key]; ok {
+				cell = formatMetric(key, v)
+			}
+			fmt.Fprintf(w, "\t%s", cell)
+		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w)
+	w.Flush()
 }
 
-// e22Policies are the fsync policies the durability frontier sweeps.
-var e22Policies = []struct {
-	name   string
-	policy core.FsyncPolicy
-}{
-	{"batch", core.FsyncEveryBatch},
-	{"1ms", core.FsyncInterval},
-	{"none", core.FsyncNone},
-}
-
-// runE22 prints the durability frontier: the deterministic core on the
-// real write-ahead log, sweeping the group-append cap
-// (core.Config.MaxGroupAppend) against the fsync policy. 64 pipelined
-// submitters share group appends, so larger caps divide each fsync
-// across more transactions; fsync=none is the page-cache ceiling the
-// durable rows are judged against. accept-p99 is the 99th-percentile
-// SubmitAsync latency — the tail cost of "acknowledged means on disk".
-// The statistically settled numbers live in
-// BenchmarkE22_DurabilityFrontier; this is the same sweep at -ops scale.
-func runE22(w *tabwriter.Writer, rep *reporter, ops int) {
-	fmt.Fprintln(w, "E22: durability frontier — real WAL group appends, batch cap x fsync policy")
-	fmt.Fprintln(w, "batch\tfsync\ttx/s\taccept-p99\trecords/append")
-	for _, batch := range []int{1, 8, 64, 256} {
-		for _, pol := range e22Policies {
-			rate, p99, perAppend, err := runE22Cell(batch, pol.policy, ops)
-			if err != nil {
-				fmt.Fprintf(w, "%d\t%s\terror: %v\n", batch, pol.name, err)
-				continue
-			}
-			fmt.Fprintf(w, "%d\t%s\t%.0f\t%v\t%.1f\n",
-				batch, pol.name, rate, p99.Round(time.Microsecond), perAppend)
-			rep.add("e22", fmt.Sprintf("batch=%d/fsync=%s", batch, pol.name), map[string]float64{
-				"tx_s":           rate,
-				"accept_p99_us":  float64(p99) / 1e3,
-				"records_append": perAppend,
-			})
-		}
+// formatMetric renders one value by its key's unit suffix: durations for
+// the *_us and *_ms columns, percentages for *_pct, plain numbers else.
+func formatMetric(key string, v float64) string {
+	switch {
+	case strings.HasSuffix(key, "_us"):
+		return time.Duration(v * 1e3).Round(time.Microsecond).String()
+	case strings.HasSuffix(key, "_ms"):
+		return time.Duration(v * 1e6).Round(time.Millisecond).String()
+	case strings.HasSuffix(key, "_pct"):
+		return fmt.Sprintf("%.1f%%", v)
+	case v == float64(int64(v)) || v >= 100:
+		return fmt.Sprintf("%.0f", v)
+	default:
+		return fmt.Sprintf("%.1f", v)
 	}
-	fmt.Fprintln(w)
-}
-
-// runE22Cell drives one durability-frontier cell on a throwaway log
-// directory, removed before it returns.
-func runE22Cell(batch int, policy core.FsyncPolicy, ops int) (rate float64, p99 time.Duration, perAppend float64, err error) {
-	dir, err := os.MkdirTemp("", "tcabench-e22-")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	defer os.RemoveAll(dir)
-	rt := core.NewRuntime(mq.NewBroker(), core.Config{
-		Name:           fmt.Sprintf("e22-%d-%s", batch, policy),
-		Workers:        16,
-		LogDir:         dir,
-		Fsync:          policy,
-		MaxGroupAppend: batch,
-	})
-	rt.Register("deposit", func(tx *core.Tx, args []byte) ([]byte, error) {
-		key := string(args)
-		var bal int64
-		if raw, _, _ := tx.Get(key); raw != nil {
-			json.Unmarshal(raw, &bal)
-		}
-		raw, _ := json.Marshal(bal + 1)
-		return nil, tx.Put(key, raw)
-	})
-	if err := rt.Start(); err != nil {
-		return 0, 0, 0, err
-	}
-	defer rt.Stop()
-	const accounts, clients = 64, 64
-	accept := metrics.NewHistogram()
-	var wg sync.WaitGroup
-	var submitErr error
-	var errMu sync.Mutex
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := c; i < ops; i += clients {
-				key := fmt.Sprintf("acc/%d", i%accounts)
-				t0 := time.Now()
-				if _, err := rt.SubmitAsync(fmt.Sprintf("e22-%d", i), "deposit",
-					[]string{key}, []byte(key), nil); err != nil {
-					errMu.Lock()
-					submitErr = err
-					errMu.Unlock()
-					return
-				}
-				accept.RecordDuration(time.Since(t0))
-			}
-		}(c)
-	}
-	wg.Wait()
-	if submitErr != nil {
-		return 0, 0, 0, submitErr
-	}
-	if err := rt.Quiesce(time.Minute); err != nil {
-		return 0, 0, 0, err
-	}
-	elapsed := time.Since(start)
-	perAppend = 0
-	if appends := rt.Metrics().Counter("core.wal_group_appends").Value(); appends > 0 {
-		perAppend = float64(ops) / float64(appends)
-	}
-	return float64(ops) / elapsed.Seconds(),
-		time.Duration(accept.Snapshot().P99), perAppend, nil
-}
-
-// runE23 prints the overload frontier: every cell offered an open-loop
-// stream (Poisson by default, bursty MMPP with -arrival=bursty) at
-// multiples of its measured closed-loop capacity, with the default
-// bounded admission control on and off. With shedding, goodput holds
-// near the frontier past saturation and the accept tail stays bounded
-// (rejection is ~constant-time); without it, the legacy unbounded queues
-// absorb every arrival, the accept tail grows with the backlog, and
-// goodput collapses. The driver is tca.RunOverloadCell, shared with
-// BenchmarkE23_OverloadFrontier.
-func runE23(w *tabwriter.Writer, rep *reporter, ops int) {
-	fmt.Fprintf(w, "E23: overload frontier — open-loop %s arrivals at multiples of measured capacity\n", arrivalMode)
-	fmt.Fprintln(w, "mix\tmodel\tshed\toffered\trate/s\tgoodput/s\tshed-%\taccept-p999\tapply-p999")
-	for _, mix := range tca.ConcurrencyMixes {
-		for _, model := range allModels {
-			capacity, err := tca.MeasureCellCapacity(mix, model, ops)
-			if err != nil {
-				fmt.Fprintf(w, "%s\t%v\terror: %v\n", mix, model, err)
-				continue
-			}
-			for _, shed := range []bool{true, false} {
-				for _, mult := range []float64{0.5, 1, 2, 4} {
-					res, err := tca.RunOverloadCell(mix, model, capacity*mult, ops, tca.OverloadOptions{
-						Arrival: arrivalMode,
-						Shed:    shed,
-						LogDir:  os.TempDir(),
-						Seed:    7,
-					})
-					if err != nil {
-						fmt.Fprintf(w, "%s\t%v\t%v\t%gx\terror: %v\n", mix, model, shed, mult, err)
-						continue
-					}
-					fmt.Fprintf(w, "%s\t%v\t%v\t%gx\t%.0f\t%.0f\t%.1f%%\t%v\t%v\n",
-						mix, model, shed, mult, res.Offered, res.Goodput(),
-						100*res.ShedFraction(),
-						res.AcceptP999.Round(time.Microsecond), res.ApplyP999.Round(time.Microsecond))
-					rep.add("e23", fmt.Sprintf("%s/%s/shed=%v/offered=%gx", mix, model, shed, mult), map[string]float64{
-						"offered_s":      res.Offered,
-						"goodput_s":      res.Goodput(),
-						"shed_pct":       100 * res.ShedFraction(),
-						"accept_p999_us": float64(res.AcceptP999) / 1e3,
-						"apply_p999_us":  float64(res.ApplyP999) / 1e3,
-					})
-				}
-			}
-		}
-	}
-	fmt.Fprintln(w)
-}
-
-// runE24 prints the geo frontier: the marketplace deployed as a replica
-// group across regions {1,2,3} × WAN {20ms, 80ms} × read mode, async
-// (eventual cells, local commit + background shipping) vs sequenced
-// (deterministic core behind the global sequencer). Latencies are
-// modeled (fabric trace) time: local reads stay near the single-region
-// path while the staleness probe prices the divergence they may see;
-// home reads and sequenced commits pay the WAN. The driver is
-// tca.RunGeoCell, shared with BenchmarkE24_GeoFrontier.
-func runE24(w *tabwriter.Writer, rep *reporter, ops int) {
-	fmt.Fprintln(w, "E24: geo frontier — local-read staleness vs cross-region commit cost")
-	fmt.Fprintln(w, "mode\tregions\twan\tread\ttx/s\tread-p50\tread-p99\twrite-p50\twrite-p99\tmax-lag\tlag-txns\tanomalies\tconverged")
-	for _, mode := range []tca.ReplicationMode{tca.AsyncReplication, tca.SequencedReplication} {
-		for _, regions := range []int{1, 2, 3} {
-			for _, wan := range []time.Duration{20 * time.Millisecond, 80 * time.Millisecond} {
-				if regions == 1 && wan != 20*time.Millisecond {
-					continue // no WAN at one region; skip the duplicate row
-				}
-				for _, read := range []tca.ReadMode{tca.ReadLocal, tca.ReadHome} {
-					if regions == 1 && read != tca.ReadLocal {
-						continue // home == local at one region
-					}
-					res, err := tca.RunGeoCell(tca.GeoConfig{
-						Mode: mode, Regions: regions, WAN: wan, Read: read,
-						Ops: ops, Seed: 7,
-					})
-					if err != nil {
-						fmt.Fprintf(w, "%v\t%d\t%v\t%v\terror: %v\n", mode, regions, wan, read, err)
-						continue
-					}
-					accepted := res.Issued - res.Rejected
-					rate := float64(accepted) / res.Elapsed.Seconds()
-					anoms := len(res.Anomalies)
-					fmt.Fprintf(w, "%v\t%d\t%v\t%v\t%.0f\t%v\t%v\t%v\t%v\t%v\t%d\t%d\t%v\n",
-						mode, regions, wan, read, rate,
-						res.ReadP50.Round(time.Microsecond), res.ReadP99.Round(time.Microsecond),
-						res.WriteP50.Round(time.Microsecond), res.WriteP99.Round(time.Microsecond),
-						res.Staleness.MaxLag.Round(time.Millisecond), res.Staleness.MaxLagTxns,
-						anoms, res.Converged)
-					rep.add("e24", fmt.Sprintf("%v/r=%d/wan=%dms/read=%v", mode, regions, wan.Milliseconds(), read), map[string]float64{
-						"tx_s":           rate,
-						"read_p50_us":    float64(res.ReadP50) / 1e3,
-						"read_p99_us":    float64(res.ReadP99) / 1e3,
-						"write_p99_us":   float64(res.WriteP99) / 1e3,
-						"max_lag_ms":     float64(res.Staleness.MaxLag) / 1e6,
-						"lag_txns":       float64(res.Staleness.MaxLagTxns),
-						"shipped_writes": float64(res.Staleness.ShippedWrites),
-						"anomalies":      float64(anoms),
-					})
-				}
-			}
-		}
-	}
-	fmt.Fprintln(w)
 }
 
 // runCompare diffs two -json summaries through grid.Compare and prints
@@ -908,7 +213,7 @@ func runCompare(oldPath, newPath string, threshold float64) int {
 		fmt.Printf("note: ops_per_cell differs (%d vs %d) — rates are not directly comparable\n",
 			oldSum.OpsPerCell, newSum.OpsPerCell)
 	}
-	res := grid.Compare(oldSum, newSum, grid.CompareOptions{ThresholdPct: threshold})
+	res := grid.Compare(oldSum, newSum, threshold)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "row\tmetric\told\tnew\tdelta\tpooled-std\tverdict")
 	for _, d := range res.Deltas {

@@ -9,146 +9,103 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tca/internal/metrics"
 	"tca/internal/workload"
 )
 
-// The E20/E21 concurrency drivers, shared by the bench suite and
-// cmd/tcabench so the two surfaces can never report different numbers for
-// the same experiment: one cell = one (mix, model, clients) triple,
-// driven through pipelined client Sessions by workload.ClosedLoop, with
-// the workload's Auditor running live inside the loop — Record at
-// submission, Observe (plus a bounded live-value sample) as each handle
-// resolves, and the precedence-graph Verify on the settled cell.
+// The cell harness behind the concurrency experiments (E20's closed-loop
+// matrix, E21's audit overhead, E23's open-loop overload frontier), run
+// by the experiment registry (internal/experiments) for the bench suite
+// and cmd/tcabench alike, so the two surfaces can never report different
+// numbers for the same experiment: one run = one (mix, model) cell driven
+// closed-loop through pipelined client Sessions or open-loop at a fixed
+// arrival rate, with the workload's Auditor running live inside the loop
+// — Record at submission, Observe (plus a bounded live-value sample) as
+// each handle resolves, and the precedence-graph Verify on the settled
+// cell. The geo driver (geo_run.go) reuses the same audit path and
+// reservoirs over a ReplicaGroup.
 
-// ConcurrencyMixes are the workloads the E20 matrix sweeps: the TPC-C
-// NewOrder/Payment mix (non-commutative stock writes — the order verdict
-// separates real anomalies from reorder noise) and the social
-// compose-post mix (fully commutative — any divergence is a delivery
-// failure).
-var ConcurrencyMixes = []string{"tpcc", "social"}
-
-// AuditedMixes are the workloads the E21 live-audit-overhead sweep
-// drives: every first-class App, each under its incremental Auditor.
-// "market-res" is the reservation-style marketplace (ROADMAP 4b) —
-// identical op mix to "market", restructured so commutativity and
-// unique key ownership replace isolation; "booking" and "ledger" are
-// the example programs promoted to first-class audited mixes.
-var AuditedMixes = []string{"bank", "tpcc", "market", "market-res", "booking", "ledger", "social"}
-
-// ConcurrencyOptions tunes one concurrency-cell run.
-type ConcurrencyOptions struct {
-	// Audit runs the workload's Auditor live inside the loop and the
-	// final precedence-graph Verify. Off measures the raw harness.
-	Audit bool
-	// LogDir, when set and the model is Deterministic, backs the cell with
-	// a real durable write-ahead log (Options.LogDir) in a fresh
-	// subdirectory of LogDir, removed when the run ends — so repeated runs
-	// (a benchmark growing b.N) never replay a previous run's log. The
-	// modeled SequenceDelay is then not charged; the log's own append+fsync
-	// cost is the measured accept latency. Other models ignore it.
-	LogDir string
-	// Seed varies the clients' op streams and the reservoirs' sampling
-	// deterministically — the knob grid repeats turn. Zero reproduces the
-	// historical fixed streams (client c seeded 100+c), so existing
-	// callers and baselines are unchanged; seed s ≠ 0 gives client c the
-	// stream seed 100 + s·1e6 + c, keeping repeat streams disjoint.
-	Seed int64
+// mix is one registered workload: everything the harness needs to deploy,
+// drive and audit it. The mixes table is the only place a mix name is
+// resolved.
+type mix struct {
+	name    string
+	app     func() *App
+	auditor func() Auditor
+	// stream returns one client's seeded op stream.
+	stream func(seed int64) func() (name string, args []byte)
+	// seed prepares the mix's initial state on a fresh cell and, when
+	// auditing, folds the same seeding into the auditor's reference. Nil
+	// when the mix starts from empty state.
+	seed func(cell Cell, aud Auditor) error
 }
 
-// ConcurrencyResult is one cell of the concurrency matrix.
-type ConcurrencyResult struct {
-	// Issued counts submissions; Rejected those whose handles resolved
-	// with an error (business aborts, exhausted 2PL retries, sheds the
-	// session's retry budget could not absorb).
-	Issued, Rejected int64
-	// Shed counts the Rejected subset that failed with ErrOverloaded
-	// after the session exhausted its retry budget.
-	Shed int64
-	// Elapsed spans first submission to settled state.
-	Elapsed time.Duration
-	// AcceptP50 is the median Session.Submit-to-acknowledgment time,
-	// ApplyP50 the median Submit-to-Handle-resolution time — the per-cell
-	// accept/apply split. The P99s are the same distributions' tails,
-	// from a bounded reservoir.
-	AcceptP50, ApplyP50 time.Duration
-	AcceptP99, ApplyP99 time.Duration
-	// Anomalies are the final divergences the order verdict could not
-	// attribute to any serializable completion order.
-	Anomalies []string
-	// Violations counts live delta-constraint hits during the run
-	// (negative stock, overdrafts — sampled at apply time).
-	Violations int
-	// Reordered counts final mismatches a legal reordering of racing
-	// commits explains — the false positives a completion-order audit
-	// would have reported, suppressed by the precedence-graph verdict.
-	Reordered int
-	// GraphCycles counts conflict components whose settled values are
-	// explainable only by an order contradicting real-time precedence.
-	GraphCycles int
-	// Audited reports whether the auditor ran.
-	Audited bool
-	// AcceptSamples and ApplySamples are the bounded reservoirs' retained
-	// sample sets, exported so grid repeats can pool their tails.
-	AcceptSamples, ApplySamples []time.Duration
+// mixes are the first-class Apps, each with its incremental Auditor.
+// "market-res" is the reservation-style marketplace (ROADMAP 4b) — the
+// same mix shape as "market", only the reservation bookkeeping (ids,
+// quotes, claims) differs, so the reserved row is comparable to the
+// tolerate-the-drift row next to it; "booking" and "ledger" are the
+// example programs promoted to first-class audited mixes.
+var mixes = []mix{
+	{"bank", BankApp, asAuditor(NewBankAuditor), func(seed int64) func() (string, []byte) {
+		gen := workload.NewBank(seed, bankMixAccounts, 0.1)
+		return opStream(func() bankTransferArgs {
+			op := gen.Next()
+			return bankTransferArgs{From: op.From, To: op.To, Amount: op.Amount}
+		}, func(bankTransferArgs) string { return "transfer" })
+	}, seedBankMix},
+	{"tpcc", TPCCApp, asAuditor(NewTPCCAuditor), func(seed int64) func() (string, []byte) {
+		return opStream(workload.NewTPCC(seed, workload.DefaultTPCCConfig(4)).Next, tpccOpName)
+	}, nil},
+	{"market", MarketApp, asAuditor(NewMarketAuditor), func(seed int64) func() (string, []byte) {
+		return opStream(workload.NewMarket(seed, marketMixConfig()).Next, marketOpName)
+	}, nil},
+	{"market-res", MarketAppReserved, asAuditor(NewMarketReservedAuditor), func(seed int64) func() (string, []byte) {
+		return opStream(workload.NewReservedMarket(seed, marketMixConfig()).Next, marketOpName)
+	}, nil},
+	{"booking", BookingApp, asAuditor(NewBookingAuditor), func(seed int64) func() (string, []byte) {
+		return opStream(workload.NewBooking(seed, 64, 8, 8, 0.1, 0.2).Next, bookingOpName)
+	}, nil},
+	{"ledger", LedgerApp, asAuditor(NewLedgerAuditor), func(seed int64) func() (string, []byte) {
+		return opStream(workload.NewLedger(seed, 32, 0.15).Next, ledgerOpName)
+	}, nil},
+	{"social", SocialApp, asAuditor(NewSocialAuditor), func(seed int64) func() (string, []byte) {
+		return opStream(workload.NewSocial(seed, 128, 16).Next, SocialOpName)
+	}, nil},
 }
 
-// Throughput returns applied (accepted and not rejected) ops per second.
-func (r ConcurrencyResult) Throughput() float64 {
-	if r.Elapsed <= 0 {
-		return 0
+// Mixes lists the registered workload mixes — what E21's live-audit sweep
+// drives. E20 and E23 sweep "tpcc" (non-commutative stock writes: the
+// order verdict separates real anomalies from reorder noise) and "social"
+// (fully commutative: any divergence is a delivery failure).
+func Mixes() []string {
+	names := make([]string, len(mixes))
+	for i, m := range mixes {
+		names[i] = m.name
 	}
-	return float64(r.Issued-r.Rejected) / r.Elapsed.Seconds()
+	return names
 }
 
-// concClient is one simulated user: a Session on the cell plus its own
-// seeded stream. ClosedLoop's shared op closure checks a client out of a
-// pool, so each driver goroutine effectively owns one.
-type concClient struct {
-	sess *Session
-	next func() (name string, args []byte)
+// asAuditor lifts a concrete auditor constructor into the mix table.
+func asAuditor[A Auditor](newAuditor func() A) func() Auditor {
+	return func() Auditor { return newAuditor() }
 }
 
-// mixApp returns the App behind one concurrency mix.
-func mixApp(mix string) (*App, error) {
-	switch mix {
-	case "bank":
-		return BankApp(), nil
-	case "tpcc":
-		return TPCCApp(), nil
-	case "market":
-		return MarketApp(), nil
-	case "market-res":
-		return MarketAppReserved(), nil
-	case "booking":
-		return BookingApp(), nil
-	case "ledger":
-		return LedgerApp(), nil
-	case "social":
-		return SocialApp(), nil
-	default:
-		return nil, fmt.Errorf("tca: unknown concurrency mix %q", mix)
+// opStream adapts a workload generator to the harness's stream shape: the
+// op's name and its JSON-encoded arguments.
+func opStream[T any](next func() T, name func(T) string) func() (string, []byte) {
+	return func() (string, []byte) {
+		op := next()
+		args, _ := json.Marshal(op)
+		return name(op), args
 	}
 }
 
-// newMixAuditor returns the mix's incremental Auditor.
-func newMixAuditor(mix string) Auditor {
-	switch mix {
-	case "bank":
-		return NewBankAuditor()
-	case "tpcc":
-		return NewTPCCAuditor()
-	case "market":
-		return NewMarketAuditor()
-	case "market-res":
-		return NewMarketReservedAuditor()
-	case "booking":
-		return NewBookingAuditor()
-	case "ledger":
-		return NewLedgerAuditor()
-	default:
-		return NewSocialAuditor()
-	}
+// marketMixConfig sizes the two marketplace mixes.
+func marketMixConfig() workload.MarketConfig {
+	cfg := workload.DefaultMarketConfig()
+	cfg.Users, cfg.Products = 256, 64
+	cfg.ZipfS = 1.3
+	return cfg
 }
 
 // bankMixAccounts and bankMixBalance size the bank mix: enough seeded
@@ -159,77 +116,9 @@ const (
 	bankMixBalance  = 1_000_000
 )
 
-// mixStream returns one client's seeded op stream for a mix.
-func mixStream(mix string, seed int64) func() (string, []byte) {
-	switch mix {
-	case "bank":
-		gen := workload.NewBank(seed, bankMixAccounts, 0.1)
-		return func() (string, []byte) {
-			op := gen.Next()
-			args, _ := json.Marshal(bankTransferArgs{From: op.From, To: op.To, Amount: op.Amount})
-			return "transfer", args
-		}
-	case "tpcc":
-		gen := workload.NewTPCC(seed, workload.DefaultTPCCConfig(4))
-		return func() (string, []byte) {
-			op := gen.Next()
-			args, _ := json.Marshal(op)
-			return tpccOpName(op), args
-		}
-	case "market":
-		cfg := workload.DefaultMarketConfig()
-		cfg.Users, cfg.Products = 256, 64
-		cfg.ZipfS = 1.3
-		gen := workload.NewMarket(seed, cfg)
-		return func() (string, []byte) {
-			op := gen.Next()
-			args, _ := json.Marshal(op)
-			return marketOpName(op), args
-		}
-	case "market-res":
-		// The same mix shape as "market" — only the reservation
-		// bookkeeping (ids, quotes, claims) differs, so the reserved row
-		// is comparable to the tolerate-the-drift row next to it.
-		cfg := workload.DefaultMarketConfig()
-		cfg.Users, cfg.Products = 256, 64
-		cfg.ZipfS = 1.3
-		gen := workload.NewReservedMarket(seed, cfg)
-		return func() (string, []byte) {
-			op := gen.Next()
-			args, _ := json.Marshal(op)
-			return marketOpName(op), args
-		}
-	case "booking":
-		gen := workload.NewBooking(seed, 64, 8, 8, 0.1, 0.2)
-		return func() (string, []byte) {
-			op := gen.Next()
-			args, _ := json.Marshal(op)
-			return bookingOpName(op), args
-		}
-	case "ledger":
-		gen := workload.NewLedger(seed, 32, 0.15)
-		return func() (string, []byte) {
-			op := gen.Next()
-			args, _ := json.Marshal(op)
-			return ledgerOpName(op), args
-		}
-	default:
-		gen := workload.NewSocial(seed, 128, 16)
-		return func() (string, []byte) {
-			op := gen.Next()
-			args, _ := json.Marshal(op)
-			return SocialOpName(op), args
-		}
-	}
-}
-
-// seedMix prepares a mix's initial state on the cell and, when auditing,
-// folds the same seeding into the auditor's reference. Only the bank
-// needs it: accounts start funded so transfers never legitimately abort.
-func seedMix(mix string, cell Cell, aud Auditor) error {
-	if mix != "bank" {
-		return nil
-	}
+// seedBankMix funds the bank's accounts so transfers never legitimately
+// abort.
+func seedBankMix(cell Cell, aud Auditor) error {
 	for acct := 0; acct < bankMixAccounts; acct++ {
 		args, _ := json.Marshal(bankDepositArgs{Account: acct, Amount: bankMixBalance})
 		reqID := fmt.Sprintf("seed/%d", acct)
@@ -267,424 +156,328 @@ type liveKeyer interface {
 	LiveKeys(op string, args []byte) []string
 }
 
-// RunConcurrencyCell is RunConcurrencyCellOpts with live auditing on and
-// the deterministic cell on the real durable log (a per-run directory under
-// the OS temp dir) — the E20 configuration.
-func RunConcurrencyCell(mix string, model ProgrammingModel, clients, ops int) (ConcurrencyResult, error) {
-	return RunConcurrencyCellOpts(mix, model, clients, ops, ConcurrencyOptions{Audit: true, LogDir: os.TempDir()})
+// auditTap is the one path from a driver into an Auditor: record an
+// intent at submission, then Discard or Observe it when its handle
+// resolves. With aud nil (auditing off) both methods do nothing.
+type auditTap struct {
+	aud Auditor
+	// model decides whether a failed op still applied (see resolve).
+	model ProgrammingModel
+	// cell, when set, is peeked for the auditor's live samples.
+	cell Cell
+	seq  atomic.Int64
 }
 
-// RunConcurrencyCellOpts deploys the mix's App under model and drives it
-// with `clients` pipelined Sessions for ~ops total submissions. The cell
-// gets Options.Clients = clients (the sync cells' worker pool), 32 core
-// workers, and the modeled 80µs durable-append latency — what the
-// deterministic cell's group appends amortize; with ConcurrencyOptions
-// .LogDir set, the deterministic cell runs on a real write-ahead log
-// instead and the measured append+fsync cost replaces the model (the E20
-// configuration). With auditing on,
-// the mix's Auditor runs live inside the loop: each submission is
-// Recorded, each resolved handle is Observed in completion order together
-// with a bounded sample of live cell values for the delta constraint
-// checks, and the settled cell gets the precedence-graph Verify — so
-// non-commutative mixes audit exactly instead of reporting reorder noise.
-// The eventual cell observes unconditionally (an accepted op is
-// exactly-once in the ingress and applies even if its handle reports a
-// drop or timeout); every other cell observes applied ops only — the same
-// baseline rule as E17/E18/E19.
-func RunConcurrencyCellOpts(mix string, model ProgrammingModel, clients, ops int, copts ConcurrencyOptions) (ConcurrencyResult, error) {
-	env := NewEnv(1, 3)
-	opts := Options{Clients: clients, Workers: 32, SequenceDelay: 80 * time.Microsecond}
-	if copts.LogDir != "" && model == Deterministic {
-		dir, err := os.MkdirTemp(copts.LogDir, "cell-")
-		if err != nil {
-			return ConcurrencyResult{}, err
-		}
-		defer os.RemoveAll(dir)
-		opts.LogDir = dir
+// record declares one submission's intent and returns its audit id.
+func (t *auditTap) record(name string, args []byte) string {
+	if t.aud == nil {
+		return ""
 	}
-	app, err := mixApp(mix)
-	if err != nil {
-		return ConcurrencyResult{}, err
-	}
-	cell, err := DeployWith(model, app, env, opts)
-	if err != nil {
-		return ConcurrencyResult{}, err
-	}
-	defer cell.Close()
+	id := fmt.Sprintf("a/%d", t.seq.Add(1))
+	t.aud.Record(id, name, args)
+	return id
+}
 
-	var aud Auditor
-	var live liveKeyer
-	if copts.Audit {
-		aud = newMixAuditor(mix)
-		defer aud.Close()
-		live, _ = aud.(liveKeyer)
+// resolve folds one resolved handle into the audit. The eventual cell
+// observes unconditionally (an accepted op is exactly-once in the ingress
+// and applies even if its handle reports a drop or timeout); every other
+// cell observes applied ops only — the same baseline rule as E17/E18/E19.
+// A shed op never entered any cell's pipeline, so its intent is discarded
+// on every model. Observed commits carry a bounded sample of live cell
+// values for the delta constraint checks and, on the deterministic core,
+// the log position the result was stamped with: the verdict replays
+// components in the cell's actual commit order instead of searching for
+// one.
+func (t *auditTap) resolve(id, name string, args []byte, h Handle, opErr error, start time.Time) {
+	if t.aud == nil {
+		return
 	}
-	if err := seedMix(mix, cell, aud); err != nil {
-		return ConcurrencyResult{}, err
+	if opErr != nil && (t.model != StatefulDataflow || errors.Is(opErr, ErrOverloaded)) {
+		t.aud.Discard(id)
+		return
 	}
-
-	pool := make(chan *concClient, clients)
-	for c := 0; c < clients; c++ {
-		streamSeed := int64(100 + c)
-		sessID := fmt.Sprintf("c%d", c)
-		if copts.Seed != 0 {
-			streamSeed = 100 + copts.Seed*1_000_000 + int64(c)
-			sessID = fmt.Sprintf("s%d/c%d", copts.Seed, c)
-		}
-		pool <- &concClient{
-			sess: NewSession(cell, sessID, SessionOptions{MaxInFlight: 8}),
-			next: mixStream(mix, streamSeed),
-		}
-	}
-
-	acceptHist, applyHist := metrics.NewHistogram(), metrics.NewHistogram()
-	acceptRes := workload.NewLatencyReservoir(0, copts.Seed*2+1)
-	applyRes := workload.NewLatencyReservoir(0, copts.Seed*2+2)
-	var rejected, shed atomic.Int64
-	var auditSeq atomic.Int64
-	var inflight sync.WaitGroup
-	start := time.Now()
-	res := workload.ClosedLoop(clients, ops/clients+1, 0, func() error {
-		cl := <-pool
-		defer func() { pool <- cl }()
-		name, args := cl.next()
-		var auditID string
-		if aud != nil {
-			auditID = fmt.Sprintf("a/%d", auditSeq.Add(1))
-			aud.Record(auditID, name, args)
-		}
-		t0 := time.Now()
-		h := cl.sess.Submit(name, args, nil)
-		d := time.Since(t0)
-		acceptHist.RecordDuration(d)
-		acceptRes.Record(d)
-		inflight.Add(1)
-		go func() {
-			defer inflight.Done()
-			<-h.Done()
-			d := time.Since(t0)
-			applyHist.RecordDuration(d)
-			applyRes.Record(d)
-			_, opErr := h.Result()
-			if opErr != nil {
-				rejected.Add(1)
-				if errors.Is(opErr, ErrOverloaded) {
-					shed.Add(1)
+	var sample map[string][]byte
+	if live, ok := t.aud.(liveKeyer); ok && t.cell != nil {
+		for _, k := range live.LiveKeys(name, args) {
+			if v, found := livePeek(t.cell, k); found {
+				if sample == nil {
+					sample = make(map[string][]byte, auditLiveKeyCap)
 				}
+				sample[k] = v
 			}
-			if aud == nil {
-				return
-			}
-			// A shed op never entered any cell's pipeline — discard its
-			// intent on every model, including the eventual cell whose
-			// accepted errors otherwise still apply.
-			if opErr != nil && (model != StatefulDataflow || errors.Is(opErr, ErrOverloaded)) {
-				aud.Discard(auditID)
-				return
-			}
-			var sample map[string][]byte
-			if live != nil {
-				for _, k := range live.LiveKeys(name, args) {
-					if v, found := livePeek(cell, k); found {
-						if sample == nil {
-							sample = make(map[string][]byte, auditLiveKeyCap)
-						}
-						sample[k] = v
-					}
-				}
-			}
-			var seq int64
-			if sh, ok := h.(interface{ Seq() int64 }); ok {
-				// The deterministic core stamps results with their log
-				// position: the verdict replays components in the cell's
-				// actual commit order instead of searching for one.
-				seq = sh.Seq()
-			}
-			aud.Observe(Commit{ReqID: auditID, Op: name, Args: args, Start: t0, End: time.Now(), Live: sample, Seq: seq})
-		}()
-		return nil
-	})
-	inflight.Wait()
-	if err := cell.Settle(); err != nil {
-		return ConcurrencyResult{}, err
-	}
-	elapsed := time.Since(start)
-	out := ConcurrencyResult{
-		Issued:        res.Issued,
-		Rejected:      rejected.Load(),
-		Shed:          shed.Load(),
-		Elapsed:       elapsed,
-		AcceptP50:     time.Duration(acceptHist.Snapshot().P50),
-		ApplyP50:      time.Duration(applyHist.Snapshot().P50),
-		AcceptP99:     acceptRes.P99(),
-		ApplyP99:      applyRes.P99(),
-		AcceptSamples: acceptRes.Samples(),
-		ApplySamples:  applyRes.Samples(),
-	}
-	if aud != nil {
-		anomalies, err := aud.Verify(cell)
-		if err != nil {
-			return ConcurrencyResult{}, err
 		}
-		stats := aud.Stats()
-		out.Anomalies = anomalies
-		out.Violations = stats.LiveViolations
-		out.Reordered = stats.Reordered
-		out.GraphCycles = stats.GraphCycles
-		out.Audited = true
 	}
-	return out, nil
+	var seq int64
+	if sh, ok := h.(interface{ Seq() int64 }); ok {
+		seq = sh.Seq()
+	}
+	t.aud.Observe(Commit{ReqID: id, Op: name, Args: args, Start: start, End: time.Now(), Live: sample, Seq: seq})
 }
 
-// MeasureCellCapacity estimates one (mix, model) cell's peak closed-loop
-// throughput: 16 pipelined clients, auditing off, the deterministic cell
-// on a real temp-dir log. The E23 sweep offers multiples of this number.
-func MeasureCellCapacity(mix string, model ProgrammingModel, ops int) (float64, error) {
-	r, err := RunConcurrencyCellOpts(mix, model, 16, ops, ConcurrencyOptions{LogDir: os.TempDir()})
-	if err != nil {
-		return 0, err
-	}
-	return r.Throughput(), nil
-}
-
-// OverloadOptions tunes one open-loop overload run.
-type OverloadOptions struct {
-	// Arrival selects the arrival process: "poisson" (default, smooth) or
-	// "bursty" (a 2-state MMPP at the same mean rate with 4× bursts).
+// CellOptions configures one harness run. Exactly one of Clients and Rate
+// selects the load model.
+type CellOptions struct {
+	// Clients > 0 drives a closed loop: that many pipelined Sessions
+	// (8 submissions in flight each) over their own seeded streams, on a
+	// cell whose worker pool is Clients wide. Latencies run from each
+	// Session.Submit call.
+	Clients int
+	// Rate > 0 drives an open loop instead: arrivals at Rate ops/second
+	// submitted directly on the Cell — no Session retries, so the shed
+	// rate is the cell's own admission verdict — on a 16-wide worker
+	// pool. Arrivals keep coming regardless of how the cell keeps up, and
+	// latencies run from each arrival's *scheduled* time, so queueing
+	// delay counts.
+	Rate float64
+	// Arrival selects the open loop's arrival process: "poisson" (default,
+	// smooth) or "bursty" (a 2-state MMPP at the same mean rate with 4×
+	// bursts).
 	Arrival string
-	// Shed enables admission control: the cell runs with a tight bounded
-	// queue (Options.MaxPending = 64) and rejects excess load with
-	// ErrOverloaded. Off (false) disables the bounds (MaxPending = -1) —
-	// the pre-admission-control behavior, where overload queues without
-	// limit instead of shedding.
+	// Shed picks the open loop's admission control: on, the cell runs with
+	// a tight bounded queue (Options.MaxPending = 64 — not the roomy
+	// defaults, so the frontier engages within an experiment-sized run on
+	// every cell) and rejects excess load with ErrOverloaded; off disables
+	// the bounds (MaxPending = -1), the pre-admission-control behavior
+	// where overload queues without limit instead of shedding. The closed
+	// loop always runs on the cell's default bounds.
 	Shed bool
-	// Audit runs the mix's Auditor live during the overload run and the
-	// final precedence-graph Verify — the conformance configuration: a
-	// shed op must never surface as an anomaly or violation.
+	// Audit runs the mix's Auditor live inside the loop and the final
+	// precedence-graph Verify. Off measures the raw harness.
 	Audit bool
-	// LogDir backs the deterministic cell with a real durable log, as in
-	// ConcurrencyOptions.
+	// LogDir, when set and the model is Deterministic, backs the cell with
+	// a real durable write-ahead log (Options.LogDir) in a fresh
+	// subdirectory of LogDir, removed when the run ends — so repeated runs
+	// (a benchmark growing b.N) never replay a previous run's log. The
+	// modeled 80µs SequenceDelay is then not charged; the log's own
+	// append+fsync cost is the measured accept latency. Other models
+	// ignore it.
 	LogDir string
-	// Seed fixes the arrival schedule and op streams (zero means 1).
+	// Seed varies the op streams, the arrival schedule and the reservoirs'
+	// sampling deterministically — the knob grid repeats turn. Client c's
+	// stream is seeded 100 + Seed·1e6 + c, so repeat streams are disjoint
+	// and Seed 0 reproduces the historical fixed streams (100+c) existing
+	// baselines were taken on. The open loop is one client.
 	Seed int64
 }
 
-// OverloadResult is one point on the E23 saturation frontier.
-type OverloadResult struct {
-	// Offered is the arrival rate the run targeted (ops/second).
-	Offered float64
-	// Issued counts arrivals; Shed those rejected with ErrOverloaded;
-	// Failed those that were accepted but resolved with any other error.
+// CellResult is one harness run's measurement.
+type CellResult struct {
+	// Issued counts submissions; Shed those rejected with ErrOverloaded
+	// (after the session's retry budget, in the closed loop); Failed those
+	// that were accepted but resolved with any other error (business
+	// aborts, exhausted 2PL retries).
 	Issued, Shed, Failed int64
-	// Elapsed spans the first arrival to the last handle resolution.
+	// Elapsed spans the first submission to settled state.
 	Elapsed time.Duration
-	// Accept latencies run from each arrival's *scheduled* time to the
-	// cell's admission verdict, so queueing delay counts (open loop);
-	// Apply latencies run from the same origin to handle resolution, for
-	// accepted ops only.
-	AcceptP50, AcceptP99, AcceptP999 time.Duration
-	ApplyP99, ApplyP999              time.Duration
-	// AcceptSamples and ApplySamples are the bounded reservoirs' retained
-	// sample sets, exported so grid repeats can pool their tails.
+	// Accept latencies run to the cell's acknowledgment (Submit
+	// returning: a pool slot or a shed, a durable group append, an ingress
+	// produce), Apply latencies to the handle resolving, for ops that were
+	// not shed — the per-cell accept/apply split, as quantiles of bounded
+	// reservoirs.
+	AcceptP50, AcceptP999 time.Duration
+	ApplyP50, ApplyP999   time.Duration
+	// AcceptSamples and ApplySamples are the reservoirs' retained sample
+	// sets, exported so grid repeats can pool their tails.
 	AcceptSamples, ApplySamples []time.Duration
-	// Anomalies and Violations are the audit verdict when Audit was on.
-	Anomalies  []string
+	// Audited reports whether the auditor ran; the rest is its verdict.
+	Audited bool
+	// Anomalies are the final divergences the order verdict could not
+	// attribute to any serializable completion order.
+	Anomalies []string
+	// Violations counts live delta-constraint hits during the run
+	// (negative stock, overdrafts — sampled at apply time).
 	Violations int
-	Audited    bool
+	// Reordered counts final mismatches a legal reordering of racing
+	// commits explains — the false positives a completion-order audit
+	// would have reported, suppressed by the precedence-graph verdict.
+	Reordered int
+	// GraphCycles counts conflict components whose settled values are
+	// explainable only by an order contradicting real-time precedence.
+	GraphCycles int
 }
 
-// Completed returns how many arrivals were accepted and applied.
-func (r OverloadResult) Completed() int64 { return r.Issued - r.Shed - r.Failed }
+// Applied returns how many submissions were accepted and applied.
+func (r CellResult) Applied() int64 { return r.Issued - r.Shed - r.Failed }
 
-// Goodput returns completed (accepted and applied) ops per second —
-// the number that stays flat past saturation with shedding on and
-// collapses with it off.
-func (r OverloadResult) Goodput() float64 {
+// Throughput returns applied ops per second — under open-loop load the
+// goodput, the number that stays flat past saturation with shedding on
+// and collapses with it off.
+func (r CellResult) Throughput() float64 {
 	if r.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Completed()) / r.Elapsed.Seconds()
+	return float64(r.Applied()) / r.Elapsed.Seconds()
 }
 
-// ShedFraction returns the fraction of arrivals shed.
-func (r OverloadResult) ShedFraction() float64 {
-	if r.Issued == 0 {
-		return 0
+// RunCell deploys the named mix's App under model on a fresh single-node
+// environment and drives it for ~ops submissions under the load model o
+// selects. The cell gets 32 core workers and the modeled 80µs
+// durable-append latency — what the deterministic cell's group appends
+// amortize — unless o.LogDir puts it on a real write-ahead log.
+func RunCell(mixName string, model ProgrammingModel, ops int, o CellOptions) (CellResult, error) {
+	if ops <= 0 || o.Rate < 0 || (o.Rate == 0 && o.Clients <= 0) {
+		return CellResult{}, fmt.Errorf("tca: cell run needs ops > 0 and Clients > 0 or Rate > 0 (got ops %d, clients %d, rate %g)", ops, o.Clients, o.Rate)
 	}
-	return float64(r.Shed) / float64(r.Issued)
-}
-
-// RunOverloadCell deploys the mix's App under model and offers it an
-// open-loop stream of ops arrivals at the given rate (ops/second),
-// submitted directly on the Cell — no Session retries, so the shed rate
-// is the cell's own admission verdict. Arrivals keep coming regardless
-// of how the cell keeps up: with shedding off and the rate past
-// capacity, accept latency grows without bound (the legacy blocking
-// queues) and goodput collapses; with shedding on the cell rejects the
-// excess in ~constant time and goodput holds at the frontier. Latency is
-// measured from each arrival's scheduled time (queueing delay counts)
-// into bounded reservoirs.
-func RunOverloadCell(mix string, model ProgrammingModel, rate float64, ops int, o OverloadOptions) (OverloadResult, error) {
-	if rate <= 0 || ops <= 0 {
-		return OverloadResult{}, fmt.Errorf("tca: overload run needs rate > 0 and ops > 0 (got %g, %d)", rate, ops)
+	var m *mix
+	for i := range mixes {
+		if mixes[i].name == mixName {
+			m = &mixes[i]
+			break
+		}
 	}
-	seed := o.Seed
-	if seed == 0 {
-		seed = 1
+	if m == nil {
+		return CellResult{}, fmt.Errorf("tca: unknown mix %q", mixName)
 	}
-	env := NewEnv(1, 3)
-	opts := Options{Clients: 16, Workers: 32, SequenceDelay: 80 * time.Microsecond}
-	if o.Shed {
-		// A tight explicit bound (not the roomy defaults) so the frontier
-		// engages within an experiment-sized run on every cell.
-		opts.MaxPending = 64
-	} else {
-		opts.MaxPending = -1
+	open, seed := o.Rate > 0, o.Seed
+	var arrivals workload.ArrivalProcess
+	opts := Options{Clients: o.Clients, Workers: 32, SequenceDelay: 80 * time.Microsecond}
+	if open {
+		opts.Clients, opts.MaxPending = 16, -1
+		if o.Shed {
+			opts.MaxPending = 64
+		}
+		switch o.Arrival {
+		case "", "poisson":
+			arrivals = workload.NewPoissonArrivals(seed, o.Rate)
+		case "bursty":
+			arrivals = workload.NewMMPPArrivals(seed, o.Rate, 4, 10*time.Millisecond)
+		default:
+			return CellResult{}, fmt.Errorf("tca: unknown arrival process %q", o.Arrival)
+		}
 	}
 	if o.LogDir != "" && model == Deterministic {
 		dir, err := os.MkdirTemp(o.LogDir, "cell-")
 		if err != nil {
-			return OverloadResult{}, err
+			return CellResult{}, err
 		}
 		defer os.RemoveAll(dir)
 		opts.LogDir = dir
 	}
-	app, err := mixApp(mix)
+	cell, err := DeployWith(model, m.app(), NewEnv(1, 3), opts)
 	if err != nil {
-		return OverloadResult{}, err
-	}
-	cell, err := DeployWith(model, app, env, opts)
-	if err != nil {
-		return OverloadResult{}, err
+		return CellResult{}, err
 	}
 	defer cell.Close()
-
-	var aud Auditor
+	tap := &auditTap{model: model, cell: cell}
 	if o.Audit {
-		aud = newMixAuditor(mix)
-		defer aud.Close()
+		tap.aud = m.auditor()
+		defer tap.aud.Close()
 	}
-	if err := seedMix(mix, cell, aud); err != nil {
-		return OverloadResult{}, err
+	if m.seed != nil {
+		if err := m.seed(cell, tap.aud); err != nil {
+			return CellResult{}, err
+		}
 	}
+	stream := func(c int) func() (string, []byte) { return m.stream(100 + seed*1_000_000 + int64(c)) }
 
-	var arrivals workload.ArrivalProcess
-	switch o.Arrival {
-	case "", "poisson":
-		arrivals = workload.NewPoissonArrivals(seed, rate)
-	case "bursty":
-		arrivals = workload.NewMMPPArrivals(seed, rate, 4, 10*time.Millisecond)
-	default:
-		return OverloadResult{}, fmt.Errorf("tca: unknown arrival process %q", o.Arrival)
-	}
-	stream := mixStream(mix, seed+1)
-
-	accept := workload.NewLatencyReservoir(8192, seed)
-	apply := workload.NewLatencyReservoir(8192, seed+1)
+	accept := workload.NewLatencyReservoir(0, seed*2+1)
+	apply := workload.NewLatencyReservoir(0, seed*2+2)
+	issued := int64(ops)
 	var shed, failed atomic.Int64
-	var wg sync.WaitGroup
-	// finish drains one submission: classify the outcome, record apply
-	// latency for ops that entered the pipeline, and keep the auditor's
-	// intent set exact — a shed op is always Discarded.
-	finish := func(h Handle, reqID, name string, args []byte, sched time.Time) {
+	var inflight sync.WaitGroup
+	// await drains one submission: classify the outcome, record apply
+	// latency for ops that entered the pipeline, and hand it to the audit.
+	await := func(h Handle, id, name string, args []byte, origin time.Time) {
+		defer inflight.Done()
 		<-h.Done()
 		_, opErr := h.Result()
-		if opErr != nil {
-			if errors.Is(opErr, ErrOverloaded) {
-				shed.Add(1)
-				if aud != nil {
-					aud.Discard(reqID)
-				}
+		if errors.Is(opErr, ErrOverloaded) {
+			shed.Add(1)
+		} else {
+			if opErr != nil {
+				failed.Add(1)
+			}
+			apply.Record(time.Since(origin))
+		}
+		tap.resolve(id, name, args, h, opErr, origin)
+	}
+
+	start := time.Now()
+	if open {
+		next := stream(0)
+		workload.Pace(ops, arrivals.Gap, func(i int, due time.Time) {
+			name, args := next()
+			id := tap.record(name, args)
+			submit := func() Handle {
+				h := cell.Submit(fmt.Sprintf("ol/%d", i), name, args, nil)
+				accept.Record(time.Since(due))
+				return h
+			}
+			inflight.Add(1)
+			if o.Shed && model != Deterministic {
+				// Admission control makes Submit's verdict ~immediate (a token
+				// or a shed), so the pacing loop submits inline — which is also
+				// what lets a backlog actually accumulate against the bound
+				// instead of being drained by the scheduler between arrivals —
+				// and only the await runs concurrently. The deterministic cell
+				// is the exception: its Submit return is the durable ack, whose
+				// cost amortizes only across concurrent submitters (group
+				// appends), while its admission verdict already fires at the
+				// bounded batch queue before the ack wait parks — so it takes
+				// the concurrent path below even with shedding on.
+				h := submit()
+				go await(h, id, name, args, due)
 				return
 			}
-			failed.Add(1)
-		}
-		apply.Record(time.Since(sched))
-		if aud == nil {
-			return
-		}
-		if opErr != nil && model != StatefulDataflow {
-			aud.Discard(reqID)
-			return
-		}
-		var seq int64
-		if sh, ok := h.(interface{ Seq() int64 }); ok {
-			seq = sh.Seq()
-		}
-		aud.Observe(Commit{ReqID: reqID, Op: name, Args: args, Start: sched, End: time.Now(), Seq: seq})
-	}
-	start := time.Now()
-	next := start
-	for i := 0; i < ops; i++ {
-		next = next.Add(arrivals.Gap())
-		if wait := time.Until(next); wait > 0 {
-			time.Sleep(wait)
-		}
-		sched := next
-		name, args := stream()
-		reqID := fmt.Sprintf("ol/%d", i)
-		if aud != nil {
-			aud.Record(reqID, name, args)
-		}
-		wg.Add(1)
-		if o.Shed && model != Deterministic {
-			// Admission control makes Submit's verdict ~immediate (a token
-			// or a shed), so the pacing loop submits inline — which is also
-			// what lets a backlog actually accumulate against the bound
-			// instead of being drained by the scheduler between arrivals —
-			// and only the await runs concurrently. The deterministic cell
-			// is the exception: its Submit return is the durable ack, whose
-			// cost amortizes only across concurrent submitters (group
-			// appends), while its admission verdict already fires at the
-			// bounded batch queue before the ack wait parks — so it takes
-			// the concurrent path below even with shedding on.
-			h := cell.Submit(reqID, name, args, nil)
-			accept.Record(time.Since(sched))
-			go func() {
-				defer wg.Done()
-				finish(h, reqID, name, args, sched)
-			}()
-		} else {
 			// Legacy queues block the submitter when full; the open loop
 			// must keep offering regardless, so each arrival submits from
 			// its own goroutine — the unbounded goroutine pile IS the
 			// unbounded queue, and the blocked time lands in the accept
 			// tail.
+			go func() { await(submit(), id, name, args, due) }()
+		})
+	} else {
+		// One simulated user = a Session on the cell plus its own seeded
+		// stream, submitting back to back; the session's in-flight cap is
+		// what throttles it.
+		perClient := ops/o.Clients + 1
+		issued = int64(o.Clients * perClient)
+		var clients sync.WaitGroup
+		for c := 0; c < o.Clients; c++ {
+			sess, next := NewSession(cell, fmt.Sprintf("s%d/c%d", seed, c), SessionOptions{MaxInFlight: 8}), stream(c)
+			clients.Add(1)
 			go func() {
-				defer wg.Done()
-				h := cell.Submit(reqID, name, args, nil)
-				accept.Record(time.Since(sched))
-				finish(h, reqID, name, args, sched)
+				defer clients.Done()
+				for i := 0; i < perClient; i++ {
+					name, args := next()
+					id := tap.record(name, args)
+					t0 := time.Now()
+					h := sess.Submit(name, args, nil)
+					accept.Record(time.Since(t0))
+					inflight.Add(1)
+					go await(h, id, name, args, t0)
+				}
 			}()
 		}
+		clients.Wait()
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
+	inflight.Wait()
 	if err := cell.Settle(); err != nil {
-		return OverloadResult{}, err
+		return CellResult{}, err
 	}
-	out := OverloadResult{
-		Offered:       rate,
-		Issued:        int64(ops),
+	out := CellResult{
+		Issued:        issued,
 		Shed:          shed.Load(),
 		Failed:        failed.Load(),
-		Elapsed:       elapsed,
+		Elapsed:       time.Since(start),
 		AcceptP50:     accept.P50(),
-		AcceptP99:     accept.P99(),
 		AcceptP999:    accept.P999(),
-		ApplyP99:      apply.P99(),
+		ApplyP50:      apply.P50(),
 		ApplyP999:     apply.P999(),
 		AcceptSamples: accept.Samples(),
 		ApplySamples:  apply.Samples(),
 	}
-	if aud != nil {
-		anomalies, err := aud.Verify(cell)
+	if tap.aud != nil {
+		anomalies, err := tap.aud.Verify(cell)
 		if err != nil {
-			return OverloadResult{}, err
+			return CellResult{}, err
 		}
-		out.Anomalies = anomalies
-		out.Violations = aud.Stats().LiveViolations
+		stats := tap.aud.Stats()
 		out.Audited = true
+		out.Anomalies = anomalies
+		out.Violations = stats.LiveViolations
+		out.Reordered = stats.Reordered
+		out.GraphCycles = stats.GraphCycles
 	}
 	return out, nil
 }

@@ -1,15 +1,13 @@
 package tca
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"encoding/json"
-
 	"tca/internal/fabric"
-	"tca/internal/metrics"
 	"tca/internal/workload"
 )
 
@@ -18,9 +16,10 @@ import (
 // reads are fast but possibly stale (async mode), home reads are fresh
 // but pay the WAN round trip, and sequenced commits are anomaly-free but
 // every cross-region group pays the sequencer's WAN round trip. The
-// latencies reported are modeled (fabric trace) time, so runs are
-// machine-independent; the staleness probe mixes real queue wait with
-// the modeled WAN leg.
+// latencies reported are modeled (fabric trace) time, not wall-clock;
+// the staleness probe mixes real queue wait with the modeled WAN leg.
+// The audit path (auditTap) is the cell harness's (concurrency.go),
+// driven over a ReplicaGroup.
 
 // GeoConfig configures one E24 cell.
 type GeoConfig struct {
@@ -42,21 +41,14 @@ type GeoConfig struct {
 	Ops int
 	// Rate, when > 0, switches to a paced open loop: submissions arrive
 	// at this fixed rate, round-robined across regions — the
-	// machine-independent sub-capacity mode the CI grid pins.
+	// sub-capacity mode the CI grid pins.
 	Rate float64
 	// Seed varies the op streams deterministically (default 1).
 	Seed int64
-	// Users / Products size the marketplace (defaults 64 / 16).
-	Users, Products int
 }
 
 // GeoResult is one cell of the E24 frontier.
 type GeoResult struct {
-	Mode    ReplicationMode
-	Regions int
-	WAN     time.Duration
-	Read    ReadMode
-
 	// Issued counts submissions, Rejected the business aborts (empty
 	// carts); Elapsed spans first submission to full quiescence.
 	Issued, Rejected int64
@@ -68,9 +60,9 @@ type GeoResult struct {
 	// cross-region commit cost the frontier trades against staleness.
 	ReadP50, ReadP99   time.Duration
 	WriteP50, WriteP99 time.Duration
-	// ReadSamples / WriteSamples are bounded reservoir samples of the
-	// same modeled distributions, for the CI grid's std-aware gating.
-	ReadSamples, WriteSamples []time.Duration
+	// ReadSamples is the read reservoir's retained sample set, exported
+	// so grid repeats can pool the gated read tail.
+	ReadSamples []time.Duration
 
 	// Staleness is the replica group's probe: how far behind a local
 	// read could be (async mode; zero in sequenced mode and at 1 region).
@@ -97,20 +89,11 @@ func RunGeoCell(cfg GeoConfig) (GeoResult, error) {
 	if cfg.Clients < 1 {
 		cfg.Clients = 4
 	}
-	if cfg.Ops < 1 {
-		cfg.Ops = 400
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Users < 1 {
-		cfg.Users = 64
-	}
-	if cfg.Products < 2 {
-		cfg.Products = 16
-	}
 	mcfg := workload.MarketConfig{
-		Users: cfg.Users, Products: cfg.Products,
+		Users: 64, Products: 16,
 		CartFrac: 0.40, CheckoutFrac: 0.20, PriceFrac: 0.10, // 30% queries
 		ZipfS: 1.3,
 	}
@@ -133,77 +116,56 @@ func RunGeoCell(cfg GeoConfig) (GeoResult, error) {
 	// serialization, so the precedence-graph verdict must come back
 	// empty. Async mode is audited for convergence instead — its local
 	// interleavings are exactly the drift E24 prices via the staleness
-	// probe, which feeds the auditor's new staleness field either way.
+	// probe, which feeds the auditor's staleness field either way.
 	var aud *MarketAuditor
+	tap := &auditTap{model: model}
 	if cfg.Mode == SequencedReplication {
 		aud = NewMarketAuditor()
 		defer aud.Close()
+		tap.aud = aud
 	}
 
-	readHist := metrics.NewHistogram()
-	writeHist := metrics.NewHistogram()
-	readRes := workload.NewLatencyReservoir(0, cfg.Seed)
-	writeRes := workload.NewLatencyReservoir(0, cfg.Seed+1)
+	reads := workload.NewLatencyReservoir(0, cfg.Seed)
+	writes := workload.NewLatencyReservoir(0, cfg.Seed+1)
 	var issued, rejected atomic.Int64
-	var auditSeq atomic.Int64
 	var inflight sync.WaitGroup
 
-	// submitOne drives a single op at origin, recording modeled latency
-	// by path and feeding the audit when one is running.
-	submitOne := func(origin int, op workload.MarketOp, reqID string, await bool) {
+	// submitOne drives a single op at origin, recording modeled (fabric
+	// trace) latency by path and feeding the audit when one is running;
+	// the closed loop waits for each op, the paced loop does not.
+	submitOne := func(origin int, op workload.MarketOp, reqID string, wait bool) {
 		args, _ := json.Marshal(op)
 		name := marketOpName(op)
 		issued.Add(1)
+		tr := fabric.NewTrace()
+		var settle func()
 		if op.Kind == workload.MarketQueryProduct {
-			run := func() {
-				tr := fabric.NewTrace()
+			settle = func() {
 				if _, err := g.Query(origin, cfg.Read, reqID, name, args, tr); err != nil {
 					rejected.Add(1)
 					return
 				}
-				readHist.RecordDuration(tr.Total())
-				readRes.Record(tr.Total())
+				reads.Record(tr.Total())
 			}
-			if await {
-				run()
-			} else {
-				inflight.Add(1)
-				go func() { defer inflight.Done(); run() }()
+		} else {
+			id := tap.record(name, args)
+			start := time.Now()
+			h := g.Submit(origin, reqID, name, args, tr)
+			settle = func() {
+				_, err := h.Result()
+				writes.Record(tr.Total())
+				if err != nil {
+					rejected.Add(1)
+				}
+				tap.resolve(id, name, args, h, err, start)
 			}
+		}
+		if wait {
+			settle()
 			return
 		}
-		var auditID string
-		if aud != nil {
-			auditID = fmt.Sprintf("a/%d", auditSeq.Add(1))
-			aud.Record(auditID, name, args)
-		}
-		tr := fabric.NewTrace()
-		h := g.Submit(origin, reqID, name, args, tr)
-		settle := func() {
-			_, err := h.Result()
-			writeHist.RecordDuration(tr.Total())
-			writeRes.Record(tr.Total())
-			if err != nil {
-				rejected.Add(1)
-				if aud != nil {
-					aud.Discard(auditID)
-				}
-				return
-			}
-			if aud != nil {
-				var seq int64
-				if sh, ok := h.(interface{ Seq() int64 }); ok {
-					seq = sh.Seq()
-				}
-				aud.Observe(Commit{ReqID: auditID, Op: name, Args: args, Seq: seq})
-			}
-		}
-		if await {
-			settle()
-		} else {
-			inflight.Add(1)
-			go func() { defer inflight.Done(); settle() }()
-		}
+		inflight.Add(1)
+		go func() { defer inflight.Done(); settle() }()
 	}
 
 	start := time.Now()
@@ -215,15 +177,10 @@ func RunGeoCell(cfg GeoConfig) (GeoResult, error) {
 			gens[r] = workload.NewMarket(cfg.Seed+int64(r)*1000, mcfg)
 		}
 		gap := time.Duration(float64(time.Second) / cfg.Rate)
-		next := time.Now()
-		for i := 0; i < cfg.Ops; i++ {
-			next = next.Add(gap)
-			if wait := time.Until(next); wait > 0 {
-				time.Sleep(wait)
-			}
+		workload.Pace(cfg.Ops, func() time.Duration { return gap }, func(i int, _ time.Time) {
 			r := i % cfg.Regions
 			submitOne(r, gens[r].Next(), fmt.Sprintf("g/%d/%d", r, i), false)
-		}
+		})
 	} else {
 		// Closed loop: Clients submitters per region, each serial over
 		// its own seeded stream.
@@ -251,24 +208,19 @@ func RunGeoCell(cfg GeoConfig) (GeoResult, error) {
 	if err := g.Drain(); err != nil {
 		return GeoResult{}, err
 	}
-	elapsed := time.Since(start)
 
 	out := GeoResult{
-		Mode:      cfg.Mode,
-		Regions:   cfg.Regions,
-		WAN:       cfg.WAN,
-		Read:      cfg.Read,
-		Issued:    issued.Load(),
-		Rejected:  rejected.Load(),
-		Elapsed:   elapsed,
-		Staleness: g.Staleness(),
-		Converged: true,
+		Issued:      issued.Load(),
+		Rejected:    rejected.Load(),
+		Elapsed:     time.Since(start),
+		ReadP50:     reads.P50(),
+		ReadP99:     reads.P99(),
+		WriteP50:    writes.P50(),
+		WriteP99:    writes.P99(),
+		ReadSamples: reads.Samples(),
+		Staleness:   g.Staleness(),
+		Converged:   true,
 	}
-	rs, ws := readHist.Snapshot(), writeHist.Snapshot()
-	out.ReadP50, out.ReadP99 = time.Duration(rs.P50), time.Duration(rs.P99)
-	out.WriteP50, out.WriteP99 = time.Duration(ws.P50), time.Duration(ws.P99)
-	out.ReadSamples, out.WriteSamples = readRes.Samples(), writeRes.Samples()
-
 	if aud != nil {
 		// Fold the probe into the auditor too: AuditStats carries the
 		// staleness block alongside the anomaly counters.

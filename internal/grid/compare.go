@@ -20,17 +20,11 @@ var LatencyMetrics = []string{
 	"apply_p50_us", "apply_p99_us", "apply_p999_us",
 }
 
-// CompareOptions tunes a summary comparison.
-type CompareOptions struct {
-	// ThresholdPct flags throughput deltas beyond this percentage
-	// (zero means 20).
-	ThresholdPct float64
-	// StdFactor is the noise gate: when both rows carry a _std companion
-	// for the metric, a delta is flagged only if it also exceeds
-	// StdFactor × the pooled std (zero means 2). Rows without std info —
-	// old single-run summaries — gate on the percentage alone.
-	StdFactor float64
-}
+// stdFactor is the noise gate: when both rows carry a _std companion for
+// a metric, a delta is flagged only if it also exceeds stdFactor × the
+// pooled std. Rows without std info — old single-run summaries — gate on
+// the percentage alone.
+const stdFactor = 2
 
 // Delta is one reported metric difference.
 type Delta struct {
@@ -69,15 +63,10 @@ func (r CompareResult) Failed() bool {
 }
 
 // Compare diffs two summaries row by row: std-aware gating on the
-// throughput metrics, informational reporting on the latency columns,
-// hard failure on rows the new summary dropped.
-func Compare(oldSum, newSum *Summary, opts CompareOptions) CompareResult {
-	if opts.ThresholdPct == 0 {
-		opts.ThresholdPct = 20
-	}
-	if opts.StdFactor == 0 {
-		opts.StdFactor = 2
-	}
+// throughput metrics (deltas beyond ±thresholdPct), informational
+// reporting on the latency columns, hard failure on rows the new summary
+// dropped.
+func Compare(oldSum, newSum *Summary, thresholdPct float64) CompareResult {
 	oldRows := make(map[string]BenchRow, len(oldSum.Rows))
 	for _, r := range oldSum.Rows {
 		oldRows[r.Key()] = r
@@ -103,13 +92,13 @@ func Compare(oldSum, newSum *Summary, opts CompareOptions) CompareResult {
 			}
 			res.Compared++
 			pct := 100 * (newV - oldV) / oldV
-			if math.Abs(pct) <= opts.ThresholdPct {
+			if math.Abs(pct) <= thresholdPct {
 				continue
 			}
 			pooled := pooledStd(or.Metrics[metric+"_std"], nr.Metrics[metric+"_std"])
 			d := Delta{RowKey: key, Metric: metric, Old: oldV, New: newV, Pct: pct, PooledStd: pooled}
 			switch {
-			case math.Abs(newV-oldV) <= opts.StdFactor*pooled:
+			case math.Abs(newV-oldV) <= stdFactor*pooled:
 				// Beyond the percentage threshold but within repeat
 				// noise: report, don't gate.
 				d.Kind = "noise"
@@ -132,7 +121,7 @@ func Compare(oldSum, newSum *Summary, opts CompareOptions) CompareResult {
 			if !ok || oldV <= 0 {
 				continue
 			}
-			if pct := 100 * (newV - oldV) / oldV; math.Abs(pct) > opts.ThresholdPct {
+			if pct := 100 * (newV - oldV) / oldV; math.Abs(pct) > thresholdPct {
 				res.Deltas = append(res.Deltas, Delta{
 					RowKey: key, Metric: metric, Old: oldV, New: newV, Pct: pct, Kind: "latency",
 				})

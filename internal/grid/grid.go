@@ -1,13 +1,16 @@
-// Package grid is the declarative experiment-grid runner behind
-// `tcabench -grid` and the CI regression gate: a Spec declares an
-// experiment's knob axes, a repeat count, and a base seed; Run expands
-// the axes into rows, executes each row once per repeat with the seed
-// varied deterministically (BaseSeed + repeat index), and aggregates the
-// repeats into per-row mean/std/min/max throughput plus pooled latency
-// tails. The package also owns the machine-readable summary schema
-// (Summary — what BENCH_latest.json and ci/bench_baseline.json hold) and
-// the std-aware comparison that gates PRs on it, so the runner, the
-// emitter, and the gate can never disagree about what a row means.
+// Package grid is the declarative experiment-grid runner behind every
+// view of the experiment registry (internal/experiments): the tcabench
+// tables and -json (one repeat), `tcabench -grid` and the CI regression
+// gate (the gate-marked rows, N repeats), and `go test -bench` (one
+// sample per sub-benchmark). A Spec declares an experiment's rows — knob
+// axes or an explicit list — a repeat count, and a base seed; Run
+// executes each row once per repeat with the seed varied
+// deterministically (BaseSeed + repeat index), and aggregates the
+// repeats into per-row mean/std metrics plus pooled latency tails. The
+// package also owns the machine-readable summary schema (Summary — what
+// BENCH_latest.json and ci/bench_baseline.json hold) and the std-aware
+// comparison that gates PRs on it, so the runner, the emitter, and the
+// gate can never disagree about what a row means.
 //
 // Isolation contract: a RunFunc must build all of its state fresh on
 // every call — cells, runtimes, brokers, temp-dir logs — and tear it
@@ -19,6 +22,7 @@ package grid
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -36,6 +40,10 @@ type Spec struct {
 	// Axes are the knobs; the grid's rows are their cartesian product in
 	// declaration order (first axis slowest).
 	Axes []Axis
+	// List, when non-empty, is an explicit row list used instead of the
+	// axes' product — for sweeps that skip combinations or keep
+	// hand-written row labels.
+	List []Row
 	// Repeats is how many times each row runs (min 1). Repeat r uses seed
 	// BaseSeed + r, so the repeat index — never wall-clock or execution
 	// order — determines a repeat's randomness.
@@ -44,10 +52,9 @@ type Spec struct {
 	BaseSeed int64
 	// Ops is the per-run operation count handed to the RunFunc.
 	Ops int
-	// ThroughputKey names the throughput metric in the emitted row
-	// ("ops_s", "tx_s", "goodput_s"): the mean lands under the key itself
-	// — old single-run consumers keep working — and the spread under
-	// key_std/key_min/key_max.
+	// ThroughputKey names the sample metric that is the row's rate
+	// ("ops_s", "tx_s", "goodput_s"): on repeated rows it carries
+	// key_min/key_max beside the key_std every metric gets.
 	ThroughputKey string
 	// AcceptKey and ApplyKey, when non-empty, name the pooled-p99 latency
 	// metrics (microseconds) computed from the repeats' accept/apply
@@ -55,12 +62,29 @@ type Spec struct {
 	AcceptKey, ApplyKey string
 }
 
-// Row is one cell of the expanded grid: the experiment id plus one value
-// per axis.
+// Row is one cell of the grid: the experiment id plus one value per
+// knob.
 type Row struct {
 	Experiment string
-	names      []string
-	values     []string
+	// Label, when set, is the row's key in summaries; an unlabeled row
+	// is keyed by its knobs (see Name).
+	Label string
+	// Gate marks a row of the pinned regression gate: `tcabench -grid`
+	// runs exactly the gate rows, the tables and -json the others.
+	Gate   bool
+	names  []string
+	values []string
+}
+
+// NewRow builds a row for Spec.List: label is its summary key ("" keys
+// it by the knobs), knobs are name, value pairs.
+func NewRow(label string, knobs ...string) Row {
+	r := Row{Label: label}
+	for i := 0; i+1 < len(knobs); i += 2 {
+		r.names = append(r.names, knobs[i])
+		r.values = append(r.values, knobs[i+1])
+	}
+	return r
 }
 
 // Knob returns the row's value for the named axis ("" if absent).
@@ -73,9 +97,45 @@ func (r Row) Knob(name string) string {
 	return ""
 }
 
-// Name renders the row label the summary uses: "axis=value" pairs joined
-// by "/" in axis order.
+// Int returns the named knob as an integer, zero when the row does not
+// declare it. Rows are declared in code, so a malformed knob is a bug in
+// the spec and panics.
+func (r Row) Int(name string) int {
+	return int(r.Float(name))
+}
+
+// Float is Int for real-valued knobs.
+func (r Row) Float(name string) float64 {
+	v := r.Knob(name)
+	if v == "" {
+		return 0
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		panic(fmt.Sprintf("grid: row %s/%s knob %s=%q is not a number", r.Experiment, r.Name(), name, v))
+	}
+	return f
+}
+
+// With returns the row with the named knob set to value — how a caller
+// overrides a knob the row declares (tcabench's -audit and -arrival). A
+// row without that knob is returned unchanged.
+func (r Row) With(name, value string) Row {
+	for i, n := range r.names {
+		if n == name {
+			r.values = append([]string(nil), r.values...)
+			r.values[i] = value
+		}
+	}
+	return r
+}
+
+// Name is the row's key in summaries: its Label, or for an unlabeled
+// row the "knob=value" pairs joined by "/" in declaration order.
 func (r Row) Name() string {
+	if r.Label != "" {
+		return r.Label
+	}
 	if len(r.names) == 0 {
 		return "default"
 	}
@@ -86,9 +146,17 @@ func (r Row) Name() string {
 	return strings.Join(parts, "/")
 }
 
-// Rows expands the spec's axes into their cartesian product, first axis
-// slowest. A spec with no axes yields one knobless row.
+// Rows returns the spec's explicit List, or expands its axes into their
+// cartesian product, first axis slowest. A spec with neither yields one
+// knobless row.
 func (s Spec) Rows() []Row {
+	if len(s.List) > 0 {
+		rows := append([]Row(nil), s.List...)
+		for i := range rows {
+			rows[i].Experiment = s.Experiment
+		}
+		return rows
+	}
 	rows := []Row{{Experiment: s.Experiment}}
 	for _, ax := range s.Axes {
 		next := make([]Row, 0, len(rows)*len(ax.Values))
@@ -109,15 +177,14 @@ func (s Spec) Rows() []Row {
 
 // Sample is one repeat's measurement of one row.
 type Sample struct {
-	// Throughput is the run's rate under the spec's ThroughputKey.
-	Throughput float64
+	// Metrics is everything the run measured, keyed by column name
+	// ("tx_s", "anomalies", ...). Run reduces each key to its mean and
+	// spread across the repeats that reported it.
+	Metrics map[string]float64
 	// Accept and Apply are the run's latency sample sets (the bounded
 	// reservoir contents); Run pools them across repeats for the row's
 	// tail estimate.
 	Accept, Apply []time.Duration
-	// Extra metrics are averaged across repeats and emitted with a _std
-	// companion (informational — the gate never fails on them).
-	Extra map[string]float64
 }
 
 // RunFunc executes one row once under one seed. It must construct all
@@ -128,25 +195,23 @@ type RunFunc func(row Row, seed int64, ops int) (Sample, error)
 type RowResult struct {
 	Row     Row
 	Repeats int
-	// Throughput is the repeat spread of the run rates.
-	Throughput Stats
+	// Metrics is the repeat spread of each sample metric.
+	Metrics map[string]Stats
 	// AcceptP99 and ApplyP99 are p99s over the pooled per-repeat sample
 	// sets (zero when no samples were reported).
 	AcceptP99, ApplyP99 time.Duration
-	// Extra holds the spread of each extra metric.
-	Extra map[string]Stats
+	// Err is set when a repeat failed: the row's remaining repeats were
+	// skipped and it carries no statistics. The other rows still ran.
+	Err error
 }
 
 // Run executes every row of the spec Repeats times and aggregates. Rows
 // run sequentially in expansion order; each row's repeat r always uses
-// seed BaseSeed + r, so results are independent of row order.
-func Run(spec Spec, run RunFunc) ([]RowResult, error) {
-	return RunObserved(spec, run, nil)
-}
-
-// RunObserved is Run with a progress callback invoked before each repeat
-// (nil means none) — tcabench narrates grid progress on stderr with it.
-func RunObserved(spec Spec, run RunFunc, observe func(row Row, repeat int)) ([]RowResult, error) {
+// seed BaseSeed + r, so results are independent of row order. A failing
+// row is reported through its RowResult.Err with the row and repeat
+// named, and does not stop the grid. observe, when non-nil, is called
+// before each repeat (tcabench narrates -grid progress with it).
+func Run(spec Spec, run RunFunc, observe func(row Row, repeat int)) []RowResult {
 	if spec.Repeats < 1 {
 		spec.Repeats = 1
 	}
@@ -156,42 +221,37 @@ func RunObserved(spec Spec, run RunFunc, observe func(row Row, repeat int)) ([]R
 	}
 	var out []RowResult
 	for _, row := range spec.Rows() {
-		rates := make([]float64, 0, spec.Repeats)
+		res := RowResult{Row: row, Repeats: spec.Repeats}
+		metrics := map[string][]float64{}
 		var acceptSets, applySets [][]time.Duration
-		extras := map[string][]float64{}
 		for r := 0; r < spec.Repeats; r++ {
 			if observe != nil {
 				observe(row, r)
 			}
 			sample, err := run(row, base+int64(r), spec.Ops)
 			if err != nil {
-				return nil, fmt.Errorf("grid %s %s repeat %d: %w", spec.Experiment, row.Name(), r, err)
+				res.Err = fmt.Errorf("grid %s %s repeat %d: %w", spec.Experiment, row.Name(), r, err)
+				break
 			}
-			rates = append(rates, sample.Throughput)
+			for k, v := range sample.Metrics {
+				metrics[k] = append(metrics[k], v)
+			}
 			if len(sample.Accept) > 0 {
 				acceptSets = append(acceptSets, sample.Accept)
 			}
 			if len(sample.Apply) > 0 {
 				applySets = append(applySets, sample.Apply)
 			}
-			for k, v := range sample.Extra {
-				extras[k] = append(extras[k], v)
-			}
 		}
-		res := RowResult{
-			Row:        row,
-			Repeats:    spec.Repeats,
-			Throughput: NewStats(rates),
-			AcceptP99:  PooledQuantile(acceptSets, 0.99),
-			ApplyP99:   PooledQuantile(applySets, 0.99),
-		}
-		if len(extras) > 0 {
-			res.Extra = make(map[string]Stats, len(extras))
-			for k, vs := range extras {
-				res.Extra[k] = NewStats(vs)
+		if res.Err == nil {
+			res.Metrics = make(map[string]Stats, len(metrics))
+			for k, vs := range metrics {
+				res.Metrics[k] = NewStats(vs)
 			}
+			res.AcceptP99 = PooledQuantile(acceptSets, 0.99)
+			res.ApplyP99 = PooledQuantile(applySets, 0.99)
 		}
 		out = append(out, res)
 	}
-	return out, nil
+	return out
 }

@@ -92,6 +92,35 @@ func TestSpecRows(t *testing.T) {
 	}
 }
 
+// TestSpecList pins the explicit row list: it replaces the axes' product,
+// rows are stamped with the experiment id, a label overrides the
+// knob-rendered key, typed knob accessors parse, and With overrides a
+// declared knob without touching the original row or inventing new ones.
+func TestSpecList(t *testing.T) {
+	spec := Spec{
+		Experiment: "ex",
+		Axes:       []Axis{{Name: "ignored", Values: []string{"1", "2"}}},
+		List: []Row{
+			NewRow("hand label", "n", "4", "f", "0.5"),
+			NewRow("", "mode", "model", "n", "8"),
+		},
+	}
+	rows := spec.Rows()
+	if len(rows) != 2 || rows[0].Experiment != "ex" {
+		t.Fatalf("list rows = %+v", rows)
+	}
+	if rows[0].Name() != "hand label" || rows[1].Name() != "mode=model/n=8" {
+		t.Fatalf("row keys = %q, %q", rows[0].Name(), rows[1].Name())
+	}
+	if rows[0].Int("n") != 4 || rows[0].Float("f") != 0.5 {
+		t.Fatalf("typed knobs = %d, %g", rows[0].Int("n"), rows[0].Float("f"))
+	}
+	over := rows[1].With("mode", "wal").With("absent", "x")
+	if over.Knob("mode") != "wal" || over.Knob("absent") != "" || rows[1].Knob("mode") != "model" {
+		t.Fatalf("With: override %q, absent %q, original %q", over.Knob("mode"), over.Knob("absent"), rows[1].Knob("mode"))
+	}
+}
+
 // fakeRun is a deterministic RunFunc: throughput is a pure function of
 // (row name, seed), so any two grids over the same rows and seeds must
 // agree exactly — the harness for the seed-policy and order-invariance
@@ -108,8 +137,8 @@ func (f *fakeRun) run(row Row, seed int64, ops int) (Sample, error) {
 		v += float64(c)
 	}
 	return Sample{
-		Throughput: v,
-		Accept:     []time.Duration{time.Duration(seed) * time.Millisecond},
+		Metrics: map[string]float64{"tx_s": v},
+		Accept:  []time.Duration{time.Duration(seed) * time.Millisecond},
 	}, nil
 }
 
@@ -122,15 +151,12 @@ func TestRunSeedSequence(t *testing.T) {
 		Axes:       []Axis{{Name: "k", Values: []string{"a", "b"}}},
 		Repeats:    3, BaseSeed: 10,
 	}
-	res, err := Run(spec, f.run)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := Run(spec, f.run, nil)
 	want := []string{"k=a@10", "k=a@11", "k=a@12", "k=b@10", "k=b@11", "k=b@12"}
 	if fmt.Sprint(f.calls) != fmt.Sprint(want) {
 		t.Fatalf("call sequence %v, want %v", f.calls, want)
 	}
-	if len(res) != 2 || res[0].Repeats != 3 || res[0].Throughput.N != 3 {
+	if len(res) != 2 || res[0].Repeats != 3 || res[0].Metrics["tx_s"].N != 3 {
 		t.Fatalf("results malformed: %+v", res)
 	}
 	// Pooled accept tail over seeds 10,11,12 → p99 index 2 → 12ms.
@@ -151,14 +177,8 @@ func TestRunOrderInvariance(t *testing.T) {
 	}
 	rev := fwd
 	rev.Axes = []Axis{{Name: "k", Values: []string{"c", "b", "a"}}}
-	resFwd, err := Run(fwd, (&fakeRun{}).run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resRev, err := Run(rev, (&fakeRun{}).run)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resFwd := Run(fwd, (&fakeRun{}).run, nil)
+	resRev := Run(rev, (&fakeRun{}).run, nil)
 	byName := func(rs []RowResult) map[string]RowResult {
 		m := map[string]RowResult{}
 		for _, r := range rs {
@@ -172,27 +192,37 @@ func TestRunOrderInvariance(t *testing.T) {
 		if !ok {
 			t.Fatalf("row %s missing from the reversed grid", name)
 		}
-		if fr.Throughput != rr.Throughput || fr.AcceptP99 != rr.AcceptP99 {
+		if fr.Metrics["tx_s"] != rr.Metrics["tx_s"] || fr.AcceptP99 != rr.AcceptP99 {
 			t.Fatalf("row %s differs across orders: %+v vs %+v", name, fr, rr)
 		}
 	}
 }
 
-// TestRunErrorPropagates pins the failure path: a repeat error aborts
-// the grid with the row and repeat named.
-func TestRunErrorPropagates(t *testing.T) {
+// TestRunErrorIsPerRow pins the failure path: a repeat error lands on
+// its own row with the row and repeat named and its later repeats
+// skipped, and the rest of the grid still runs.
+func TestRunErrorIsPerRow(t *testing.T) {
+	var calls int
 	boom := func(row Row, seed int64, ops int) (Sample, error) {
-		if seed == 2 {
+		calls++
+		if row.Knob("k") == "bad" && seed == 2 {
 			return Sample{}, fmt.Errorf("boom")
 		}
-		return Sample{Throughput: 1}, nil
+		return Sample{Metrics: map[string]float64{"tx_s": 1}}, nil
 	}
-	_, err := Run(Spec{Experiment: "ex", Repeats: 3, BaseSeed: 1}, boom)
-	if err == nil {
-		t.Fatal("repeat error did not propagate")
+	res := Run(Spec{
+		Experiment: "ex",
+		Axes:       []Axis{{Name: "k", Values: []string{"bad", "good"}}},
+		Repeats:    3, BaseSeed: 1,
+	}, boom, nil)
+	if len(res) != 2 || res[0].Err == nil || res[1].Err != nil {
+		t.Fatalf("per-row errors wrong: %+v", res)
 	}
-	if want := "grid ex default repeat 1: boom"; err.Error() != want {
-		t.Fatalf("error = %q, want %q", err, want)
+	if want := "grid ex k=bad repeat 1: boom"; res[0].Err.Error() != want {
+		t.Fatalf("error = %q, want %q", res[0].Err, want)
+	}
+	if res[0].Metrics != nil || res[1].Metrics["tx_s"].N != 3 || calls != 5 {
+		t.Fatalf("failed row kept stats or the grid stopped: %+v after %d calls", res, calls)
 	}
 }
 
@@ -200,9 +230,7 @@ func TestRunErrorPropagates(t *testing.T) {
 // BaseSeed 0 anchors at 1.
 func TestRunClamps(t *testing.T) {
 	f := &fakeRun{}
-	if _, err := Run(Spec{Experiment: "ex"}, f.run); err != nil {
-		t.Fatal(err)
-	}
+	Run(Spec{Experiment: "ex"}, f.run, nil)
 	if fmt.Sprint(f.calls) != "[default@1]" {
 		t.Fatalf("calls = %v, want one run at seed 1", f.calls)
 	}
@@ -225,7 +253,7 @@ func TestCompareStdGate(t *testing.T) {
 		// −25% but pooled std = sqrt((20²+20²)/2) = 20, 2×20 = 40 ≥ |Δ|=25.
 		old := mkSummary(map[string]float64{"tx_s": 100, "tx_s_std": 20})
 		new := mkSummary(map[string]float64{"tx_s": 75, "tx_s_std": 20})
-		res := Compare(old, new, CompareOptions{})
+		res := Compare(old, new, 20)
 		if res.Failed() || res.Suppressed != 1 || res.Regressions != 0 {
 			t.Fatalf("noisy delta not suppressed: %+v", res)
 		}
@@ -237,7 +265,7 @@ func TestCompareStdGate(t *testing.T) {
 		// −25% with pooled std 1: far outside noise → regression.
 		old := mkSummary(map[string]float64{"tx_s": 100, "tx_s_std": 1})
 		new := mkSummary(map[string]float64{"tx_s": 75, "tx_s_std": 1})
-		res := Compare(old, new, CompareOptions{})
+		res := Compare(old, new, 20)
 		if !res.Failed() || res.Regressions != 1 {
 			t.Fatalf("tight regression not gated: %+v", res)
 		}
@@ -246,7 +274,7 @@ func TestCompareStdGate(t *testing.T) {
 		// Legacy single-run files: no _std keys → pooled std 0 → pct-only.
 		old := mkSummary(map[string]float64{"tx_s": 100})
 		new := mkSummary(map[string]float64{"tx_s": 75})
-		res := Compare(old, new, CompareOptions{})
+		res := Compare(old, new, 20)
 		if !res.Failed() || res.Regressions != 1 {
 			t.Fatalf("pct-only regression not gated: %+v", res)
 		}
@@ -254,7 +282,7 @@ func TestCompareStdGate(t *testing.T) {
 	t.Run("improvement-reported-not-failed", func(t *testing.T) {
 		old := mkSummary(map[string]float64{"tx_s": 100, "tx_s_std": 1})
 		new := mkSummary(map[string]float64{"tx_s": 150, "tx_s_std": 1})
-		res := Compare(old, new, CompareOptions{})
+		res := Compare(old, new, 20)
 		if res.Failed() || res.Improvements != 1 {
 			t.Fatalf("improvement verdict wrong: %+v", res)
 		}
@@ -262,7 +290,7 @@ func TestCompareStdGate(t *testing.T) {
 	t.Run("within-threshold-silent", func(t *testing.T) {
 		old := mkSummary(map[string]float64{"tx_s": 100})
 		new := mkSummary(map[string]float64{"tx_s": 90})
-		res := Compare(old, new, CompareOptions{})
+		res := Compare(old, new, 20)
 		if res.Failed() || len(res.Deltas) != 0 || res.Compared != 1 {
 			t.Fatalf("−10%% under a 20%% threshold flagged: %+v", res)
 		}
@@ -281,7 +309,7 @@ func TestCompareMissingRowFails(t *testing.T) {
 		{Experiment: "ex", Row: "kept", Metrics: map[string]float64{"tx_s": 100}},
 		{Experiment: "ex", Row: "added", Metrics: map[string]float64{"tx_s": 100}},
 	}}
-	res := Compare(old, new, CompareOptions{})
+	res := Compare(old, new, 20)
 	if !res.Failed() {
 		t.Fatal("missing row did not fail the comparison")
 	}
@@ -298,7 +326,7 @@ func TestCompareMissingRowFails(t *testing.T) {
 func TestCompareLatencyInformational(t *testing.T) {
 	old := mkSummary(map[string]float64{"tx_s": 100, "accept_p99_us": 100})
 	new := mkSummary(map[string]float64{"tx_s": 100, "accept_p99_us": 300})
-	res := Compare(old, new, CompareOptions{})
+	res := Compare(old, new, 20)
 	if res.Failed() {
 		t.Fatalf("latency swing gated: %+v", res)
 	}

@@ -8,9 +8,9 @@ import (
 
 // BenchRow is one machine-readable result row — the schema of
 // BENCH_latest.json and ci/bench_baseline.json. Metrics are keyed by
-// name; a grid-produced row carries the throughput mean under the plain
-// key (so single-run consumers keep working) plus key_std/key_min/
-// key_max, a "repeats" count, and pooled-p99 latency keys.
+// name; a repeated row carries each mean under the plain key (so
+// single-run consumers keep working) plus key_std, a "repeats" count,
+// and pooled-p99 latency keys.
 type BenchRow struct {
 	Experiment string             `json:"experiment"`
 	Row        string             `json:"row"`
@@ -21,8 +21,8 @@ type BenchRow struct {
 func (r BenchRow) Key() string { return r.Experiment + "/" + r.Row }
 
 // Summary is the -json document. Repeats and BaseSeed are present only
-// on grid-produced summaries; single-run emitters leave them zero and
-// older files without the fields decode to zero — both sides of a
+// on repeated (-grid) summaries; single-run summaries leave them zero
+// and older files without the fields decode to zero — both sides of a
 // comparison may therefore be either shape.
 type Summary struct {
 	OpsPerCell int        `json:"ops_per_cell"`
@@ -44,29 +44,31 @@ func ReadSummary(path string) (*Summary, error) {
 	return &s, nil
 }
 
-// BenchRow renders one aggregated row into the summary schema under the
-// spec's metric names.
+// BenchRow renders one aggregated row into the summary schema: each
+// metric's mean under its plain key, and the pooled p99 tails under the
+// spec's latency keys (zero when the run reported no samples). A repeated row (Repeats > 1) also carries its
+// "repeats" count and every metric's key_std, plus key_min/key_max for
+// the spec's throughput metric; a single run emits the plain keys only.
 func (res RowResult) BenchRow(spec Spec) BenchRow {
-	m := map[string]float64{
-		"repeats": float64(res.Repeats),
+	m := map[string]float64{}
+	if res.Repeats > 1 {
+		m["repeats"] = float64(res.Repeats)
 	}
-	key := spec.ThroughputKey
-	if key == "" {
-		key = "tx_s"
+	for k, st := range res.Metrics {
+		m[k] = st.Mean
+		if res.Repeats > 1 {
+			m[k+"_std"] = st.Std
+			if k == spec.ThroughputKey {
+				m[k+"_min"] = st.Min
+				m[k+"_max"] = st.Max
+			}
+		}
 	}
-	m[key] = res.Throughput.Mean
-	m[key+"_std"] = res.Throughput.Std
-	m[key+"_min"] = res.Throughput.Min
-	m[key+"_max"] = res.Throughput.Max
-	if spec.AcceptKey != "" && res.AcceptP99 > 0 {
+	if spec.AcceptKey != "" {
 		m[spec.AcceptKey] = float64(res.AcceptP99) / 1e3
 	}
-	if spec.ApplyKey != "" && res.ApplyP99 > 0 {
+	if spec.ApplyKey != "" {
 		m[spec.ApplyKey] = float64(res.ApplyP99) / 1e3
-	}
-	for k, st := range res.Extra {
-		m[k] = st.Mean
-		m[k+"_std"] = st.Std
 	}
 	return BenchRow{Experiment: res.Row.Experiment, Row: res.Row.Name(), Metrics: m}
 }

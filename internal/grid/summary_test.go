@@ -36,10 +36,10 @@ func TestSummaryGolden(t *testing.T) {
 		Repeats:   3,
 		AcceptP99: 1500 * time.Microsecond,
 		ApplyP99:  2500 * time.Microsecond,
-		Throughput: Stats{
-			Mean: 2000, Std: 25, Min: 1975, Max: 2025, N: 3,
+		Metrics: map[string]Stats{
+			"goodput_s": {Mean: 2000, Std: 25, Min: 1975, Max: 2025, N: 3},
+			"shed_pct":  {Mean: 1.5, Std: 0.5, Min: 1, Max: 2, N: 3},
 		},
-		Extra: map[string]Stats{"shed_pct": {Mean: 1.5, Std: 0.5, Min: 1, Max: 2, N: 3}},
 	}
 	sum := Summary{
 		OpsPerCell: 1000,
@@ -76,6 +76,12 @@ func TestSummaryGolden(t *testing.T) {
 	}
 	if v := got.Rows[0].Metrics["goodput_s"]; v != 2000 {
 		t.Fatalf("round-tripped mean = %v, want 2000", v)
+	}
+	// A single run renders the plain keys only: no repeats, no spreads.
+	res.Repeats = 1
+	single := res.BenchRow(spec).Metrics
+	if len(single) != 4 || single["goodput_s"] != 2000 || single["accept_p99_us"] != 1500 {
+		t.Fatalf("single-run row = %v, want the 4 plain keys", single)
 	}
 }
 

@@ -320,8 +320,12 @@ func (t *Txn) Commit() error {
 			}
 		}
 	}
-	// Install.
-	ts := db.clock.Add(1)
+	// Install at clock+1 and publish the clock only after the last
+	// version is in place: Begin reads the clock without commitMu, so a
+	// clock that ran ahead of the installs would hand a new transaction
+	// snapTS = ts while it still read the pre-ts versions — and validation
+	// (latestTS > snapTS) would then miss the conflict, losing an update.
+	ts := db.clock.Load() + 1
 	for _, tk := range t.order {
 		w := t.writes[tk]
 		tbl, err := db.table(tk.table)
@@ -332,6 +336,7 @@ func (t *Txn) Commit() error {
 		}
 		tbl.install(tk.key, version{ts: ts, row: w.row, deleted: w.del})
 	}
+	db.clock.Store(ts)
 	db.commitMu.Unlock()
 
 	t.state = txnCommitted

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -24,11 +23,9 @@ type DriverResult struct {
 	// driver it includes queueing delay from the request's scheduled
 	// arrival time — the number that explodes at saturation (ref [56]).
 	Latency metrics.Snapshot
-	// P99 is the tail of the same distribution, from a bounded reservoir
-	// (LatencyReservoir) — the column the experiment tables report.
-	P99 time.Duration
-	// LatencySamples is the reservoir's retained sample set, exported so
-	// grid repeats can pool their tails (grid.PooledQuantile).
+	// LatencySamples is the same distribution's bounded reservoir
+	// (LatencyReservoir), exported so grid repeats can pool their tails
+	// (grid.PooledQuantile) — the p99 the experiment tables report.
 	LatencySamples []time.Duration
 }
 
@@ -40,11 +37,11 @@ func (r DriverResult) Throughput() float64 {
 	return float64(r.Issued-r.Errors) / r.Elapsed.Seconds()
 }
 
-// ClosedLoop runs n client goroutines, each issuing ops back to back with
-// the given think time, for the given number of operations per client.
-// Closed systems self-throttle: when the server slows down, the arrival
-// rate drops with it, hiding saturation from the latency distribution.
-func ClosedLoop(clients, opsPerClient int, think time.Duration, op Op) DriverResult {
+// ClosedLoop runs n client goroutines, each issuing ops back to back for
+// the given number of operations per client. Closed systems
+// self-throttle: when the server slows down, the arrival rate drops with
+// it, hiding saturation from the latency distribution.
+func ClosedLoop(clients, opsPerClient int, op Op) DriverResult {
 	hist := metrics.NewHistogram()
 	res := NewLatencyReservoir(0, 1)
 	var errs atomic.Int64
@@ -63,9 +60,6 @@ func ClosedLoop(clients, opsPerClient int, think time.Duration, op Op) DriverRes
 				if err != nil {
 					errs.Add(1)
 				}
-				if think > 0 {
-					time.Sleep(think)
-				}
 			}
 		}()
 	}
@@ -75,7 +69,6 @@ func ClosedLoop(clients, opsPerClient int, think time.Duration, op Op) DriverRes
 		Errors:         errs.Load(),
 		Elapsed:        time.Since(start),
 		Latency:        hist.Snapshot(),
-		P99:            res.P99(),
 		LatencySamples: res.Samples(),
 	}
 }
@@ -163,6 +156,21 @@ func (m *mmppArrivals) Gap() time.Duration {
 	}
 }
 
+// Pace is the open-loop pacing loop every open-loop driver shares:
+// arrival i is due gap() after arrival i-1, and submit(i, due) is called
+// at — never before — its due time, regardless of how the system under
+// test keeps up.
+func Pace(n int, gap func() time.Duration, submit func(i int, due time.Time)) {
+	next := time.Now()
+	for i := 0; i < n; i++ {
+		next = next.Add(gap())
+		if wait := time.Until(next); wait > 0 {
+			time.Sleep(wait)
+		}
+		submit(i, next)
+	}
+}
+
 // OpenLoop issues n operations with Poisson arrivals at the given rate
 // (ops/second), regardless of how the server keeps up. Latency is measured
 // from the *scheduled arrival time*, so queueing delay counts: when the
@@ -173,24 +181,12 @@ func OpenLoop(seed int64, n int, rate float64, op Op) DriverResult {
 	if rate <= 0 || n <= 0 {
 		return DriverResult{}
 	}
-	return OpenLoopArrivals(NewPoissonArrivals(seed, rate), n, op)
-}
-
-// OpenLoopArrivals is OpenLoop under any arrival process — the driver the
-// overload experiments use with bursty (MMPP) arrivals.
-func OpenLoopArrivals(arrivals ArrivalProcess, n int, op Op) DriverResult {
 	hist := metrics.NewHistogram()
 	res := NewLatencyReservoir(0, 1)
 	var errs atomic.Int64
 	start := time.Now()
 	var wg sync.WaitGroup
-	next := start
-	for i := 0; i < n; i++ {
-		next = next.Add(arrivals.Gap())
-		if wait := time.Until(next); wait > 0 {
-			time.Sleep(wait)
-		}
-		scheduled := next
+	Pace(n, NewPoissonArrivals(seed, rate).Gap, func(_ int, scheduled time.Time) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -202,14 +198,13 @@ func OpenLoopArrivals(arrivals ArrivalProcess, n int, op Op) DriverResult {
 				errs.Add(1)
 			}
 		}()
-	}
+	})
 	wg.Wait()
 	return DriverResult{
 		Issued:         int64(n),
 		Errors:         errs.Load(),
 		Elapsed:        time.Since(start),
 		Latency:        hist.Snapshot(),
-		P99:            res.P99(),
 		LatencySamples: res.Samples(),
 	}
 }
@@ -230,14 +225,4 @@ func SpinService(c int, d time.Duration) Op {
 		<-slots
 		return nil
 	}
-}
-
-// TheoreticalMM1Latency returns the M/M/1 expected response time for
-// offered load rho = lambda/mu and service time s — the analytic check the
-// open-loop experiment compares against.
-func TheoreticalMM1Latency(rho float64, s time.Duration) time.Duration {
-	if rho >= 1 {
-		return time.Duration(math.Inf(1))
-	}
-	return time.Duration(float64(s) / (1 - rho))
 }

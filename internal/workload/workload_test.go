@@ -337,7 +337,7 @@ func TestSocialGraphShape(t *testing.T) {
 }
 
 func TestClosedLoopCounts(t *testing.T) {
-	res := ClosedLoop(4, 25, 0, func() error { return nil })
+	res := ClosedLoop(4, 25, func() error { return nil })
 	if res.Issued != 100 || res.Errors != 0 {
 		t.Fatalf("issued=%d errors=%d", res.Issued, res.Errors)
 	}
@@ -354,7 +354,7 @@ func TestClosedLoopSelfThrottles(t *testing.T) {
 	// measured latency stays near service time × queue of clients, and
 	// total time ≈ ops × service.
 	op := SpinService(1, 200*time.Microsecond)
-	res := ClosedLoop(4, 10, 0, op)
+	res := ClosedLoop(4, 10, op)
 	// p50 bounded by clients × service time (each op waits for at most the
 	// other 3 clients).
 	if res.Latency.P50 > int64(10*time.Millisecond) {
@@ -380,16 +380,6 @@ func TestOpenLoopUnderCapacityModest(t *testing.T) {
 	}
 	if res.Errors != 0 {
 		t.Fatalf("errors = %d", res.Errors)
-	}
-}
-
-func TestTheoreticalMM1(t *testing.T) {
-	s := time.Millisecond
-	if got := TheoreticalMM1Latency(0.5, s); got != 2*time.Millisecond {
-		t.Fatalf("M/M/1 at rho=0.5 = %v, want 2ms", got)
-	}
-	if got := TheoreticalMM1Latency(1.0, s); got <= 0 {
-		t.Log("saturated M/M/1 reported as +Inf duration (overflow), acceptable")
 	}
 }
 

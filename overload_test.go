@@ -113,8 +113,7 @@ func TestShedConformanceAllCells(t *testing.T) {
 func TestShedNeverReachesAuditor(t *testing.T) {
 	for _, model := range []ProgrammingModel{Microservices, Actors, CloudFunctions} {
 		t.Run(model.String(), func(t *testing.T) {
-			res, err := RunOverloadCell("social", model, 200000, 400,
-				OverloadOptions{Shed: true, Audit: true, Seed: 3})
+			res, err := RunCell("social", model, 400, CellOptions{Rate: 200000, Shed: true, Audit: true, Seed: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,15 +134,16 @@ func TestShedNeverReachesAuditor(t *testing.T) {
 }
 
 // TestRunOverloadCellValidatesRate pins the open-loop validation at the
-// harness layer too.
+// harness layer too: with no closed-loop clients asked for, the rate must
+// be positive.
 func TestRunOverloadCellValidatesRate(t *testing.T) {
-	if _, err := RunOverloadCell("social", Microservices, 0, 100, OverloadOptions{}); err == nil {
+	if _, err := RunCell("social", Microservices, 100, CellOptions{Rate: 0}); err == nil {
 		t.Fatal("rate 0 accepted")
 	}
-	if _, err := RunOverloadCell("social", Microservices, -1, 100, OverloadOptions{}); err == nil {
+	if _, err := RunCell("social", Microservices, 100, CellOptions{Rate: -1}); err == nil {
 		t.Fatal("negative rate accepted")
 	}
-	if _, err := RunOverloadCell("social", Microservices, 100, 0, OverloadOptions{}); err == nil {
+	if _, err := RunCell("social", Microservices, 0, CellOptions{Rate: 100}); err == nil {
 		t.Fatal("zero ops accepted")
 	}
 }

@@ -117,7 +117,7 @@
 // collapses. With admission control the cell does bounded work at its
 // capacity, answers the rest cheaply with ErrOverloaded, and tail latency
 // for accepted work stays bounded — goodput holds near peak at 2–4×
-// offered load. E23 (RunOverloadCell, BenchmarkE23_OverloadFrontier,
+// offered load. E23 (RunCell's open loop, BenchmarkE23_OverloadFrontier,
 // tcabench -experiment e23) measures exactly this frontier, with Poisson
 // and bursty arrivals from internal/workload.
 //
