@@ -1,7 +1,7 @@
 # verify is what CI runs (.github/workflows/ci.yml): formatting, vet,
 # build, the full test suite under the race detector, and a one-iteration
 # benchmark smoke pass so bench-only code paths can't rot unbuilt.
-.PHONY: verify fmt test bench bench-smoke bench-json bench-gate bench-baseline loc
+.PHONY: verify stress fmt test bench bench-smoke bench-json bench-gate bench-baseline loc
 
 verify:
 	@unformatted=$$(gofmt -l .); \
@@ -12,6 +12,17 @@ verify:
 	go build ./...
 	go test -race ./...
 	$(MAKE) bench-smoke
+
+# stress is the concurrency check verify's single -race pass is too short
+# for: the packages every cell's isolation rests on (the store's OCC and
+# wound-wait locks, actor transactions, the deterministic core) and the root
+# package's submit / shed / session / read-only / wide-transaction / geo
+# tests, ten times each under the race detector at 1, 2, 4 and 8 Ps — the
+# bugs ROADMAP item 1 lists only showed at more than one P, and not on
+# every run.
+stress:
+	go test -race -count=10 -cpu 1,2,4,8 ./internal/store ./internal/actor ./internal/core
+	go test -race -count=10 -cpu 1,2,4,8 -run 'Submit|Shed|Session|ReadOnly|WideTxn|Geo' .
 
 fmt:
 	gofmt -w .

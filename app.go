@@ -16,14 +16,19 @@ import (
 //
 // An App registers named Ops. Each Op declares the key set it touches
 // (derived from its arguments) and a Body over the uniform Txn read/write
-// surface. A Cell is one deployment of an App under one taxonomy cell; the
-// five adapters (cell_*.go) map the same Op onto a saga over microservices,
-// an Orleans-style actor transaction, a FaaS entity critical section, a
-// stateful-dataflow message choreography, or a deterministic log-ordered
-// transaction — each with the honest guarantees of that cell.
+// surface. A Cell is one deployment of an App under one taxonomy cell.
+// There is one Cell implementation (cell.go): a fixed submit pipeline —
+// resolve the op, admit or shed, execute, resolve the handle — over one of
+// five executors (cell_*.go), which map the same Op onto a saga over
+// microservices, an Orleans-style actor transaction, a FaaS entity
+// critical section, a stateful-dataflow message choreography, or a
+// deterministic log-ordered transaction — each with the honest guarantees
+// of that model. What a Put, an Add or a PushCap does to a value is
+// decided once, by the write record under every executor
+// (cell_write.go).
 
-// Txn is the uniform state surface an Op body executes over. Every cell
-// adapter provides an implementation backed by its own state management:
+// Txn is the uniform state surface an Op body executes over. Every
+// executor provides an implementation backed by its own state management:
 // the deterministic core's MVCC view, actor transactional state under 2PL,
 // locked FaaS entities, per-service databases behind RPC, or dataflow
 // function state reached by messages.
@@ -107,17 +112,6 @@ func mergeBounded(list []int64, id int64, cap int) []int64 {
 	return list
 }
 
-// pushCapRMW implements PushCap as a read-modify-write over Get/Put — the
-// shared path for cells whose Txn is already isolated (actors, entities,
-// the deterministic core) or serial (the auditors' reference map).
-func pushCapRMW(tx Txn, key string, id int64, cap int) error {
-	raw, _, err := tx.Get(key)
-	if err != nil {
-		return err
-	}
-	return tx.Put(key, EncodeIntList(mergeBounded(DecodeIntList(raw), id, cap)))
-}
-
 // Op is one named transactional operation of an application.
 type Op struct {
 	// Name identifies the op within its App.
@@ -147,22 +141,6 @@ type Op struct {
 
 // ErrReadOnlyOp rejects writes from the body of an Op declared ReadOnly.
 var ErrReadOnlyOp = errors.New("tca: write attempted by read-only op")
-
-// roTxn enforces the ReadOnly contract over any cell's Txn.
-type roTxn struct{ Txn }
-
-func (roTxn) Put(string, []byte) error         { return ErrReadOnlyOp }
-func (roTxn) Add(string, int64) error          { return ErrReadOnlyOp }
-func (roTxn) PushCap(string, int64, int) error { return ErrReadOnlyOp }
-
-// guard wraps tx to reject writes when the op is declared ReadOnly, so
-// every cell enforces the same contract regardless of its write path.
-func (op Op) guard(tx Txn) Txn {
-	if op.ReadOnly {
-		return roTxn{tx}
-	}
-	return tx
-}
 
 // App is a model-agnostic transactional application: a named set of Ops
 // over uniform keyed state. Build one with NewApp + Register, then deploy
@@ -204,6 +182,17 @@ func (a *App) Op(name string) (Op, bool) {
 
 // Ops returns the registered op names in registration order.
 func (a *App) Ops() []string { return append([]string(nil), a.order...) }
+
+// with returns a copy of a that also registers op — how a layer deploys
+// the application plus an infrastructure op of its own (geo replication's
+// apply) without touching the caller's App.
+func (a *App) with(op Op) *App {
+	b := NewApp(a.name)
+	for _, name := range a.order {
+		b.Register(a.ops[name])
+	}
+	return b.Register(op)
+}
 
 // keysOf resolves an op's declared key set, deduplicated in first-seen
 // order (bodies may legitimately derive the same key twice). The result
@@ -265,29 +254,20 @@ func Deploy(model ProgrammingModel, app *App, env *Env) (Cell, error) {
 
 // DeployWith instantiates app under the given model on env.
 func DeployWith(model ProgrammingModel, app *App, env *Env, opts Options) (Cell, error) {
-	switch model {
-	case Microservices:
-		return newMicroCell(app, env, opts), nil
-	case Actors:
-		return newActorCell(app, env, opts), nil
-	case CloudFunctions:
-		return newFaasCell(app, env, opts), nil
-	case StatefulDataflow:
-		return newStatefunCell(app, env, opts)
-	case Deterministic:
-		return newCoreCell(app, env, opts)
-	default:
-		return nil, fmt.Errorf("tca: unknown model %v", model)
+	c, err := deploy(model, app, env, opts, nil)
+	if err != nil {
+		return nil, err
 	}
+	return c, nil
 }
 
-// opError is the shared unknown-op error of every cell adapter.
+// opError is the unknown-op error of every cell.
 func opError(app *App, op string) error {
 	return fmt.Errorf("tca: app %q has no op %q", app.Name(), op)
 }
 
 // keyShard hashes a key onto one of n shards — the routing rule the
-// sharded cells (microservices, partitioned core) share.
+// sharded executors (microservices, partitioned core) share.
 func keyShard(key string, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))

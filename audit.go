@@ -80,6 +80,18 @@ func (m mapTxn) PushCap(key string, id int64, cap int) error {
 	return pushCapRMW(m, key, id, cap)
 }
 
+// pushCapRMW is the reference Txns' PushCap: a read-modify-write over
+// Get/Put, exact because the references are applied serially. It is spelled
+// out here rather than shared with the cells' write record (cell_write.go)
+// on purpose: the reference is what the cells are judged against.
+func pushCapRMW(tx Txn, key string, id int64, cap int) error {
+	raw, _, err := tx.Get(key)
+	if err != nil {
+		return err
+	}
+	return tx.Put(key, EncodeIntList(mergeBounded(DecodeIntList(raw), id, cap)))
+}
+
 // Commit is one applied op as the harness observed it: the request, the
 // accept/apply interval (zero times mean "serial" — the auditor stamps
 // them from its logical clock), and optionally a sample of cell values at

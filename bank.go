@@ -169,11 +169,7 @@ func (b *bankCell) Balance(account int) (int64, error) {
 // external observer performs, which E7 uses to expose the dataflow cell's
 // missing isolation. Synchronous cells read committed state.
 func (b *bankCell) PeekBalance(account int) int64 {
-	if sc, ok := b.cell.(*statefunCell); ok {
-		raw, _, _ := sc.Peek(acctKey(account))
-		return DecodeInt(raw)
-	}
-	raw, _, _ := b.cell.Read(acctKey(account))
+	raw, _ := livePeek(b.cell, acctKey(account))
 	return DecodeInt(raw)
 }
 

@@ -6,99 +6,71 @@ import (
 	"tca/internal/store"
 )
 
-// actorCell deploys an App on the actor model with Orleans-style
+// actorExec runs an App on the actor model with Orleans-style
 // transactions: every key is a virtual actor's transactional state, and an
 // op runs as one ACID transaction (2PL + 2PC) across the actors it
 // touches. Serializable but blocking — lock acquisition plus two commit
 // rounds per participant node is exactly the coordination cost E1/E14
-// measure.
-type actorCell struct {
-	app   *App
+// measure. 2PL + 2PC is blocking per transaction, so pipelining is the
+// pool's client-side concurrency — and with it come the lock conflicts,
+// wounds, and retries the serial drivers never provoked.
+type actorExec struct {
+	c     *cell
 	sys   *actor.System
 	coord *actor.Coordinator
-	pool  *submitPool
 }
 
-func newActorCell(app *App, env *Env, opts Options) *actorCell {
+func newActorExec(c *cell, env *Env) *actorExec {
 	sys := actor.NewSystem(env.Cluster, actor.Config{})
-	return &actorCell{app: app, sys: sys, coord: actor.NewCoordinator(sys), pool: newSubmitPool(Actors, opts.Clients, opts.MaxPending)}
+	return &actorExec{c: c, sys: sys, coord: actor.NewCoordinator(sys)}
 }
 
-func (c *actorCell) ref(key string) actor.Ref {
-	return actor.Ref{Type: c.app.Name(), ID: key}
+func (e *actorExec) ref(key string) actor.Ref {
+	return actor.Ref{Type: e.c.app.Name(), ID: key}
 }
 
 // actorTxn adapts ActorTxn to the Txn surface. Values live in a single
 // "v" column of the actor's transactional row (the store copies rows, so
-// the string conversion also decouples the caller's byte slice).
+// the string conversion also decouples the caller's byte slice). Add and
+// PushCap are plain read-modify-writes: the 2PL exclusive lock on the key
+// actor serializes them.
 type actorTxn struct {
-	cell *actorCell
-	tx   *actor.ActorTxn
+	e  *actorExec
+	tx *actor.ActorTxn
 }
 
-func (t actorTxn) Get(key string) ([]byte, bool, error) {
-	row, ok, err := t.tx.Read(t.cell.ref(key))
+func (t *actorTxn) Get(key string) ([]byte, bool, error) {
+	row, ok, err := t.tx.Read(t.e.ref(key))
 	if err != nil || !ok {
 		return nil, false, err
 	}
 	return []byte(row.Str("v")), true, nil
 }
 
-func (t actorTxn) Put(key string, value []byte) error {
-	return t.tx.Write(t.cell.ref(key), store.Row{"v": string(value)})
+func (t *actorTxn) Put(key string, value []byte) error {
+	return t.tx.Write(t.e.ref(key), store.Row{"v": string(value)})
 }
 
-func (t actorTxn) Add(key string, delta int64) error {
-	raw, _, err := t.Get(key)
-	if err != nil {
-		return err
-	}
-	return t.Put(key, EncodeInt(DecodeInt(raw)+delta))
+func (t *actorTxn) Add(key string, delta int64) error {
+	return rmw(t, write{Key: key, Verb: verbAdd, Delta: delta})
 }
 
-// PushCap is a plain read-modify-write here: the 2PL exclusive lock on the
-// key actor serializes concurrent merges.
-func (t actorTxn) PushCap(key string, id int64, cap int) error {
-	return pushCapRMW(t, key, id, cap)
+func (t *actorTxn) PushCap(key string, id int64, cap int) error {
+	return rmw(t, write{Key: key, Verb: verbPush, ID: id, Cap: cap})
 }
 
-func (c *actorCell) Model() ProgrammingModel { return Actors }
-func (c *actorCell) App() *App               { return c.app }
-
-func (c *actorCell) Guarantee() Guarantee {
+func (e *actorExec) guarantee() Guarantee {
 	return Guarantee{Atomic: true, Isolated: true, ExactlyOnce: false,
 		Note: "Orleans-style 2PL+2PC: serializable but blocking and retry-heavy under contention"}
 }
 
-// Submit runs the actor transaction on the cell's bounded worker pool:
-// 2PL + 2PC is blocking per transaction, so pipelining is client-side
-// concurrency — and with it come the lock conflicts, wounds, and retries
-// the serial drivers never provoked. The handle resolves at commit (or
-// when retries exhaust).
-func (c *actorCell) Submit(reqID, opName string, args []byte, tr *fabric.Trace) Handle {
-	return c.pool.submit(func() ([]byte, error) {
-		return c.invoke(reqID, opName, args, tr)
-	})
-}
-
-// Invoke is semantically Submit(...).Result() — TestInvokeIsSubmitResult
-// pins the equivalence — taking the pool's inline fast path for blocking
-// callers.
-func (c *actorCell) Invoke(reqID, opName string, args []byte, tr *fabric.Trace) ([]byte, error) {
-	return c.pool.invoke(func() ([]byte, error) {
-		return c.invoke(reqID, opName, args, tr)
-	})
-}
-
-func (c *actorCell) invoke(reqID, opName string, args []byte, tr *fabric.Trace) ([]byte, error) {
-	op, ok := c.app.Op(opName)
-	if !ok {
-		return nil, opError(c.app, opName)
-	}
+// run is one actor transaction: it returns at commit, or when the
+// coordinator's retries exhaust.
+func (e *actorExec) run(op Op, reqID string, args []byte, tr *fabric.Trace) ([]byte, error) {
 	var result []byte
 	body := func(t *actor.ActorTxn) error {
 		var bodyErr error
-		result, bodyErr = op.Body(op.guard(actorTxn{cell: c, tx: t}), args)
+		result, bodyErr = e.c.runBody(op, reqID, &actorTxn{e: e, tx: t}, args)
 		return bodyErr
 	}
 	var err error
@@ -106,9 +78,9 @@ func (c *actorCell) invoke(reqID, opName string, args []byte, tr *fabric.Trace) 
 		// Queries take shared 2PL locks and skip the prepare/commit rounds
 		// — the read-only optimization of 2PC, two round trips per
 		// participant node saved.
-		err = c.coord.RunReadOnly(tr, body)
+		err = e.coord.RunReadOnly(tr, body)
 	} else {
-		err = c.coord.Run(tr, body)
+		err = e.coord.Run(tr, body)
 	}
 	if err != nil {
 		return nil, err
@@ -116,13 +88,13 @@ func (c *actorCell) invoke(reqID, opName string, args []byte, tr *fabric.Trace) 
 	return result, nil
 }
 
-func (c *actorCell) Read(key string) ([]byte, bool, error) {
-	row, ok, err := c.coord.ReadState(c.ref(key))
+func (e *actorExec) read(key string) ([]byte, bool, error) {
+	row, ok, err := e.coord.ReadState(e.ref(key))
 	if err != nil || !ok {
 		return nil, false, err
 	}
 	return []byte(row.Str("v")), true, nil
 }
 
-func (c *actorCell) Settle() error { return nil }
-func (c *actorCell) Close()        { c.sys.Stop() }
+func (e *actorExec) settle() error { return nil }
+func (e *actorExec) close()        { e.sys.Stop() }

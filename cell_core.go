@@ -8,32 +8,25 @@ import (
 	"tca/internal/fabric"
 )
 
-// coreCell deploys an App on the deterministic transactional dataflow
+// coreExec runs an App on the deterministic transactional dataflow
 // runtime (internal/core): every op becomes a registered deterministic
 // transaction, scheduled by its declared key set on the partitioned input
 // log. Serializable and exactly-once by construction — the §5 opportunity
 // cell.
-type coreCell struct {
-	app *App
-	rt  *core.Runtime
+type coreExec struct {
+	c  *cell
+	rt *core.Runtime
 }
 
-func newCoreCell(app *App, env *Env, opts Options) (*coreCell, error) {
+func newCoreExec(c *cell, env *Env, opts Options) (*coreExec, error) {
 	// Admission control: the batcher queue bound defaults to 4× the group
-	// size (a queue that can feed four full group appends); Options
-	// semantics — negative disables — map onto the runtime's zero = legacy.
-	maxPending := opts.MaxPending
-	if maxPending == 0 {
-		group := opts.MaxGroupAppend
-		if group <= 0 {
-			group = 128
-		}
-		maxPending = 4 * group
-	} else if maxPending < 0 {
-		maxPending = 0
+	// size (a queue that can feed four full group appends).
+	group := opts.MaxGroupAppend
+	if group <= 0 {
+		group = 128
 	}
 	rt := core.NewRuntime(env.Broker, core.Config{
-		Name:           "cell-" + app.Name(),
+		Name:           "cell-" + c.app.Name(),
 		Cluster:        env.Cluster,
 		Partitions:     opts.Partitions,
 		Workers:        opts.Workers,
@@ -41,71 +34,62 @@ func newCoreCell(app *App, env *Env, opts Options) (*coreCell, error) {
 		LogDir:         opts.LogDir,
 		Fsync:          opts.Fsync,
 		MaxGroupAppend: opts.MaxGroupAppend,
-		MaxPending:     maxPending,
+		MaxPending:     pendingBound(opts.MaxPending, 4*group),
 	})
-	for _, name := range app.Ops() {
-		op, _ := app.Op(name)
+	for _, name := range c.app.Ops() {
+		op, _ := c.app.Op(name)
 		rt.Register(op.Name, func(tx *core.Tx, args []byte) ([]byte, error) {
-			return op.Body(op.guard(coreTxn{tx}), args)
+			return c.runBody(op, tx.ReqID(), coreTxn{tx}, args)
 		})
 	}
 	if err := rt.Start(); err != nil {
 		return nil, err
 	}
-	return &coreCell{app: app, rt: rt}, nil
+	return &coreExec{c: c, rt: rt}, nil
 }
 
 // coreTxn adapts core.Tx to the uniform Txn surface (a direct fit: the
-// runtime already exposes a byte-valued key space).
+// runtime already exposes a byte-valued key space). Add and PushCap are
+// plain read-modify-writes: the conflict-chain schedule serializes every
+// access to the key.
 type coreTxn struct{ tx *core.Tx }
 
 func (t coreTxn) Get(key string) ([]byte, bool, error) { return t.tx.Get(key) }
 func (t coreTxn) Put(key string, value []byte) error   { return t.tx.Put(key, value) }
 
 func (t coreTxn) Add(key string, delta int64) error {
-	raw, _, err := t.tx.Get(key)
-	if err != nil {
-		return err
-	}
-	return t.tx.Put(key, EncodeInt(DecodeInt(raw)+delta))
+	return rmw(t, write{Key: key, Verb: verbAdd, Delta: delta})
 }
 
-// PushCap is a plain read-modify-write here: the conflict-chain schedule
-// serializes every access to the key.
 func (t coreTxn) PushCap(key string, id int64, cap int) error {
-	return pushCapRMW(t, key, id, cap)
+	return rmw(t, write{Key: key, Verb: verbPush, ID: id, Cap: cap})
 }
 
-func (c *coreCell) Model() ProgrammingModel { return Deterministic }
-func (c *coreCell) App() *App               { return c.app }
-
-func (c *coreCell) Guarantee() Guarantee {
+func (e *coreExec) guarantee() Guarantee {
 	return Guarantee{Atomic: true, Isolated: true, ExactlyOnce: true,
 		Note: "deterministic transactional dataflow (Styx-like): serializable, log-ordered, no 2PC"}
 }
 
-// Submit pipelines natively: the runtime acknowledges once the transaction
+// submit pipelines natively: the runtime acknowledges once the transaction
 // is durably appended — concurrent submissions share group log appends,
-// amortizing the modeled SequenceDelay — and the handle resolves when the
+// amortizing the modeled SequenceDelay — and the handle, the runtime's own
+// (its Seq is the log position handleSeq reads), resolves when the
 // scheduled transaction commits. Handles survive Crash/Recover: the
 // request is already in the log, so replay resolves them exactly once.
-func (c *coreCell) Submit(reqID, opName string, args []byte, tr *fabric.Trace) Handle {
-	op, ok := c.app.Op(opName)
-	if !ok {
-		return resolvedHandle(nil, opError(c.app, opName))
-	}
+func (e *coreExec) submit(op Op, reqID string, args []byte, tr *fabric.Trace) Handle {
 	if op.ReadOnly {
 		// Queries execute against a consistent cut of the committed MVCC
 		// view: no log append, no write-schedule slot, no conflict chain
 		// entry — the write pipeline never sees them. They run off the
-		// caller's goroutine so read-heavy clients still pipeline.
+		// caller's goroutine, key derivation included, so read-heavy
+		// clients still pipeline and acceptance costs one spawn.
 		h := newOpHandle()
 		go func() {
-			h.resolve(c.rt.SubmitReadOnly(reqID, op.Name, c.app.keysOf(op, args), args, tr))
+			h.resolve(e.rt.SubmitReadOnly(reqID, op.Name, e.c.app.keysOf(op, args), args, tr))
 		}()
 		return h
 	}
-	h, err := c.rt.SubmitAsync(reqID, op.Name, c.app.keysOf(op, args), args, tr)
+	h, err := e.rt.SubmitAsync(reqID, op.Name, e.c.app.keysOf(op, args), args, tr)
 	if err != nil {
 		var oe *core.OverloadError
 		if errors.As(err, &oe) {
@@ -116,36 +100,10 @@ func (c *coreCell) Submit(reqID, opName string, args []byte, tr *fabric.Trace) H
 	return h
 }
 
-// Invoke is semantically Submit(...).Result() — TestInvokeIsSubmitResult
-// pins the equivalence. Read-only ops run inline (SubmitReadOnly is
-// already synchronous), skipping the pipelining goroutine a blocking
-// caller has no use for.
-func (c *coreCell) Invoke(reqID, opName string, args []byte, tr *fabric.Trace) ([]byte, error) {
-	if op, ok := c.app.Op(opName); ok && op.ReadOnly {
-		return c.rt.SubmitReadOnly(reqID, op.Name, c.app.keysOf(op, args), args, tr)
-	}
-	return c.Submit(reqID, opName, args, tr).Result()
-}
-
-func (c *coreCell) Read(key string) ([]byte, bool, error) {
-	raw, ok := c.rt.Read(key)
+func (e *coreExec) read(key string) ([]byte, bool, error) {
+	raw, ok := e.rt.Read(key)
 	return raw, ok, nil
 }
 
-func (c *coreCell) Settle() error { return c.rt.Quiesce(10 * time.Second) }
-func (c *coreCell) Close()        { c.rt.Stop() }
-
-// Runtime exposes the underlying deterministic runtime for checkpoint and
-// crash/recovery control (tests, the recovery experiments).
-func (c *coreCell) Runtime() *core.Runtime { return c.rt }
-
-// CoreRuntime returns the deterministic cell's underlying runtime — the
-// crash/replay control surface — or nil for any other cell, so demos and
-// drivers can exercise recovery without depending on the cell's concrete
-// type.
-func CoreRuntime(c Cell) *core.Runtime {
-	if cc, ok := c.(*coreCell); ok {
-		return cc.rt
-	}
-	return nil
-}
+func (e *coreExec) settle() error { return e.rt.Quiesce(10 * time.Second) }
+func (e *coreExec) close()        { e.rt.Stop() }

@@ -6,33 +6,35 @@ import (
 	"tca/internal/store"
 )
 
-// faasCell deploys an App on the FaaS platform with durable entities:
-// every op becomes a registered function, every key a durable entity, and
-// each invocation opens an explicit critical section over the op's
-// declared key set (locks acquired in canonical order — deadlock-free, as
-// Durable Functions requires entities to be declared up front). Writes are
+// faasExec runs an App on the FaaS platform with durable entities: every
+// op becomes a registered function, every key a durable entity, and each
+// invocation opens an explicit critical section over the op's declared key
+// set (locks acquired in canonical order — deadlock-free, as Durable
+// Functions requires entities to be declared up front). Writes are
 // buffered and flushed only when the body succeeds, so a business failure
-// leaves no partial state. Invocation ids give exactly-once per op.
-type faasCell struct {
-	app  *App
-	p    *faas.Platform
-	pool *submitPool
+// leaves no partial state. Invocation ids give exactly-once per op. The
+// platform's invocation path is synchronous, so pipelining is the pool's
+// client-side concurrency: concurrent submissions on overlapping entities
+// serialize on the entity locks, the cell's honest contention behavior.
+type faasExec struct {
+	c *cell
+	p *faas.Platform
 }
 
-func newFaasCell(app *App, env *Env, opts Options) *faasCell {
-	c := &faasCell{app: app, p: faas.NewPlatform(env.Cluster, faas.DefaultConfig()), pool: newSubmitPool(CloudFunctions, opts.Clients, opts.MaxPending)}
-	for _, name := range app.Ops() {
-		op, _ := app.Op(name)
-		c.p.Register(op.Name, func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
-			keys := app.keysOf(op, payload)
+func newFaasExec(c *cell, env *Env) *faasExec {
+	e := &faasExec{c: c, p: faas.NewPlatform(env.Cluster, faas.DefaultConfig())}
+	for _, name := range c.app.Ops() {
+		op, _ := c.app.Op(name)
+		e.p.Register(op.Name, func(ctx *faas.Ctx, payload []byte) ([]byte, error) {
+			keys := c.app.keysOf(op, payload)
 			ids := make([]faas.EntityID, len(keys))
 			for i, k := range keys {
-				ids[i] = c.entity(k)
+				ids[i] = e.entity(k)
 			}
-			cs := c.p.Entities().Lock(ids...)
+			cs := e.p.Entities().Lock(ids...)
 			defer cs.Unlock()
-			ftx := &faasTxn{cell: c, cs: cs, writes: make(map[string][]byte)}
-			result, err := op.Body(op.guard(ftx), payload)
+			ftx := &faasTxn{e: e, cs: cs, writes: make(map[string][]byte)}
+			result, err := c.runBody(op, ctx.InvocationID(), ftx, payload)
 			if err != nil {
 				return nil, err // buffered writes dropped: all-or-nothing
 			}
@@ -43,7 +45,7 @@ func newFaasCell(app *App, env *Env, opts Options) *faasCell {
 			}
 			for _, k := range sortedKeys(ftx.writes) {
 				value := ftx.writes[k]
-				if err := cs.Update(c.entity(k), func(store.Row) (store.Row, error) {
+				if err := cs.Update(e.entity(k), func(store.Row) (store.Row, error) {
 					return store.Row{"v": string(value)}, nil
 				}); err != nil {
 					return nil, err
@@ -52,17 +54,19 @@ func newFaasCell(app *App, env *Env, opts Options) *faasCell {
 			return result, nil
 		})
 	}
-	return c
+	return e
 }
 
-func (c *faasCell) entity(key string) faas.EntityID {
-	return faas.EntityID{Type: c.app.Name(), ID: key}
+func (e *faasExec) entity(key string) faas.EntityID {
+	return faas.EntityID{Type: e.c.app.Name(), ID: key}
 }
 
 // faasTxn buffers writes inside the critical section; reads see the locked
-// entities overlaid with the op's own writes.
+// entities overlaid with the op's own writes. The buffer holds final
+// values, not write records: the critical section holds every entity lock,
+// so Add and PushCap are exact as read-modify-writes.
 type faasTxn struct {
-	cell   *faasCell
+	e      *faasExec
 	cs     *faas.CriticalSection
 	writes map[string][]byte
 }
@@ -71,7 +75,7 @@ func (t *faasTxn) Get(key string) ([]byte, bool, error) {
 	if v, ok := t.writes[key]; ok {
 		return v, true, nil
 	}
-	row, ok, err := t.cs.Get(t.cell.entity(key))
+	row, ok, err := t.cs.Get(t.e.entity(key))
 	if err != nil || !ok {
 		return nil, false, err // undeclared keys surface ErrNotInCriticalSection
 	}
@@ -84,67 +88,36 @@ func (t *faasTxn) Put(key string, value []byte) error {
 }
 
 func (t *faasTxn) Add(key string, delta int64) error {
-	raw, _, err := t.Get(key)
-	if err != nil {
-		return err
-	}
-	return t.Put(key, EncodeInt(DecodeInt(raw)+delta))
+	return rmw(t, write{Key: key, Verb: verbAdd, Delta: delta})
 }
 
-// PushCap is a plain read-modify-write here: the critical section holds
-// the entity lock, so concurrent merges serialize.
 func (t *faasTxn) PushCap(key string, id int64, cap int) error {
-	return pushCapRMW(t, key, id, cap)
+	return rmw(t, write{Key: key, Verb: verbPush, ID: id, Cap: cap})
 }
 
-func (c *faasCell) Model() ProgrammingModel { return CloudFunctions }
-func (c *faasCell) App() *App               { return c.app }
-
-func (c *faasCell) Guarantee() Guarantee {
+func (e *faasExec) guarantee() Guarantee {
 	return Guarantee{Atomic: true, Isolated: true, ExactlyOnce: true,
 		Note: "Durable-Functions entities: explicit critical sections, dedup by op id; cold starts on the latency tail"}
 }
 
-// Submit runs the function invocation on the cell's bounded worker pool:
-// the platform's invocation path is synchronous (acquire the critical
-// section, run, commit buffered writes), so pipelining is client-side
-// concurrency — concurrent submissions on overlapping entities serialize
-// on the entity locks, which is the cell's honest contention behavior.
-func (c *faasCell) Submit(reqID, opName string, args []byte, tr *fabric.Trace) Handle {
-	return c.pool.submit(func() ([]byte, error) {
-		return c.invoke(reqID, opName, args, tr)
-	})
-}
-
-// Invoke is semantically Submit(...).Result() — TestInvokeIsSubmitResult
-// pins the equivalence — taking the pool's inline fast path for blocking
-// callers.
-func (c *faasCell) Invoke(reqID, opName string, args []byte, tr *fabric.Trace) ([]byte, error) {
-	return c.pool.invoke(func() ([]byte, error) {
-		return c.invoke(reqID, opName, args, tr)
-	})
-}
-
-func (c *faasCell) invoke(reqID, opName string, args []byte, tr *fabric.Trace) ([]byte, error) {
-	op, ok := c.app.Op(opName)
-	if !ok {
-		return nil, opError(c.app, opName)
-	}
+// run is one function invocation: acquire the critical section, run the
+// body, commit the buffered writes.
+func (e *faasExec) run(op Op, reqID string, args []byte, tr *fabric.Trace) ([]byte, error) {
 	// Route by the first declared key (platform placement only).
 	routing := reqID
-	if keys := c.app.keysOf(op, args); len(keys) > 0 {
+	if keys := e.c.app.keysOf(op, args); len(keys) > 0 {
 		routing = keys[0]
 	}
-	return c.p.InvokeID(reqID, op.Name, routing, args, tr)
+	return e.p.InvokeID(reqID, op.Name, routing, args, tr)
 }
 
-func (c *faasCell) Read(key string) ([]byte, bool, error) {
-	row, ok, err := c.p.Entities().Read(c.entity(key))
+func (e *faasExec) read(key string) ([]byte, bool, error) {
+	row, ok, err := e.p.Entities().Read(e.entity(key))
 	if err != nil || !ok {
 		return nil, false, err
 	}
 	return []byte(row.Str("v")), true, nil
 }
 
-func (c *faasCell) Settle() error { return nil }
-func (c *faasCell) Close()        { c.p.Stop() }
+func (e *faasExec) settle() error { return nil }
+func (e *faasExec) close()        { e.p.Stop() }

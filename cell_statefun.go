@@ -1,6 +1,7 @@
 package tca
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,16 +14,17 @@ import (
 	"tca/internal/statefun"
 )
 
-// statefunCell deploys an App on stateful dataflow functions. Every key's
+// statefunExec runs an App on stateful dataflow functions. Every key's
 // state lives in a keyed "key" function; an op runs as a message
 // choreography coordinated by a per-request "txn" function:
 //
-//  1. Invoke appends the op to the ingress (acceptance, not completion);
+//  1. submit appends the op to the ingress (acceptance, not completion);
 //  2. the txn function sends a read request to each declared key;
 //  3. key functions reply with their current values;
 //  4. when the last reply arrives the body runs over the gathered
-//     snapshot, and its writes go out as messages — Put as a full value,
-//     Add as a commutative delta, PushCap as a bounded-list merge.
+//     snapshot, and its writes go out as messages, one write record each:
+//     the key function applies a Put as a full value, an Add as a
+//     commutative delta, a PushCap as a bounded-list merge.
 //
 // Wide transactions chunk: the runtime budgets statefun.MaxSends sends
 // per invocation, so both the read-scatter and the write-emit reserve the
@@ -37,20 +39,20 @@ import (
 // asynchronously and writes land asynchronously: there is no isolation
 // across keys, the §4.2 gap E7/E17 demonstrate. Chunking widens the
 // gather window, it does not change the guarantee.
-type statefunCell struct {
-	app *App
-	sf  *statefun.App
+type statefunExec struct {
+	c  *cell
+	sf *statefun.App
 
 	probeSeq atomic.Int64
 	mu       sync.Mutex
-	probes   map[string]chan sfProbeResp
+	probes   map[string]chan sfMsg
 
 	// resolvers holds the in-flight Submit handles by reqID, resolved when
 	// the choreography's result record lands on the egress. The egress
 	// callback is at-least-once, so resolution is remove-then-resolve (and
 	// the handle itself resolves idempotently). Its size is the cell's
 	// acknowledged-not-yet-applied watermark: maxInflight bounds it
-	// (Options.MaxPending; 0 = unbounded), and Submit sheds at the bound —
+	// (Options.MaxPending; 0 = unbounded), and submit sheds at the bound —
 	// before the ingress produce, so a shed op never enters the dataflow.
 	resMu       sync.Mutex
 	resolvers   map[string]sfPending
@@ -69,25 +71,23 @@ type statefunCell struct {
 // legitimately vary in dynamic type.
 type sfErrBox struct{ err error }
 
-// sfMsg is the choreography wire format.
+// sfMsg is the wire format of what a txn function receives and of a key
+// function's answers (a "resp" to the txn function, a probe's value on the
+// egress). A key function itself receives no sfMsg: its payload is either a
+// write record as JSON — the write message is the record — or one of two
+// control words, sfReadReq or a probe id, which need no encoding at all.
 type sfMsg struct {
-	Kind  string `json:"k"` // "op", "cont", "read", "resp", "flush", "put", "add", "push", "probe"
-	Req   string `json:"r,omitempty"`
+	Kind  string `json:"k,omitempty"` // "op", "cont", "resp", "flush"
 	Op    string `json:"o,omitempty"`
 	Args  []byte `json:"a,omitempty"`
 	Key   string `json:"key,omitempty"`
 	Val   []byte `json:"v,omitempty"`
 	Found bool   `json:"f,omitempty"`
-	Delta int64  `json:"d,omitempty"`
-	ID    int64  `json:"id,omitempty"`
-	Cap   int    `json:"c,omitempty"`
-	Probe string `json:"p,omitempty"`
 }
 
-type sfProbeResp struct {
-	Val   []byte `json:"v"`
-	Found bool   `json:"f"`
-}
+var sfReadReq = []byte("read")
+
+const sfProbePrefix = "probe-"
 
 // sfDone is the choreography's result record, emitted on the egress under
 // the key "done/<reqID>" when the txn function has run the body and
@@ -129,41 +129,27 @@ const (
 // grows the ingress backlog, and every apply latency, without bound.
 const sfDefaultMaxInflight = 1024
 
-func newStatefunCell(app *App, env *Env, opts Options) (*statefunCell, error) {
-	maxInflight := opts.MaxPending
-	if maxInflight == 0 {
-		maxInflight = sfDefaultMaxInflight
-	} else if maxInflight < 0 {
-		maxInflight = 0 // legacy: unbounded ingress
-	}
-	c := &statefunCell{
-		app:         app,
-		probes:      make(map[string]chan sfProbeResp),
+func newStatefunExec(cl *cell, env *Env, opts Options) (*statefunExec, error) {
+	c := &statefunExec{
+		c:           cl,
+		probes:      make(map[string]chan sfMsg),
 		resolvers:   make(map[string]sfPending),
-		maxInflight: maxInflight,
+		maxInflight: pendingBound(opts.MaxPending, sfDefaultMaxInflight),
 	}
+	name := "cell-" + cl.app.Name()
 	sf := statefun.NewApp(env.Broker, statefun.Config{
-		Name: "cell-" + app.Name(), Parallelism: 2, Ingress: "cell-" + app.Name() + "-ingress",
+		Name: name, Parallelism: 2, Ingress: name + "-ingress",
 		OnEgress: func(key string, value []byte) {
 			if req, ok := strings.CutPrefix(key, sfDonePrefix); ok {
 				c.resolveDone(req, value)
 				return
 			}
-			var resp sfProbeResp
+			var resp sfMsg
 			if json.Unmarshal(value, &resp) != nil {
 				return
 			}
-			c.mu.Lock()
-			ch, ok := c.probes[key]
-			if ok {
-				delete(c.probes, key)
-			}
-			c.mu.Unlock()
-			if ok {
-				select {
-				case ch <- resp:
-				default:
-				}
+			if ch, ok := c.takeProbe(key); ok {
+				ch <- resp // buffered, and taken exactly once: never blocks
 			}
 		},
 	})
@@ -179,7 +165,7 @@ func newStatefunCell(app *App, env *Env, opts Options) (*statefunCell, error) {
 // trap wraps a handler to count (and keep) errors: asynchronous cells drop
 // failed ops — the honest dataflow failure mode — but the tests assert the
 // drop count stays zero on conforming workloads.
-func (c *statefunCell) trap(h statefun.Handler) statefun.Handler {
+func (c *statefunExec) trap(h statefun.Handler) statefun.Handler {
 	return func(ctx *statefun.Ctx, payload []byte) error {
 		err := h(ctx, payload)
 		if err != nil {
@@ -192,13 +178,13 @@ func (c *statefunCell) trap(h statefun.Handler) statefun.Handler {
 
 // handlerErrors returns the number of dropped (errored) handler
 // invocations and the most recent error.
-func (c *statefunCell) handlerErrors() (int64, error) {
+func (c *statefunExec) handlerErrors() (int64, error) {
 	box, _ := c.lastHandlerErr.Load().(sfErrBox)
 	return c.handlerErrs.Load(), box.err
 }
 
 // resolveDone completes the in-flight handle whose result record landed.
-func (c *statefunCell) resolveDone(reqID string, value []byte) {
+func (c *statefunExec) resolveDone(reqID string, value []byte) {
 	var out sfDone
 	if json.Unmarshal(value, &out) != nil {
 		return
@@ -221,28 +207,23 @@ func (c *statefunCell) resolveDone(reqID string, value []byte) {
 }
 
 // keyHandler owns one key's state (scoped under the function instance).
-func (c *statefunCell) keyHandler(ctx *statefun.Ctx, payload []byte) error {
-	var m sfMsg
-	if err := json.Unmarshal(payload, &m); err != nil {
-		return err
-	}
-	switch m.Kind {
-	case "read":
+func (c *statefunExec) keyHandler(ctx *statefun.Ctx, payload []byte) error {
+	switch {
+	case bytes.Equal(payload, sfReadReq):
 		val, found := ctx.Get("v")
-		reply, _ := json.Marshal(sfMsg{Kind: "resp", Req: m.Req, Key: ctx.Self.ID, Val: val, Found: found})
+		reply, _ := json.Marshal(sfMsg{Kind: "resp", Key: ctx.Self.ID, Val: val, Found: found})
 		return ctx.Send(ctx.Caller, reply)
-	case "put":
-		ctx.Set("v", m.Val)
-	case "add":
-		cur, _ := ctx.Get("v")
-		ctx.Set("v", EncodeInt(DecodeInt(cur)+m.Delta))
-	case "push":
-		cur, _ := ctx.Get("v")
-		ctx.Set("v", EncodeIntList(mergeBounded(DecodeIntList(cur), m.ID, m.Cap)))
-	case "probe":
+	case bytes.HasPrefix(payload, []byte(sfProbePrefix)):
 		val, found := ctx.Get("v")
-		out, _ := json.Marshal(sfProbeResp{Val: val, Found: found})
-		ctx.SendEgress(m.Probe, out)
+		out, _ := json.Marshal(sfMsg{Val: val, Found: found})
+		ctx.SendEgress(string(payload), out)
+	default:
+		var w write
+		if err := json.Unmarshal(payload, &w); err != nil {
+			return err
+		}
+		val, _ := w.apply(ctx.Get("v"))
+		ctx.Set("v", val)
 	}
 	return nil
 }
@@ -252,20 +233,20 @@ func (c *statefunCell) keyHandler(ctx *statefun.Ctx, payload []byte) error {
 // emits the writes (chunked the same way). Its scoped state (keyed by the
 // reqID) holds the pending op, the scatter cursor, and the un-emitted
 // writes between rounds.
-func (c *statefunCell) txnHandler(ctx *statefun.Ctx, payload []byte) error {
+func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 	var m sfMsg
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return err
 	}
 	switch m.Kind {
 	case "op":
-		op, ok := c.app.Op(m.Op)
-		if !ok {
-			return opError(c.app, m.Op)
+		op, err := c.c.op(m.Op)
+		if err != nil {
+			return err
 		}
-		keys := c.app.keysOf(op, m.Args)
+		keys := c.c.app.keysOf(op, m.Args)
 		if len(keys) == 0 {
-			return c.runBody(ctx, op, m.Args, nil)
+			return c.execute(ctx, op, m.Args, nil)
 		}
 		ctx.Set("op", payload)
 		ctx.Set("want", EncodeInt(int64(len(keys))))
@@ -278,16 +259,12 @@ func (c *statefunCell) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		if !ok {
 			return nil // already completed (replayed continuation)
 		}
-		var pending sfMsg
-		if err := json.Unmarshal(opRaw, &pending); err != nil {
+		op, args, err := c.pendingOp(opRaw)
+		if err != nil {
 			return err
 		}
-		op, okOp := c.app.Op(pending.Op)
-		if !okOp {
-			return opError(c.app, pending.Op)
-		}
 		cursorRaw, _ := ctx.Get("next")
-		return c.scatterReads(ctx, c.app.keysOf(op, pending.Args), int(DecodeInt(cursorRaw)))
+		return c.scatterReads(ctx, c.c.app.keysOf(op, args), int(DecodeInt(cursorRaw)))
 	case "resp":
 		if m.Found {
 			ctx.Set("val/"+m.Key, m.Val)
@@ -303,16 +280,12 @@ func (c *statefunCell) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		if !ok {
 			return nil
 		}
-		var pending sfMsg
-		if err := json.Unmarshal(opRaw, &pending); err != nil {
+		op, args, err := c.pendingOp(opRaw)
+		if err != nil {
 			return err
 		}
-		op, okOp := c.app.Op(pending.Op)
-		if !okOp {
-			return opError(c.app, pending.Op)
-		}
 		snapshot := make(map[string][]byte)
-		for _, k := range c.app.keysOf(op, pending.Args) {
+		for _, k := range c.c.app.keysOf(op, args) {
 			if v, found := ctx.Get("val/" + k); found {
 				snapshot[k] = v
 			}
@@ -322,7 +295,7 @@ func (c *statefunCell) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		ctx.Del("want")
 		ctx.Del("got")
 		ctx.Del("next")
-		return c.runBody(ctx, op, pending.Args, snapshot)
+		return c.execute(ctx, op, args, snapshot)
 	case "flush":
 		// Continuation of the write emit: ship the next chunk of the
 		// writes stored by the previous round.
@@ -330,7 +303,7 @@ func (c *statefunCell) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		if !ok {
 			return nil // already flushed (replayed continuation)
 		}
-		var writes []sfWrite
+		var writes []write
 		if err := json.Unmarshal(pendRaw, &writes); err != nil {
 			return err
 		}
@@ -339,11 +312,22 @@ func (c *statefunCell) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 	return nil
 }
 
+// pendingOp decodes the "op" message a choreography keeps in scoped state
+// between rounds and resolves its op.
+func (c *statefunExec) pendingOp(raw []byte) (Op, []byte, error) {
+	var m sfMsg
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return Op{}, nil, err
+	}
+	op, err := c.c.op(m.Op)
+	return op, m.Args, err
+}
+
 // scatterReads sends read requests for keys[from:], reserving the last
 // send slot for a SendSelf continuation when the remainder exceeds the
 // invocation's budget. The cursor persists in scoped state so the
 // continuation round resumes where this one stopped.
-func (c *statefunCell) scatterReads(ctx *statefun.Ctx, keys []string, from int) error {
+func (c *statefunExec) scatterReads(ctx *statefun.Ctx, keys []string, from int) error {
 	n := len(keys) - from
 	budget := ctx.SendsRemaining()
 	chunked := n > budget
@@ -351,8 +335,7 @@ func (c *statefunCell) scatterReads(ctx *statefun.Ctx, keys []string, from int) 
 		n = budget - 1
 	}
 	for _, k := range keys[from : from+n] {
-		req, _ := json.Marshal(sfMsg{Kind: "read", Req: ctx.Self.ID, Key: k})
-		if err := ctx.Send(statefun.Ref{Type: sfKeyFn, ID: k}, req); err != nil {
+		if err := ctx.Send(statefun.Ref{Type: sfKeyFn, ID: k}, sfReadReq); err != nil {
 			return err
 		}
 	}
@@ -368,23 +351,16 @@ func (c *statefunCell) scatterReads(ctx *statefun.Ctx, keys []string, from int) 
 // slot for a SendSelf continuation when the remainder exceeds the
 // invocation's budget; the tail persists in scoped state until the flush
 // round picks it up.
-func (c *statefunCell) emitWrites(ctx *statefun.Ctx, writes []sfWrite) error {
+func (c *statefunExec) emitWrites(ctx *statefun.Ctx, writes []write) error {
 	n := len(writes)
 	budget := ctx.SendsRemaining()
 	chunked := n > budget
 	if chunked {
 		n = budget - 1
 	}
-	for _, w := range writes[:n] {
-		var msg []byte
-		switch {
-		case w.Set:
-			msg, _ = json.Marshal(sfMsg{Kind: "put", Key: w.Key, Val: w.Val})
-		case w.Push:
-			msg, _ = json.Marshal(sfMsg{Kind: "push", Key: w.Key, ID: w.ID, Cap: w.Cap})
-		default:
-			msg, _ = json.Marshal(sfMsg{Kind: "add", Key: w.Key, Delta: w.Delta})
-		}
+	for i := range writes[:n] {
+		w := &writes[i]
+		msg, _ := json.Marshal(w)
 		if err := ctx.Send(statefun.Ref{Type: sfKeyFn, ID: w.Key}, msg); err != nil {
 			return err
 		}
@@ -409,14 +385,14 @@ func (c *statefunCell) emitWrites(ctx *statefun.Ctx, writes []sfWrite) error {
 	return ctx.SendSelf(cont)
 }
 
-// runBody executes the body over the gathered snapshot and sends its
-// writes to the key functions. Body errors drop the op — the honest
-// dataflow failure mode — but the result record carries the error, so a
-// Submit handle (unlike the fire-and-forget ingress append of old) learns
-// about the drop.
-func (c *statefunCell) runBody(ctx *statefun.Ctx, op Op, args []byte, snapshot map[string][]byte) error {
+// execute runs the body over the gathered snapshot and sends its writes
+// to the key functions. Body errors drop the op — the honest dataflow
+// failure mode — but the result record carries the error, so a Submit
+// handle (unlike the fire-and-forget ingress append of old) learns about
+// the drop. The txn function instance is keyed by the request id.
+func (c *statefunExec) execute(ctx *statefun.Ctx, op Op, args []byte, snapshot map[string][]byte) error {
 	tx := &sfTxn{snapshot: snapshot}
-	result, err := op.Body(op.guard(tx), args)
+	result, err := c.c.runBody(op, ctx.Self.ID, tx, args)
 	if err != nil {
 		c.sendDone(ctx, nil, err)
 		return nil
@@ -433,13 +409,13 @@ func (c *statefunCell) runBody(ctx *statefun.Ctx, op Op, args []byte, snapshot m
 	// a chunked emit finishes in a later "flush" invocation, and the
 	// result record must order after every write.
 	ctx.Set("res", result)
-	return c.emitWrites(ctx, tx.writes)
+	return c.emitWrites(ctx, tx.writeBuffer)
 }
 
 // sendDone emits the choreography's result record on the egress. The txn
 // function instance is keyed by the reqID, so Self.ID addresses the
 // in-flight handle.
-func (c *statefunCell) sendDone(ctx *statefun.Ctx, val []byte, err error) {
+func (c *statefunExec) sendDone(ctx *statefun.Ctx, val []byte, err error) {
 	out := sfDone{Val: val}
 	if err != nil {
 		out.Err = err.Error()
@@ -449,78 +425,34 @@ func (c *statefunCell) sendDone(ctx *statefun.Ctx, val []byte, err error) {
 }
 
 // sfTxn runs a body over the choreography's gathered snapshot. Writes are
-// buffered and shipped as messages after the body succeeds; Gets overlay
-// the op's own writes on the snapshot.
+// buffered and shipped as messages after the body succeeds (the tail of a
+// chunked emit round persists JSON-encoded in the txn function's scoped
+// state between invocations); Gets overlay the op's own writes on the
+// snapshot.
 type sfTxn struct {
 	snapshot map[string][]byte
-	writes   []sfWrite
-}
-
-// sfWrite is one buffered write; fields are exported because the write
-// tail of a chunked emit round persists JSON-encoded in the txn
-// function's scoped state between invocations.
-type sfWrite struct {
-	Key   string `json:"k"`
-	Set   bool   `json:"s,omitempty"`
-	Val   []byte `json:"v,omitempty"`
-	Delta int64  `json:"d,omitempty"`
-	Push  bool   `json:"p,omitempty"`
-	ID    int64  `json:"id,omitempty"`
-	Cap   int    `json:"c,omitempty"`
+	writeBuffer
 }
 
 func (t *sfTxn) Get(key string) ([]byte, bool, error) {
 	raw, found := t.snapshot[key]
-	for _, w := range t.writes {
-		if w.Key != key {
-			continue
-		}
-		switch {
-		case w.Set:
-			raw, found = w.Val, true
-		case w.Push:
-			raw, found = EncodeIntList(mergeBounded(DecodeIntList(raw), w.ID, w.Cap)), true
-		default:
-			raw, found = EncodeInt(DecodeInt(raw)+w.Delta), true
-		}
-	}
+	raw, found = t.overlay(key, raw, found)
 	return raw, found, nil
 }
 
-func (t *sfTxn) Put(key string, value []byte) error {
-	t.writes = append(t.writes, sfWrite{Key: key, Set: true, Val: value})
-	return nil
-}
-
-func (t *sfTxn) Add(key string, delta int64) error {
-	t.writes = append(t.writes, sfWrite{Key: key, Delta: delta})
-	return nil
-}
-
-func (t *sfTxn) PushCap(key string, id int64, cap int) error {
-	t.writes = append(t.writes, sfWrite{Key: key, Push: true, ID: id, Cap: cap})
-	return nil
-}
-
-func (c *statefunCell) Model() ProgrammingModel { return StatefulDataflow }
-func (c *statefunCell) App() *App               { return c.app }
-
-func (c *statefunCell) Guarantee() Guarantee {
+func (c *statefunExec) guarantee() Guarantee {
 	return Guarantee{Atomic: true, Isolated: false, ExactlyOnce: true,
 		Note: "exactly-once processing; NO isolation across functions (§4.2) — ops settle eventually"}
 }
 
-// Submit appends the op to the ingress — acceptance, one produce hop —
+// submit appends the op to the ingress — acceptance, one produce hop —
 // and the handle resolves when the choreography's result record lands on
 // the egress: the body ran over its gathered snapshot and the final write
 // chunk is durably in the key functions' partition logs. That is the
 // cell's honest accept/apply gap, now visible as two latency numbers per
 // request (E20). Per-key settlement of the writes still needs Settle;
 // the guarantee is unchanged.
-func (c *statefunCell) Submit(reqID, opName string, args []byte, tr *fabric.Trace) Handle {
-	if _, ok := c.app.Op(opName); !ok {
-		return resolvedHandle(nil, opError(c.app, opName))
-	}
+func (c *statefunExec) submit(op Op, reqID string, args []byte, tr *fabric.Trace) Handle {
 	h := newOpHandle()
 	c.resMu.Lock()
 	if prev, dup := c.resolvers[reqID]; dup {
@@ -545,7 +477,7 @@ func (c *statefunCell) Submit(reqID, opName string, args []byte, tr *fabric.Trac
 	}
 	c.resolvers[reqID] = sfPending{h: h, tr: tr}
 	c.resMu.Unlock()
-	payload, _ := json.Marshal(sfMsg{Kind: "op", Req: reqID, Op: opName, Args: args})
+	payload, _ := json.Marshal(sfMsg{Kind: "op", Op: op.Name, Args: args})
 	tr.Charge(time.Millisecond / 2) // acceptance: one produce hop
 	if err := c.sf.SendToIngress(statefun.Ref{Type: sfTxnFn, ID: reqID}, payload); err != nil {
 		c.resMu.Lock()
@@ -571,48 +503,44 @@ func (c *statefunCell) Submit(reqID, opName string, args []byte, tr *fabric.Trac
 	return h
 }
 
-func (c *statefunCell) Invoke(reqID, opName string, args []byte, tr *fabric.Trace) ([]byte, error) {
-	return c.Submit(reqID, opName, args, tr).Result()
-}
-
-// Read settles, then probes the key function's scoped state through the
+// read settles, then probes the key function's scoped state through the
 // egress.
-func (c *statefunCell) Read(key string) ([]byte, bool, error) {
-	if err := c.Settle(); err != nil {
+func (c *statefunExec) read(key string) ([]byte, bool, error) {
+	if err := c.settle(); err != nil {
 		return nil, false, err
 	}
-	return c.Peek(key)
+	return c.peek(key)
 }
 
-// Peek reads a key without settling — the dirty read an external observer
+// peek reads a key without settling — the dirty read an external observer
 // performs mid-flight (experiment E7).
-func (c *statefunCell) Peek(key string) ([]byte, bool, error) {
-	probe := fmt.Sprintf("probe-%d", c.probeSeq.Add(1))
-	ch := make(chan sfProbeResp, 1)
+func (c *statefunExec) peek(key string) ([]byte, bool, error) {
+	probe := fmt.Sprintf("%s%d", sfProbePrefix, c.probeSeq.Add(1))
+	ch := make(chan sfMsg, 1)
 	c.mu.Lock()
 	c.probes[probe] = ch
 	c.mu.Unlock()
-	msg, _ := json.Marshal(sfMsg{Kind: "probe", Probe: probe})
-	if err := c.sf.SendToIngress(statefun.Ref{Type: sfKeyFn, ID: key}, msg); err != nil {
-		return nil, false, err
+	err := c.sf.SendToIngress(statefun.Ref{Type: sfKeyFn, ID: key}, []byte(probe))
+	if err == nil {
+		select {
+		case resp := <-ch:
+			return resp.Val, resp.Found, nil
+		case <-time.After(5 * time.Second):
+			err = errors.New("tca: statefun read probe timeout")
+		}
 	}
-	select {
-	case resp := <-ch:
-		return resp.Val, resp.Found, nil
-	case <-time.After(5 * time.Second):
-		return nil, false, errors.New("tca: statefun read probe timeout")
-	}
+	c.takeProbe(probe) // unanswered: nothing else would ever remove it
+	return nil, false, err
 }
 
-func (c *statefunCell) Settle() error { return c.sf.WaitIdle(10 * time.Second) }
-func (c *statefunCell) Close()        { c.sf.Stop() }
-
-// StatefunRuntime returns the eventual cell's underlying statefun app —
-// the checkpoint and crash/recover control surface — or nil for any
-// other cell, the dataflow counterpart of CoreRuntime.
-func StatefunRuntime(c Cell) *statefun.App {
-	if sc, ok := c.(*statefunCell); ok {
-		return sc.sf
-	}
-	return nil
+// takeProbe removes and returns a registered probe's reply channel.
+func (c *statefunExec) takeProbe(probe string) (chan sfMsg, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ch, ok := c.probes[probe]
+	delete(c.probes, probe)
+	return ch, ok
 }
+
+func (c *statefunExec) settle() error { return c.sf.WaitIdle(10 * time.Second) }
+func (c *statefunExec) close()        { c.sf.Stop() }

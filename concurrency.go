@@ -133,24 +133,6 @@ func seedBankMix(cell Cell, aud Auditor) error {
 	return cell.Settle()
 }
 
-// livePeek reads a key for the auditor's live sample without settling the
-// cell: the dataflow cell exposes its dirty Peek, every other cell's Read
-// serves committed state directly.
-func livePeek(c Cell, key string) ([]byte, bool) {
-	if sc, ok := c.(*statefunCell); ok {
-		raw, found, err := sc.Peek(key)
-		if err != nil {
-			return nil, false
-		}
-		return raw, found
-	}
-	raw, found, err := c.Read(key)
-	if err != nil {
-		return nil, false
-	}
-	return raw, found
-}
-
 // liveKeyer is the optional auditor surface the harness samples for.
 type liveKeyer interface {
 	LiveKeys(op string, args []byte) []string
@@ -207,11 +189,7 @@ func (t *auditTap) resolve(id, name string, args []byte, h Handle, opErr error, 
 			}
 		}
 	}
-	var seq int64
-	if sh, ok := h.(interface{ Seq() int64 }); ok {
-		seq = sh.Seq()
-	}
-	t.aud.Observe(Commit{ReqID: id, Op: name, Args: args, Start: start, End: time.Now(), Live: sample, Seq: seq})
+	t.aud.Observe(Commit{ReqID: id, Op: name, Args: args, Start: start, End: time.Now(), Live: sample, Seq: handleSeq(h)})
 }
 
 // CellOptions configures one harness run. Exactly one of Clients and Rate

@@ -24,13 +24,16 @@ import (
 // Two replication modes carry the paper's central trade across the WAN:
 //
 //   - AsyncReplication (the eventual cells): every region accepts writes
-//     locally; each committed op's write-set is captured as per-key
-//     versioned deltas and shipped to the peers on a short cadence
-//     (GeoOptions.ShipInterval). Commutative writes (Add, PushCap) merge
-//     exactly — they are delta/merge operations by construction — and
-//     plain Puts merge last-writer-wins under a per-region Lamport clock
-//     (internal/vclock) with the region index as tiebreak. Local reads
-//     never pay the WAN but may be stale; Drain flushes the shippers and
+//     locally; each committed op's write-set is captured by the cell's
+//     write observer (cell.go) as the write records the body made, Puts
+//     stamped with a version, and shipped to the peers on a short cadence
+//     (GeoOptions.ShipInterval), where the geo/apply op replays the
+//     records through the peer cell's own Txn. Commutative writes (Add,
+//     PushCap) merge exactly — they are delta/merge operations by
+//     construction — and plain Puts merge last-writer-wins under a
+//     per-region Lamport clock (internal/vclock) with the region index
+//     as tiebreak. Local reads never pay the WAN but may be stale; Drain
+//     flushes the shippers and
 //     reconciles every Put key to its global LWW winner, so replicas
 //     converge EXACTLY on quiescence. The staleness probe
 //     (StalenessStats) quantifies the divergence the auditor would
@@ -101,6 +104,9 @@ const defaultShipInterval = time.Millisecond
 // sheds a replication batch: replication is never dropped, only delayed.
 const geoShedRetry = 200 * time.Microsecond
 
+// geoRegionNodes sizes each region's intra-region cluster.
+const geoRegionNodes = 3
+
 // StalenessStats is the auditor's staleness probe for one async replica
 // group: how far the replicas trail the writes they have accepted.
 // Real time (queue wait, measured) and modeled time (WAN, charged) are
@@ -109,6 +115,10 @@ const geoShedRetry = 200 * time.Microsecond
 type StalenessStats struct {
 	// ShippedBatches and ShippedWrites count replication traffic.
 	ShippedBatches, ShippedWrites int64
+	// FailedApplies counts batch deliveries a peer's cell refused with
+	// anything but a shed (sheds are retried until accepted): that peer is
+	// missing the batch's writes. Drain returns the first such error.
+	FailedApplies int64
 	// MaxLagTxns is the peak number of locally committed txns not yet
 	// applied on every peer — replication lag in committed txns.
 	MaxLagTxns int64
@@ -133,21 +143,16 @@ type StalenessStats struct {
 type GeoOptions struct {
 	// Mode selects the replication mode (default AsyncReplication).
 	Mode ReplicationMode
-	// WAN is the cross-region base latency when Topology is nil
-	// (default 20ms) — it becomes fabric.Config.CrossRegionLatency, the
-	// new tier every region's cluster is built with.
+	// WAN is the cross-region base latency (default 20ms) — it becomes
+	// fabric.Config.CrossRegionLatency, the tier every region's cluster
+	// is built with.
 	WAN time.Duration
-	// Topology, when set, overrides the uniform WAN with an explicit
-	// per-pair topology.
-	Topology *region.Topology
 	// ShipInterval is the async shipper cadence (default 1ms). The
 	// staleness bound is ShipInterval + the pair's WAN latency.
 	ShipInterval time.Duration
 	// Seed drives the per-region fabric seeds and the topology jitter
 	// (default 1).
 	Seed int64
-	// NodesPerRegion sizes each region's intra-region cluster (default 3).
-	NodesPerRegion int
 	// Cell passes deployment options to every region's cell.
 	Cell Options
 }
@@ -164,109 +169,19 @@ func (v geoVersion) before(o geoVersion) bool {
 	return v.T < o.T || (v.T == o.T && v.R < o.R)
 }
 
-// geoWrite is one captured write, in shippable form.
+// geoWrite is one captured write in shippable form: the record the body
+// made and, for a Put, the version that orders it against the other
+// regions' Puts of the key.
 type geoWrite struct {
-	Key   string     `json:"k"`
-	Op    string     `json:"o"` // "add" | "push" | "put"
-	Delta int64      `json:"d,omitempty"`
-	ID    int64      `json:"i,omitempty"`
-	Cap   int        `json:"c,omitempty"`
-	Val   []byte     `json:"v,omitempty"`
-	Ver   geoVersion `json:"ver"`
+	write
+	Ver geoVersion `json:"ver"`
 }
 
-// geoWriteSet is one committed op's captured writes.
-type geoWriteSet struct {
-	ReqID  string     `json:"r"`
-	Writes []geoWrite `json:"w"`
-}
-
-// geoBatch is one shipped replication batch.
-type geoBatch struct {
-	Origin int           `json:"o"`
-	Sets   []geoWriteSet `json:"s"`
-}
-
-// geoEnvelope carries the request id into the wrapped op's body, so the
-// delta recorder can key the captured write-set to the submission (and
-// overwrite it idempotently when a cell legitimately re-executes the
-// body on a conflict retry or recovery replay).
-type geoEnvelope struct {
-	R string          `json:"r"`
-	A json.RawMessage `json:"a"`
-}
-
-func wrapGeoArgs(reqID string, args []byte) []byte {
-	raw, _ := json.Marshal(geoEnvelope{R: reqID, A: args})
-	return raw
-}
-
-// geoRecorder captures the write-sets of in-flight ops on one async
-// replica. Writes recorded while a body runs are held under the reqID
-// (open); when the submission's handle resolves successfully they are
-// sealed into the outbox for shipping, and on failure they are dropped —
-// so only writes that actually committed replicate.
-type geoRecorder struct {
-	mu   sync.Mutex
-	open map[string][]geoWrite
-}
-
-func (r *geoRecorder) begin(reqID string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.open[reqID] = nil
-}
-
-func (r *geoRecorder) record(reqID string, w geoWrite) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.open[reqID] = append(r.open[reqID], w)
-}
-
-func (r *geoRecorder) take(reqID string) []geoWrite {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w := r.open[reqID]
-	delete(r.open, reqID)
-	return w
-}
-
-// geoTxn forwards one body's writes to the cell's Txn and records them
-// for replication. Reads pass through untouched.
-type geoTxn struct {
-	Txn
-	rep   *geoReplica
-	reqID string
-}
-
-func (t geoTxn) Put(key string, value []byte) error {
-	if err := t.Txn.Put(key, value); err != nil {
-		return err
-	}
-	ver := t.rep.stampPut(key)
-	t.rep.rec.record(t.reqID, geoWrite{Key: key, Op: "put", Val: value, Ver: ver})
-	return nil
-}
-
-func (t geoTxn) Add(key string, delta int64) error {
-	if err := t.Txn.Add(key, delta); err != nil {
-		return err
-	}
-	t.rep.rec.record(t.reqID, geoWrite{Key: key, Op: "add", Delta: delta})
-	return nil
-}
-
-func (t geoTxn) PushCap(key string, id int64, cap int) error {
-	if err := t.Txn.PushCap(key, id, cap); err != nil {
-		return err
-	}
-	t.rep.rec.record(t.reqID, geoWrite{Key: key, Op: "push", ID: id, Cap: cap})
-	return nil
-}
-
-// geoOutboxEntry is one sealed write-set waiting for the shipper.
+// geoOutboxEntry is one committed op's sealed write-set waiting for the
+// shipper. A shipped batch is the entries' writes in order, as one JSON
+// []geoWrite.
 type geoOutboxEntry struct {
-	set    geoWriteSet
+	writes []geoWrite
 	sealed time.Time
 }
 
@@ -274,17 +189,50 @@ type geoOutboxEntry struct {
 type geoReplica struct {
 	idx  int
 	name string
-	env  *Env
-	cell Cell
+	cell *cell
 
-	// Async-mode state.
-	rec    *geoRecorder
+	// Async-mode state. open holds the write-sets of in-flight ops by
+	// request id, as captured from the body's latest execution: when the
+	// submission's handle resolves successfully its set is sealed into the
+	// outbox for shipping, and on failure it is dropped — so only writes
+	// that actually committed replicate.
+	openMu sync.Mutex
+	open   map[string][]geoWrite
 	clock  vclock.Lamport
 	verMu  sync.Mutex
 	vers   map[string]geoVersion // key -> version of the Put value applied
 	outMu  sync.Mutex
 	outbox []geoOutboxEntry
 	shipN  atomic.Int64 // reqID source for apply submissions
+}
+
+// capture is the replica cell's write observer. A re-execution of the body
+// (conflict retry, recovery replay) replaces the captured set, so a
+// write-set is never double-shipped; geo/apply's own writes are
+// infrastructure and never re-captured.
+func (r *geoReplica) capture(reqID, op string, writes []write) {
+	if op == geoApplyOp {
+		return
+	}
+	set := make([]geoWrite, len(writes))
+	for i, w := range writes {
+		set[i].write = w
+		if w.Verb == verbPut {
+			set[i].Ver = r.stampPut(w.Key)
+		}
+	}
+	r.openMu.Lock()
+	r.open[reqID] = set
+	r.openMu.Unlock()
+}
+
+// take removes and returns the write-set captured for reqID.
+func (r *geoReplica) take(reqID string) []geoWrite {
+	r.openMu.Lock()
+	defer r.openMu.Unlock()
+	set := r.open[reqID]
+	delete(r.open, reqID)
+	return set
 }
 
 // stampPut assigns a new LWW version to a local Put and advances the
@@ -318,11 +266,10 @@ func (r *geoReplica) applyRemotePut(key string, ver geoVersion) bool {
 // ReplicaGroup is one application deployed across the regions of a
 // topology — what DeployReplicated returns.
 type ReplicaGroup struct {
-	model ProgrammingModel
-	app   *App
-	mode  ReplicationMode
-	top   *region.Topology
-	reps  []*geoReplica
+	app  *App
+	mode ReplicationMode
+	top  *region.Topology
+	reps []*geoReplica
 
 	shipEvery time.Duration
 	stopShip  chan struct{}
@@ -338,13 +285,13 @@ type ReplicaGroup struct {
 	pendTxns int64
 	keyOpen  map[string]time.Time // key -> divergence window start
 	keyPend  map[string]int       // key -> outstanding shipped-batch count
+	applyErr error                // first failed batch apply (see FailedApplies)
 	closed   atomic.Bool
 }
 
 // DeployReplicated deploys app as a replica group: one cell per region,
-// kept in sync per GeoOptions.Mode. Region names follow the topology
-// (or "region-<i>" when one is built from GeoOptions.WAN); region 0 is
-// the home region.
+// kept in sync per GeoOptions.Mode. Regions are named "region-<i>" and
+// are GeoOptions.WAN apart; region 0 is the home region.
 func DeployReplicated(model ProgrammingModel, app *App, regions int, gopts GeoOptions) (*ReplicaGroup, error) {
 	if regions < 1 {
 		return nil, fmt.Errorf("tca: replica group needs >= 1 region (got %d)", regions)
@@ -357,32 +304,21 @@ func DeployReplicated(model ProgrammingModel, app *App, regions int, gopts GeoOp
 	if wan <= 0 {
 		wan = 20 * time.Millisecond
 	}
-	nodes := gopts.NodesPerRegion
-	if nodes < 1 {
-		nodes = 3
-	}
 	shipEvery := gopts.ShipInterval
 	if shipEvery <= 0 {
 		shipEvery = defaultShipInterval
 	}
 
-	top := gopts.Topology
-	if top == nil {
-		cfg := fabric.DefaultConfig()
-		cfg.Seed = seed
-		cfg.CrossRegionLatency = wan
-		names := make([]string, regions)
-		for i := range names {
-			names[i] = fmt.Sprintf("region-%d", i)
-		}
-		top = region.New(cfg, names...)
+	cfg := fabric.DefaultConfig()
+	cfg.Seed = seed
+	cfg.CrossRegionLatency = wan
+	names := make([]string, regions)
+	for i := range names {
+		names[i] = fmt.Sprintf("region-%d", i)
 	}
-	if top.Size() != regions {
-		return nil, fmt.Errorf("tca: topology has %d regions, want %d", top.Size(), regions)
-	}
+	top := region.New(cfg, names...)
 
 	g := &ReplicaGroup{
-		model:     model,
 		app:       app,
 		mode:      gopts.Mode,
 		top:       top,
@@ -396,7 +332,7 @@ func DeployReplicated(model ProgrammingModel, app *App, regions int, gopts GeoOp
 		rep := &geoReplica{
 			idx:  i,
 			name: name,
-			rec:  &geoRecorder{open: make(map[string][]geoWrite)},
+			open: make(map[string][]geoWrite),
 			vers: make(map[string]geoVersion),
 		}
 		// Each region is its own intra-region cluster, with the
@@ -405,7 +341,7 @@ func DeployReplicated(model ProgrammingModel, app *App, regions int, gopts GeoOp
 		cfg := fabric.DefaultConfig()
 		cfg.Seed = seed + int64(i)
 		cfg.CrossRegionLatency = wan
-		ids := make([]fabric.NodeID, nodes)
+		ids := make([]fabric.NodeID, geoRegionNodes)
 		for n := range ids {
 			ids[n] = fabric.NodeID(fmt.Sprintf("%s-node-%d", name, n))
 		}
@@ -413,13 +349,17 @@ func DeployReplicated(model ProgrammingModel, app *App, regions int, gopts GeoOp
 		for _, id := range ids {
 			cluster.SetRegion(id, name)
 		}
-		rep.env = &Env{Cluster: cluster, Broker: mq.NewBroker()}
+		env := &Env{Cluster: cluster, Broker: mq.NewBroker()}
 
 		deployApp := app
+		var observe writeObserver
 		if g.mode == AsyncReplication {
-			deployApp = g.wrapApp(rep)
+			deployApp = app.with(rep.applyOp())
+			if regions > 1 { // a lone region has no peer to ship a captured set to
+				observe = rep.capture
+			}
 		}
-		cell, err := DeployWith(model, deployApp, rep.env, gopts.Cell)
+		cell, err := deploy(model, deployApp, env, gopts.Cell, observe)
 		if err != nil {
 			for _, r := range g.reps {
 				r.cell.Close()
@@ -440,84 +380,47 @@ func DeployReplicated(model ProgrammingModel, app *App, regions int, gopts GeoOp
 	return g, nil
 }
 
-// wrapApp builds the async replica's deployment app: every user op is
-// re-registered with envelope args and a recording body, plus the
-// geo/apply replication op. The wrapped ops keep the original names,
-// key sets, and ReadOnly class, so cells schedule and audit them
-// identically.
-func (g *ReplicaGroup) wrapApp(rep *geoReplica) *App {
-	w := NewApp(g.app.Name())
-	for _, name := range g.app.Ops() {
-		inner, _ := g.app.Op(name)
-		w.Register(Op{
-			Name:     inner.Name,
-			ReadOnly: inner.ReadOnly,
-			Keys: func(args []byte) []string {
-				var env geoEnvelope
-				json.Unmarshal(args, &env)
-				return inner.Keys(env.A)
-			},
-			Body: func(tx Txn, args []byte) ([]byte, error) {
-				var env geoEnvelope
-				if err := json.Unmarshal(args, &env); err != nil {
-					return nil, err
-				}
-				if inner.ReadOnly {
-					return inner.Body(tx, env.A)
-				}
-				// Re-execution (conflict retry, recovery replay) restarts
-				// the captured set, so it is never double-shipped.
-				rep.rec.begin(env.R)
-				return inner.Body(geoTxn{Txn: tx, rep: rep, reqID: env.R}, env.A)
-			},
-		})
-	}
-	w.Register(Op{
+// applyOp is the replication op an async replica registers next to the
+// application's own: it replays a shipped batch of write records through
+// the cell's own Txn machinery, Puts gated by last-writer-wins.
+func (r *geoReplica) applyOp() Op {
+	return Op{
 		Name: geoApplyOp,
 		Keys: func(args []byte) []string {
-			var b geoBatch
-			json.Unmarshal(args, &b)
-			seen := make(map[string]struct{})
-			var keys []string
-			for _, s := range b.Sets {
-				for _, wr := range s.Writes {
-					if _, dup := seen[wr.Key]; !dup {
-						seen[wr.Key] = struct{}{}
-						keys = append(keys, wr.Key)
-					}
-				}
+			var batch []geoWrite
+			json.Unmarshal(args, &batch)
+			keys := make([]string, len(batch))
+			for i, wr := range batch {
+				keys[i] = wr.Key
 			}
-			return keys
+			return keys // App.keysOf deduplicates
 		},
 		Body: func(tx Txn, args []byte) ([]byte, error) {
-			var b geoBatch
-			if err := json.Unmarshal(args, &b); err != nil {
+			var batch []geoWrite
+			if err := json.Unmarshal(args, &batch); err != nil {
 				return nil, err
 			}
-			for _, s := range b.Sets {
-				for _, wr := range s.Writes {
-					var err error
-					switch wr.Op {
-					case "add":
-						err = tx.Add(wr.Key, wr.Delta)
-					case "push":
-						err = tx.PushCap(wr.Key, wr.ID, wr.Cap)
-					case "put":
-						if rep.applyRemotePut(wr.Key, wr.Ver) {
-							err = tx.Put(wr.Key, wr.Val)
-						}
-					default:
-						err = fmt.Errorf("tca: unknown geo write op %q", wr.Op)
+			for _, wr := range batch {
+				var err error
+				switch wr.Verb {
+				case verbAdd:
+					err = tx.Add(wr.Key, wr.Delta)
+				case verbPush:
+					err = tx.PushCap(wr.Key, wr.ID, wr.Cap)
+				case verbPut:
+					if r.applyRemotePut(wr.Key, wr.Ver) {
+						err = tx.Put(wr.Key, wr.Val)
 					}
-					if err != nil {
-						return nil, err
-					}
+				default:
+					err = fmt.Errorf("tca: geo write with verb %d", wr.Verb)
+				}
+				if err != nil {
+					return nil, err
 				}
 			}
 			return nil, nil
 		},
-	})
-	return w
+	}
 }
 
 // Regions returns the number of regions.
@@ -525,9 +428,6 @@ func (g *ReplicaGroup) Regions() int { return len(g.reps) }
 
 // Mode returns the replication mode.
 func (g *ReplicaGroup) Mode() ReplicationMode { return g.mode }
-
-// Topology returns the group's region topology.
-func (g *ReplicaGroup) Topology() *region.Topology { return g.top }
 
 // CellAt returns region i's cell (audits, crash/recovery tests).
 func (g *ReplicaGroup) CellAt(i int) Cell { return g.reps[i].cell }
@@ -548,7 +448,7 @@ func (g *ReplicaGroup) Submit(origin int, reqID, opName string, args []byte, tr 
 		return g.seq.submit(origin, reqID, opName, args, tr)
 	}
 	rep := g.reps[origin]
-	h := rep.cell.Submit(reqID, opName, wrapGeoArgs(reqID, args), tr)
+	h := rep.cell.Submit(reqID, opName, args, tr)
 	if op, ok := g.app.Op(opName); ok && !op.ReadOnly && len(g.reps) > 1 {
 		g.sealWG.Add(1)
 		go func() {
@@ -569,13 +469,13 @@ func (g *ReplicaGroup) Invoke(origin int, reqID, opName string, args []byte, tr 
 // aborts, sheds) never replicate.
 func (g *ReplicaGroup) sealOnCommit(rep *geoReplica, reqID string, h Handle) {
 	_, err := h.Result()
-	writes := rep.rec.take(reqID)
+	writes := rep.take(reqID)
 	if err != nil || len(writes) == 0 {
 		return
 	}
 	now := time.Now()
 	rep.outMu.Lock()
-	rep.outbox = append(rep.outbox, geoOutboxEntry{set: geoWriteSet{ReqID: reqID, Writes: writes}, sealed: now})
+	rep.outbox = append(rep.outbox, geoOutboxEntry{writes: writes, sealed: now})
 	rep.outMu.Unlock()
 
 	g.stMu.Lock()
@@ -606,9 +506,6 @@ func (g *ReplicaGroup) Query(origin int, mode ReadMode, reqID, opName string, ar
 			g.top.Charge(g.reps[origin].name, g.reps[target].name, tr)
 			defer g.top.Charge(g.reps[target].name, g.reps[origin].name, tr)
 		}
-	}
-	if g.mode == AsyncReplication {
-		args = wrapGeoArgs(reqID, args)
 	}
 	return g.reps[target].cell.Invoke(reqID, opName, args, tr)
 }
@@ -649,9 +546,22 @@ func (g *ReplicaGroup) shipLoop() {
 	}
 }
 
+// apply delivers one replication batch to the replica through its cell's
+// geo/apply op. A shed is retried until accepted — replication is delayed,
+// never dropped; any other error is the caller's to report.
+func (r *geoReplica) apply(reqID string, batch []byte, tr *fabric.Trace) error {
+	for {
+		_, err := r.cell.Invoke(reqID, geoApplyOp, batch, tr)
+		if !errors.Is(err, ErrOverloaded) {
+			return err
+		}
+		time.Sleep(geoShedRetry)
+	}
+}
+
 // shipAll flushes every region's outbox to every peer, synchronously —
 // when it returns, everything sealed before the call has applied
-// everywhere. Peers are shipped in parallel; the probe's lag numbers
+// everywhere, or is counted in FailedApplies. Peers are shipped in parallel; the probe's lag numbers
 // combine the real queue wait with the modeled WAN charge.
 func (g *ReplicaGroup) shipAll() {
 	for _, src := range g.reps {
@@ -662,21 +572,20 @@ func (g *ReplicaGroup) shipAll() {
 		if len(entries) == 0 {
 			continue
 		}
-		sets := make([]geoWriteSet, len(entries))
+		var writes []geoWrite
 		oldest := entries[0].sealed
-		var nWrites int64
-		for i, e := range entries {
-			sets[i] = e.set
+		for _, e := range entries {
+			writes = append(writes, e.writes...)
 			if e.sealed.Before(oldest) {
 				oldest = e.sealed
 			}
-			nWrites += int64(len(e.set.Writes))
 		}
 		wait := time.Since(oldest)
-		batch, _ := json.Marshal(geoBatch{Origin: src.idx, Sets: sets})
+		batch, _ := json.Marshal(writes)
 		shipID := src.shipN.Add(1)
 
 		var maxWAN time.Duration
+		var failed []error
 		var wanMu sync.Mutex
 		var wg sync.WaitGroup
 		for _, dst := range g.reps {
@@ -689,18 +598,13 @@ func (g *ReplicaGroup) shipAll() {
 				defer wg.Done()
 				tr := fabric.NewTrace()
 				wan := g.top.Charge(src.name, dst.name, tr)
-				reqID := fmt.Sprintf("geo/%d/%d/%d", src.idx, dst.idx, shipID)
-				for {
-					_, err := dst.cell.Invoke(reqID, geoApplyOp, batch, tr)
-					if err != nil && errors.Is(err, ErrOverloaded) {
-						time.Sleep(geoShedRetry)
-						continue
-					}
-					break
-				}
+				err := dst.apply(fmt.Sprintf("geo/%d/%d/%d", src.idx, dst.idx, shipID), batch, tr)
 				wanMu.Lock()
 				if wan > maxWAN {
 					maxWAN = wan
+				}
+				if err != nil {
+					failed = append(failed, fmt.Errorf("tca: geo: region %d did not apply batch %d of region %d: %w", dst.idx, shipID, src.idx, err))
 				}
 				wanMu.Unlock()
 			}()
@@ -709,7 +613,11 @@ func (g *ReplicaGroup) shipAll() {
 
 		g.stMu.Lock()
 		g.st.ShippedBatches++
-		g.st.ShippedWrites += nWrites
+		g.st.ShippedWrites += int64(len(writes))
+		g.st.FailedApplies += int64(len(failed))
+		if g.applyErr == nil && len(failed) > 0 {
+			g.applyErr = failed[0]
+		}
 		g.pendTxns -= int64(len(entries))
 		if wait > g.st.MaxShipWait {
 			g.st.MaxShipWait = wait
@@ -721,18 +629,16 @@ func (g *ReplicaGroup) shipAll() {
 			g.st.MaxLag = lag
 		}
 		now := time.Now()
-		for _, e := range entries {
-			for _, w := range e.set.Writes {
-				g.keyPend[w.Key]--
-				if g.keyPend[w.Key] > 0 {
-					continue
-				}
-				delete(g.keyPend, w.Key)
-				if open, ok := g.keyOpen[w.Key]; ok {
-					delete(g.keyOpen, w.Key)
-					if win := now.Sub(open) + maxWAN; win > g.st.MaxKeyWindow {
-						g.st.MaxKeyWindow = win
-					}
+		for _, w := range writes {
+			g.keyPend[w.Key]--
+			if g.keyPend[w.Key] > 0 {
+				continue
+			}
+			delete(g.keyPend, w.Key)
+			if open, ok := g.keyOpen[w.Key]; ok {
+				delete(g.keyOpen, w.Key)
+				if win := now.Sub(open) + maxWAN; win > g.st.MaxKeyWindow {
+					g.st.MaxKeyWindow = win
 				}
 			}
 		}
@@ -750,8 +656,10 @@ func (g *ReplicaGroup) Staleness() StalenessStats {
 // Drain quiesces the group: every accepted op applied, every sealed
 // write-set shipped and applied on every peer, every replica settled,
 // and — async mode — every Put key reconciled to its global LWW winner,
-// so replicas converge exactly, not approximately. Callers must have
-// stopped submitting.
+// so replicas converge exactly, not approximately: a nil return means
+// byte-equal replicas, and a batch some peer failed to apply (now or in an
+// earlier ship round) is returned as the error. Callers must have stopped
+// submitting.
 func (g *ReplicaGroup) Drain() error {
 	for _, rep := range g.reps {
 		if err := rep.cell.Settle(); err != nil {
@@ -773,6 +681,12 @@ func (g *ReplicaGroup) Drain() error {
 		if err := rep.cell.Settle(); err != nil {
 			return err
 		}
+	}
+	g.stMu.Lock()
+	err := g.applyErr
+	g.stMu.Unlock()
+	if err != nil {
+		return err
 	}
 	return g.reconcilePuts()
 }
@@ -797,39 +711,23 @@ func (g *ReplicaGroup) reconcilePuts() error {
 		}
 		rep.verMu.Unlock()
 	}
-	if len(winners) == 0 {
-		return nil
-	}
-	var sets []geoWriteSet
+	var puts []geoWrite
 	for k, w := range winners {
 		val, found, err := w.rep.cell.Read(k)
 		if err != nil {
 			return err
 		}
-		if !found {
-			continue
+		if found {
+			puts = append(puts, geoWrite{write: write{Key: k, Val: val}, Ver: w.ver})
 		}
-		sets = append(sets, geoWriteSet{
-			ReqID:  fmt.Sprintf("geo/sync/%s", k),
-			Writes: []geoWrite{{Key: k, Op: "put", Val: val, Ver: w.ver}},
-		})
 	}
-	if len(sets) == 0 {
+	if len(puts) == 0 {
 		return nil
 	}
-	batch, _ := json.Marshal(geoBatch{Origin: -1, Sets: sets})
+	batch, _ := json.Marshal(puts)
 	for _, rep := range g.reps {
-		reqID := fmt.Sprintf("geo/sync/%d/%d", rep.idx, rep.shipN.Add(1))
-		for {
-			_, err := rep.cell.Invoke(reqID, geoApplyOp, batch, nil)
-			if err != nil && errors.Is(err, ErrOverloaded) {
-				time.Sleep(geoShedRetry)
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			break
+		if err := rep.apply(fmt.Sprintf("geo/sync/%d/%d", rep.idx, rep.shipN.Add(1)), batch, nil); err != nil {
+			return err
 		}
 		if err := rep.cell.Settle(); err != nil {
 			return err
@@ -1007,8 +905,8 @@ func (s *geoSequencer) commit(group []geoSeqReq) {
 			if _, err := handles[ri][i].Result(); err != nil {
 				continue
 			}
-			if sh, ok := handles[ri][i].(interface{ Seq() int64 }); ok {
-				s.logs[ri] = append(s.logs[ri], geoSeqEntry{reqID: req.reqID, seq: sh.Seq()})
+			if seq := handleSeq(handles[ri][i]); seq != 0 { // only a cell that knows its order has a log to compare
+				s.logs[ri] = append(s.logs[ri], geoSeqEntry{reqID: req.reqID, seq: seq})
 			}
 		}
 	}
@@ -1017,9 +915,7 @@ func (s *geoSequencer) commit(group []geoSeqReq) {
 		if rtt > 0 {
 			req.tr.Charge(rtt)
 		}
-		if sh, ok := handles[home][i].(interface{ Seq() int64 }); ok {
-			req.h.seq.Store(sh.Seq())
-		}
+		req.h.seq.Store(handleSeq(handles[home][i]))
 		req.h.resolve(handles[home][i].Result())
 	}
 }

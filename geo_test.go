@@ -3,11 +3,13 @@ package tca
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"tca/internal/faas"
 	"tca/internal/fabric"
 )
 
@@ -163,6 +165,41 @@ func TestGeoAsyncConvergenceAllCells(t *testing.T) {
 	}
 }
 
+// TestGeoDrainReportsFailedApply pins the other half of "drained replicas
+// are byte-equal": when a peer cannot apply a shipped batch, the batch is
+// counted in StalenessStats.FailedApplies and Drain returns the failure
+// instead of reporting a convergence that did not happen. The peer here is
+// a cloud-functions cell whose platform was stopped under the group.
+func TestGeoDrainReportsFailedApply(t *testing.T) {
+	g, err := DeployReplicated(CloudFunctions, geoTestApp(), 2, GeoOptions{
+		Mode:         AsyncReplication,
+		ShipInterval: time.Hour, // ship on Drain only: one batch, deterministically
+		Seed:         5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	args, _ := json.Marshal(geoTestArgs{K: "cnt/0", V: 1})
+	if _, err := g.Invoke(0, "fa-1", "bump", args, nil); err != nil {
+		t.Fatal(err)
+	}
+	g.CellAt(1).Close()
+	err = g.Drain()
+	if err == nil {
+		t.Fatal("Drain returned nil although region 1 could not apply the shipped batch")
+	}
+	if !errors.Is(err, faas.ErrPlatformDown) {
+		t.Fatalf("Drain error = %v, want the peer's apply failure (%v)", err, faas.ErrPlatformDown)
+	}
+	if st := g.Staleness(); st.FailedApplies != 1 {
+		t.Fatalf("FailedApplies = %d, want 1", st.FailedApplies)
+	}
+	if raw, _, _ := g.ReadLocal(1, "cnt/0"); DecodeInt(raw) != 0 {
+		t.Fatalf("region 1 holds cnt/0 = %d after a failed apply", DecodeInt(raw))
+	}
+}
+
 // TestGeoStalenessBounded pins the staleness bound: replication lag
 // never exceeds the configured ship interval (real queue wait, with
 // scheduling slop) plus the WAN bound (modeled, exact). The probe must
@@ -256,7 +293,7 @@ func TestGeoSequencedIdenticalOrderAcrossCrashReplay(t *testing.T) {
 	}
 
 	// Crash region 2 and replay its durable log.
-	rt := g.CellAt(2).(*coreCell).Runtime()
+	rt := CoreRuntime(g.CellAt(2))
 	rt.Crash()
 	if err := rt.Recover(); err != nil {
 		t.Fatal(err)

@@ -119,7 +119,7 @@ func TestCoreBankConservesAcrossCrashRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rt := bank.(*bankCell).cell.(*coreCell).Runtime()
+	rt := CoreRuntime(bank.(*bankCell).cell)
 	for i := 0; i < 30; i++ {
 		bank.Transfer(fmt.Sprintf("t-%d", i), i%accounts, (i+1)%accounts, 2, nil)
 		if i == 10 {

@@ -83,55 +83,7 @@ func (t *ActorTxn) charge(ref Ref) error {
 // coordination hop, so callers can compare the simulated latency against
 // untransactional actor calls.
 func (c *Coordinator) Run(tr *fabric.Trace, fn func(t *ActorTxn) error) error {
-	coord, err := c.sys.cluster.PlaceAlive("txn-coordinator")
-	if err != nil {
-		return err
-	}
-	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
-		t := &ActorTxn{
-			sys:          c.sys,
-			tx:           c.sys.db.Begin(store.Locking2PL),
-			trace:        tr,
-			coord:        coord,
-			participants: make(map[fabric.NodeID]struct{}),
-		}
-		if err := fn(t); err != nil {
-			t.tx.Abort()
-			if store.IsRetryable(err) {
-				lastErr = err
-				c.sys.metrics.Counter("actor.txn_retries").Inc()
-				continue
-			}
-			return err
-		}
-		// Phase one: prepare every participant (one round trip each).
-		for node := range t.participants {
-			c.sys.cluster.Send(coord, node, tr)
-			c.sys.cluster.Send(node, coord, tr)
-		}
-		if err := t.tx.Prepare(); err != nil {
-			t.tx.Abort()
-			if store.IsRetryable(err) {
-				lastErr = err
-				c.sys.metrics.Counter("actor.txn_retries").Inc()
-				continue
-			}
-			return err
-		}
-		// Phase two: commit decision to every participant.
-		for node := range t.participants {
-			c.sys.cluster.Send(coord, node, tr)
-			c.sys.cluster.Send(node, coord, tr)
-		}
-		if err := t.tx.Commit(); err != nil {
-			return fmt.Errorf("actor: commit after prepare must not fail: %w", err)
-		}
-		c.sys.metrics.Counter("actor.txn_commits").Inc()
-		return nil
-	}
-	c.sys.metrics.Counter("actor.txn_exhausted").Inc()
-	return fmt.Errorf("actor: transaction retries exhausted: %w", lastErr)
+	return c.run(tr, false, fn)
 }
 
 // RunReadOnly executes fn as a read-only transaction: reads acquire shared
@@ -141,37 +93,76 @@ func (c *Coordinator) Run(tr *fabric.Trace, fn func(t *ActorTxn) error) error {
 // skipped entirely. This is the classic read-only optimization of
 // two-phase commit, and exactly the coordination a query saves.
 func (c *Coordinator) RunReadOnly(tr *fabric.Trace, fn func(t *ActorTxn) error) error {
+	return c.run(tr, true, fn)
+}
+
+// run is the retry loop under Run and RunReadOnly. A retry restarts the
+// store transaction at its original age (store.Txn.Restart): wound-wait
+// only guarantees progress if a wounded transaction does not come back
+// younger than the one that wounded it.
+func (c *Coordinator) run(tr *fabric.Trace, readOnly bool, fn func(t *ActorTxn) error) error {
 	coord, err := c.sys.cluster.PlaceAlive("txn-coordinator")
 	if err != nil {
 		return err
 	}
+	kind, done := "", "actor.txn_commits"
+	if readOnly {
+		kind, done = "read-only ", "actor.txn_readonly"
+	}
+	tx := c.sys.db.Begin(store.Locking2PL)
 	var lastErr error
 	for attempt := 0; attempt <= c.Retries; attempt++ {
+		if attempt > 0 {
+			tx = tx.Restart()
+		}
 		t := &ActorTxn{
 			sys:          c.sys,
-			tx:           c.sys.db.Begin(store.Locking2PL),
+			tx:           tx,
 			trace:        tr,
 			coord:        coord,
 			participants: make(map[fabric.NodeID]struct{}),
-			readOnly:     true,
+			readOnly:     readOnly,
 		}
 		err := fn(t)
-		// Abort releases the shared locks; a transaction with no writes
-		// has nothing else to undo.
-		t.tx.Abort()
-		if err != nil {
-			if store.IsRetryable(err) {
-				lastErr = err
-				c.sys.metrics.Counter("actor.txn_retries").Inc()
-				continue
-			}
+		if err == nil && !readOnly {
+			err = c.commit(t)
+		}
+		// On the read-only path Abort is the release of the shared locks: a
+		// transaction with no writes has nothing else to undo.
+		tx.Abort()
+		if err == nil {
+			c.sys.metrics.Counter(done).Inc()
+			return nil
+		}
+		if !store.IsRetryable(err) {
 			return err
 		}
-		c.sys.metrics.Counter("actor.txn_readonly").Inc()
-		return nil
+		lastErr = err
+		c.sys.metrics.Counter("actor.txn_retries").Inc()
 	}
 	c.sys.metrics.Counter("actor.txn_exhausted").Inc()
-	return fmt.Errorf("actor: read-only transaction retries exhausted: %w", lastErr)
+	return fmt.Errorf("actor: %stransaction retries exhausted: %w", kind, lastErr)
+}
+
+// commit runs two-phase commit for t across its participant nodes.
+func (c *Coordinator) commit(t *ActorTxn) error {
+	// Phase one: prepare every participant (one round trip each).
+	for node := range t.participants {
+		c.sys.cluster.Send(t.coord, node, t.trace)
+		c.sys.cluster.Send(node, t.coord, t.trace)
+	}
+	if err := t.tx.Prepare(); err != nil {
+		return err
+	}
+	// Phase two: commit decision to every participant.
+	for node := range t.participants {
+		c.sys.cluster.Send(t.coord, node, t.trace)
+		c.sys.cluster.Send(node, t.coord, t.trace)
+	}
+	if err := t.tx.Commit(); err != nil {
+		return fmt.Errorf("actor: commit after prepare must not fail: %w", err)
+	}
+	return nil
 }
 
 // ReadState reads an actor's transactional state outside any transaction

@@ -113,6 +113,7 @@ func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 type Tx struct {
 	rt     *Runtime
 	tid    int64
+	reqID  string
 	keys   map[string]struct{}
 	writes map[string][]byte
 	dels   map[string]struct{}
@@ -124,6 +125,10 @@ type Tx struct {
 // id encodes (home-partition log offset, partition); a cross-partition
 // transaction's id is its global sequence offset.
 func (t *Tx) TID() int64 { return t.tid }
+
+// ReqID returns the request id the transaction was submitted under — the
+// same on every re-execution of it (recovery replay).
+func (t *Tx) ReqID() string { return t.reqID }
 
 // Get reads a declared key.
 func (t *Tx) Get(key string) ([]byte, bool, error) {
@@ -354,6 +359,12 @@ type Runtime struct {
 	batchCh  []chan *pendingSubmit // per-partition group-append queues
 	wg       sync.WaitGroup
 	inflight sync.WaitGroup
+
+	// inflightN counts the same scheduled-transaction goroutines as
+	// inflight. Crash waits on the WaitGroup after the schedulers have
+	// stopped; Quiesce runs while they still schedule — where
+	// WaitGroup.Wait must not race an Add from zero — and polls this.
+	inflightN atomic.Int64
 
 	offMu   sync.Mutex
 	offsets []int64 // next input-log offset, per partition
@@ -918,8 +929,10 @@ func (r *Runtime) scheduleSingle(part int, tid, seq int64, req request, stop cha
 	r.schedMu.Unlock()
 
 	r.inflight.Add(1)
+	r.inflightN.Add(1)
 	go func() {
 		defer r.inflight.Done()
+		defer r.inflightN.Add(-1)
 		defer close(myDone)
 		for _, w := range waits {
 			select {
@@ -990,8 +1003,10 @@ func (r *Runtime) scheduleCross(part int, parts []int, req request, stop chan st
 	}
 
 	r.inflight.Add(1)
+	r.inflightN.Add(1)
 	go func() {
 		defer r.inflight.Done()
+		defer r.inflightN.Add(-1)
 		defer close(ct.done)
 		defer func() {
 			r.crossMu.Lock()
@@ -1029,6 +1044,7 @@ func (r *Runtime) execute(tid, seq int64, req request, part int) {
 		tx := &Tx{
 			rt:     r,
 			tid:    tid,
+			reqID:  req.ReqID,
 			keys:   make(map[string]struct{}, len(req.Keys)),
 			writes: make(map[string][]byte),
 			dels:   make(map[string]struct{}),
@@ -1292,9 +1308,8 @@ func (r *Runtime) dropWaiter(reqID string, ch chan Result) {
 // includes the later writer always includes the earlier — the read fits
 // into the conflict graph without a cycle. Writers that do not conflict
 // commute around the read. Reads are naturally idempotent, so there is no
-// result caching; reqID is accepted for interface symmetry with Submit.
+// result caching; reqID only names the request to the body (Tx.ReqID).
 func (r *Runtime) SubmitReadOnly(reqID, fn string, keys []string, args []byte, tr *fabric.Trace) ([]byte, error) {
-	_ = reqID
 	r.runMu.Lock()
 	running := r.running
 	r.runMu.Unlock()
@@ -1309,11 +1324,12 @@ func (r *Runtime) SubmitReadOnly(reqID, fn string, keys []string, args []byte, t
 	}
 	r.chargeHop(tr) // client -> owning node
 	tx := &Tx{
-		rt:   r,
-		tid:  -1,
-		keys: make(map[string]struct{}, len(keys)),
-		ro:   true,
-		snap: make(map[string][]byte, len(keys)),
+		rt:    r,
+		tid:   -1,
+		reqID: reqID,
+		keys:  make(map[string]struct{}, len(keys)),
+		ro:    true,
+		snap:  make(map[string][]byte, len(keys)),
 	}
 	for _, k := range keys {
 		tx.keys[k] = struct{}{}
@@ -1402,17 +1418,13 @@ func (r *Runtime) Quiesce(timeout time.Duration) error {
 		if err != nil {
 			return err
 		}
-		if ok {
-			done := make(chan struct{})
-			go func() { r.inflight.Wait(); close(done) }()
-			select {
-			case <-done:
-				return nil
-			case <-time.After(time.Until(deadline)):
-				return fmt.Errorf("core: quiesce timeout draining in-flight")
-			}
+		if ok && r.inflightN.Load() == 0 {
+			return nil
 		}
 		if time.Now().After(deadline) {
+			if ok {
+				return fmt.Errorf("core: quiesce timeout draining in-flight")
+			}
 			return fmt.Errorf("core: quiesce timeout (logs not drained)")
 		}
 		time.Sleep(200 * time.Microsecond)

@@ -45,9 +45,14 @@ type Ctx struct {
 	// Cold reports whether this invocation paid a cold start.
 	Cold bool
 
+	id       string
 	platform *Platform
 	session  *Session
 }
+
+// InvocationID returns the id the invocation was started under (InvokeID),
+// empty for a plain Invoke.
+func (c *Ctx) InvocationID() string { return c.id }
 
 // Entities returns the durable-entity manager for cross-entity operations.
 func (c *Ctx) Entities() *EntityManager { return c.platform.entities }
@@ -179,10 +184,10 @@ func (p *Platform) InvokeID(id, fn, key string, payload []byte, tr *fabric.Trace
 		return nil, fmt.Errorf("%w: %s", ErrNoFunction, fn)
 	}
 	if id == "" {
-		return p.execute(f, key, payload, tr)
+		return p.execute(f, id, key, payload, tr)
 	}
 	resp, dup, err := p.results.DoLocked(fn+"/"+id, func() ([]byte, error) {
-		return p.execute(f, key, payload, tr)
+		return p.execute(f, id, key, payload, tr)
 	})
 	if dup {
 		p.metrics.Counter("faas.dedup_replays").Inc()
@@ -190,7 +195,7 @@ func (p *Platform) InvokeID(id, fn, key string, payload []byte, tr *fabric.Trace
 	return resp, err
 }
 
-func (p *Platform) execute(f *function, key string, payload []byte, tr *fabric.Trace) ([]byte, error) {
+func (p *Platform) execute(f *function, id, key string, payload []byte, tr *fabric.Trace) ([]byte, error) {
 	cold, err := f.acquire()
 	if err != nil {
 		p.metrics.Counter("faas.throttled").Inc()
@@ -204,7 +209,7 @@ func (p *Platform) execute(f *function, key string, payload []byte, tr *fabric.T
 	} else {
 		p.metrics.Counter("faas.warm_starts").Inc()
 	}
-	ctx := &Ctx{Function: f.name, Key: key, Trace: tr, Cold: cold, platform: p}
+	ctx := &Ctx{Function: f.name, Key: key, Trace: tr, Cold: cold, id: id, platform: p}
 	start := time.Now()
 	resp, err := f.handler(ctx, payload)
 	p.metrics.Histogram("faas.exec." + f.name).RecordDuration(time.Since(start))

@@ -16,9 +16,13 @@ const (
 
 // lockManager implements strict two-phase locking with wound-wait deadlock
 // avoidance: a requester older than a conflicting holder wounds (aborts) the
-// holder; a younger requester waits. Wait-for edges therefore only point
-// from younger to older transactions, which makes cycles — and deadlocks —
-// impossible. Locks are held until commit or abort (strictness), and across
+// holder; a younger requester waits — behind conflicting holders and behind
+// older requesters already waiting, so a wounded transaction that restarts
+// (Txn.Restart keeps its age) cannot slip back in front of the transaction
+// that wounded it. Wait-for edges therefore only point from younger to
+// older transactions, which makes cycles — and deadlocks — impossible, and
+// the oldest transaction always makes progress, which rules out starvation.
+// Locks are held until commit or abort (strictness), and across
 // the 2PC prepare window, which is exactly the blocking behaviour of
 // traditional distributed commit the paper calls out in §4.2.
 type lockManager struct {
@@ -33,7 +37,8 @@ type lockEntry struct {
 
 	mu      sync.Mutex
 	holders map[*Txn]lockMode
-	change  chan struct{} // closed and replaced whenever holders shrink
+	waiters map[*Txn]lockMode // blocked requests, by requested mode
+	change  chan struct{}     // closed and replaced whenever holders or waiters shrink
 }
 
 func newLockManager(db *DB) *lockManager {
@@ -45,7 +50,7 @@ func (lm *lockManager) entry(tk tableKey) *lockEntry {
 	defer lm.mu.Unlock()
 	e, ok := lm.entries[tk]
 	if !ok {
-		e = &lockEntry{key: tk, holders: make(map[*Txn]lockMode), change: make(chan struct{})}
+		e = &lockEntry{key: tk, holders: make(map[*Txn]lockMode), waiters: make(map[*Txn]lockMode), change: make(chan struct{})}
 		lm.entries[tk] = e
 	}
 	return e
@@ -64,12 +69,13 @@ func (lm *lockManager) acquire(t *Txn, tk tableKey, mode lockMode) error {
 			return nil
 		}
 		conflicts := e.conflictsLocked(t, mode)
-		if len(conflicts) == 0 {
+		if len(conflicts) == 0 && !e.olderWaiterLocked(t, mode) {
 			_, alreadyHeld := e.holders[t]
 			e.holders[t] = mode // grant (or upgrade shared -> exclusive)
 			if !alreadyHeld {
 				t.held = append(t.held, e)
 			}
+			e.stopWaitingLocked(t)
 			e.mu.Unlock()
 			return nil
 		}
@@ -79,23 +85,50 @@ func (lm *lockManager) acquire(t *Txn, tk tableKey, mode lockMode) error {
 				h.wound()
 			}
 		}
+		e.waiters[t] = mode
 		waitCh := e.change
 		e.mu.Unlock()
 
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return fmt.Errorf("%w: %s/%s", ErrLockTimeout, tk.table, tk.key)
-		}
-		timer := time.NewTimer(remain)
+		// A deadline already past fires the timer at once.
+		timer := time.NewTimer(time.Until(deadline))
+		var err error
 		select {
 		case <-waitCh:
-			timer.Stop()
 		case <-t.woundedCh:
-			timer.Stop()
-			return ErrWounded
+			err = ErrWounded
 		case <-timer.C:
-			return fmt.Errorf("%w: %s/%s", ErrLockTimeout, tk.table, tk.key)
+			err = fmt.Errorf("%w: %s/%s", ErrLockTimeout, tk.table, tk.key)
 		}
+		timer.Stop()
+		if err != nil {
+			e.mu.Lock()
+			e.stopWaitingLocked(t)
+			e.mu.Unlock()
+			return err
+		}
+	}
+}
+
+// olderWaiterLocked reports whether a transaction older than t is already
+// waiting for e in a mode that conflicts with t requesting mode — t then
+// queues behind it instead of taking the lock from under it. Caller holds
+// e.mu.
+func (e *lockEntry) olderWaiterLocked(t *Txn, mode lockMode) bool {
+	for w, m := range e.waiters {
+		if w.id < t.id && (mode == lockExclusive || m == lockExclusive) {
+			return true
+		}
+	}
+	return false
+}
+
+// stopWaitingLocked removes t from the waiters and wakes the requests
+// queued behind it. Caller holds e.mu.
+func (e *lockEntry) stopWaitingLocked(t *Txn) {
+	if _, waiting := e.waiters[t]; waiting {
+		delete(e.waiters, t)
+		close(e.change)
+		e.change = make(chan struct{})
 	}
 }
 

@@ -336,6 +336,50 @@ func Test2PLWoundWaitNoDeadlock(t *testing.T) {
 	}
 }
 
+// Test2PLWoundedRestartQueuesBehindItsWounder pins the two halves of
+// wound-wait's no-starvation argument: a wounded transaction restarts at
+// its original age, and while the transaction that wounded it is still
+// waiting for the lock, the restart queues behind it instead of taking the
+// (compatible) shared lock back from under it — which would get it
+// wounded again, and again, until its retries ran out.
+func Test2PLWoundedRestartQueuesBehindItsWounder(t *testing.T) {
+	db := newBank(t, 1, 100)
+	older, younger := db.Begin(Locking2PL), db.Begin(Locking2PL)
+	for _, tx := range []*Txn{older, younger} {
+		if _, _, err := tx.Get("accounts", "acc-0"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	upgraded := make(chan error, 1)
+	go func() { upgraded <- older.Put("accounts", "acc-0", Row{"balance": int64(1)}) }()
+	<-younger.woundedCh // older's upgrade conflicts with younger's shared lock
+
+	retry := younger.Restart()
+	if retry.ID() != younger.ID() {
+		t.Fatalf("restart has id %d, want the original age %d", retry.ID(), younger.ID())
+	}
+	read := make(chan error, 1)
+	go func() {
+		_, _, err := retry.Get("accounts", "acc-0")
+		read <- err
+	}()
+	if err := <-upgraded; err != nil {
+		t.Fatalf("older transaction lost its upgrade to the restart: %v", err)
+	}
+	select {
+	case err := <-read:
+		t.Fatalf("restart read (err=%v) while its wounder held the exclusive lock", err)
+	default:
+	}
+	if err := older.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-read; err != nil {
+		t.Fatalf("restart after its wounder committed: %v", err)
+	}
+	retry.Abort()
+}
+
 func TestPrepareCommitContract(t *testing.T) {
 	db := newBank(t, 1, 100)
 	tx := db.Begin(Locking2PL)

@@ -44,10 +44,14 @@ type Txn struct {
 
 // Begin starts a transaction at the given isolation level.
 func (db *DB) Begin(iso Isolation) *Txn {
+	return db.begin(iso, db.txnSeq.Add(1))
+}
+
+func (db *DB) begin(iso Isolation, id uint64) *Txn {
 	return &Txn{
 		db:        db,
 		iso:       iso,
-		id:        db.txnSeq.Add(1),
+		id:        id,
 		snapTS:    db.clock.Load(),
 		reads:     make(map[tableKey]uint64),
 		writes:    make(map[tableKey]writeOp),
@@ -55,7 +59,19 @@ func (db *DB) Begin(iso Isolation) *Txn {
 	}
 }
 
-// ID returns the transaction's unique id (its age for wound-wait purposes).
+// Restart aborts t (if it has not finished) and begins its retry: a fresh
+// transaction at the same isolation level and at t's age. Wound-wait's
+// no-starvation argument needs exactly this — a wounded transaction that
+// came back with a new, larger id would be the youngest again on every
+// attempt and could be wounded forever; keeping its id, it eventually is
+// the oldest transaction in the system and nothing can wound it.
+func (t *Txn) Restart() *Txn {
+	t.Abort()
+	return t.db.begin(t.iso, t.id)
+}
+
+// ID returns the transaction's id: its age for wound-wait purposes, unique
+// among transactions started by Begin and inherited by a Restart.
 func (t *Txn) ID() uint64 { return t.id }
 
 // Isolation returns the transaction's isolation level.

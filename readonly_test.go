@@ -155,7 +155,7 @@ func TestCoreReadOnlyConsumesNoWriteSchedule(t *testing.T) {
 	}
 	defer cell.Close()
 	marketSeed(t, cell)
-	rt := cell.(*coreCell).Runtime()
+	rt := CoreRuntime(cell)
 	logTP := mq.TopicPartition{Topic: "cell-market-txlog", Partition: 0}
 	hwBefore, err := env.Broker.HighWater(logTP)
 	if err != nil {
@@ -196,7 +196,7 @@ func TestActorReadOnlySkips2PC(t *testing.T) {
 	}
 	defer cell.Close()
 	marketSeed(t, cell)
-	sys := cell.(*actorCell).sys
+	sys := executorOf(cell).(*actorExec).sys
 	roBefore := sys.Metrics().Counter("actor.txn_readonly").Value()
 	commitsBefore := sys.Metrics().Counter("actor.txn_commits").Value()
 	query := workload.MarketOp{Kind: workload.MarketQueryProduct, Product: 1}

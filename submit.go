@@ -5,18 +5,11 @@ import (
 	"time"
 )
 
-// This file is the asynchronous half of the invocation surface. Cell.Submit
-// starts an op and returns a Handle immediately — acceptance — while the
-// Handle resolves when the op has applied. The split makes the messaging
-// axis of the taxonomy visible per request: on the synchronous cells accept
-// and apply coincide (the op runs on a bounded worker pool and the handle
-// resolves when the blocking protocol returns), while on the log-based
-// cells they are two genuinely different events — the deterministic core
-// acknowledges once the transaction is durably appended (concurrent
-// submissions share group log appends) and resolves the handle when the
-// scheduled transaction commits, and the dataflow cell acknowledges at the
-// ingress and resolves when the choreography's result record lands on the
-// egress. Invoke is Submit(...).Result() on every cell.
+// This file is the asynchronous half of the invocation surface: the Handle
+// a Cell.Submit returns at acceptance and resolves at completion, and the
+// bounded worker pool the pipeline (cell.go) puts a blocking executor
+// behind. What acceptance and completion mean under each programming model
+// is in the package doc, "Driving a cell".
 
 // Handle is an in-flight op submission.
 type Handle interface {
@@ -64,7 +57,31 @@ func resolvedHandle(res []byte, err error) Handle {
 	return h
 }
 
-// defaultClients bounds a synchronous cell's concurrently executing
+// handleSeq returns the serialization position a handle was stamped with:
+// the deterministic core's log position (its *core.Handle is returned
+// unwrapped, and a sequenced replica group forwards the home replica's),
+// zero on every cell that does not know its own commit order.
+func handleSeq(h Handle) int64 {
+	if sh, ok := h.(interface{ Seq() int64 }); ok {
+		return sh.Seq()
+	}
+	return 0
+}
+
+// pendingBound resolves Options.MaxPending against an executor's default:
+// zero means the default bound, negative means no admission control, which
+// every bounded queue below spells as a bound of zero.
+func pendingBound(maxPending, def int) int {
+	switch {
+	case maxPending == 0:
+		return def
+	case maxPending < 0:
+		return 0
+	}
+	return maxPending
+}
+
+// defaultClients bounds a pooled cell's concurrently executing
 // submissions when Options.Clients is zero.
 const defaultClients = 16
 
@@ -72,23 +89,19 @@ const defaultClients = 16
 // one short op's service time, coarse on purpose.
 const poolRetryAfter = 500 * time.Microsecond
 
-// submitPool runs submissions for the synchronous cells (microservices,
-// actors, cloud functions) on a bounded worker pool: Submit returns a
-// Handle immediately, at most Options.Clients ops execute their blocking
-// protocol at once, and up to Options.MaxPending accepted submissions
-// wait for a slot. Admission is non-blocking: when executing + waiting
-// work already fills the bound, submit sheds — the handle resolves at
-// once with a *ShedError and the op never runs. The pool is what turns a
-// blocking saga / 2PC / critical-section call into a pipelined one
-// without changing the cell's guarantees, and the bound is what keeps an
-// open-loop arrival process from growing an unbounded backlog (E23).
-// MaxPending < 0 restores the legacy unbounded behavior: submit blocks
-// for a slot and never sheds.
+// submitPool runs submissions for the executors whose protocol blocks
+// (saga, 2PL+2PC, entity critical section): Submit returns a Handle
+// immediately, at most Options.Clients ops execute at once, and up to
+// Options.MaxPending accepted submissions wait for a slot. It turns a
+// blocking call into a pipelined one without changing the cell's
+// guarantees, and its bound keeps an open-loop arrival process from growing
+// an unbounded backlog (E23). Unbounded (MaxPending < 0), submit blocks for
+// a slot instead and never sheds.
 type submitPool struct {
 	model ProgrammingModel
 	slots chan struct{}
 	// tokens bounds accepted-but-unfinished submissions (executing plus
-	// queued): capacity clients+maxPending, nil in legacy unbounded mode.
+	// queued): capacity clients+maxPending, nil when unbounded.
 	tokens chan struct{}
 }
 
@@ -97,23 +110,17 @@ func newSubmitPool(model ProgrammingModel, clients, maxPending int) *submitPool 
 		clients = defaultClients
 	}
 	p := &submitPool{model: model, slots: make(chan struct{}, clients)}
-	if maxPending == 0 {
-		maxPending = 4 * clients
-	}
-	if maxPending > 0 {
-		p.tokens = make(chan struct{}, clients+maxPending)
+	if bound := pendingBound(maxPending, 4*clients); bound > 0 {
+		p.tokens = make(chan struct{}, clients+bound)
 	}
 	return p
 }
 
-// submit admits one op to the pool and returns its handle. With admission
-// control on, acceptance is a token for the bounded pipeline — granted or
-// refused immediately, so accept latency is admission, not queueing — and
-// the op waits for an executing slot inside its own goroutine. A full
-// pipeline sheds instead of queueing. In legacy mode (MaxPending < 0) the
-// call blocks until an executing slot frees, which is what keeps a caller
-// submitting faster than Options.Clients ops can execute backpressured
-// instead of piling up goroutines.
+// submit admits one op to the pool and returns its handle. Acceptance is a
+// token for the bounded pipeline, granted or refused at once — accept
+// latency is admission, not queueing — and the op waits for an executing
+// slot inside its own goroutine. Unbounded, the caller waits for the slot
+// itself: its own backpressure, instead of a pile of goroutines.
 func (p *submitPool) submit(run func() ([]byte, error)) Handle {
 	if p.tokens != nil {
 		select {
@@ -139,12 +146,10 @@ func (p *submitPool) submit(run func() ([]byte, error)) Handle {
 	return h
 }
 
-// invoke runs one op on the pool inline — the blocking caller's fast
-// path. It blocks for an executing slot and never sheds: a caller that
-// waits inline is its own backpressure, so admission control has nothing
-// to bound. Observably identical to the legacy submit(run).Result() (same
-// cap, same outcome) without the per-op goroutine and handle, which keeps
-// the serial benchmarks' real cost where it was before the API went async.
+// invoke runs one op on the pool inline, for a caller that blocks anyway:
+// same cap, same outcome as submit(run).Result() without the goroutine and
+// the handle. It never sheds — a caller that waits inline is its own
+// backpressure, so admission control has nothing to bound.
 func (p *submitPool) invoke(run func() ([]byte, error)) ([]byte, error) {
 	p.slots <- struct{}{}
 	defer func() { <-p.slots }()

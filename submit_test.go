@@ -176,7 +176,7 @@ func crashReplayHandles(t *testing.T, opts Options) {
 		t.Fatal(err)
 	}
 	defer cell.Close()
-	rt := cell.(*coreCell).Runtime()
+	rt := CoreRuntime(cell)
 	argsFor := func(i int) []byte {
 		args, _ := json.Marshal(bankDepositArgs{Account: i % accounts, Amount: amount})
 		return args
@@ -263,7 +263,7 @@ func TestCoreConcurrentSubmissionsShareGroupAppends(t *testing.T) {
 	if err := cell.Settle(); err != nil {
 		t.Fatal(err)
 	}
-	rt := cell.(*coreCell).Runtime()
+	rt := CoreRuntime(cell)
 	if rt.Metrics().Counter("core.group_appends").Value() == 0 {
 		t.Fatal("no group appends despite 8 pipelined clients")
 	}

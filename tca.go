@@ -35,6 +35,27 @@
 //     log-ordered transaction), Read audits settled state, and Guarantee
 //     reports what the cell really promises.
 //
+// One cell, five executors: the five programming models are five answers
+// to one question, and the code reads that way. A single Cell
+// implementation (cell.go) — resolve the op, admit or shed, execute,
+// resolve the handle — runs over a per-model executor (cell_*.go) that
+// provides only what its model decides: its Guarantee, how settled state
+// is read and reached, and one accept path, a blocking run (saga, 2PL+2PC,
+// critical section) that the pipeline puts behind the shared worker pool
+// or a native asynchronous submit (the deterministic log, the dataflow
+// ingress). Every body is called through the cell's one runBody, which
+// enforces the ReadOnly contract and reports each successful read-write
+// execution's writes, by request id, to an optional write observer: after
+// the body returned nil and before the executor commits, again on a
+// re-execution (the last report before the handle resolves is the one
+// that committed), never for a shed submission. Geo replication captures
+// its write-sets there. What Put, Add and PushCap do to a value is decided
+// once, by the write record under all five executors (cell_write.go): the
+// saga step and its compensation, the dataflow write message, the
+// read-your-writes buffer and the replicated delta are that record. The
+// auditors' reference Txns (audit.go) deliberately spell the verbs out on
+// their own — they are what the cells are judged against.
+//
 // Four applications ship as App constructors: BankApp (the literature's
 // running example; the Bank interface wraps it for compatibility),
 // TPCCApp (the TPC-C NewOrder/Payment subset plus the standard's two
@@ -72,18 +93,20 @@
 // The invocation surface is asynchronous at its base: Cell.Submit starts
 // an op and returns a Handle immediately — acceptance — and the Handle's
 // Done/Result report completion. What the two events mean is the
-// messaging axis of the taxonomy, per cell: on the synchronous cells
-// acceptance is admission to a bounded worker pool (Options.Clients
-// executing slots plus an Options.MaxPending queue — accept latency is
-// the admission decision) and the handle resolves when the blocking
-// protocol ends; the
-// deterministic cell acknowledges once the transaction is durably in the
-// log (concurrent submissions share group log appends, amortizing the
+// messaging axis of the taxonomy, per executor. On the pooled three
+// (microservices, actors, cloud functions) acceptance is admission to the
+// shared bounded worker pool — Options.Clients executing slots plus an
+// Options.MaxPending queue; accept latency is one op-table lookup and a
+// token — and the handle resolves when the blocking protocol ends. The
+// deterministic executor acknowledges once the transaction is durably in
+// the log (concurrent submissions share group log appends, amortizing the
 // modeled append latency) and resolves the handle when the scheduled
-// transaction commits; the dataflow cell acknowledges at the ingress and
-// resolves when the choreography's result record lands — acknowledged is
-// not applied, as two distinct latency numbers per request. Invoke is the
-// blocking wrapper, Submit(...).Result() on every cell.
+// transaction commits. The dataflow executor acknowledges at the ingress
+// and resolves when the choreography's result record lands: acknowledged
+// is not applied, two distinct latency numbers per request. No executor
+// derives an op's key set or decodes its arguments before the admission
+// verdict. Invoke is Submit(...).Result(), written once; on a pooled cell
+// a caller that waits inline skips the goroutine and the handle.
 //
 // Clients hold a Session (NewSession) per logical user: it assigns the
 // session's request ids, caps in-flight submissions (pipelining depth),
@@ -102,11 +125,14 @@
 // ErrOverloaded) matches, and the error carries the cell, the observed
 // queue depth, and a retry-after hint) and the op provably never entered
 // the pipeline: no state is touched on any cell and nothing reaches an
-// auditor. Where the bound sits is per cell: the synchronous cells bound
-// their worker-pool queue, the Deterministic cell bounds each partition
-// batcher's un-appended submissions (core.Config.MaxPending, and the
-// cross-partition sequence path likewise), and the dataflow cell bounds
-// its acknowledged-not-yet-applied ingress records.
+// auditor or a write observer. An unknown op is answered before admission
+// and takes no slot. The rule for the knob is written once (zero: the
+// executor's default; negative: unbounded); where the bound sits is per
+// executor: the pooled ones share the worker pool's queue, the
+// Deterministic one bounds each partition batcher's un-appended
+// submissions (core.Config.MaxPending, and the cross-partition sequence
+// path likewise), and the dataflow one bounds its
+// acknowledged-not-yet-applied ingress records.
 //
 // Shedding is what separates goodput from throughput past saturation.
 // Throughput counts ops the cell finished; goodput counts ops that
@@ -151,11 +177,11 @@
 // # Geo-replication
 //
 // DeployReplicated(model, app, regions, opts) wraps any cell as a multi-region
-// ReplicaGroup: one full replica of the cell per region in a
-// region.Topology, with every cross-region message charged through a
-// dedicated WAN tier of the latency fabric (GeoOptions.WAN, or the
-// topology's own per-pair distances). Two replication modes span the
-// paper's consistency axis:
+// ReplicaGroup: one full replica of the cell per region (three fabric
+// nodes each) in a region.Topology, with every cross-region message
+// charged through a dedicated WAN tier of the latency fabric
+// (GeoOptions.WAN). Two replication modes span the paper's consistency
+// axis:
 //
 //   - AsyncReplication ships committed writes as versioned deltas on a ship
 //     interval. Commutative ops — Add, PushCap — merge by replay on the
@@ -164,8 +190,9 @@
 //     order), and Put conflicts resolve last-writer-wins on hybrid
 //     vector-clock timestamps, with a reconcile round forcing the global
 //     winner everywhere on Drain. A drained group therefore converges
-//     exactly — byte-equal state on all replicas — while steady-state
-//     reads trade freshness for locality.
+//     exactly — byte-equal state on all replicas, or Drain returns the
+//     batch a peer failed to apply (StalenessStats.FailedApplies) —
+//     while steady-state reads trade freshness for locality.
 //   - SequencedReplication routes every write through the home region's global
 //     sequencer before group commit, so all regions apply the identical
 //     log order (SequencedOrder) and reads are fresh everywhere; the

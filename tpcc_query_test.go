@@ -120,7 +120,7 @@ func TestTPCCQueryResultsAgainstKnownState(t *testing.T) {
 	app := TPCCApp()
 	osOp, _ := app.Op(workload.TPCCOrderStatus.String())
 	args, _ := json.Marshal(workload.TPCCOp{Kind: workload.TPCCOrderStatus, Customer: 1})
-	res, err := osOp.Body(osOp.guard(state), args)
+	res, err := osOp.Body(roTxn{state}, args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTPCCQueryResultsAgainstKnownState(t *testing.T) {
 		Kind:  workload.TPCCStockLevel,
 		Items: []workload.TPCCItem{{ItemID: 3}, {ItemID: 4}, {ItemID: 9}},
 	})
-	res, err = slOp.Body(slOp.guard(state), args)
+	res, err = slOp.Body(roTxn{state}, args)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,7 +72,7 @@ func TestWideTxnCrossCellConformance(t *testing.T) {
 			for _, a := range anomalies {
 				t.Errorf("anomaly: %s", a)
 			}
-			if sf, ok := cell.(*statefunCell); ok {
+			if sf, ok := executorOf(cell).(*statefunExec); ok {
 				if n, last := sf.handlerErrors(); n != 0 {
 					t.Errorf("statefun cell dropped %d ops, last error: %v", n, last)
 				}
@@ -112,7 +112,7 @@ func TestStatefunTooManySendsUnreachable(t *testing.T) {
 	for _, a := range anomalies {
 		t.Errorf("anomaly: %s", a)
 	}
-	sf := cell.(*statefunCell)
+	sf := executorOf(cell).(*statefunExec)
 	n, last := sf.handlerErrors()
 	if errors.Is(last, statefun.ErrTooManySends) {
 		t.Fatalf("ErrTooManySends reached the cell adapter: %v", last)
