@@ -19,8 +19,10 @@ verify:
 # package's submit / shed / session / read-only / wide-transaction / geo
 # tests, ten times each under the race detector at 1, 2, 4 and 8 Ps — the
 # bugs ROADMAP item 1 lists only showed at more than one P, and not on
-# every run.
+# every run. The first line is the store's OCC retry test 200 times without
+# the race detector: the setting where back-to-back retries exhausted.
 stress:
+	go test -count=200 -run TestUpdateRetriesConflicts ./internal/store
 	go test -race -count=10 -cpu 1,2,4,8 ./internal/store ./internal/actor ./internal/core
 	go test -race -count=10 -cpu 1,2,4,8 -run 'Submit|Shed|Session|ReadOnly|WideTxn|Geo' .
 

@@ -14,6 +14,18 @@
 //     Orleans-style actor transaction coordinator build on — and is the
 //     source of the "blocking protocol" costs §4.2 discusses.
 //
+// Each key keeps a version chain, oldest first: a commit appends, a read
+// scans from the newest end. Every transaction, whatever its isolation,
+// registers its start timestamp at Begin and unregisters it when it commits
+// or aborts; the oldest registered timestamp (or the clock, when none is
+// open) is the low-water mark, and a commit drops every version of the keys
+// it writes that is older than the newest one at or below the mark. A
+// chain therefore holds only what open transactions may still read, and a
+// steady-state commit neither copies history nor allocates for it.
+//
+// Update retries OCC conflicts with full-jitter exponential backoff, for at
+// least ten attempts and at least LockWaitTimeout.
+//
 // The database also models shared infrastructure contention: a configurable
 // admission limit and per-operation service time let the benchmarks
 // reproduce the shared-database "noisy neighbor" effect versus
@@ -23,10 +35,13 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tca/internal/backoff"
 )
 
 // Common database errors.
@@ -130,19 +145,38 @@ type version struct {
 	deleted bool
 }
 
-// record is a key's committed version chain, newest first.
+// record is a key's committed version chain, oldest first, pruned below
+// the low-water mark: every version older than the newest one at or below
+// the mark is dropped on the next install, since no open or future
+// transaction reads below the mark.
 type record struct {
 	versions []version
 }
 
 // latest returns the newest version with ts <= at.
 func (rec *record) latest(at uint64) (version, bool) {
-	for _, v := range rec.versions {
-		if v.ts <= at {
+	for i := len(rec.versions) - 1; i >= 0; i-- {
+		if v := rec.versions[i]; v.ts <= at {
 			return v, true
 		}
 	}
 	return version{}, false
+}
+
+// install appends v (newer than every version in the chain) and drops the
+// versions no reader at or above lowWater can see, compacting in place so
+// a steady-state chain never reallocates.
+func (rec *record) install(v version, lowWater uint64) {
+	keep := 0 // index of the newest version at or below lowWater
+	for keep+1 < len(rec.versions) && rec.versions[keep+1].ts <= lowWater {
+		keep++
+	}
+	if keep > 0 {
+		n := copy(rec.versions, rec.versions[keep:])
+		clear(rec.versions[n:])
+		rec.versions = rec.versions[:n]
+	}
+	rec.versions = append(rec.versions, v)
 }
 
 // table holds records and maintains a sorted key slice for range scans.
@@ -164,8 +198,9 @@ func (t *table) get(key string) (*record, bool) {
 	return rec, ok
 }
 
-// install adds a committed version for key at ts. Caller serializes commits.
-func (t *table) install(key string, v version) {
+// install adds a committed version for key, pruning its chain below
+// lowWater. Caller serializes commits.
+func (t *table) install(key string, v version, lowWater uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	rec, ok := t.recs[key]
@@ -175,7 +210,7 @@ func (t *table) install(key string, v version) {
 		t.keys = append(t.keys, key)
 		t.sorted = false
 	}
-	rec.versions = append([]version{v}, rec.versions...)
+	rec.install(v, lowWater)
 }
 
 func (t *table) sortedKeys() []string {
@@ -201,7 +236,8 @@ type Config struct {
 	// ServiceTime is the per-operation busy time actually spent while a
 	// slot is held, making the admission cap bite under load.
 	ServiceTime time.Duration
-	// LockWaitTimeout bounds 2PL lock waits. Zero means 1s.
+	// LockWaitTimeout bounds 2PL lock waits, and is the time Update keeps
+	// retrying conflicts for. Zero means 1s.
 	LockWaitTimeout time.Duration
 }
 
@@ -213,11 +249,18 @@ type DB struct {
 	txnSeq   atomic.Uint64 // transaction id source (age for wound-wait)
 	commitMu sync.Mutex    // serializes validation + install
 
+	// openMu guards open: one start timestamp per open transaction, in
+	// ascending order — begin reads the clock and appends under openMu,
+	// and the clock never goes back. Its head is the low-water mark.
+	openMu sync.Mutex
+	open   []uint64
+
 	mu     sync.RWMutex
 	tables map[string]*table
 
-	locks *lockManager
-	sem   chan struct{}
+	locks  *lockManager
+	sem    chan struct{}
+	jitter *backoff.Jitter // Update's retry waits, seeded from Name
 
 	// Stats observable by benchmarks.
 	Commits   atomic.Int64
@@ -234,6 +277,7 @@ func NewDB(cfg Config) *DB {
 	db := &DB{
 		cfg:    cfg,
 		tables: make(map[string]*table),
+		jitter: backoff.Named(cfg.Name),
 	}
 	db.locks = newLockManager(db)
 	if cfg.MaxConcurrent > 0 {
@@ -292,6 +336,39 @@ func spin(d time.Duration) {
 // Now returns the latest commit timestamp.
 func (db *DB) Now() uint64 { return db.clock.Load() }
 
+// register returns a new transaction's start timestamp and records it as
+// open. Reading the clock under the same mutex lowWater takes is what
+// keeps the mark at or below every timestamp a reader may still use.
+func (db *DB) register() uint64 {
+	db.openMu.Lock()
+	defer db.openMu.Unlock()
+	ts := db.clock.Load()
+	db.open = append(db.open, ts)
+	return ts
+}
+
+// unregister removes one open transaction started at ts.
+func (db *DB) unregister(ts uint64) {
+	db.openMu.Lock()
+	defer db.openMu.Unlock()
+	i, _ := slices.BinarySearch(db.open, ts)
+	db.open = slices.Delete(db.open, i, i+1)
+}
+
+// lowWater returns the oldest timestamp any open or future transaction can
+// read at: the minimum start timestamp over open transactions — under every
+// isolation, since ReadCommitted and Locking2PL read at the clock and the
+// clock has only moved up since they began — or the published clock when
+// none are open.
+func (db *DB) lowWater() uint64 {
+	db.openMu.Lock()
+	defer db.openMu.Unlock()
+	if len(db.open) == 0 {
+		return db.clock.Load()
+	}
+	return db.open[0]
+}
+
 // View runs fn in a read-only snapshot transaction and always releases it.
 func (db *DB) View(fn func(tx *Txn) error) error {
 	tx := db.Begin(SnapshotIsolation)
@@ -300,28 +377,37 @@ func (db *DB) View(fn func(tx *Txn) error) error {
 }
 
 // Update runs fn in a Serializable transaction, retrying on transient
-// conflicts up to 10 times. fn may be invoked multiple times.
+// conflicts with full-jitter exponential backoff (updateBackoff doubling up
+// to backoff.MaxFactor × itself) until at least updateMinAttempts attempts
+// and LockWaitTimeout have both passed. fn may be invoked multiple times.
 func (db *DB) Update(fn func(tx *Txn) error) error {
-	const maxRetries = 10
-	var lastErr error
-	for i := 0; i < maxRetries; i++ {
+	var deadline time.Time
+	window := updateBackoff
+	for attempt := 1; ; attempt++ {
 		tx := db.Begin(Serializable)
-		if err := fn(tx); err != nil {
-			tx.Abort()
-			if IsRetryable(err) {
-				lastErr = err
-				continue
-			}
-			return err
-		}
-		err := tx.Commit()
+		err := fn(tx)
 		if err == nil {
-			return nil
+			err = tx.Commit()
+		} else {
+			tx.Abort()
 		}
-		if !IsRetryable(err) {
+		if err == nil || !IsRetryable(err) {
 			return err
 		}
-		lastErr = err
+		if attempt == 1 {
+			deadline = time.Now().Add(db.cfg.LockWaitTimeout)
+		} else if attempt >= updateMinAttempts && !time.Now().Before(deadline) {
+			return fmt.Errorf("store: retries exhausted after %d attempts: %w", attempt, err)
+		}
+		time.Sleep(db.jitter.Draw(window))
+		window = backoff.Grow(window, updateBackoff)
 	}
-	return fmt.Errorf("store: retries exhausted: %w", lastErr)
 }
+
+// Update's retry policy. A budget of attempts alone is used up by a few
+// writers racing on one hot key, so the time budget (LockWaitTimeout) must
+// pass too; the jittered backoff spreads the racing writers' retries apart.
+const (
+	updateMinAttempts = 10
+	updateBackoff     = 20 * time.Microsecond
+)

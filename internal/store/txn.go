@@ -52,7 +52,7 @@ func (db *DB) begin(iso Isolation, id uint64) *Txn {
 		db:        db,
 		iso:       iso,
 		id:        id,
-		snapTS:    db.clock.Load(),
+		snapTS:    db.register(),
 		reads:     make(map[tableKey]uint64),
 		writes:    make(map[tableKey]writeOp),
 		woundedCh: make(chan struct{}),
@@ -336,12 +336,13 @@ func (t *Txn) Commit() error {
 			}
 		}
 	}
-	// Install at clock+1 and publish the clock only after the last
-	// version is in place: Begin reads the clock without commitMu, so a
-	// clock that ran ahead of the installs would hand a new transaction
-	// snapTS = ts while it still read the pre-ts versions — and validation
-	// (latestTS > snapTS) would then miss the conflict, losing an update.
-	ts := db.clock.Load() + 1
+	// Install at clock+1, pruning each chain below the low-water mark, and
+	// publish the clock only after the last version is in place: Begin
+	// reads the clock without commitMu, so a clock that ran ahead of the
+	// installs would hand a new transaction snapTS = ts while it still read
+	// the pre-ts versions — and validation (latestTS > snapTS) would then
+	// miss the conflict, losing an update.
+	ts, low := db.clock.Load()+1, db.lowWater()
 	for _, tk := range t.order {
 		w := t.writes[tk]
 		tbl, err := db.table(tk.table)
@@ -350,13 +351,12 @@ func (t *Txn) Commit() error {
 			t.Abort()
 			return err
 		}
-		tbl.install(tk.key, version{ts: ts, row: w.row, deleted: w.del})
+		tbl.install(tk.key, version{ts: ts, row: w.row, deleted: w.del}, low)
 	}
 	db.clock.Store(ts)
 	db.commitMu.Unlock()
 
-	t.state = txnCommitted
-	db.locks.releaseAll(t)
+	t.finish(txnCommitted)
 	db.Commits.Add(1)
 	return nil
 }
@@ -377,7 +377,7 @@ func (db *DB) latestTS(tk tableKey) uint64 {
 	if len(rec.versions) == 0 {
 		return 0
 	}
-	return rec.versions[0].ts
+	return rec.versions[len(rec.versions)-1].ts
 }
 
 // Abort discards the transaction. Safe to call on finished transactions.
@@ -385,7 +385,15 @@ func (t *Txn) Abort() {
 	if t.state == txnCommitted || t.state == txnAborted {
 		return
 	}
-	t.state = txnAborted
-	t.db.locks.releaseAll(t)
+	t.finish(txnAborted)
 	t.db.Aborts.Add(1)
+}
+
+// finish moves t to a terminal state, unpins its start timestamp and
+// releases its locks. Commit and Abort call it only from a non-terminal
+// state, so each transaction unregisters exactly once.
+func (t *Txn) finish(s txnState) {
+	t.state = s
+	t.db.unregister(t.snapTS)
+	t.db.locks.releaseAll(t)
 }

@@ -3,12 +3,12 @@ package tca
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"tca/internal/backoff"
 	"tca/internal/fabric"
 )
 
@@ -65,10 +65,9 @@ type Session struct {
 	slots   chan struct{}
 	wg      sync.WaitGroup
 
-	// rng draws retry jitter under rngMu: retry chains for distinct
-	// submissions run concurrently, and *rand.Rand is not safe to share.
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	// jitter draws retry waits: retry chains for distinct submissions run
+	// concurrently and share it.
+	jitter *backoff.Jitter
 
 	mu   sync.Mutex
 	last map[string]Handle // OrderKeys: latest handle per declared key
@@ -89,19 +88,17 @@ func NewSession(cell Cell, id string, opts SessionOptions) *Session {
 	if opts.Backoff <= 0 {
 		opts.Backoff = 200 * time.Microsecond
 	}
-	rng := opts.Rand
-	if rng == nil {
-		h := fnv.New64a()
-		h.Write([]byte(id))
-		rng = rand.New(rand.NewSource(int64(h.Sum64())))
+	jitter := backoff.Named(id)
+	if opts.Rand != nil {
+		jitter = backoff.New(opts.Rand)
 	}
 	return &Session{
-		cell:  cell,
-		id:    id,
-		opts:  opts,
-		rng:   rng,
-		slots: make(chan struct{}, opts.MaxInFlight),
-		last:  make(map[string]Handle),
+		cell:   cell,
+		id:     id,
+		opts:   opts,
+		jitter: jitter,
+		slots:  make(chan struct{}, opts.MaxInFlight),
+		last:   make(map[string]Handle),
 	}
 }
 
@@ -177,14 +174,11 @@ func (s *Session) submitWithRetry(reqID, opName string, args []byte, tr *fabric.
 	}
 	out := newOpHandle()
 	go func() {
-		backoff := s.opts.Backoff
-		maxBackoff := 64 * s.opts.Backoff
+		window := s.opts.Backoff
 		for attempt := 2; ; attempt++ {
 			s.retries.Add(1)
-			time.Sleep(s.retryWait(backoff, retryAfter))
-			if backoff < maxBackoff {
-				backoff *= 2
-			}
+			time.Sleep(s.retryWait(window, retryAfter))
+			window = backoff.Grow(window, s.opts.Backoff)
 			h := s.cell.Submit(reqID, opName, args, tr)
 			res, err := h.Result()
 			if err == nil || !errors.Is(err, ErrOverloaded) || attempt >= s.opts.RetryBudget {
@@ -204,14 +198,8 @@ func (s *Session) submitWithRetry(reqID, opName string, args []byte, tr *fabric.
 // session's seeded generator, floored by the cell's own retry-after
 // hint. Seeded (not the global math/rand) so the draw sequence is a
 // function of the session id alone — pinned in TestSessionJitterSeeded.
-func (s *Session) retryWait(backoff, floor time.Duration) time.Duration {
-	s.rngMu.Lock()
-	wait := time.Duration(s.rng.Int63n(int64(backoff) + 1))
-	s.rngMu.Unlock()
-	if wait < floor {
-		wait = floor
-	}
-	return wait
+func (s *Session) retryWait(window, floor time.Duration) time.Duration {
+	return max(s.jitter.Draw(window), floor)
 }
 
 // sheddedSync reports whether a just-returned handle already resolved to
