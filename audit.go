@@ -421,18 +421,23 @@ func (a *refAuditor) fold(c Commit) {
 			}
 		}
 	}
-	if len(rec.writes) > 0 {
+	var mayWrite []string
+	if !op.ReadOnly {
+		mayWrite = rec.unwrittenReads(op, c.Args)
+	}
+	if len(rec.writes) > 0 || len(mayWrite) > 0 {
 		a.order.observe(&auditNode{
-			seq:    a.observed,
-			cseq:   c.Seq,
-			op:     c.Op,
-			args:   c.Args,
-			start:  c.Start,
-			end:    c.End,
-			reads:  rec.readKeys(),
-			writes: rec.writeKeys(),
-			commut: rec.writes,
-			pre:    rec.pre,
+			seq:      a.observed,
+			cseq:     c.Seq,
+			op:       c.Op,
+			args:     c.Args,
+			start:    c.Start,
+			end:      c.End,
+			reads:    rec.readKeys(),
+			writes:   rec.writeKeys(),
+			mayWrite: mayWrite,
+			commut:   rec.writes,
+			pre:      rec.pre,
 		})
 	}
 }
@@ -705,6 +710,31 @@ func (t *recordingTxn) readKeys() []string {
 	return out
 }
 
+// unwrittenReads returns, sorted, the keys the body read but did not write
+// that are among op's declared keys: the keys a read-write op could have
+// written had its reads returned other values. The declared keys are only
+// derived when such a read exists.
+func (t *recordingTxn) unwrittenReads(op Op, args []byte) []string {
+	unwritten := make(map[string]bool)
+	for k := range t.reads {
+		if _, written := t.writes[k]; !written {
+			unwritten[k] = true
+		}
+	}
+	if len(unwritten) == 0 {
+		return nil
+	}
+	var out []string
+	for _, k := range op.Keys(args) {
+		if unwritten[k] {
+			out = append(out, k)
+			delete(unwritten, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 func (t *recordingTxn) writeKeys() []string {
 	out := make([]string, 0, len(t.writes))
 	for k := range t.writes {
@@ -718,7 +748,8 @@ func (t *recordingTxn) writeKeys() []string {
 
 // auditNode is one observed commit in the order verdict's windows. seq is
 // the auditor's own observation counter; cseq is the cell's serialization
-// stamp when the cell provides one (Commit.Seq), zero otherwise.
+// stamp when the cell provides one (Commit.Seq), zero otherwise. mayWrite
+// lists the declared keys the replay read but did not write.
 type auditNode struct {
 	seq        int64
 	cseq       int64
@@ -727,22 +758,15 @@ type auditNode struct {
 	start, end time.Time
 	reads      []string
 	writes     []string
+	mayWrite   []string
 	commut     map[string]bool
 	pre        map[string]preVal
 }
 
-func (n *auditNode) writesKey(key string) bool {
-	for _, w := range n.writes {
-		if w == key {
-			return true
-		}
-	}
-	return false
-}
-
 // keyTrack is one key's bounded commit window. A key becomes tracked on
-// its first order-sensitive write; commutative-only keys never window
-// (their completion-order reference is already exact in any order).
+// its first order-sensitive write; until then its window holds only
+// readers that could write it, and a key that never tracks is never
+// searched (its completion-order reference is already exact in any order).
 type keyTrack struct {
 	tracked bool
 	nodes   []*auditNode
@@ -768,13 +792,26 @@ func (o *orderAudit) track(key string) *keyTrack {
 	return t
 }
 
-// observe windows one commit. A commit enters the windows when its order
-// can matter: it performed an order-sensitive write, read a tracked key
-// (its outcome depends on racing writers), or wrote a tracked key (later
-// searches must replay it to reconstruct that key). Pure commutative
-// traffic on untracked keys — most of every mix — is folded into the
-// reference and dropped here, which is what keeps memory bounded.
+// observe windows one commit. A commit enters the windows of the keys it
+// wrote when its order can matter: it performed an order-sensitive write,
+// read a tracked key (its outcome depends on racing writers), or wrote a
+// tracked key (later searches must replay it to reconstruct that key).
+// Pure commutative traffic on untracked keys — most of every mix — is
+// folded into the reference and dropped here, which is what keeps memory
+// bounded.
+//
+// A commit also enters the window of every key it could have written but
+// only read (mayWrite), tracked or not: in another serial order the read
+// returns another value and the body may write the key. A checkout folded
+// before the reserve it claims reads the reservation as absent and writes
+// nothing, while the cell ran it second and zeroed the reservation; only
+// with the checkout in that key's window can a search replay that order.
+// Such a read does not track the key: the first order-sensitive writer
+// does, and finds the reader already windowed.
 func (o *orderAudit) observe(n *auditNode) {
+	for _, k := range n.mayWrite {
+		o.push(k, n)
+	}
 	windowed := false
 	for _, k := range n.writes {
 		if !n.commut[k] {
@@ -798,13 +835,19 @@ func (o *orderAudit) observe(n *auditNode) {
 		return
 	}
 	for _, k := range n.writes {
-		t := o.track(k)
-		t.tracked = true
-		t.nodes = append(t.nodes, n)
-		if len(t.nodes) > o.window {
-			t.nodes = t.nodes[1:]
-		}
+		o.push(k, n).tracked = true
 	}
+}
+
+// push appends n to key's window, evicting the oldest commit beyond the
+// bound.
+func (o *orderAudit) push(key string, n *auditNode) *keyTrack {
+	t := o.track(key)
+	t.nodes = append(t.nodes, n)
+	if len(t.nodes) > o.window {
+		t.nodes = t.nodes[1:]
+	}
+	return t
 }
 
 // inTrack reports whether n is still windowed on key (not evicted).
@@ -924,10 +967,11 @@ func (a *refAuditor) tryHeuristicOrders(compKeys map[string]bool, nodes []*audit
 }
 
 // repairOrder hill-climbs from one legal order toward the cell's settled
-// values: for each still-mismatched key, each of its windowed writers is
-// tried at the extremes of its legal slot range (the furthest positions
-// that violate no real-time edge — every candidate stays a legal linear
-// extension), keeping any move that strictly shrinks the mismatch set.
+// values: for each still-mismatched key, each commit in its window (its
+// writers and the readers that could write it) is tried at the extremes
+// of its legal slot range (the furthest positions that violate no
+// real-time edge — every candidate stays a legal linear extension),
+// keeping any move that strictly shrinks the mismatch set.
 // This recovers within-batch serialization orders that wall-clock
 // heuristics cannot see: a group commit resolves many handles at once,
 // so end-time order is blind to the log order inside the batch.
@@ -944,7 +988,7 @@ func (a *refAuditor) repairOrder(compKeys map[string]bool, base map[string]preVa
 	keys:
 		for _, k := range misKeys {
 			for idx, n := range order {
-				if !n.writesKey(k) || !a.order.inTrack(k, n) {
+				if !a.order.inTrack(k, n) {
 					continue
 				}
 				for _, to := range []int{latestLegal(order, idx), earliestLegal(order, idx)} {

@@ -224,6 +224,40 @@ func TestOrderVerdictCountsRealTimeCycle(t *testing.T) {
 	}
 }
 
+// TestOrderVerdictReplaysClaimObservedBeforeItsReserve pins the reserved
+// marketplace's reorder case: the cell ran a reserve and then the checkout
+// that claims it, but the checkout's handle resolved first. The reference
+// therefore replays the claim first; it reads the reservation as absent
+// and writes nothing. The two intervals overlap, so reserve-then-claim is
+// a legal serial order, and it reproduces the cell's zeroed reservation.
+// The verdict can only find that order if the claim is windowed under the
+// key it read and could have written.
+func TestOrderVerdictReplaysClaimObservedBeforeItsReserve(t *testing.T) {
+	audit := NewMarketReservedAuditor()
+	base := time.Now()
+	reserve, _ := json.Marshal(workload.MarketOp{Kind: workload.MarketAddToCart, User: 9, Product: 1, Qty: 1, Price: 539, ResvID: 7})
+	claim, _ := json.Marshal(workload.MarketOp{Kind: workload.MarketCheckout, User: 9, Claims: []int64{7}})
+	observeAt(audit, "claim", workload.MarketCheckout.String(), claim, base.Add(time.Millisecond), base.Add(5*time.Millisecond))
+	observeAt(audit, "reserve", workload.MarketAddToCart.String(), reserve, base, base.Add(10*time.Millisecond))
+	key := workload.ReservationKey(9, 7)
+	if got := DecodeInt(audit.state[key]); got != 539 {
+		t.Fatalf("reference %s = %d, want 539 (claim replayed first)", key, got)
+	}
+	cell := refCell(audit.state)
+	cell.state[key] = EncodeInt(0)
+	cell.state[workload.OrderKey(9)] = EncodeInt(539)
+	anomalies, err := audit.Verify(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(anomalies) != 0 {
+		t.Fatalf("anomalies = %v, want none: reserve-then-claim is serializable", anomalies)
+	}
+	if s := audit.Stats(); s.Reordered != 1 || s.GraphCycles != 0 {
+		t.Fatalf("Stats = %+v, want exactly one suppressed reordering", s)
+	}
+}
+
 // TestAuditorWindowBounded pins the memory bound: hammering one key with
 // order-sensitive writes must not grow its window past auditWindow — the
 // no-full-history-replay guarantee of the live path.
@@ -270,4 +304,16 @@ func TestConcurrencyCellLiveAudit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// RecordDeposit folds one applied deposit into the reference.
+func (a *BankAuditor) RecordDeposit(account int, amount int64) {
+	args, _ := json.Marshal(bankDepositArgs{Account: account, Amount: amount})
+	a.ObserveSerial("deposit", args)
+}
+
+// RecordTransfer folds one applied transfer into the reference.
+func (a *BankAuditor) RecordTransfer(from, to int, amount int64) {
+	args, _ := json.Marshal(bankTransferArgs{From: from, To: to, Amount: amount})
+	a.ObserveSerial("transfer", args)
 }

@@ -165,14 +165,6 @@ func (b *bankCell) Balance(account int) (int64, error) {
 	return DecodeInt(raw), err
 }
 
-// PeekBalance reads a balance without settling — the dirty read an
-// external observer performs, which E7 uses to expose the dataflow cell's
-// missing isolation. Synchronous cells read committed state.
-func (b *bankCell) PeekBalance(account int) int64 {
-	raw, _ := livePeek(b.cell, acctKey(account))
-	return DecodeInt(raw)
-}
-
 func (b *bankCell) Settle() error { return b.cell.Settle() }
 func (b *bankCell) Close()        { b.cell.Close() }
 
@@ -203,16 +195,4 @@ func NewBankAuditor() *BankAuditor {
 			},
 		})
 	return &BankAuditor{newRefAuditor(auditorConfig{app: BankApp(), cons: cons})}
-}
-
-// RecordDeposit folds one applied deposit into the reference.
-func (a *BankAuditor) RecordDeposit(account int, amount int64) {
-	args, _ := json.Marshal(bankDepositArgs{Account: account, Amount: amount})
-	a.ObserveSerial("deposit", args)
-}
-
-// RecordTransfer folds one applied transfer into the reference.
-func (a *BankAuditor) RecordTransfer(from, to int, amount int64) {
-	args, _ := json.Marshal(bankTransferArgs{From: from, To: to, Amount: amount})
-	a.ObserveSerial("transfer", args)
 }

@@ -1,13 +1,14 @@
 // Benchmarks regenerating every experiment in EXPERIMENTS.md. The paper
 // (a tutorial) has no tables; Figure 1 and each comparative claim in the
-// text define the experiments — see DESIGN.md §3 for the index.
+// text define the experiments, and EXPERIMENTS.md is their index.
 //
 // F1, E6, E10 and E16–E24 are views over the experiment registry
 // (internal/experiments): each registry row is one sub-benchmark, run
 // with ops = b.N through the same function cmd/tcabench runs, reporting
-// the metrics the registry entry declares. E1–E5, E7–E9 and E11–E14 are
-// written here, once. The file is an external test package because the
-// registry imports tca.
+// the metrics the registry entry declares. E1, E2, E4, E5 and E7–E9 are
+// written here, once; EXPERIMENTS.md points the retired E3 and E11–E14 at
+// the registry experiments that now carry their claims. The file is an
+// external test package because the registry imports tca.
 //
 // Custom metrics reported alongside ns/op by the benchmarks below:
 //
@@ -16,7 +17,6 @@
 package tca_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -27,18 +27,12 @@ import (
 	"tca/internal/dataflow"
 	"tca/internal/dedup"
 	"tca/internal/experiments"
-	"tca/internal/faas"
 	"tca/internal/fabric"
 	"tca/internal/grid"
-	"tca/internal/kv"
 	"tca/internal/mq"
-	"tca/internal/outbox"
 	"tca/internal/rpc"
-	"tca/internal/saga"
 	"tca/internal/store"
-	"tca/internal/workflow"
 	"tca/internal/workload"
-	"tca/internal/xa"
 )
 
 // --- the registry experiments ----------------------------------------------------
@@ -100,7 +94,8 @@ func BenchmarkE1_ActorTxnOverhead(b *testing.B) {
 		})
 		coord := actor.NewCoordinator(sys)
 		for a := 0; a < accounts; a++ {
-			coord.SeedState(actor.Ref{Type: "acc", ID: fmt.Sprintf("%d", a)}, store.Row{"balance": int64(1 << 40)})
+			ref := actor.Ref{Type: "acc", ID: fmt.Sprintf("%d", a)}
+			coord.Run(nil, func(t *actor.ActorTxn) error { return t.Write(ref, store.Row{"balance": int64(1 << 40)}) })
 		}
 		gen := workload.NewBank(3, accounts, 0)
 
@@ -211,83 +206,6 @@ func BenchmarkE2_DeliveryGuarantees(b *testing.B) {
 	}
 }
 
-// --- E3: saga vs 2PC ---------------------------------------------------------------
-
-func BenchmarkE3_SagaVs2PC(b *testing.B) {
-	for _, parts := range []int{2, 4, 8} {
-		setup := func() (*fabric.Cluster, []*store.DB) {
-			nodes := make([]fabric.NodeID, parts+1)
-			nodes[0] = "coord"
-			dbs := make([]*store.DB, parts)
-			for i := 0; i < parts; i++ {
-				nodes[i+1] = fabric.NodeID(fmt.Sprintf("p%d", i))
-				dbs[i] = store.NewDB(store.Config{Name: fmt.Sprintf("p%d", i)})
-				dbs[i].CreateTable("t")
-			}
-			cfg := fabric.DefaultConfig()
-			return fabric.NewCluster(cfg, nodes...), dbs
-		}
-		b.Run(fmt.Sprintf("2pc/participants=%d", parts), func(b *testing.B) {
-			cl, dbs := setup()
-			coord := xa.NewCoordinator(cl, "coord")
-			names := make([]string, parts)
-			for i, db := range dbs {
-				names[i] = db.Name()
-				coord.Enlist(xa.NewResourceManager(db.Name(), fabric.NodeID(fmt.Sprintf("p%d", i)), db))
-			}
-			var sim int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr := fabric.NewTrace()
-				coord.Run(fmt.Sprintf("g%d", i), names, tr, func(br map[string]*store.Txn) error {
-					for _, name := range names {
-						if err := br[name].Put("t", fmt.Sprintf("k%d", i), store.Row{"v": int64(i)}); err != nil {
-							return err
-						}
-					}
-					return nil
-				})
-				sim += int64(tr.Total())
-			}
-			b.ReportMetric(float64(sim)/float64(b.N)/1e3, "sim-us/op")
-		})
-		b.Run(fmt.Sprintf("saga/participants=%d", parts), func(b *testing.B) {
-			cl, dbs := setup()
-			_ = cl
-			orch := saga.NewOrchestrator(nil)
-			var sim int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr := fabric.NewTrace()
-				steps := make([]saga.Step, parts)
-				for pi := 0; pi < parts; pi++ {
-					db := dbs[pi]
-					node := fabric.NodeID(fmt.Sprintf("p%d", pi))
-					steps[pi] = saga.Step{
-						Name: fmt.Sprintf("s%d", pi),
-						Action: func(c *saga.Ctx) error {
-							cl.Send("coord", node, tr) // request hop
-							err := db.Update(func(tx *store.Txn) error {
-								return tx.Put("t", c.SagaID, store.Row{"v": int64(1)})
-							})
-							cl.Send(node, "coord", tr) // reply hop
-							return err
-						},
-						Compensate: func(c *saga.Ctx) error {
-							return db.Update(func(tx *store.Txn) error {
-								return tx.Delete("t", c.SagaID)
-							})
-						},
-					}
-				}
-				orch.Execute(&saga.Definition{Name: "bench", Steps: steps}, fmt.Sprintf("s%d", i), nil)
-				sim += int64(tr.Total())
-			}
-			b.ReportMetric(float64(sim)/float64(b.N)/1e3, "sim-us/op")
-		})
-	}
-}
-
 // --- E4: shared vs per-service database ---------------------------------------------
 
 func BenchmarkE4_SharedVsPerServiceDB(b *testing.B) {
@@ -343,34 +261,38 @@ func BenchmarkE4_SharedVsPerServiceDB(b *testing.B) {
 
 // --- E5: embedded vs external state ---------------------------------------------------
 
+// BenchmarkE5_EmbeddedVsExternal runs the same committed-row read twice:
+// against a store.DB in the caller's process (embedded state: no network
+// hop at all) and through an RPC endpoint in front of that store (external
+// state: a request and a reply hop on the fabric).
 func BenchmarkE5_EmbeddedVsExternal(b *testing.B) {
-	b.Run("embedded-kv", func(b *testing.B) {
-		s := kv.NewMemory()
-		defer s.Close()
-		s.Put("k", []byte("v"))
-		var sim int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s.Get("k")
-			// Embedded state: no network hop at all.
-		}
-		b.ReportMetric(float64(sim)/float64(b.N)/1e3, "sim-us/op")
-	})
-	b.Run("external-db-rpc", func(b *testing.B) {
-		cl := fabric.NewCluster(fabric.DefaultConfig(), "app", "db")
-		tr := rpc.NewTransport(cl)
+	newDB := func() func() []byte {
 		db := store.NewDB(store.Config{})
 		db.CreateTable("t")
 		db.Update(func(tx *store.Txn) error { return tx.Put("t", "k", store.Row{"v": int64(1)}) })
-		tr.Register("get", "db", func(c *rpc.Call, req []byte) ([]byte, error) {
+		return func() []byte {
 			var out []byte
 			db.View(func(tx *store.Txn) error {
 				row, _, _ := tx.Get("t", "k")
 				out = []byte(fmt.Sprint(row.Int("v")))
 				return nil
 			})
-			return out, nil
-		})
+			return out
+		}
+	}
+	b.Run("embedded-db", func(b *testing.B) {
+		get := newDB()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			get()
+		}
+		b.ReportMetric(0, "sim-us/op")
+	})
+	b.Run("external-db-rpc", func(b *testing.B) {
+		get := newDB()
+		cl := fabric.NewCluster(fabric.DefaultConfig(), "app", "db")
+		tr := rpc.NewTransport(cl)
+		tr.Register("get", "db", func(c *rpc.Call, req []byte) ([]byte, error) { return get(), nil })
 		var sim int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -526,162 +448,6 @@ func BenchmarkE9_IdempotencyOverhead(b *testing.B) {
 					over = 0
 				}
 				b.ReportMetric(float64(over), "duplicate-effects")
-			})
-		}
-	}
-}
-
-// --- E11: entity critical sections ----------------------------------------------------------------
-
-func BenchmarkE11_EntityLocks(b *testing.B) {
-	p := faas.NewPlatform(fabric.SingleNode(), faas.DefaultConfig())
-	em := p.Entities()
-	a1 := faas.EntityID{Type: "acc", ID: "1"}
-	a2 := faas.EntityID{Type: "acc", ID: "2"}
-	em.Signal(a1, func(store.Row) (store.Row, error) { return store.Row{"balance": int64(1 << 40)}, nil })
-	em.Signal(a2, func(store.Row) (store.Row, error) { return store.Row{"balance": int64(1 << 40)}, nil })
-	b.Run("single-entity-signal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			em.Signal(a1, func(s store.Row) (store.Row, error) {
-				return store.Row{"balance": s.Int("balance") + 1}, nil
-			})
-		}
-	})
-	b.Run("two-entity-critical-section", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cs := em.Lock(a1, a2)
-			cs.Update(a1, func(s store.Row) (store.Row, error) {
-				return store.Row{"balance": s.Int("balance") - 1}, nil
-			})
-			cs.Update(a2, func(s store.Row) (store.Row, error) {
-				return store.Row{"balance": s.Int("balance") + 1}, nil
-			})
-			cs.Unlock()
-		}
-	})
-}
-
-// --- E12: workflow replay cost ----------------------------------------------------------------------
-
-func BenchmarkE12_WorkflowReplay(b *testing.B) {
-	for _, steps := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("history=%d", steps), func(b *testing.B) {
-			e := workflow.NewEngine(nil)
-			e.Register("wf", func(ctx *workflow.Ctx) error {
-				for i := 0; i < steps; i++ {
-					if _, err := ctx.Activity(fmt.Sprintf("s%d", i), func() ([]byte, error) {
-						return []byte("r"), nil
-					}); err != nil {
-						return err
-					}
-				}
-				// A worker crash keeps the status "running", so every Run
-				// replays the full history — exactly what we measure.
-				return workflow.ErrCrashInjected
-			})
-			e.Run("wf", "warm") // builds the history once
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Run("wf", "warm")
-			}
-		})
-	}
-}
-
-// --- E13: outbox vs dual write -------------------------------------------------------------------------
-
-func BenchmarkE13_OutboxVsDualWrite(b *testing.B) {
-	b.Run("dual-write-crashes", func(b *testing.B) {
-		db := store.NewDB(store.Config{})
-		db.CreateTable("orders")
-		broker := mq.NewBroker()
-		broker.CreateTopic("events", 1)
-		w := &outbox.DualWriter{DB: db, Broker: broker}
-		lost, phantom := 0, 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			crash := outbox.NoCrash
-			switch i % 10 { // 20% crash rate, split between the two points
-			case 0:
-				crash = outbox.CrashAfterDB
-				lost++
-			case 1:
-				crash = outbox.CrashAfterPublish
-				phantom++
-			}
-			w.Write("orders", fmt.Sprintf("o%d", i), store.Row{"v": int64(i)},
-				outbox.Event{ID: fmt.Sprintf("e%d", i), Topic: "events", Key: "k"}, crash)
-		}
-		b.ReportMetric(float64(lost+phantom), "anomalies")
-	})
-	b.Run("outbox", func(b *testing.B) {
-		db := store.NewDB(store.Config{})
-		db.CreateTable("orders")
-		broker := mq.NewBroker()
-		broker.CreateTopic("events", 1)
-		relay := outbox.NewRelay(db, broker)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			outbox.TransactionalWrite(db, int64(i), "orders", fmt.Sprintf("o%d", i),
-				store.Row{"v": int64(i)},
-				outbox.Event{ID: fmt.Sprintf("e%d", i), Topic: "events", Key: "k"})
-			if i%16 == 0 {
-				relay.Drain()
-			}
-		}
-		relay.Drain()
-		b.StopTimer()
-		hw, _ := broker.HighWater(mq.TopicPartition{Topic: "events", Partition: 0})
-		anomalies := int64(b.N) - hw
-		if anomalies < 0 {
-			anomalies = 0 // redeliveries are dedupable, not anomalies
-		}
-		b.ReportMetric(float64(anomalies), "anomalies")
-	})
-}
-
-// --- E14: TPC-C subset across coordination styles ----------------------------------------------------------
-
-func BenchmarkE14_TPCC(b *testing.B) {
-	// Throughput measurement: parallel clients pipeline their requests,
-	// which is where the deterministic runtime's lack of coordination pays
-	// off and where 2PC's lock windows bite. All three styles now run the
-	// real TPCCApp bodies through the application layer.
-	styles := []struct {
-		name  string
-		model tca.ProgrammingModel
-	}{
-		{"core", tca.Deterministic},
-		{"actor-2pc", tca.Actors},
-		{"saga", tca.Microservices},
-	}
-	for _, warehouses := range []int{1, 4} {
-		cfg := workload.DefaultTPCCConfig(warehouses)
-		for _, style := range styles {
-			b.Run(fmt.Sprintf("%s/wh=%d", style.name, warehouses), func(b *testing.B) {
-				env := tca.NewEnv(1, 3)
-				// Workers widens the core cell for the parallel clients;
-				// Clients keeps the sync cells' worker pool above
-				// RunParallel's goroutine count so the pool never caps
-				// this benchmark's concurrency.
-				cell, err := tca.DeployWith(style.model, tca.TPCCApp(), env, tca.Options{Workers: 16, Clients: 64})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer cell.Close()
-				var seq, sim atomic.Int64
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					gen := workload.NewTPCC(seq.Add(1), cfg)
-					for pb.Next() {
-						op := gen.Next()
-						args, _ := json.Marshal(op)
-						tr := fabric.NewTrace()
-						cell.Invoke(fmt.Sprintf("t%d", seq.Add(1)), op.Kind.String(), args, tr)
-						sim.Add(int64(tr.Total()))
-					}
-				})
-				b.ReportMetric(float64(sim.Load())/float64(b.N)/1e3, "sim-us/op")
 			})
 		}
 	}

@@ -10,8 +10,8 @@ import (
 // transactions: every key is a virtual actor's transactional state, and an
 // op runs as one ACID transaction (2PL + 2PC) across the actors it
 // touches. Serializable but blocking — lock acquisition plus two commit
-// rounds per participant node is exactly the coordination cost E1/E14
-// measure. 2PL + 2PC is blocking per transaction, so pipelining is the
+// rounds per participant node is exactly the coordination cost E1 and the
+// actor rows of E17/E20 measure. 2PL + 2PC is blocking per transaction, so pipelining is the
 // pool's client-side concurrency — and with it come the lock conflicts,
 // wounds, and retries the serial drivers never provoked.
 type actorExec struct {

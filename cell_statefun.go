@@ -176,13 +176,6 @@ func (c *statefunExec) trap(h statefun.Handler) statefun.Handler {
 	}
 }
 
-// handlerErrors returns the number of dropped (errored) handler
-// invocations and the most recent error.
-func (c *statefunExec) handlerErrors() (int64, error) {
-	box, _ := c.lastHandlerErr.Load().(sfErrBox)
-	return c.handlerErrs.Load(), box.err
-}
-
 // resolveDone completes the in-flight handle whose result record landed.
 func (c *statefunExec) resolveDone(reqID string, value []byte) {
 	var out sfDone

@@ -196,14 +196,6 @@ func (s *System) Register(actorType string, f Factory) {
 	s.factories[actorType] = f
 }
 
-// ActivationCount reports the number of live activations (gauge for the
-// lifecycle experiments).
-func (s *System) ActivationCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.activations)
-}
-
 // activationFor returns (activating on demand) the actor's activation.
 // Placement is by consistent hash over alive nodes; when the cluster epoch
 // moved (crash/restart), placements are revalidated and dead-node
@@ -392,19 +384,6 @@ func (s *System) saveState(ref Ref, state store.Row) error {
 		return err
 	}
 	return tx.Commit()
-}
-
-// Deactivate removes an idle activation (resource management); its state
-// survives in storage and the next message re-activates it.
-func (s *System) Deactivate(ref Ref) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := ref.String()
-	if a, ok := s.activations[key]; ok {
-		a.shutdown()
-		delete(s.activations, key)
-		s.metrics.Counter("actor.deactivations").Inc()
-	}
 }
 
 // Stop shuts the whole system down.

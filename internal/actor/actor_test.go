@@ -437,3 +437,34 @@ func TestTxnChargesCoordinationHops(t *testing.T) {
 		t.Fatalf("txn hops = %d, want >= 6 (2PC coordination)", txn.Hops())
 	}
 }
+
+// ActivationCount reports the number of live activations.
+func (s *System) ActivationCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.activations)
+}
+
+// Deactivate removes an idle activation (resource management); its state
+// survives in storage and the next message re-activates it.
+func (s *System) Deactivate(ref Ref) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	key := ref.String()
+	if a, ok := s.activations[key]; ok {
+		a.shutdown()
+		delete(s.activations, key)
+		s.metrics.Counter("actor.deactivations").Inc()
+	}
+}
+
+// SeedState initializes transactional state without charging
+// coordination.
+func (c *Coordinator) SeedState(ref Ref, state store.Row) error {
+	tx := c.sys.db.Begin(store.ReadCommitted)
+	if err := tx.Put("actor_txn_state", ref.String(), state); err != nil {
+		tx.Abort()
+		return err
+	}
+	return tx.Commit()
+}

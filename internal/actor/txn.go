@@ -172,14 +172,3 @@ func (c *Coordinator) ReadState(ref Ref) (store.Row, bool, error) {
 	defer tx.Abort()
 	return tx.Get("actor_txn_state", ref.String())
 }
-
-// SeedState initializes transactional state without charging coordination
-// (test/workload setup).
-func (c *Coordinator) SeedState(ref Ref, state store.Row) error {
-	tx := c.sys.db.Begin(store.ReadCommitted)
-	if err := tx.Put("actor_txn_state", ref.String(), state); err != nil {
-		tx.Abort()
-		return err
-	}
-	return tx.Commit()
-}

@@ -12,7 +12,7 @@
 //     parallel. The schedule is conflict-equivalent to the serial order of
 //     the log, so the system is serializable *without* locks held across
 //     messages and *without* 2PC — the cost the Orleans-style coordinator
-//     pays (experiments E1/E14 quantify the difference).
+//     pays (E1 and the actor rows of E17/E20 quantify the difference).
 //   - Exactly-once: state snapshots are taken together with the input
 //     offsets; recovery reloads the snapshot and replays the log suffix.
 //     Determinism makes the replay bit-for-bit identical, and a result

@@ -31,10 +31,9 @@ import (
 //	member  payload N
 //
 // The root makes each group tamper-evident beyond the per-record CRC: a
-// rewrite that fixes up the CRC still breaks the root, and a stored proof
-// path (wal.MerkleProof) verifies any single member against its root in
-// O(log n) hashes. Recovery replays the partition logs through
-// verification and distinguishes three endings:
+// rewrite that fixes up the CRC still breaks the root. Recovery replays
+// the partition logs through verification and distinguishes three
+// endings:
 //
 //   - clean truncation — the record stream ends exactly at a group
 //     boundary: normal, nothing flagged;

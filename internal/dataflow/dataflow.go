@@ -294,15 +294,6 @@ func (j *Job) TriggerCheckpoint() (uint64, error) {
 	return epoch, nil
 }
 
-// LatestCheckpoint returns the last completed checkpoint epoch (0 = none).
-func (j *Job) LatestCheckpoint() uint64 {
-	ck := j.ckptmgr.latest()
-	if ck == nil {
-		return 0
-	}
-	return ck.epoch
-}
-
 // Lag returns unprocessed source records plus in-flight records — zero
 // means the job is quiescent.
 func (j *Job) Lag() int64 {
@@ -327,20 +318,4 @@ func (j *Job) WaitIdle(timeout time.Duration) error {
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-}
-
-// StateLen returns the total number of state keys across all instances of
-// stage (for checkpoint sizing experiments).
-func (j *Job) StateLen(stage int) int {
-	j.mu.Lock()
-	rt := j.rt
-	j.mu.Unlock()
-	if rt == nil || stage >= len(rt.stages) {
-		return 0
-	}
-	n := 0
-	for _, inst := range rt.stages[stage] {
-		n += len(inst.state.m)
-	}
-	return n
 }

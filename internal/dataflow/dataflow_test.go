@@ -413,3 +413,28 @@ func TestBarrierAlignmentUnderLoad(t *testing.T) {
 		}
 	}
 }
+
+// LatestCheckpoint returns the last completed checkpoint epoch (0 = none).
+func (j *Job) LatestCheckpoint() uint64 {
+	ck := j.ckptmgr.latest()
+	if ck == nil {
+		return 0
+	}
+	return ck.epoch
+}
+
+// StateLen returns the total number of state keys across all instances of
+// stage.
+func (j *Job) StateLen(stage int) int {
+	j.mu.Lock()
+	rt := j.rt
+	j.mu.Unlock()
+	if rt == nil || stage >= len(rt.stages) {
+		return 0
+	}
+	n := 0
+	for _, inst := range rt.stages[stage] {
+		n += len(inst.state.m)
+	}
+	return n
+}

@@ -40,12 +40,6 @@ func New(ttl time.Duration) *Store {
 	return &Store{ttl: ttl, now: time.Now, m: make(map[string]entry)}
 }
 
-// NewWithClock creates a store with a custom time source for deterministic
-// tests.
-func NewWithClock(ttl time.Duration, now func() time.Time) *Store {
-	return &Store{ttl: ttl, now: now, m: make(map[string]entry)}
-}
-
 // Check returns the recorded response for key, if any.
 func (s *Store) Check(key string) (resp []byte, err error, seen bool) {
 	s.mu.Lock()

@@ -8,6 +8,14 @@ import (
 	"time"
 )
 
+// newWithClock creates a store with a custom time source, so TTL expiry is
+// deterministic.
+func newWithClock(ttl time.Duration, now func() time.Time) *Store {
+	s := New(ttl)
+	s.now = now
+	return s
+}
+
 func TestDoFirstExecutesThenDedups(t *testing.T) {
 	s := New(0)
 	calls := 0
@@ -56,7 +64,7 @@ func TestDistinctKeysIndependent(t *testing.T) {
 
 func TestTTLExpiry(t *testing.T) {
 	now := time.Unix(0, 0)
-	s := NewWithClock(time.Minute, func() time.Time { return now })
+	s := newWithClock(time.Minute, func() time.Time { return now })
 	calls := 0
 	fn := func() ([]byte, error) { calls++; return nil, nil }
 	s.Do("k", fn)
@@ -74,7 +82,7 @@ func TestTTLExpiry(t *testing.T) {
 
 func TestSweep(t *testing.T) {
 	now := time.Unix(0, 0)
-	s := NewWithClock(time.Minute, func() time.Time { return now })
+	s := newWithClock(time.Minute, func() time.Time { return now })
 	s.Save("a", nil, nil)
 	s.Save("b", nil, nil)
 	now = now.Add(2 * time.Minute)

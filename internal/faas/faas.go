@@ -258,30 +258,9 @@ func (p *Platform) EvictIdle(fn string) error {
 	return nil
 }
 
-// Warm pre-provisions n warm containers (provisioned concurrency).
-func (p *Platform) Warm(fn string, n int) error {
-	p.mu.RLock()
-	f, ok := p.fns[fn]
-	p.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNoFunction, fn)
-	}
-	f.mu.Lock()
-	f.warm = min(n, f.pool)
-	f.mu.Unlock()
-	return nil
-}
-
 // Stop rejects further invocations.
 func (p *Platform) Stop() {
 	p.mu.Lock()
 	p.stopped = true
 	p.mu.Unlock()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

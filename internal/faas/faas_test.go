@@ -2,6 +2,7 @@ package faas
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -385,4 +386,18 @@ func TestSharedSessionInvocationIntegration(t *testing.T) {
 	if string(v) != "hello" {
 		t.Fatalf("shared read = %q", v)
 	}
+}
+
+// Warm pre-provisions n warm containers (provisioned concurrency).
+func (p *Platform) Warm(fn string, n int) error {
+	p.mu.RLock()
+	f, ok := p.fns[fn]
+	p.mu.RUnlock()
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNoFunction, fn)
+	}
+	f.mu.Lock()
+	f.warm = min(n, f.pool)
+	f.mu.Unlock()
+	return nil
 }

@@ -171,16 +171,6 @@ func (c *Cluster) Nodes() []NodeID {
 	return out
 }
 
-// AddNode adds a node to the cluster (scale-out).
-func (c *Cluster) AddNode(n NodeID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.nodes[n]; !ok {
-		c.nodes[n] = &nodeState{up: true}
-		c.epoch++
-	}
-}
-
 // Crash marks a node as down. Messages to/from it fail until Restart.
 func (c *Cluster) Crash(n NodeID) error {
 	c.mu.Lock()
@@ -247,13 +237,6 @@ func (c *Cluster) SetRegion(n NodeID, region string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.regions[n] = region
-}
-
-// RegionOf returns the region node n was placed in ("" if unplaced).
-func (c *Cluster) RegionOf(n NodeID) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.regions[n]
 }
 
 // Partition severs the link between a and b in both directions.

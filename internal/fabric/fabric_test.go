@@ -229,3 +229,13 @@ func TestSingleNode(t *testing.T) {
 		t.Fatalf("loopback on single node: %v", d.Err)
 	}
 }
+
+// AddNode adds a node to the cluster (scale-out).
+func (c *Cluster) AddNode(n NodeID) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.nodes[n]; !ok {
+		c.nodes[n] = &nodeState{up: true}
+		c.epoch++
+	}
+}

@@ -63,16 +63,6 @@ func (c *Ctx) Call(service, op string, req []byte) ([]byte, error) {
 	})
 }
 
-// CallIdempotent is Call with an idempotency key attached, so the callee's
-// middleware (if configured) dedups retries.
-func (c *Ctx) CallIdempotent(service, op string, req []byte, key string) ([]byte, error) {
-	return c.Service.dep.call(c.Service.node, service, op, req, c.RPC.Trace, rpc.CallOptions{
-		Retries:        c.Service.cfg.CallRetries,
-		RetryBackoff:   c.Service.cfg.CallBackoff,
-		IdempotencyKey: key,
-	})
-}
-
 // ServiceConfig describes one service.
 type ServiceConfig struct {
 	// Name is the service name, unique within the deployment.

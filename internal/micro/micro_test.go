@@ -270,3 +270,13 @@ func TestCallRetriesConfigured(t *testing.T) {
 		t.Fatalf("retries did not help: %d vs %d", withRetries, withoutRetries)
 	}
 }
+
+// CallIdempotent is Call with an idempotency key attached, so the callee's
+// middleware (if configured) dedups retries.
+func (c *Ctx) CallIdempotent(service, op string, req []byte, key string) ([]byte, error) {
+	return c.Service.dep.call(c.Service.node, service, op, req, c.RPC.Trace, rpc.CallOptions{
+		Retries:        c.Service.cfg.CallRetries,
+		RetryBackoff:   c.Service.cfg.CallBackoff,
+		IdempotencyKey: key,
+	})
+}

@@ -63,24 +63,6 @@ func (b *Broker) NewConsumer(group string, mode DeliveryMode, topics ...string) 
 	return c, nil
 }
 
-// NewPartitionConsumer creates a consumer assigned exactly the given
-// partitions (used when multiple consumers split a topic).
-func (b *Broker) NewPartitionConsumer(group string, mode DeliveryMode, parts ...TopicPartition) *Consumer {
-	return &Consumer{b: b, group: group, mode: mode, assigned: parts, pending: make(map[TopicPartition]int64)}
-}
-
-// Group returns the consumer's group id.
-func (c *Consumer) Group() string { return c.group }
-
-// Assignment returns the consumer's partitions.
-func (c *Consumer) Assignment() []TopicPartition {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]TopicPartition, len(c.assigned))
-	copy(out, c.assigned)
-	return out
-}
-
 // Poll fetches up to max messages, rotating over assigned partitions.
 // Returns nil when nothing is available.
 //

@@ -11,8 +11,8 @@
 // redelivers), so events carry unique ids for consumer-side dedup —
 // exactly-once end to end is, as always, dedup at the edge (§3.2).
 //
-// For experiment E13 the package also provides DualWriter, the broken
-// pattern, with a crash-injection point between the two writes.
+// The package also provides DualWriter, the broken pattern, with a
+// crash-injection point between the two writes.
 package outbox
 
 import (
@@ -177,7 +177,7 @@ const (
 )
 
 // DualWriter performs the broken two-separate-writes pattern, with an
-// injectable crash for the anomaly experiment (E13).
+// injectable crash between the two writes.
 type DualWriter struct {
 	DB     *store.DB
 	Broker *mq.Broker

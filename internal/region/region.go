@@ -26,7 +26,6 @@ import (
 // Topology declares N regions and the WAN between them.
 type Topology struct {
 	names []string
-	index map[string]int
 	wan   time.Duration // default pair latency
 	pct   int           // jitter percent, fabric convention
 
@@ -47,17 +46,17 @@ func New(cfg fabric.Config, names ...string) *Topology {
 	}
 	t := &Topology{
 		names:    append([]string(nil), names...),
-		index:    make(map[string]int, len(names)),
 		wan:      cfg.CrossRegionLatency,
 		pct:      cfg.LatencyJitterPct,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		override: make(map[[2]string]time.Duration),
 	}
-	for i, n := range names {
-		if _, dup := t.index[n]; dup {
+	seen := make(map[string]bool, len(names))
+	for _, n := range names {
+		if seen[n] {
 			panic(fmt.Sprintf("region: duplicate region %q", n))
 		}
-		t.index[n] = i
+		seen[n] = true
 	}
 	return t
 }
@@ -68,27 +67,11 @@ func (t *Topology) Names() []string { return append([]string(nil), t.names...) }
 // Size returns the number of regions.
 func (t *Topology) Size() int { return len(t.names) }
 
-// Index returns the declaration position of a region, -1 if unknown.
-func (t *Topology) Index(name string) int {
-	if i, ok := t.index[name]; ok {
-		return i
-	}
-	return -1
-}
-
 func pair(a, b string) [2]string {
 	if a > b {
 		a, b = b, a
 	}
 	return [2]string{a, b}
-}
-
-// SetLatency overrides the WAN base latency for one pair (both
-// directions — the modeled WAN is symmetric).
-func (t *Topology) SetLatency(a, b string, d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.override[pair(a, b)] = d
 }
 
 // Base returns the un-jittered WAN latency between two regions: zero

@@ -81,3 +81,11 @@ func TestChargeAccumulatesOnTrace(t *testing.T) {
 		t.Fatalf("hops = %d, want 1", tr.Hops())
 	}
 }
+
+// SetLatency overrides the WAN base latency for one pair (both
+// directions — the modeled WAN is symmetric).
+func (t *Topology) SetLatency(a, b string, d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.override[pair(a, b)] = d
+}

@@ -87,13 +87,6 @@ func (t *Transport) Register(name string, node fabric.NodeID, h Handler) {
 	t.endpoints[name] = &endpoint{name: name, node: node, handler: h}
 }
 
-// Unregister removes an endpoint.
-func (t *Transport) Unregister(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.endpoints, name)
-}
-
 func (t *Transport) lookup(name string) (*endpoint, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -114,11 +107,6 @@ type CallOptions struct {
 	RetryBackoff time.Duration
 	// IdempotencyKey is attached to every attempt of this logical call.
 	IdempotencyKey string
-}
-
-// DefaultCallOptions retries 3 times with a 2ms simulated timeout.
-func DefaultCallOptions() CallOptions {
-	return CallOptions{Retries: 3, RetryBackoff: 2 * time.Millisecond}
 }
 
 // Call performs one logical request from src to the named endpoint.

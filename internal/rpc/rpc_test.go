@@ -210,3 +210,15 @@ func TestRetryBackoffChargedToTrace(t *testing.T) {
 		t.Fatalf("trace %v should include 3 retry backoffs of %v", trace.Total(), backoff)
 	}
 }
+
+// DefaultCallOptions retries 3 times with a 2ms simulated timeout.
+func DefaultCallOptions() CallOptions {
+	return CallOptions{Retries: 3, RetryBackoff: 2 * time.Millisecond}
+}
+
+// Unregister removes an endpoint.
+func (t *Transport) Unregister(name string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.endpoints, name)
+}

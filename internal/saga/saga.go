@@ -6,8 +6,8 @@
 // compensations of steps i-1..0 run in reverse order. The saga guarantees
 // *atomicity eventually* (every saga either completes or is fully
 // compensated) but provides **no isolation**: other requests observe the
-// intermediate states — the fundamental contrast with 2PC (internal/xa)
-// that experiment E3 measures.
+// intermediate states — the fundamental contrast with the actor cell's 2PC
+// that E17 and E20 measure as the microservices cell's anomalies.
 //
 // The orchestrator persists a saga log before and after every action, so a
 // crashed orchestrator resumes (or compensates) in-flight sagas on restart

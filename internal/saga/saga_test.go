@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
-	"tca/internal/mq"
 	"tca/internal/store"
 )
 
@@ -227,60 +225,6 @@ func TestSagaNoIsolationDirtyReads(t *testing.T) {
 	}
 	if env.get("iso1/flight") != 0 {
 		t.Fatal("compensation failed")
-	}
-}
-
-// --- choreography ------------------------------------------------------------
-
-func TestChoreographyCompletes(t *testing.T) {
-	env := newBookingEnv()
-	broker := mq.NewBroker()
-	ch := NewChoreography(broker, "trip", env.def(""))
-	ch.Start()
-	defer ch.Stop()
-	if err := ch.Run("c1", map[string]any{}, 5*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	for _, svc := range []string{"flight", "hotel", "payment"} {
-		if env.get("c1/"+svc) != 1 {
-			t.Fatalf("%s not booked", svc)
-		}
-	}
-}
-
-func TestChoreographyCompensates(t *testing.T) {
-	env := newBookingEnv()
-	broker := mq.NewBroker()
-	ch := NewChoreography(broker, "trip2", env.def("payment"))
-	ch.Start()
-	defer ch.Stop()
-	err := ch.Run("c2", map[string]any{}, 5*time.Second)
-	if !errors.Is(err, ErrCompensated) {
-		t.Fatalf("err = %v, want ErrCompensated", err)
-	}
-	for _, svc := range []string{"flight", "hotel"} {
-		if env.get("c2/"+svc) != 0 {
-			t.Fatalf("%s left booked", svc)
-		}
-	}
-}
-
-func TestChoreographyConcurrentInstances(t *testing.T) {
-	env := newBookingEnv()
-	broker := mq.NewBroker()
-	ch := NewChoreography(broker, "trip3", env.def(""))
-	ch.Start()
-	defer ch.Stop()
-	errs := make(chan error, 10)
-	for i := 0; i < 10; i++ {
-		go func(i int) {
-			errs <- ch.Run(fmt.Sprintf("cc%d", i), map[string]any{}, 5*time.Second)
-		}(i)
-	}
-	for i := 0; i < 10; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -10,9 +10,9 @@
 //     (OCC in the style of Silo), which admits only serializable schedules.
 //   - Locking2PL: strict two-phase locking with wound-wait deadlock
 //     avoidance. This mode supports Prepare (locks held across the prepare
-//     window), which is what the XA/2PC participant (internal/xa) and the
-//     Orleans-style actor transaction coordinator build on — and is the
-//     source of the "blocking protocol" costs §4.2 discusses.
+//     window), which is what the Orleans-style actor transaction
+//     coordinator (internal/actor) builds on — and is the source of the
+//     "blocking protocol" costs §4.2 discusses.
 //
 // Each key keeps a version chain, oldest first: a commit appends, a read
 // scans from the newest end. Every transaction, whatever its isolation,

@@ -1,8 +1,9 @@
-// Package vclock provides the logical time primitives used across the
-// repository: Lamport clocks, hybrid logical clocks (HLC), and vector clocks.
-// Vector clocks back the causally consistent shared-state store used by the
+// Package vclock provides logical time primitives: Lamport clocks, hybrid
+// logical clocks (HLC), and vector clocks. Lamport clocks stamp the geo
+// layer's last-writer-wins versions and the auditor's serial instants;
+// vector clocks back the causally consistent shared-state store of the
 // cloud-functions runtime (the Cloudburst-style design surveyed in §4.2 of
-// the paper); HLCs provide commit timestamps for the MVCC stores.
+// the paper). Nothing in the system uses the HLC.
 package vclock
 
 import (

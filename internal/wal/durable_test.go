@@ -10,6 +10,16 @@ import (
 // what a crash cannot take back — everything at or below the watermark
 // survived an fsync (or needs none).
 
+// DurableIndex returns the sync watermark: every record with index below
+// it has been covered by an fsync. Under SyncOnAppend it always equals
+// Len(); under SyncInterval it trails Len() by up to one flush period —
+// the gap WaitDurable exists to close.
+func (l *Log) DurableIndex() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.durable
+}
+
 func TestDurableIndexTracksSyncOnAppend(t *testing.T) {
 	l := openT(t, t.TempDir(), Options{SyncOnAppend: true})
 	defer l.Close()

@@ -6,9 +6,8 @@ import "crypto/sha256"
 // beyond the per-record CRC: the CRC catches torn or bit-rotted records,
 // but an attacker (or a buggy tool) that rewrites a payload *and* its CRC
 // passes replay silently. A batch root commits to every member payload at
-// once, and a stored proof path lets any single record be verified against
-// the root in O(log n) hashes — the incremental-integrity idea (check the
-// delta, not the whole history) applied to the log itself.
+// once, so recovery checks a whole group with one comparison
+// (internal/core stores each group's root in its header record).
 //
 // Construction: leaf = H(0x00 || payload), node = H(0x01 || left || right),
 // with an odd node promoted unchanged to the next level. Domain-separating
@@ -65,55 +64,4 @@ func MerkleRoot(payloads [][]byte) [HashSize]byte {
 		level = next
 	}
 	return level[0]
-}
-
-// ProofStep is one sibling on a Merkle proof path. Left reports the sibling
-// sits to the left of the running hash.
-type ProofStep struct {
-	Sibling [HashSize]byte
-	Left    bool
-}
-
-// MerkleProof returns the proof path for payload i: the ⌈log2 n⌉ (or fewer,
-// with promoted odd nodes) siblings that hash the leaf up to the root.
-// Returns nil when i is out of range.
-func MerkleProof(payloads [][]byte, i int) []ProofStep {
-	if i < 0 || i >= len(payloads) {
-		return nil
-	}
-	level := make([][HashSize]byte, len(payloads))
-	for j, p := range payloads {
-		level[j] = LeafHash(p)
-	}
-	var proof []ProofStep
-	for len(level) > 1 {
-		if sib := i ^ 1; sib < len(level) {
-			proof = append(proof, ProofStep{Sibling: level[sib], Left: sib < i})
-		}
-		next := make([][HashSize]byte, 0, (len(level)+1)/2)
-		for j := 0; j < len(level); j += 2 {
-			if j+1 < len(level) {
-				next = append(next, nodeHash(level[j], level[j+1]))
-			} else {
-				next = append(next, level[j])
-			}
-		}
-		level = next
-		i /= 2
-	}
-	return proof
-}
-
-// VerifyProof checks payload against root using the proof path from
-// MerkleProof — O(len(proof)) = O(log n) hashes, no other payloads needed.
-func VerifyProof(root [HashSize]byte, payload []byte, proof []ProofStep) bool {
-	h := LeafHash(payload)
-	for _, step := range proof {
-		if step.Left {
-			h = nodeHash(step.Sibling, h)
-		} else {
-			h = nodeHash(h, step.Sibling)
-		}
-	}
-	return h == root
 }

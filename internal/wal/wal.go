@@ -1,8 +1,8 @@
 // Package wal implements a segmented, checksummed write-ahead log. It is the
-// durability substrate for the embedded key-value store (internal/kv), the
-// message broker (internal/mq), the saga and workflow logs, and the 2PC
-// coordinator log — every place where the paper's systems survey requires
-// "persist, then act" (§3.3, §4.1).
+// durability substrate of the deterministic core's input log
+// (internal/core), which appends and fsyncs every group before sequencing
+// it — the "persist, then act" the paper's systems survey requires (§3.3,
+// §4.1).
 //
 // Record format (little endian):
 //
@@ -350,16 +350,6 @@ func (l *Log) markDurableLocked(n uint64) {
 func (l *Log) broadcastLocked() {
 	close(l.syncGen)
 	l.syncGen = make(chan struct{})
-}
-
-// DurableIndex returns the sync watermark: every record with index below
-// it has been covered by an fsync. Under SyncOnAppend it always equals
-// Len(); under SyncInterval it trails Len() by up to one flush period —
-// the gap WaitDurable exists to close.
-func (l *Log) DurableIndex() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.durable
 }
 
 // WaitDurable blocks until the sync watermark reaches end (record indexes

@@ -250,7 +250,8 @@ func TestHistoryLen(t *testing.T) {
 }
 
 func TestLongHistoryReplayCost(t *testing.T) {
-	// Replay cost grows with history length — the property E12 measures.
+	// Replay cost grows with history length: every run re-executes the
+	// recorded history.
 	e := NewEngine(nil)
 	const steps = 200
 	e.Register("long", func(ctx *Ctx) error {

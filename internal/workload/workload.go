@@ -617,9 +617,6 @@ func (g *SocialGen) nextChurn() (SocialOp, bool) {
 	return SocialOp{}, false
 }
 
-// FollowerCount returns user u's follower count (graph inspection).
-func (g *SocialGen) FollowerCount(u int) int { return len(g.followers[u]) }
-
 // Followers returns a copy of user u's current follower list.
 func (g *SocialGen) Followers(u int) []int {
 	return append([]int(nil), g.followers[u]...)

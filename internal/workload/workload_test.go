@@ -472,3 +472,6 @@ func TestSocialOpKeysByKind(t *testing.T) {
 		t.Fatalf("follow keys = %v", got)
 	}
 }
+
+// FollowerCount returns user u's follower count (graph inspection).
+func (g *SocialGen) FollowerCount(u int) int { return len(g.followers[u]) }

@@ -234,6 +234,3 @@ func (s *Session) Errors() int64 { return s.errs.Load() }
 // Retries returns how many shed-retry attempts the session has made
 // beyond first submissions.
 func (s *Session) Retries() int64 { return s.retries.Load() }
-
-// Submitted returns how many submissions the session has issued.
-func (s *Session) Submitted() int64 { return s.seq.Load() }

@@ -187,9 +187,9 @@
 //     interval. Commutative ops — Add, PushCap — merge by replay on the
 //     remote replica (PushCap's capped newest-ids list is a bounded CRDT:
 //     the merge keeps the global top-cap ids regardless of arrival
-//     order), and Put conflicts resolve last-writer-wins on hybrid
-//     vector-clock timestamps, with a reconcile round forcing the global
-//     winner everywhere on Drain. A drained group therefore converges
+//     order), and Put conflicts resolve last-writer-wins on per-region
+//     Lamport timestamps (region index as tiebreak), with a reconcile
+//     round forcing the global winner everywhere on Drain. A drained group therefore converges
 //     exactly — byte-equal state on all replicas, or Drain returns the
 //     batch a peer failed to apply (StalenessStats.FailedApplies) —
 //     while steady-state reads trade freshness for locality.
@@ -333,7 +333,7 @@ type Options struct {
 	Partitions int
 	// Workers bounds the Deterministic cell's concurrently executing
 	// transactions (zero = the runtime default). Other models ignore it;
-	// the pipelined-parallel benchmarks (E14) raise it.
+	// the pipelined-parallel harnesses (tca.RunCell, RunGeoCell) raise it.
 	Workers int
 	// Clients bounds the synchronous cells' (microservices, actors, cloud
 	// functions) concurrently executing submissions: Cell.Submit queues
