@@ -209,15 +209,17 @@ type Config struct {
 	// delay — the group-commit amortization E20 measures) and per
 	// cross-partition record at the global sequencer, but overlaps across
 	// partitions — the latency sharding hides, which E16 measures. Zero
-	// (the default) disables the model. Ignored when LogDir is set: a real
-	// log's own append+fsync cost replaces the model.
+	// (the default) disables the model. Model mode only: with LogDir set, a
+	// real disk's own append+fsync cost replaces the model.
 	SequenceDelay time.Duration
-	// LogDir, when set, puts a real durable write-ahead log under the
-	// runtime: the per-partition batchers persist every group append
-	// (header record with a Merkle root over the members, then the member
-	// records) to <LogDir>/p<partition> before producing it to the broker,
-	// and Start replays the logs through Merkle verification — persist,
-	// then act, measured instead of modeled. See internal/core/wal.go.
+	// LogDir, when set, attaches a disk to every input log: a write-ahead
+	// log under <LogDir>/p<partition> (and <LogDir>/gseq for the sequence
+	// topic). Every append — batcher groups, cross-partition submissions,
+	// sequencer markers — is persisted (header record with a Merkle root
+	// over the members, then the member records) before it is produced to
+	// the broker, and Start replays the disks through Merkle verification —
+	// persist, then act, measured instead of modeled. See
+	// internal/core/wal.go.
 	LogDir string
 	// Fsync selects the durable log's sync policy (LogDir mode only):
 	// every batch (default), interval (FsyncEvery), or none.
@@ -313,10 +315,12 @@ type Runtime struct {
 	// path's bounded queue when maxPending > 0.
 	crossPending atomic.Int64
 
-	// dlog is the real durable log (Config.LogDir mode); nil in modeled
-	// mode. Opened and bootstrapped by the first Start, kept across
-	// Crash/Recover (disk survives a crash), closed by Stop.
-	dlog *durableLog
+	// logs are the input logs: one per partition, then (when sharded) the
+	// global-sequence log, which gseq also names. In LogDir mode each has a
+	// disk, attached and replayed by the first Start, kept across
+	// Crash/Recover (disk survives a crash), detached by Stop.
+	logs []*inputLog
+	gseq *inputLog
 
 	// per-partition commit counters, resolved once, off the hot path.
 	partCommits []*metrics.Counter
@@ -354,8 +358,6 @@ type Runtime struct {
 	runMu    sync.Mutex
 	running  bool
 	stop     chan struct{}
-	wakes    []chan struct{} // poked by Submit so executors needn't poll
-	seqWake  chan struct{}
 	batchCh  []chan *pendingSubmit // per-partition group-append queues
 	wg       sync.WaitGroup
 	inflight sync.WaitGroup
@@ -405,25 +407,18 @@ func NewRuntime(broker *mq.Broker, cfg Config) *Runtime {
 	if nparts > 1 {
 		broker.CreateTopic(cfg.Name+"-gseq", 1)
 	}
-	m := metrics.NewRegistry()
-	partCommits := make([]*metrics.Counter, nparts)
-	wakes := make([]chan struct{}, nparts)
-	for p := 0; p < nparts; p++ {
-		partCommits[p] = m.Counter(fmt.Sprintf("core.partition.%d.commits", p))
-		wakes[p] = make(chan struct{}, 1)
-	}
 	maxGroup := cfg.MaxGroupAppend
 	if maxGroup <= 0 {
 		maxGroup = maxGroupAppend
 	}
-	return &Runtime{
+	r := &Runtime{
 		cfg:         cfg,
 		nparts:      nparts,
 		maxGroup:    maxGroup,
 		maxPending:  cfg.MaxPending,
 		broker:      broker,
-		m:           m,
-		partCommits: partCommits,
+		m:           metrics.NewRegistry(),
+		partCommits: make([]*metrics.Counter, nparts),
 		fns:         make(map[string]TxnFunc),
 		state:       make(map[string][]byte),
 		tails:       make(map[string]chan struct{}),
@@ -432,11 +427,18 @@ func NewRuntime(broker *mq.Broker, cfg Config) *Runtime {
 		waiters:     make(map[string][]chan Result),
 		scheduled:   make(map[string]struct{}),
 		cross:       make(map[string]*crossTxn),
-		wakes:       wakes,
-		seqWake:     make(chan struct{}, 1),
 		offsets:     make([]int64, nparts),
 		seqSeen:     make(map[string]struct{}),
 	}
+	for p := 0; p < nparts; p++ {
+		r.partCommits[p] = r.m.Counter(fmt.Sprintf("core.partition.%d.commits", p))
+		r.logs = append(r.logs, r.newInputLog(cfg.Name+"-txlog", p, fmt.Sprintf("p%d", p)))
+	}
+	if nparts > 1 {
+		r.gseq = r.newInputLog(cfg.Name+"-gseq", 0, "gseq")
+		r.logs = append(r.logs, r.gseq)
+	}
+	return r
 }
 
 // Metrics returns the runtime's instruments.
@@ -454,14 +456,6 @@ func (r *Runtime) Register(name string, fn TxnFunc) {
 	r.fnMu.Lock()
 	defer r.fnMu.Unlock()
 	r.fns[name] = fn
-}
-
-func (r *Runtime) logTopic(part int) mq.TopicPartition {
-	return mq.TopicPartition{Topic: r.cfg.Name + "-txlog", Partition: part}
-}
-
-func (r *Runtime) seqTopic() mq.TopicPartition {
-	return mq.TopicPartition{Topic: r.cfg.Name + "-gseq", Partition: 0}
 }
 
 // partitionForKey maps a key to its home partition with the broker's own
@@ -498,50 +492,39 @@ func (r *Runtime) Start() error {
 	if r.running {
 		return nil
 	}
-	// First start in LogDir mode (or first after Stop closed the logs):
-	// open the durable logs and replay them through Merkle verification
+	// First start in LogDir mode (or first after Stop detached the disks):
+	// attach every log's disk and replay it through Merkle verification
 	// into the broker — persist-then-act's recovery half. Crash/Recover
-	// keeps dlog open (disk survives a crash; in-process recovery reuses
-	// it), so recovery does not re-read the disk: the broker it rebuilt is
-	// still there.
-	if r.cfg.LogDir != "" && r.dlog == nil {
-		d, err := openDurableLog(r.cfg.LogDir, r.nparts, r.cfg)
-		if err != nil {
-			return err
-		}
-		r.dlog = d
-		if err := r.bootstrap(); err != nil {
-			d.close()
-			r.dlog = nil
-			return err
+	// keeps the disks attached (disk survives a crash), so recovery does
+	// not re-read them: the broker they rebuilt is still there.
+	if r.cfg.LogDir != "" && r.logs[0].wal == nil {
+		for _, l := range r.logs {
+			if err := l.replay(); err != nil {
+				for _, l := range r.logs {
+					l.close()
+				}
+				return err
+			}
 		}
 	}
 	r.ckMu.Lock()
-	if ck := r.checkpoint; ck != nil {
-		r.stateMu.Lock()
-		r.state = cloneState(ck.state)
-		r.stateMu.Unlock()
-		r.resMu.Lock()
-		r.results = cloneResults(ck.results)
-		r.resMu.Unlock()
-		r.offMu.Lock()
-		copy(r.offsets, ck.offsets)
-		r.offMu.Unlock()
-		r.seqMu.Lock()
-		r.seqOff = ck.seqOff
-		r.seqSeen = cloneSet(ck.seqSeen)
-		r.seqMu.Unlock()
-	} else {
-		r.offMu.Lock()
-		for p := range r.offsets {
-			r.offsets[p] = 0
-		}
-		r.offMu.Unlock()
-		r.seqMu.Lock()
-		r.seqOff = 0
-		r.seqSeen = make(map[string]struct{})
-		r.seqMu.Unlock()
+	ck := r.checkpoint
+	if ck == nil {
+		ck = &snapshot{offsets: make([]int64, r.nparts)}
 	}
+	r.stateMu.Lock()
+	r.state = cloneState(ck.state)
+	r.stateMu.Unlock()
+	r.resMu.Lock()
+	r.results = cloneResults(ck.results)
+	r.resMu.Unlock()
+	r.offMu.Lock()
+	copy(r.offsets, ck.offsets)
+	r.offMu.Unlock()
+	r.seqMu.Lock()
+	r.seqOff = ck.seqOff
+	r.seqSeen = cloneSet(ck.seqSeen)
+	r.seqMu.Unlock()
 	r.ckMu.Unlock()
 	// Handles registered before a crash survive it (they are client-side
 	// state): deliver any whose result the restored checkpoint already
@@ -613,8 +596,8 @@ func (r *Runtime) retryAfterHint() time.Duration {
 }
 
 // crossDone retires one counted cross-partition submission. The clamp
-// absorbs sequence-topic messages that were never counted (bootstrap
-// replay, pre-bound incarnations), which can only make admission
+// absorbs sequence-topic messages that were never counted (disk replay,
+// pre-bound incarnations), which can only make admission
 // temporarily more permissive, never wedge it.
 func (r *Runtime) crossDone() {
 	for {
@@ -625,14 +608,6 @@ func (r *Runtime) crossDone() {
 		if r.crossPending.CompareAndSwap(v, v-1) {
 			return
 		}
-	}
-}
-
-// wake pokes one partition executor without blocking.
-func (r *Runtime) wake(part int) {
-	select {
-	case r.wakes[part] <- struct{}{}:
-	default:
 	}
 }
 
@@ -661,27 +636,12 @@ func (r *Runtime) pace(owed time.Duration, records int) time.Duration {
 // which is also why replay outruns original ingestion.
 func (r *Runtime) runExecutor(part int, stop chan struct{}) {
 	defer r.wg.Done()
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		msgs, err := r.broker.Fetch(r.logTopic(part), r.getOffset(part), 128)
-		if err != nil || len(msgs) == 0 {
-			select {
-			case <-stop:
-				return
-			case <-r.wakes[part]:
-			case <-time.After(time.Millisecond):
-			}
-			continue
-		}
+	r.logs[part].consume(r.getOffset(part), stop, func(msgs []mq.Message) {
 		for _, m := range msgs {
 			r.schedule(part, m.Offset, m.Value, stop)
 		}
 		r.setOffset(part, msgs[len(msgs)-1].Offset+1)
-	}
+	})
 }
 
 // runSequencer consumes the global sequence topic and interleaves each
@@ -695,23 +655,8 @@ func (r *Runtime) runSequencer(stop chan struct{}) {
 	defer r.wg.Done()
 	producerID := r.cfg.Name + "-seq"
 	var owed time.Duration
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		msgs, err := r.broker.Fetch(r.seqTopic(), r.getSeqOff(), 128)
-		if err != nil || len(msgs) == 0 {
-			select {
-			case <-stop:
-				return
-			case <-r.seqWake:
-			case <-time.After(time.Millisecond):
-			}
-			continue
-		}
-		if r.cfg.SequenceDelay > 0 && r.dlog == nil {
+	r.gseq.consume(r.getSeqOff(), stop, func(msgs []mq.Message) {
+		if r.cfg.SequenceDelay > 0 && r.cfg.LogDir == "" {
 			owed = r.pace(owed, len(msgs))
 		}
 		for _, m := range msgs {
@@ -724,7 +669,7 @@ func (r *Runtime) runSequencer(stop chan struct{}) {
 			r.seqOff = m.Offset + 1
 			r.seqMu.Unlock()
 		}
-	}
+	})
 }
 
 // sequenceOne fans one global-sequence entry out to its involved partitions.
@@ -754,15 +699,11 @@ func (r *Runtime) sequenceOne(producerID string, m mq.Message, stop chan struct{
 		return
 	}
 	for _, p := range r.partitionsOf(req.Keys) {
-		if r.dlog != nil {
-			if err := r.appendMarkerDurable(p, req.ReqID, raw, m.Offset, stop); err != nil {
-				r.m.Counter("core.wal_errors").Inc()
-				continue
-			}
-		} else {
-			r.broker.ProduceIdempotentTo(r.logTopic(p), req.ReqID, raw, producerID, m.Offset)
+		if err := r.logs[p].appendMarker(producerID, req.ReqID, raw, m.Offset, stop); err != nil {
+			r.m.Counter("core.wal_errors").Inc()
+			continue
 		}
-		r.wake(p)
+		r.logs[p].notify()
 	}
 	r.m.Counter("core.cross_sequenced").Inc()
 }
@@ -797,9 +738,9 @@ func (r *Runtime) runBatcher(part int, ch chan *pendingSubmit, stop chan struct{
 		batch := []*pendingSubmit{first}
 		// The durable append ahead of this group: pay one record's delay,
 		// then sweep in everything that queued while it was in flight. With
-		// a real log (dlog) the append itself is the delay — the modeled
-		// pace is not charged on top.
-		if r.cfg.SequenceDelay > 0 && r.dlog == nil {
+		// a disk attached (LogDir) the append itself is the delay — the
+		// modeled pace is not charged on top.
+		if r.cfg.SequenceDelay > 0 && r.cfg.LogDir == "" {
 			owed = r.pace(owed, 1)
 		}
 		// Sweep in everything already queued. In WAL mode, yield the
@@ -815,53 +756,39 @@ func (r *Runtime) runBatcher(part int, ch chan *pendingSubmit, stop chan struct{
 			case ps := <-ch:
 				batch = append(batch, ps)
 			default:
-				if r.dlog == nil || yields >= 4 {
+				if r.cfg.LogDir == "" || yields >= 4 {
 					break drain
 				}
 				yields++
 				runtime.Gosched()
 			}
 		}
-		var raw []byte
-		var err error
 		if len(batch) > 1 {
 			r.m.Counter("core.group_appends").Inc()
 			r.m.Counter("core.grouped_txns").Add(int64(len(batch)))
 		}
-		if r.dlog != nil {
-			// WAL mode: marshal the members individually (they are the
-			// Merkle leaves and the replayable units), persist the group,
-			// then produce the combined record — the ack below means "on
-			// disk per the fsync policy".
-			members := make([][]byte, len(batch))
-			for i, ps := range batch {
-				if members[i], err = json.Marshal(ps.req); err != nil {
-					break
-				}
+		// Each member is marshaled once: the members are the disk's Merkle
+		// leaves and replayable units, and combineGroup makes the record.
+		// In LogDir mode the ack below means "on disk per the fsync policy".
+		members := make([][]byte, len(batch))
+		var err error
+		for i, ps := range batch {
+			if members[i], err = json.Marshal(ps.req); err != nil {
+				break
 			}
-			if err == nil {
-				raw = combineGroup(members)
-				err = r.appendBatchDurable(part, members, raw, stop)
-			}
-		} else {
-			if len(batch) == 1 {
-				raw, err = json.Marshal(batch[0].req)
-			} else {
-				reqs := make([]request, len(batch))
-				for i, ps := range batch {
-					reqs[i] = ps.req
-				}
-				raw, err = json.Marshal(request{Batch: reqs})
-			}
-			if err == nil {
-				_, err = r.broker.Produce(r.logTopic(part), "", raw)
-			}
+		}
+		if err == nil {
+			err = r.logs[part].appendGroup("", members, stop)
+		}
+		if err == nil && r.cfg.LogDir != "" {
+			r.m.Counter("core.wal_group_appends").Inc()
+			r.m.Counter("core.wal_records").Add(int64(len(members)))
 		}
 		for _, ps := range batch {
 			ps.acked <- err
 		}
 		if err == nil {
-			r.wake(part)
+			r.logs[part].notify()
 		}
 	}
 }
@@ -915,25 +842,45 @@ func (r *Runtime) scheduleSingle(part int, tid, seq int64, req request, stop cha
 	if done || inFlight {
 		return
 	}
-	keys := append([]string(nil), req.Keys...)
-	sort.Strings(keys)
 	myDone := make(chan struct{})
-	waits := make([]chan struct{}, 0, len(keys))
+	waits := r.splice(append([]string(nil), req.Keys...), myDone, make([]chan struct{}, 0, len(req.Keys)))
+	r.launch(waits, myDone, stop, tid, seq, req, part)
+}
+
+// splice makes done the new tail of each key's dependency chain, in sorted
+// key order (it sorts keys in place), and returns waits extended by the
+// tails it replaced.
+func (r *Runtime) splice(keys []string, done chan struct{}, waits []chan struct{}) []chan struct{} {
+	sort.Strings(keys)
 	r.schedMu.Lock()
 	for _, k := range keys {
 		if tail, ok := r.tails[k]; ok {
 			waits = append(waits, tail)
 		}
-		r.tails[k] = myDone
+		r.tails[k] = done
 	}
 	r.schedMu.Unlock()
+	return waits
+}
 
+// launch executes a scheduled transaction once every chain tail it waits on
+// has completed and a worker slot is free, then closes done (also when the
+// incarnation stops first). part < 0 marks a cross-partition transaction,
+// whose gathering entry is dropped when it finishes.
+func (r *Runtime) launch(waits []chan struct{}, done, stop chan struct{}, tid, seq int64, req request, part int) {
 	r.inflight.Add(1)
 	r.inflightN.Add(1)
 	go func() {
 		defer r.inflight.Done()
 		defer r.inflightN.Add(-1)
-		defer close(myDone)
+		defer close(done)
+		if part < 0 {
+			defer func() {
+				r.crossMu.Lock()
+				delete(r.cross, req.ReqID)
+				r.crossMu.Unlock()
+			}()
+		}
 		for _, w := range waits {
 			select {
 			case <-w:
@@ -972,6 +919,7 @@ func (r *Runtime) scheduleCross(part int, parts []int, req request, stop chan st
 			req:    req,
 			need:   len(parts),
 			joined: make(map[int]bool, len(parts)),
+			waits:  make([]chan struct{}, 0, len(req.Keys)),
 			done:   make(chan struct{}),
 		}
 		r.cross[req.ReqID] = ct
@@ -987,47 +935,12 @@ func (r *Runtime) scheduleCross(part int, parts []int, req request, stop chan st
 			myKeys = append(myKeys, k)
 		}
 	}
-	sort.Strings(myKeys)
-	r.schedMu.Lock()
-	for _, k := range myKeys {
-		if tail, ok := r.tails[k]; ok {
-			ct.waits = append(ct.waits, tail)
-		}
-		r.tails[k] = ct.done
-	}
-	r.schedMu.Unlock()
+	ct.waits = r.splice(myKeys, ct.done, ct.waits)
 	launch := len(ct.joined) == ct.need
 	r.crossMu.Unlock()
-	if !launch {
-		return
+	if launch {
+		r.launch(ct.waits, ct.done, stop, ct.tid, ct.tid*int64(r.maxGroup)+1, ct.req, -1)
 	}
-
-	r.inflight.Add(1)
-	r.inflightN.Add(1)
-	go func() {
-		defer r.inflight.Done()
-		defer r.inflightN.Add(-1)
-		defer close(ct.done)
-		defer func() {
-			r.crossMu.Lock()
-			delete(r.cross, ct.req.ReqID)
-			r.crossMu.Unlock()
-		}()
-		for _, w := range ct.waits {
-			select {
-			case <-w:
-			case <-stop:
-				return
-			}
-		}
-		select {
-		case r.sem <- struct{}{}:
-			defer func() { <-r.sem }()
-		case <-stop:
-			return
-		}
-		r.execute(ct.tid, ct.tid*int64(r.maxGroup)+1, ct.req, -1)
-	}()
 }
 
 // execute runs one transaction and publishes its result. part is the home
@@ -1176,7 +1089,7 @@ func (r *Runtime) Submit(reqID, fn string, keys []string, args []byte, tr *fabri
 // latency numbers per request.
 func (r *Runtime) SubmitAsync(reqID, fn string, keys []string, args []byte, tr *fabric.Trace) (*Handle, error) {
 	r.runMu.Lock()
-	running, stop, batches, dlog := r.running, r.stop, r.batchCh, r.dlog
+	running, stop, batches := r.running, r.stop, r.batchCh
 	r.runMu.Unlock()
 	if !running {
 		return nil, ErrNotRunning
@@ -1249,28 +1162,18 @@ func (r *Runtime) SubmitAsync(reqID, fn string, keys []string, args []byte, tr *
 			}
 			r.crossPending.Add(1)
 		}
+		// The gseq log is a cross-partition submission's durability point
+		// (the sequencer's markers are derived from it).
 		raw, err := json.Marshal(req)
+		if err == nil {
+			err = r.gseq.appendGroup(reqID, [][]byte{raw}, stop)
+		}
 		if err != nil {
 			r.crossDone()
 			return fail(err)
 		}
-		if dlog != nil {
-			// Cross-partition submissions persist in the global-sequence
-			// log before the topic sees them: the gseq log is their
-			// durability point (the sequencer's markers are derived).
-			if err := r.appendGSeqDurable(dlog, reqID, raw, stop); err != nil {
-				r.crossDone()
-				return fail(err)
-			}
-		} else if _, err := r.broker.Produce(r.seqTopic(), reqID, raw); err != nil {
-			r.crossDone()
-			return fail(err)
-		}
 		r.m.Counter("core.cross_submits").Inc()
-		select {
-		case r.seqWake <- struct{}{}:
-		default:
-		}
+		r.gseq.notify()
 	}
 	h := &Handle{ch: ch, done: make(chan struct{}), timeout: r.cfg.ResultTimeout, rt: r, tr: tr, reqID: reqID}
 	go h.watch()
@@ -1390,7 +1293,7 @@ func (r *Runtime) Read(key string) ([]byte, bool) {
 // logs, so the per-partition high waters observed afterwards cover them.
 func (r *Runtime) caughtUp() (bool, error) {
 	if r.nparts > 1 {
-		hw, err := r.broker.HighWater(r.seqTopic())
+		hw, err := r.broker.HighWater(r.gseq.tp)
 		if err != nil {
 			return false, err
 		}
@@ -1399,7 +1302,7 @@ func (r *Runtime) caughtUp() (bool, error) {
 		}
 	}
 	for p := 0; p < r.nparts; p++ {
-		hw, err := r.broker.HighWater(r.logTopic(p))
+		hw, err := r.broker.HighWater(r.logs[p].tp)
 		if err != nil {
 			return false, err
 		}
@@ -1543,17 +1446,16 @@ func (r *Runtime) Recover() error { return r.Start() }
 
 // Stop halts gracefully. In-memory state is discarded, like Crash — resume
 // is always from the checkpoint plus log replay, which keeps the recovery
-// path singular and well-tested. In LogDir mode Stop also syncs and closes
-// the durable logs (Crash deliberately does not: the disk "survives" a
+// path singular and well-tested. In LogDir mode Stop also syncs and
+// detaches the disks (Crash deliberately does not: the disk "survives" a
 // crash, and in-process recovery reuses the open handles); a later Start
-// reopens and re-replays them, with idempotent produce deduplicating
+// reattaches and re-replays them, with idempotent produce deduplicating
 // against a surviving broker.
 func (r *Runtime) Stop() {
 	r.Crash()
 	r.runMu.Lock()
-	if r.dlog != nil {
-		r.dlog.close()
-		r.dlog = nil
+	for _, l := range r.logs {
+		l.close()
 	}
 	r.runMu.Unlock()
 }

@@ -9,16 +9,19 @@ import (
 	"sync"
 	"time"
 
+	"tca/internal/mq"
 	"tca/internal/wal"
 )
 
-// The real durability layer under the deterministic runtime. When
-// Config.LogDir is set, every group append the per-partition batchers make
-// — and every cross-partition marker the sequencer fans out — is written
-// to a segmented, checksummed, fsynced write-ahead log (internal/wal)
-// *before* it is produced to the in-memory broker the executors consume:
-// persist, then act. The modeled Config.SequenceDelay is not charged in
-// this mode; the log's own write+fsync cost is the measured latency
+// The runtime's input logs and the durability layer under them. Each input
+// log is one broker topic partition — a partition of "<name>-txlog", or the
+// "<name>-gseq" sequence topic — read in order by one consumer (a partition
+// executor, or the sequencer). Config.LogDir mode is the same input log
+// with a disk attached: every group append, and every cross-partition
+// marker the sequencer fans out, is written to a segmented, checksummed,
+// fsynced write-ahead log (internal/wal) *before* it is produced to the
+// topic: persist, then act. The modeled Config.SequenceDelay is not charged
+// in this mode; the log's own write+fsync cost is the measured latency
 // (BenchmarkE22_DurabilityFrontier maps the batch-size × fsync-policy
 // frontier).
 //
@@ -32,8 +35,7 @@ import (
 //
 // The root makes each group tamper-evident beyond the per-record CRC: a
 // rewrite that fixes up the CRC still breaks the root. Recovery replays
-// the partition logs through verification and distinguishes three
-// endings:
+// the logs through verification and distinguishes three endings:
 //
 //   - clean truncation — the record stream ends exactly at a group
 //     boundary: normal, nothing flagged;
@@ -82,28 +84,43 @@ type walHeader struct {
 	Root []byte `json:"root"`
 }
 
-// durableLog is the runtime's set of write-ahead logs: one per input-log
-// partition plus (when sharded) one for the global-sequence topic. Each
-// partition's mutex serializes the WAL append with the broker produce so
-// the on-disk order is exactly the topic order — which is what makes a
-// fresh-broker rebuild replay the identical schedule.
-type durableLog struct {
-	part []*wal.Log
-	gseq *wal.Log
+// inputLog is one input log: its topic partition, its reader's wake
+// channel and, in LogDir mode, its disk. The mutex is held across the
+// persist and the produce, so disk order is exactly topic order — which is
+// what makes a fresh-broker rebuild replay the identical schedule.
+type inputLog struct {
+	rt       *Runtime
+	tp       mq.TopicPartition
+	dir      string        // the disk's directory; "" in model mode
+	producer string        // idempotent-producer id of the disk's group appends
+	wake     chan struct{} // poked after an append so the reader needn't poll
 
-	mu []sync.Mutex // one per partition; last slot guards gseq
-	// groups counts batcher group appends per partition (the idempotent-
-	// producer sequence space); gseqGroups the gseq appends.
-	groups     []int64
-	gseqGroups int64
-	// markerHi is, per partition, the highest global-sequence stamp whose
-	// marker is already persisted in that partition's log — bootstrap seeds
-	// it from the replay, and the live sequencer consults it so re-sequencing
-	// the gseq topic after a restart never re-appends a marker the log
-	// already holds (the idempotent produce dedups the broker side; this
-	// dedups the disk side). Markers reach a partition in increasing stamp
-	// order, so a watermark suffices.
-	markerHi []int64
+	mu  sync.Mutex
+	wal *wal.Log // attached by replay, detached by close
+	// groups counts the disk's group appends: the producer sequence space.
+	groups int64
+	// markerHi is the highest global-sequence stamp whose marker is already
+	// on this log's disk — replay seeds it, and the live sequencer consults
+	// it so re-sequencing the gseq topic after a restart never re-appends a
+	// marker the disk already holds (the idempotent produce dedups the
+	// broker side; this dedups the disk side). Markers reach a partition in
+	// increasing stamp order, so a watermark suffices.
+	markerHi int64
+}
+
+// newInputLog makes the log over one topic partition. sub names its disk
+// under Config.LogDir (p<partition>/ or gseq/) and its producer id.
+func (r *Runtime) newInputLog(topic string, part int, sub string) *inputLog {
+	l := &inputLog{
+		rt:       r,
+		tp:       mq.TopicPartition{Topic: topic, Partition: part},
+		producer: r.cfg.Name + "-wal-" + sub,
+		wake:     make(chan struct{}, 1),
+	}
+	if r.cfg.LogDir != "" {
+		l.dir = filepath.Join(r.cfg.LogDir, sub)
+	}
+	return l
 }
 
 func walOptions(cfg Config) wal.Options {
@@ -121,62 +138,59 @@ func walOptions(cfg Config) wal.Options {
 	return opts
 }
 
-// openDurableLog opens (or creates) the runtime's logs under dir:
-// p<partition>/ per input-log partition, gseq/ for the sequence topic.
-// Each log's torn tail bytes (if a crash left any) are trimmed on open so
-// live appends extend the valid record stream.
-func openDurableLog(dir string, nparts int, cfg Config) (*durableLog, error) {
-	d := &durableLog{
-		part:     make([]*wal.Log, nparts),
-		mu:       make([]sync.Mutex, nparts+1),
-		groups:   make([]int64, nparts),
-		markerHi: make([]int64, nparts),
+// appendGroup appends one group of member payloads as one log record (see
+// combineGroup). In LogDir mode it first persists the group — header and
+// members in one write, fsync per policy, in interval mode waiting out the
+// covering sync — so its return is the configured durability point: what
+// the submitters' acks mean.
+func (l *inputLog) appendGroup(key string, members [][]byte, cancel <-chan struct{}) error {
+	raw := combineGroup(members)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.dir == "" {
+		_, err := l.rt.broker.Produce(l.tp, key, raw)
+		return err
 	}
-	opts := walOptions(cfg)
-	open := func(sub string) (*wal.Log, error) {
-		l, err := wal.Open(filepath.Join(dir, sub), opts)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := l.TrimTorn(); err != nil {
-			l.Close()
-			return nil, err
-		}
-		return l, nil
+	if err := l.write(members); err != nil {
+		return err
 	}
-	for p := 0; p < nparts; p++ {
-		l, err := open(fmt.Sprintf("p%d", p))
-		if err != nil {
-			d.close()
-			return nil, err
-		}
-		d.part[p] = l
+	if err := l.waitDurable(cancel); err != nil {
+		return err
 	}
-	if nparts > 1 {
-		l, err := open("gseq")
-		if err != nil {
-			d.close()
-			return nil, err
-		}
-		d.gseq = l
-	}
-	return d, nil
+	_, err := l.rt.broker.ProduceIdempotentTo(l.tp, key, raw, l.producer, l.groups)
+	l.groups++
+	return err
 }
 
-func (d *durableLog) close() {
-	for _, l := range d.part {
-		if l != nil {
-			l.Close()
+// appendMarker is the sequencer's fan-out of one cross-partition
+// transaction into this partition log, produced idempotently keyed by its
+// global-sequence offset. In LogDir mode the marker is persisted first,
+// unless replay already found it on disk (stamp at or below markerHi): the
+// produce still runs and dedups, covering the crash window where the gseq
+// log got the entry but this log missed the marker.
+func (l *inputLog) appendMarker(producerID, reqID string, raw []byte, gseqOff int64, cancel <-chan struct{}) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.dir != "" && gseqOff+1 > l.markerHi {
+		if err := l.write([][]byte{raw}); err != nil {
+			return err
+		}
+		l.markerHi = gseqOff + 1
+		if err := l.waitDurable(cancel); err != nil {
+			return err
 		}
 	}
-	if d.gseq != nil {
-		d.gseq.Close()
-	}
+	_, err := l.rt.broker.ProduceIdempotentTo(l.tp, reqID, raw, producerID, gseqOff)
+	return err
 }
 
-// appendGroup writes one group (header + members) to log l. The caller
-// holds the matching mutex.
-func appendGroup(l *wal.Log, members [][]byte) error {
+// write persists one group (header + members) to the disk. A detached or
+// closed disk fails it with ErrNotRunning, so nothing reaches only the
+// broker. Caller holds l.mu.
+func (l *inputLog) write(members [][]byte) error {
+	if l.wal == nil {
+		return ErrNotRunning
+	}
 	root := wal.MerkleRoot(members)
 	hdr, err := json.Marshal(walHeader{N: len(members), Root: root[:]})
 	if err != nil {
@@ -185,7 +199,32 @@ func appendGroup(l *wal.Log, members [][]byte) error {
 	payloads := make([][]byte, 0, len(members)+1)
 	payloads = append(payloads, hdr)
 	payloads = append(payloads, members...)
-	_, err = l.AppendBatch(payloads)
+	_, err = l.wal.AppendBatch(payloads)
+	return diskErr(err)
+}
+
+// waitDurable is the second phase of the FsyncInterval two-phase ack:
+// block until the disk's sync watermark covers everything appended so far,
+// so the acknowledgment that follows means "on stable storage", not "in
+// the page cache until the next timer tick". The other policies return
+// immediately — EveryBatch synced inside the write itself, and None
+// explicitly leaves durability to the OS. cancel (the runtime's stop
+// channel) aborts the wait on crash/shutdown; the caller then fails its
+// submitters instead of acking, and recovery replays the record if the
+// sync in fact made it. Caller holds l.mu.
+func (l *inputLog) waitDurable(cancel <-chan struct{}) error {
+	if l.rt.cfg.Fsync != FsyncInterval {
+		return nil
+	}
+	return diskErr(l.wal.WaitDurable(l.wal.Len(), cancel))
+}
+
+// diskErr reports a canceled durability wait or a closed disk as
+// ErrNotRunning: the runtime stopped under the append.
+func diskErr(err error) error {
+	if errors.Is(err, wal.ErrCanceled) || errors.Is(err, wal.ErrClosed) {
+		return ErrNotRunning
+	}
 	return err
 }
 
@@ -252,80 +291,109 @@ func readGroups(l *wal.Log) (groups []group, torn int, err error) {
 	return groups, torn, nil
 }
 
-// bootstrap replays every verified group into the broker, idempotently, so
-// a fresh broker (real restart) is rebuilt in the exact pre-crash order
-// and a surviving broker (in-process recovery) deduplicates everything.
-// It also seeds the producer sequence counters the live appenders continue
-// from. A torn tail (crash mid-group-write) triggers a rebuild of that log
-// down to its verified groups: the dangling partial group must not precede
-// live appends on disk, or the next restart would misparse the new group
-// headers as members of the old partial group.
-func (r *Runtime) bootstrap() error {
-	d := r.dlog
-	for p := 0; p < r.nparts; p++ {
-		groups, torn, err := readGroups(d.part[p])
-		if err != nil {
+// replay attaches the log's disk (Start in LogDir mode, on the first run
+// and after Stop) and produces every verified group into the broker,
+// idempotently and under the producer id and sequence its live append
+// used, so a fresh broker (real restart) is rebuilt in the exact pre-crash
+// order and a surviving broker deduplicates everything. The group counter
+// and marker watermark restart from what the disk holds: left at their
+// pre-Stop values, the replay would re-append every group to a surviving
+// broker and later appends would be deduplicated away. Torn tail bytes are
+// trimmed on open so live appends extend the valid record stream, and a
+// torn group rebuilds the log down to its verified groups: the dangling
+// partial group must not precede live appends on disk, or the next restart
+// would misparse the new group headers as members of the old partial
+// group. On error the disk stays attached for the caller to close.
+func (l *inputLog) replay() error {
+	w, err := wal.Open(l.dir, walOptions(l.rt.cfg))
+	if err != nil {
+		return err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.wal, l.groups, l.markerHi = w, 0, 0
+	if _, err := w.TrimTorn(); err != nil {
+		return err
+	}
+	groups, torn, err := readGroups(w)
+	if err != nil {
+		return err
+	}
+	if torn > 0 {
+		l.rt.m.Counter("core.wal_torn_batches").Add(int64(torn))
+		if err := w.Truncate(); err != nil {
 			return err
 		}
-		if torn > 0 {
-			r.m.Counter("core.wal_torn_batches").Add(int64(torn))
-			if err := rebuildLog(d.part[p], groups); err != nil {
+		for _, g := range groups {
+			if err := l.write(g.members); err != nil {
 				return err
 			}
 		}
-		for _, g := range groups {
-			if marker, gseq := markerOf(g.members); marker != nil {
-				// A cross-partition marker fanned out by the sequencer:
-				// same producer id and sequence as the original fan-out,
-				// so the live sequencer's re-pass dedups against it.
-				r.broker.ProduceIdempotentTo(r.logTopic(p), "", marker, r.cfg.Name+"-seq", gseq-1)
-				d.markerHi[p] = gseq
-				continue
-			}
-			raw := combineGroup(g.members)
-			r.broker.ProduceIdempotentTo(r.logTopic(p), "", raw, walProducerID(r.cfg.Name, p), d.groups[p])
-			d.groups[p]++
-			r.m.Counter("core.wal_replayed_groups").Inc()
+		if err := w.Sync(); err != nil {
+			return err
 		}
 	}
-	if d.gseq != nil {
-		groups, torn, err := readGroups(d.gseq)
-		if err != nil {
-			return err
+	seqProducer := l.rt.cfg.Name + "-seq"
+	for _, g := range groups {
+		if marker, gseq := markerOf(g.members); marker != nil {
+			// A cross-partition marker fanned out by the sequencer: same
+			// producer id and sequence as the original fan-out, so the live
+			// sequencer's re-pass dedups against it.
+			l.rt.broker.ProduceIdempotentTo(l.tp, "", marker, seqProducer, gseq-1)
+			l.markerHi = gseq
+			continue
 		}
-		if torn > 0 {
-			r.m.Counter("core.wal_torn_batches").Add(int64(torn))
-			if err := rebuildLog(d.gseq, groups); err != nil {
-				return err
-			}
-		}
-		for _, g := range groups {
-			for _, member := range g.members {
-				r.broker.ProduceIdempotentTo(r.seqTopic(), "", member, r.cfg.Name+"-wal-gseq", d.gseqGroups)
-				d.gseqGroups++
-			}
+		l.rt.broker.ProduceIdempotentTo(l.tp, "", combineGroup(g.members), l.producer, l.groups)
+		l.groups++
+		if l != l.rt.gseq {
+			l.rt.m.Counter("core.wal_replayed_groups").Inc()
 		}
 	}
 	return nil
 }
 
-// rebuildLog rewrites a log whose tail held a torn (partially written)
-// group: truncate, then re-append the verified groups. The dropped
-// submissions were never acked — their durability point was never reached.
-func rebuildLog(l *wal.Log, groups []group) error {
-	if err := l.Truncate(); err != nil {
-		return err
+// close syncs and detaches the log's disk, if one is attached.
+func (l *inputLog) close() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.wal != nil {
+		l.wal.Close()
+		l.wal = nil
 	}
-	for _, g := range groups {
-		if err := appendGroup(l, g.members); err != nil {
-			return err
-		}
-	}
-	return l.Sync()
 }
 
-func walProducerID(name string, part int) string {
-	return fmt.Sprintf("%s-wal-p%d", name, part)
+// consume reads the log in order from offset from, handing each fetched
+// batch to fn (which publishes the reader's progress), and parks until the
+// next notify — or a millisecond poll — when caught up. It returns when
+// stop closes.
+func (l *inputLog) consume(from int64, stop chan struct{}, fn func([]mq.Message)) {
+	for {
+		select {
+		case <-stop:
+			return
+		default:
+		}
+		msgs, err := l.rt.broker.Fetch(l.tp, from, 128)
+		if err != nil || len(msgs) == 0 {
+			select {
+			case <-stop:
+				return
+			case <-l.wake:
+			case <-time.After(time.Millisecond):
+			}
+			continue
+		}
+		fn(msgs)
+		from = msgs[len(msgs)-1].Offset + 1
+	}
+}
+
+// notify pokes the log's reader without blocking.
+func (l *inputLog) notify() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
 }
 
 // markerOf reports whether a single-member group is a sequencer marker
@@ -344,109 +412,25 @@ func markerOf(members [][]byte) ([]byte, int64) {
 	return members[0], req.GSeq
 }
 
-// combineGroup rebuilds the broker record for one batcher group append: a
-// single member is its own record; N members are the {"b":[...]} group
-// record — byte-identical to the original json.Marshal(request{Batch}),
-// since each member payload *is* the original member marshaling.
+// combineGroup builds the log record for one group append: a single member
+// is its own record; N members are the {"b":[...]} group record —
+// byte-identical to json.Marshal(request{Batch}) over the members, since
+// each member payload *is* that member's marshaling.
 func combineGroup(members [][]byte) []byte {
 	if len(members) == 1 {
 		return members[0]
 	}
-	var buf bytes.Buffer
-	buf.WriteString(`{"b":[`)
+	n := len(`{"b":[]}`) + len(members) - 1
+	for _, m := range members {
+		n += len(m)
+	}
+	buf := make([]byte, 0, n)
+	buf = append(buf, `{"b":[`...)
 	for i, m := range members {
 		if i > 0 {
-			buf.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		buf.Write(m)
+		buf = append(buf, m...)
 	}
-	buf.WriteString(`]}`)
-	return buf.Bytes()
-}
-
-// waitDurable is the second phase of the FsyncInterval two-phase ack:
-// block until the log's sync watermark covers everything appended so far,
-// so the acknowledgment that follows means "on stable storage", not "in
-// the page cache until the next timer tick". The other policies return
-// immediately — EveryBatch synced inside the append itself, and None
-// explicitly leaves durability to the OS. cancel (the runtime's stop
-// channel) aborts the wait on crash/shutdown; the caller then fails its
-// submitters instead of acking, and recovery replays the record if the
-// sync in fact made it.
-func (r *Runtime) waitDurable(l *wal.Log, cancel <-chan struct{}) error {
-	if r.cfg.Fsync != FsyncInterval {
-		return nil
-	}
-	if err := l.WaitDurable(l.Len(), cancel); err != nil {
-		if errors.Is(err, wal.ErrCanceled) || errors.Is(err, wal.ErrClosed) {
-			return ErrNotRunning
-		}
-		return err
-	}
-	return nil
-}
-
-// appendBatchDurable is the batcher's WAL-mode append path: persist the
-// group (header + members, one write, fsync per policy — in interval mode
-// waiting out the covering sync), then produce the combined record to the
-// broker — under the partition lock, so disk order is topic order.
-// Returns after the configured durability point; that return is what the
-// submitters' acks mean.
-func (r *Runtime) appendBatchDurable(part int, members [][]byte, raw []byte, cancel <-chan struct{}) error {
-	d := r.dlog
-	d.mu[part].Lock()
-	defer d.mu[part].Unlock()
-	if err := appendGroup(d.part[part], members); err != nil {
-		return err
-	}
-	if err := r.waitDurable(d.part[part], cancel); err != nil {
-		return err
-	}
-	_, err := r.broker.ProduceIdempotentTo(r.logTopic(part), "", raw, walProducerID(r.cfg.Name, part), d.groups[part])
-	d.groups[part]++
-	r.m.Counter("core.wal_group_appends").Inc()
-	r.m.Counter("core.wal_records").Add(int64(len(members)))
-	return err
-}
-
-// appendMarkerDurable is the sequencer's WAL-mode fan-out: persist the
-// marker in the partition's log, then produce it idempotently keyed by its
-// global-sequence offset. A marker bootstrap already replayed from disk
-// (stamp at or below the partition's watermark) skips the append — the
-// produce below still runs and dedups, covering the crash window where the
-// gseq log got the entry but the partition log missed the marker.
-func (r *Runtime) appendMarkerDurable(part int, reqID string, raw []byte, gseqOff int64, cancel <-chan struct{}) error {
-	d := r.dlog
-	d.mu[part].Lock()
-	defer d.mu[part].Unlock()
-	if gseqOff+1 > d.markerHi[part] {
-		if err := appendGroup(d.part[part], [][]byte{raw}); err != nil {
-			return err
-		}
-		d.markerHi[part] = gseqOff + 1
-		if err := r.waitDurable(d.part[part], cancel); err != nil {
-			return err
-		}
-	}
-	_, err := r.broker.ProduceIdempotentTo(r.logTopic(part), reqID, raw, r.cfg.Name+"-seq", gseqOff)
-	return err
-}
-
-// appendGSeqDurable persists one cross-partition submission in the global-
-// sequence log before it is produced to the sequence topic. d is the
-// caller's capture of the runtime's durable log (SubmitAsync snapshots it
-// under runMu alongside the running flag).
-func (r *Runtime) appendGSeqDurable(d *durableLog, reqID string, raw []byte, cancel <-chan struct{}) error {
-	gslot := len(d.mu) - 1
-	d.mu[gslot].Lock()
-	defer d.mu[gslot].Unlock()
-	if err := appendGroup(d.gseq, [][]byte{raw}); err != nil {
-		return err
-	}
-	if err := r.waitDurable(d.gseq, cancel); err != nil {
-		return err
-	}
-	_, err := r.broker.ProduceIdempotentTo(r.seqTopic(), reqID, raw, r.cfg.Name+"-wal-gseq", d.gseqGroups)
-	d.gseqGroups++
-	return err
+	return append(buf, `]}`...)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -407,7 +409,7 @@ func TestIntervalAckCoversDurability(t *testing.T) {
 		// The blocking Submit returned, so the interval sync covering its
 		// record already ran: the watermark is the whole log, and waiting
 		// for it returns at once even with the wait already canceled.
-		l := r.dlog.part[0]
+		l := r.logs[0].wal
 		canceled := make(chan struct{})
 		close(canceled)
 		if err := l.WaitDurable(l.Len(), canceled); err != nil {
@@ -477,4 +479,115 @@ func TestIntervalAckCoversDurability(t *testing.T) {
 			t.Fatalf("replayed request re-applied: balance = %d, want 7", got)
 		}
 	})
+}
+
+// TestDurableLogStopStartKeepsSurvivingBroker is the restart Stop's doc
+// promises: Stop detaches the disks, and Start on the same runtime and
+// broker replays them into a broker that already holds every record. The
+// replay must deduplicate all of it — no topic grows — and appends after
+// the restart must still land.
+func TestDurableLogStopStartKeepsSurvivingBroker(t *testing.T) {
+	const name, accounts = "wal-survive", 6
+	broker := mq.NewBroker()
+	r := NewRuntime(broker, Config{Name: name, Partitions: 2, LogDir: t.TempDir()})
+	registerBank(r)
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Stop)
+	for a := int64(0); a < accounts; a++ {
+		deposit(t, r, fmt.Sprintf("seed%d", a), a, 100)
+	}
+	for i := 0; i < 8; i++ {
+		from, to := int64(i%accounts), int64((i+1)%accounts)
+		if err := transfer(r, fmt.Sprintf("x%d", i), from, to, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.Metrics().Counter("core.cross_submits").Value() == 0 {
+		t.Fatal("no transfer crossed partitions")
+	}
+	tps := []mq.TopicPartition{{Topic: name + "-txlog", Partition: 0}, {Topic: name + "-txlog", Partition: 1}, {Topic: name + "-gseq"}}
+	highWaters := func() []int64 {
+		hws := make([]int64, len(tps))
+		for i, tp := range tps {
+			hw, err := broker.HighWater(tp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hws[i] = hw
+		}
+		return hws
+	}
+	before := highWaters()
+	want := make([]int64, accounts)
+	for a := range want {
+		want[a] = balance(r, int64(a))
+	}
+
+	r.Stop()
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if after := highWaters(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("high waters after Stop/Start = %v, want %v (replay re-appended to the surviving broker)", after, before)
+	}
+	for a := int64(0); a < accounts; a++ {
+		if got := balance(r, a); got != want[a] {
+			t.Fatalf("acc %d after Stop/Start = %d, want %d", a, got, want[a])
+		}
+	}
+	// Appends after the restart: a deposit per account, then a transfer
+	// between accounts homed on different partitions.
+	for a := int64(0); a < accounts; a++ {
+		deposit(t, r, fmt.Sprintf("post%d", a), a, 1)
+		want[a]++
+	}
+	to := int64(1)
+	for r.PartitionOf(fmt.Sprintf("acc/%d", to)) == r.PartitionOf("acc/0") {
+		to++
+	}
+	if err := transfer(r, "post-x", 0, to, 3); err != nil {
+		t.Fatal(err)
+	}
+	want[0], want[to] = want[0]-3, want[to]+3
+	for a := int64(0); a < accounts; a++ {
+		if got := balance(r, a); got != want[a] {
+			t.Fatalf("acc %d after post-restart appends = %d, want %d", a, got, want[a])
+		}
+	}
+}
+
+// TestCombineGroupMatchesBatchMarshal pins the one record encoding both
+// modes produce: a group's record built from its members' marshalings is
+// byte-identical to marshaling the group request, and a one-member group
+// is the member's own marshaling.
+func TestCombineGroupMatchesBatchMarshal(t *testing.T) {
+	reqs := []request{
+		{ReqID: "bin", Fn: "deposit", Keys: []string{"acc/1"}, Args: []byte{0, 1, 0x7f, 0x80, 0xff}},
+		{ReqID: "nokeys", Fn: "noop", Keys: []string{}},
+		{ReqID: `esc"\`, Fn: "f", Keys: []string{"k\n\"<x>&", "ü \x00"}, Args: []byte(`{"a":1}`)},
+		{ReqID: "marker", Fn: "transfer", Keys: []string{"acc/1", "acc/2"}, GSeq: 42},
+	}
+	members := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members[i] = raw
+		if got := combineGroup([][]byte{raw}); !bytes.Equal(got, raw) {
+			t.Fatalf("one-member group %q = %s, want %s", req.ReqID, got, raw)
+		}
+	}
+	want, err := json.Marshal(request{Batch: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := combineGroup(members); !bytes.Equal(got, want) {
+		t.Fatalf("combineGroup = %s\nwant json.Marshal(request{Batch}) = %s", got, want)
+	}
 }
