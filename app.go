@@ -1,11 +1,13 @@
 package tca
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"tca/internal/fabric"
 )
@@ -56,20 +58,29 @@ type Txn interface {
 	PushCap(key string, id int64, cap int) error
 }
 
-// EncodeInt is the canonical numeric value encoding of the App layer
-// (JSON int64) — what Txn.Add maintains and application bodies should use
-// for counter-like keys.
+// EncodeInt is the canonical numeric value encoding of the App layer:
+// canonical decimal, the bytes json.Marshal(int64) produces — what Txn.Add
+// maintains and application bodies should use for counter-like keys.
 func EncodeInt(v int64) []byte {
-	raw, _ := json.Marshal(v)
-	return raw
+	return strconv.AppendInt(nil, v, 10)
 }
 
 // DecodeInt decodes an EncodeInt value; nil or garbage decodes to zero.
+// Canonical decimal — digits after an optional '-', no leading zero —
+// goes through strconv; anything else decodes as json.Unmarshal into an
+// int64 decodes it.
 func DecodeInt(raw []byte) int64 {
-	var v int64
-	if raw != nil {
-		json.Unmarshal(raw, &v)
+	if len(raw) == 0 {
+		return 0
 	}
+	digits := bytes.TrimPrefix(raw, []byte("-"))
+	if len(digits) > 0 && ('1' <= digits[0] && digits[0] <= '9' || len(digits) == 1) {
+		if v, err := strconv.ParseInt(string(raw), 10, 64); err == nil {
+			return v
+		}
+	}
+	var v int64
+	json.Unmarshal(raw, &v)
 	return v
 }
 

@@ -3,6 +3,7 @@ package tca
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"tca/internal/workload"
@@ -158,5 +159,44 @@ func TestAppRegistryContract(t *testing.T) {
 	})
 	if got := len(BankApp().Ops()); got != 2 {
 		t.Fatalf("BankApp ops = %d, want 2", got)
+	}
+}
+
+// TestIntCodecMatchesJSON pins the App layer's integer codec to the JSON
+// encoding it replaced: EncodeInt writes the bytes json.Marshal(int64)
+// writes, and DecodeInt reads every input — canonical or not — to the
+// value json.Unmarshal into a zeroed int64 leaves.
+func TestIntCodecMatchesJSON(t *testing.T) {
+	for _, v := range []int64{math.MinInt64, math.MinInt64 + 1, -1234567, -1, 0, 1, 9, 10, 99, 100, 4096, math.MaxInt64} {
+		want, _ := json.Marshal(v)
+		if got := EncodeInt(v); string(got) != string(want) {
+			t.Errorf("EncodeInt(%d) = %q, json.Marshal gives %q", v, got, want)
+		}
+		if got := DecodeInt(want); got != v {
+			t.Errorf("DecodeInt(%q) = %d, want %d", want, got, v)
+		}
+	}
+	inputs := []string{
+		"0", "-0", "-1", "7", "9223372036854775807", "-9223372036854775808",
+		"9223372036854775808", "-9223372036854775809", "99999999999999999999",
+		" 5", "5 ", "+5", "05", "-05", "00", "1e2", "1.0", "1.5", "-", "--1",
+		"null", "true", `"5"`, "[5]", "5x", "",
+	}
+	for _, in := range inputs {
+		var want int64
+		json.Unmarshal([]byte(in), &want)
+		if got := DecodeInt([]byte(in)); got != want {
+			t.Errorf("DecodeInt(%q) = %d, json.Unmarshal gives %d", in, got, want)
+		}
+	}
+	if got := DecodeInt(nil); got != 0 {
+		t.Errorf("DecodeInt(nil) = %d, want 0", got)
+	}
+	// Missing keys (nil) and canonical values are the hot inputs: neither
+	// may reach json.Unmarshal.
+	for _, in := range [][]byte{nil, {}, []byte("0"), []byte("-1"), []byte("9223372036854775807")} {
+		if n := testing.AllocsPerRun(100, func() { DecodeInt(in) }); n != 0 {
+			t.Errorf("DecodeInt(%q) allocates %v times, want 0", in, n)
+		}
 	}
 }

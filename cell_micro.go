@@ -10,6 +10,7 @@ import (
 	"tca/internal/rpc"
 	"tca/internal/saga"
 	"tca/internal/store"
+	"tca/internal/workload"
 )
 
 // microShards is the number of key-shard services a micro cell deploys —
@@ -169,10 +170,10 @@ func (e *microExec) run(op Op, reqID string, args []byte, tr *fabric.Trace) ([]b
 		steps[i] = saga.Step{
 			Name: writes[i].Key,
 			Action: func(*saga.Ctx) error {
-				return e.call(writes[i].Key, "apply", fmt.Sprintf("%s/w%d", reqID, i), &writes[i], &undos[i], tr)
+				return e.call(writes[i].Key, "apply", workload.Join(reqID, "/w", int64(i)), &writes[i], &undos[i], tr)
 			},
 			Compensate: func(*saga.Ctx) error {
-				return e.call(undos[i].Key, "apply", fmt.Sprintf("%s/c%d", reqID, i), &undos[i], nil, tr)
+				return e.call(undos[i].Key, "apply", workload.Join(reqID, "/c", int64(i)), &undos[i], nil, tr)
 			},
 		}
 	}

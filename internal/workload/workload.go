@@ -13,8 +13,8 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 )
 
 // BankOp is one transfer in the canonical bank workload.
@@ -254,27 +254,56 @@ func (g *TPCCGen) nextQuery() TPCCOp {
 // StockKey / CustomerKey / DistrictKey name the state keys a TPC-C op
 // touches, shared by every runtime adapter so the experiments hit
 // identical key sets.
-func StockKey(warehouse, item int) string { return fmt.Sprintf("stock/%d/%d", warehouse, item) }
-func CustomerKey(w, d, c int) string      { return fmt.Sprintf("cust/%d/%d/%d", w, d, c) }
-func DistrictKey(w, d int) string         { return fmt.Sprintf("dist/%d/%d", w, d) }
-func WarehouseKey(w int) string           { return fmt.Sprintf("wh/%d", w) }
+func StockKey(warehouse, item int) string {
+	return Join("stock", "/", int64(warehouse), int64(item))
+}
+func CustomerKey(w, d, c int) string {
+	return Join("cust", "/", int64(w), int64(d), int64(c))
+}
+func DistrictKey(w, d int) string { return Join("dist", "/", int64(w), int64(d)) }
+func WarehouseKey(w int) string   { return Join("wh", "/", int64(w)) }
+
+// Join returns prefix followed by each id in decimal after sep, in one
+// allocation: Join("stock", "/", 1, 2) is "stock/1/2", the bytes
+// fmt.Sprintf("stock/%d/%d", 1, 2) gives. Every state key builder and
+// the runtime's request and saga step ids use it.
+func Join(prefix, sep string, ids ...int64) string {
+	var buf [64]byte
+	b := append(buf[:0], prefix...)
+	for _, id := range ids {
+		b = strconv.AppendInt(append(b, sep...), id, 10)
+	}
+	return string(b)
+}
+
+// FirstItem reports whether Items[i] is the first line with its item id:
+// the key sets and bodies touch each stock key once however often an
+// order repeats an item.
+func (op TPCCOp) FirstItem(i int) bool {
+	for _, it := range op.Items[:i] {
+		if it.ItemID == op.Items[i].ItemID {
+			return false
+		}
+	}
+	return true
+}
 
 // Keys returns every state key the op touches (its declared key set for
 // the deterministic runtime).
 func (op TPCCOp) Keys() []string {
 	switch op.Kind {
-	case TPCCNewOrder:
-		keys := []string{DistrictKey(op.Warehouse, op.District)}
-		seen := map[string]struct{}{}
-		for _, it := range op.Items {
-			w := op.Warehouse
-			if op.Remote {
-				w = op.RemoteWarehouse
-			}
-			k := StockKey(w, it.ItemID)
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				keys = append(keys, k)
+	case TPCCNewOrder, TPCCStockLevel:
+		// StockLevel inspects home-warehouse stock; a remote NewOrder
+		// draws down the remote warehouse's.
+		w := op.Warehouse
+		if op.Remote && op.Kind == TPCCNewOrder {
+			w = op.RemoteWarehouse
+		}
+		keys := make([]string, 1, 1+len(op.Items))
+		keys[0] = DistrictKey(op.Warehouse, op.District)
+		for i, it := range op.Items {
+			if op.FirstItem(i) {
+				keys = append(keys, StockKey(w, it.ItemID))
 			}
 		}
 		return keys
@@ -286,17 +315,6 @@ func (op TPCCOp) Keys() []string {
 			CustomerKey(op.Warehouse, op.District, op.Customer),
 			DistrictKey(op.Warehouse, op.District),
 		}
-	case TPCCStockLevel:
-		keys := []string{DistrictKey(op.Warehouse, op.District)}
-		seen := map[string]struct{}{}
-		for _, it := range op.Items {
-			k := StockKey(op.Warehouse, it.ItemID)
-			if _, dup := seen[k]; !dup {
-				seen[k] = struct{}{}
-				keys = append(keys, k)
-			}
-		}
-		return keys
 	default:
 		w := op.Warehouse
 		if op.Remote {
@@ -456,10 +474,10 @@ func (g *MarketGen) Next() MarketOp {
 // CartKey / PriceKey / MarketStockKey / OrderKey name the state keys a
 // marketplace op touches, shared by the MarketApp bodies and auditor so
 // every cell hits identical key sets.
-func CartKey(user int) string           { return fmt.Sprintf("cart/%d", user) }
-func PriceKey(product int) string       { return fmt.Sprintf("price/%d", product) }
-func MarketStockKey(product int) string { return fmt.Sprintf("mstock/%d", product) }
-func OrderKey(user int) string          { return fmt.Sprintf("order/%d", user) }
+func CartKey(user int) string           { return Join("cart", "/", int64(user)) }
+func PriceKey(product int) string       { return Join("price", "/", int64(product)) }
+func MarketStockKey(product int) string { return Join("mstock", "/", int64(product)) }
+func OrderKey(user int) string          { return Join("order", "/", int64(user)) }
 
 // Keys returns every state key the op touches (its declared key set):
 // queries read the product pair, checkouts span the cart, the product and
@@ -627,15 +645,15 @@ func (g *SocialGen) Users() int { return len(g.followers) }
 
 // PostsKey / TimelineKey / FollowKey name the state keys a social op
 // touches, shared by the SocialApp bodies and auditor.
-func PostsKey(user int) string    { return fmt.Sprintf("posts/%d", user) }
-func TimelineKey(user int) string { return fmt.Sprintf("timeline/%d", user) }
+func PostsKey(user int) string    { return Join("posts", "/", int64(user)) }
+func TimelineKey(user int) string { return Join("timeline", "/", int64(user)) }
 
 // FollowKey is the (author, follower) edge counter: 1 while follower is
 // subscribed to author's posts, 0 after an unfollow. Counters instead of
 // a single list-valued followers key keep the churn commutative — a
 // follow is +1, an unfollow is -1, exact on every cell in any order.
 func FollowKey(author, follower int) string {
-	return fmt.Sprintf("follow/%d/%d", author, follower)
+	return Join("follow", "/", int64(author), int64(follower))
 }
 
 // Keys returns every state key the op touches (its declared key set). For
@@ -679,7 +697,7 @@ func (op SocialOp) Keys() []string {
 // ReservationKey names one reservation's escrow: written once by the
 // reserving add-to-cart, consumed once by the claiming checkout.
 func ReservationKey(user int, id int64) string {
-	return fmt.Sprintf("resv/%d/%d", user, id)
+	return Join("resv", "/", int64(user), id)
 }
 
 // ReservedKeys returns the op's declared key set under the reservation
@@ -852,9 +870,9 @@ func (g *BookingGen) Next() BookingOp {
 
 // FlightKey / HotelKey / TripKey name the booking state: seats sold per
 // flight, rooms sold per hotel, trips held per user.
-func FlightKey(flight int) string { return fmt.Sprintf("flight/%d", flight) }
-func HotelKey(hotel int) string   { return fmt.Sprintf("hotel/%d", hotel) }
-func TripKey(user int) string     { return fmt.Sprintf("trip/%d", user) }
+func FlightKey(flight int) string { return Join("flight", "/", int64(flight)) }
+func HotelKey(hotel int) string   { return Join("hotel", "/", int64(hotel)) }
+func TripKey(user int) string     { return Join("trip", "/", int64(user)) }
 
 // Keys returns the op's declared key set: a reservation (and its
 // cancellation) spans the flight, the hotel, and the user's trip ledger.
@@ -944,8 +962,8 @@ func (g *LedgerGen) Next() LedgerOp {
 
 // AcctKey / JournalKey name the ledger state: one balance and one
 // bounded journal of recent entry ids per account.
-func AcctKey(account int) string    { return fmt.Sprintf("acct/%d", account) }
-func JournalKey(account int) string { return fmt.Sprintf("journal/%d", account) }
+func AcctKey(account int) string    { return Join("acct", "/", int64(account)) }
+func JournalKey(account int) string { return Join("journal", "/", int64(account)) }
 
 // Keys returns the op's declared key set: a posting touches both sides'
 // balances and journals.

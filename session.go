@@ -2,7 +2,6 @@ package tca
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -10,6 +9,7 @@ import (
 
 	"tca/internal/backoff"
 	"tca/internal/fabric"
+	"tca/internal/workload"
 )
 
 // SessionOptions tunes a client session. The zero value is a pipelined
@@ -107,7 +107,9 @@ func NewSession(cell Cell, id string, opts SessionOptions) *Session {
 // and — with OrderKeys — until the session's previous ops on overlapping
 // keys have completed.
 func (s *Session) Submit(opName string, args []byte, tr *fabric.Trace) Handle {
-	reqID := fmt.Sprintf("%s/%d", s.id, s.seq.Add(1))
+	// <id>/<n>: the '/' keeps sessions whose ids prefix each other apart
+	// (s1/12 vs s11/2).
+	reqID := workload.Join(s.id, "/", s.seq.Add(1))
 	var keys []string
 	if s.opts.OrderKeys {
 		if op, ok := s.cell.App().Op(opName); ok {

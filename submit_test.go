@@ -3,10 +3,12 @@ package tca
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"tca/internal/fabric"
 	"tca/internal/workload"
 )
 
@@ -310,5 +312,57 @@ func TestSessionOrderKeysReadYourWrites(t *testing.T) {
 	sess.Drain()
 	if sess.Errors() != 0 {
 		t.Fatalf("%d submissions failed", sess.Errors())
+	}
+}
+
+// idCell records the request ids submitted to it and resolves every
+// submission at once.
+type idCell struct {
+	mapCell
+	mu  sync.Mutex
+	ids []string
+}
+
+func (c *idCell) Submit(reqID, _ string, _ []byte, _ *fabric.Trace) Handle {
+	c.mu.Lock()
+	c.ids = append(c.ids, reqID)
+	c.mu.Unlock()
+	return resolvedHandle(nil, nil)
+}
+
+// TestSessionRequestIDs pins the session request-id format: <id>/<n> with
+// n counting up from 1, so sessions whose ids prefix each other (s1, s11)
+// never share a request id — s1's 12th op and s11's 2nd op must differ.
+// Per-session exactly-once windows rely on this format. The saga step ids
+// built by the same helper keep fmt's bytes.
+func TestSessionRequestIDs(t *testing.T) {
+	const ops = 150
+	seen := map[string]string{}
+	for _, id := range []string{"s1", "s11"} {
+		cell := &idCell{}
+		sess := NewSession(cell, id, SessionOptions{MaxInFlight: 4})
+		for i := 0; i < ops; i++ {
+			sess.Submit("op", nil, nil)
+		}
+		sess.Drain()
+		if len(cell.ids) != ops {
+			t.Fatalf("session %s submitted %d ids, want %d", id, len(cell.ids), ops)
+		}
+		for i, reqID := range cell.ids {
+			if want := fmt.Sprintf("%s/%d", id, i+1); reqID != want {
+				t.Fatalf("session %s op %d has request id %q, want %q", id, i, reqID, want)
+			}
+			if other, dup := seen[reqID]; dup {
+				t.Fatalf("request id %q issued by sessions %s and %s", reqID, other, id)
+			}
+			seen[reqID] = id
+		}
+	}
+	for _, n := range []int64{0, 7, 12, -3, math.MaxInt64, math.MinInt64} {
+		for _, sep := range []string{"/", "/w", "/c"} {
+			if got, want := workload.Join("s1/12", sep, n), fmt.Sprintf("%s%s%d", "s1/12", sep, n); got != want {
+				t.Errorf("workload.Join = %q, want %q", got, want)
+			}
+		}
 	}
 }

@@ -25,6 +25,12 @@ import (
 // the eventual cells; stock is an honest read-modify-write (the restock
 // decision depends on the read), which is exactly where cells without
 // isolation drift — the anomaly E17 reports.
+//
+// Op args are json.Marshal(workload.TPCCOp), and every site that reads
+// them — the declared keys, the four bodies and the auditor's KeyTotal
+// deltas — decodes them with workload.DecodeTPCCOp: a reflection-free
+// parse of exactly that layout, falling back to json.Unmarshal for any
+// other input.
 
 // tpccInitialStock is the stock level of an untouched item, and
 // tpccRestock the replenishment the standard prescribes when a NewOrder
@@ -44,8 +50,7 @@ const (
 func TPCCApp() *App {
 	app := NewApp("tpcc")
 	keys := func(args []byte) []string {
-		var op workload.TPCCOp
-		json.Unmarshal(args, &op)
+		op, _ := workload.DecodeTPCCOp(args)
 		return op.Keys()
 	}
 	app.Register(Op{Name: workload.TPCCNewOrder.String(), Keys: keys, Body: tpccNewOrder})
@@ -74,8 +79,8 @@ func tpccOpName(op workload.TPCCOp) string { return op.Kind.String() }
 // draw down stock for every line, restocking when a line would leave the
 // shelf below the floor.
 func tpccNewOrder(tx Txn, args []byte) ([]byte, error) {
-	var op workload.TPCCOp
-	if err := json.Unmarshal(args, &op); err != nil {
+	op, err := workload.DecodeTPCCOp(args)
+	if err != nil {
 		return nil, err
 	}
 	if err := tx.Add(workload.DistrictKey(op.Warehouse, op.District), 1); err != nil {
@@ -87,16 +92,17 @@ func tpccNewOrder(tx Txn, args []byte) ([]byte, error) {
 	}
 	// Aggregate duplicate items so each stock key gets one read and one
 	// write (the declared key set is deduplicated the same way).
-	qty := make(map[string]int64)
-	var order []string
-	for _, it := range op.Items {
-		k := workload.StockKey(sw, it.ItemID)
-		if _, seen := qty[k]; !seen {
-			order = append(order, k)
+	for i, it := range op.Items {
+		if !op.FirstItem(i) {
+			continue
 		}
-		qty[k] += int64(it.Qty)
-	}
-	for _, k := range order {
+		qty := int64(0)
+		for _, dup := range op.Items[i:] {
+			if dup.ItemID == it.ItemID {
+				qty += int64(dup.Qty)
+			}
+		}
+		k := workload.StockKey(sw, it.ItemID)
 		raw, found, err := tx.Get(k)
 		if err != nil {
 			return nil, err
@@ -105,10 +111,10 @@ func tpccNewOrder(tx Txn, args []byte) ([]byte, error) {
 		if found {
 			s = DecodeInt(raw)
 		}
-		for s-qty[k] < tpccRestockFloor {
+		for s-qty < tpccRestockFloor {
 			s += tpccRestock
 		}
-		s -= qty[k]
+		s -= qty
 		if err := tx.Put(k, EncodeInt(s)); err != nil {
 			return nil, err
 		}
@@ -119,8 +125,8 @@ func tpccNewOrder(tx Txn, args []byte) ([]byte, error) {
 // tpccPayment applies one payment: warehouse YTD up, customer balance
 // down — pure commutative deltas, so every cell keeps them exact.
 func tpccPayment(tx Txn, args []byte) ([]byte, error) {
-	var op workload.TPCCOp
-	if err := json.Unmarshal(args, &op); err != nil {
+	op, err := workload.DecodeTPCCOp(args)
+	if err != nil {
 		return nil, err
 	}
 	if err := tx.Add(workload.WarehouseKey(op.Warehouse), op.Amount); err != nil {
@@ -137,8 +143,8 @@ func tpccPayment(tx Txn, args []byte) ([]byte, error) {
 // customer's balance and the district's order counter — a pure read over
 // its two declared keys, which every cell serves on its query fast path.
 func tpccOrderStatus(tx Txn, args []byte) ([]byte, error) {
-	var op workload.TPCCOp
-	if err := json.Unmarshal(args, &op); err != nil {
+	op, err := workload.DecodeTPCCOp(args)
+	if err != nil {
 		return nil, err
 	}
 	balRaw, _, err := tx.Get(workload.CustomerKey(op.Warehouse, op.District, op.Customer))
@@ -156,8 +162,8 @@ func tpccOrderStatus(tx Txn, args []byte) ([]byte, error) {
 // inspected items sit below the threshold. Untouched stock keys read as
 // tpccInitialStock, mirroring tpccNewOrder's implicit initialization.
 func tpccStockLevel(tx Txn, args []byte) ([]byte, error) {
-	var op workload.TPCCOp
-	if err := json.Unmarshal(args, &op); err != nil {
+	op, err := workload.DecodeTPCCOp(args)
+	if err != nil {
 		return nil, err
 	}
 	threshold := op.Threshold
@@ -165,14 +171,11 @@ func tpccStockLevel(tx Txn, args []byte) ([]byte, error) {
 		threshold = tpccStockLevelThreshold
 	}
 	var res tpccStockLevelResult
-	seen := map[string]struct{}{}
-	for _, it := range op.Items {
-		k := workload.StockKey(op.Warehouse, it.ItemID)
-		if _, dup := seen[k]; dup {
+	for i, it := range op.Items {
+		if !op.FirstItem(i) {
 			continue
 		}
-		seen[k] = struct{}{}
-		raw, found, err := tx.Get(k)
+		raw, found, err := tx.Get(workload.StockKey(op.Warehouse, it.ItemID))
 		if err != nil {
 			return nil, err
 		}
@@ -208,8 +211,7 @@ func NewTPCCAuditor() *TPCCAuditor {
 				if opName != workload.TPCCPayment.String() {
 					return nil
 				}
-				var op workload.TPCCOp
-				json.Unmarshal(args, &op)
+				op, _ := workload.DecodeTPCCOp(args)
 				return map[string]int64{workload.WarehouseKey(op.Warehouse): op.Amount}
 			},
 			Describe: func(key string, got, want int64) string {
@@ -222,8 +224,7 @@ func NewTPCCAuditor() *TPCCAuditor {
 				if opName != workload.TPCCNewOrder.String() {
 					return nil
 				}
-				var op workload.TPCCOp
-				json.Unmarshal(args, &op)
+				op, _ := workload.DecodeTPCCOp(args)
 				return map[string]int64{workload.DistrictKey(op.Warehouse, op.District): 1}
 			},
 			Describe: func(key string, got, want int64) string {
