@@ -22,26 +22,27 @@
 //
 // The key space is hash-partitioned across Config.Partitions input-log
 // partitions (Calvin-style; E16 measures the scaling curve). Each partition
-// owns one "<name>-txlog" partition and one scheduler loop:
+// owns one input log and one scheduler loop:
 //
 //   - A transaction whose declared keys all hash to one partition appends to
 //     that partition's log and executes with zero cross-shard coordination —
 //     its position in the home partition's log is its order.
-//   - A transaction spanning partitions appends to the single-partition
-//     global sequence topic "<name>-gseq". A lone sequencer goroutine
-//     interleaves each such transaction into every involved partition's log
-//     (idempotently, keyed by its global sequence offset), so all partitions
-//     agree on the relative order of cross-partition transactions. Each
-//     partition executor wires the transaction into its own per-key
-//     dependency chains at the marker's log position; the last partition to
-//     reach its marker launches execution.
+//   - A transaction spanning partitions appends to the global sequence
+//     (gseq) log. A lone sequencer goroutine interleaves each such
+//     transaction into every involved partition's log as a marker stamped
+//     with its gseq offset (at most once per partition: a stamp watermark
+//     drops re-sequenced markers), so all partitions agree on the relative
+//     order of cross-partition transactions. Each partition executor wires
+//     the transaction into its own per-key dependency chains at the
+//     marker's log position; the last partition to reach its marker
+//     launches execution.
 //
 // The combined schedule stays conflict-equivalent to a serial order: keys
 // are owned by exactly one partition, so conflicts within a partition
 // follow that partition's log order, and every partition log agrees with
 // the global sequence order on cross-partition transactions — the conflict
 // graph is acyclic. Partitions = 1 degenerates to exactly the single-log
-// runtime (no sequence topic, no extra machinery).
+// runtime (no gseq log, no extra machinery).
 //
 // Transactions declare their key set up front (Calvin-style reconnaissance;
 // Styx discovers it dynamically — the declared-keys simplification keeps the
@@ -54,6 +55,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -191,7 +193,7 @@ type TxnFunc func(tx *Tx, args []byte) ([]byte, error)
 
 // Config tunes the runtime.
 type Config struct {
-	// Name prefixes the runtime's topics.
+	// Name labels the runtime for its callers; the runtime does not read it.
 	Name string
 	// Workers bounds concurrently executing transactions. Zero means 8.
 	Workers int
@@ -200,7 +202,7 @@ type Config struct {
 	// exactly the pre-sharding semantics.
 	Partitions int
 	// SequenceDelay models the per-record latency of durably appending and
-	// order-stamping one record at a log partition — the fsync/replication
+	// order-stamping one record at an input log — the fsync/replication
 	// await of a real durable log (cf. store.Config.ServiceTime, which
 	// models CPU-bound database work by spinning; an append await leaves
 	// the CPU free, so it sleeps). It is paid serially at each partition's
@@ -213,13 +215,13 @@ type Config struct {
 	// real disk's own append+fsync cost replaces the model.
 	SequenceDelay time.Duration
 	// LogDir, when set, attaches a disk to every input log: a write-ahead
-	// log under <LogDir>/p<partition> (and <LogDir>/gseq for the sequence
-	// topic). Every append — batcher groups, cross-partition submissions,
-	// sequencer markers — is persisted (header record with a Merkle root
-	// over the members, then the member records) before it is produced to
-	// the broker, and Start replays the disks through Merkle verification —
-	// persist, then act, measured instead of modeled. See
-	// internal/core/wal.go.
+	// log under <LogDir>/p<partition> (and <LogDir>/gseq for the gseq log).
+	// Every append — batcher groups, cross-partition submissions, sequencer
+	// markers — is persisted (header record with a Merkle root over the
+	// members, then the member records) before it enters the log's
+	// in-memory tail, and Start rebuilds the tails from the disks through
+	// Merkle verification — persist, then act, measured instead of modeled.
+	// See internal/core/wal.go.
 	LogDir string
 	// Fsync selects the durable log's sync policy (LogDir mode only):
 	// every batch (default), interval (FsyncEvery), or none.
@@ -227,8 +229,8 @@ type Config struct {
 	// FsyncEvery is the FsyncInterval flush period. Zero means 1ms.
 	FsyncEvery time.Duration
 	// MaxGroupAppend caps how many concurrent submissions one group append
-	// may carry. Zero means 128 (the executors' fetch batch). E22 sweeps
-	// it to map batch size against fsync policy.
+	// may carry. Zero means 128. E22 sweeps it to map batch size against
+	// fsync policy.
 	MaxGroupAppend int
 	// MaxPending, when positive, turns on admission control: each
 	// partition's batcher queue holds at most MaxPending un-appended
@@ -275,8 +277,7 @@ type request struct {
 }
 
 // maxGroupAppend is the default bound on how many concurrent submissions
-// one group append may carry (matching the executors' fetch batch);
-// Config.MaxGroupAppend overrides it.
+// one group append may carry; Config.MaxGroupAppend overrides it.
 const maxGroupAppend = 128
 
 // pendingSubmit is one submission waiting for its group append. acked is
@@ -307,18 +308,18 @@ type Runtime struct {
 	nparts     int
 	maxGroup   int
 	maxPending int // >0: bounded batcher queues + shedding (Config.MaxPending)
-	broker     *mq.Broker
 	m          *metrics.Registry
 
-	// crossPending counts cross-partition submissions produced to the
-	// sequence topic but not yet consumed by the sequencer — the gseq
-	// path's bounded queue when maxPending > 0.
+	// crossPending counts cross-partition submissions appended to the gseq
+	// log but not yet consumed by the sequencer — the gseq path's bounded
+	// queue when maxPending > 0.
 	crossPending atomic.Int64
 
 	// logs are the input logs: one per partition, then (when sharded) the
-	// global-sequence log, which gseq also names. In LogDir mode each has a
-	// disk, attached and replayed by the first Start, kept across
-	// Crash/Recover (disk survives a crash), detached by Stop.
+	// global-sequence log, which gseq also names. Each owns its reader's
+	// position. In LogDir mode each has a disk, attached and replayed by the
+	// first Start, kept across Crash/Recover (disk survives a crash),
+	// detached by Stop.
 	logs []*inputLog
 	gseq *inputLog
 
@@ -368,26 +369,22 @@ type Runtime struct {
 	// WaitGroup.Wait must not race an Add from zero — and polls this.
 	inflightN atomic.Int64
 
-	offMu   sync.Mutex
-	offsets []int64 // next input-log offset, per partition
-
 	seqMu   sync.Mutex
-	seqOff  int64               // next global-sequence offset to consume
 	seqSeen map[string]struct{} // request ids already sequenced (dedup)
 }
 
 type snapshot struct {
-	offsets []int64
-	seqOff  int64
+	offsets []int64 // reader positions, one per log in logs order
 	seqSeen map[string]struct{}
 	state   map[string][]byte
 	results map[string]Result
 }
 
-// NewRuntime creates a runtime over the broker. The input log is the topic
-// "<name>-txlog" with cfg.Partitions partitions; cross-partition
-// transactions are ordered through the single-partition "<name>-gseq".
-func NewRuntime(broker *mq.Broker, cfg Config) *Runtime {
+// NewRuntime creates a runtime with cfg.Partitions input logs, plus a gseq
+// log ordering cross-partition transactions when there is more than one.
+// The input logs live in the runtime itself (and on disk in LogDir mode);
+// they do not use the broker.
+func NewRuntime(_ *mq.Broker, cfg Config) *Runtime {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
@@ -397,16 +394,7 @@ func NewRuntime(broker *mq.Broker, cfg Config) *Runtime {
 	if cfg.ResultTimeout <= 0 {
 		cfg.ResultTimeout = 10 * time.Second
 	}
-	broker.CreateTopic(cfg.Name+"-txlog", cfg.Partitions)
-	// The topic may pre-exist with a different partition count; the log is
-	// authoritative, so shard the runtime the way the log is sharded.
-	nparts, _ := broker.Partitions(cfg.Name + "-txlog")
-	if nparts <= 0 {
-		nparts = 1
-	}
-	if nparts > 1 {
-		broker.CreateTopic(cfg.Name+"-gseq", 1)
-	}
+	nparts := cfg.Partitions
 	maxGroup := cfg.MaxGroupAppend
 	if maxGroup <= 0 {
 		maxGroup = maxGroupAppend
@@ -416,7 +404,6 @@ func NewRuntime(broker *mq.Broker, cfg Config) *Runtime {
 		nparts:      nparts,
 		maxGroup:    maxGroup,
 		maxPending:  cfg.MaxPending,
-		broker:      broker,
 		m:           metrics.NewRegistry(),
 		partCommits: make([]*metrics.Counter, nparts),
 		fns:         make(map[string]TxnFunc),
@@ -427,15 +414,14 @@ func NewRuntime(broker *mq.Broker, cfg Config) *Runtime {
 		waiters:     make(map[string][]chan Result),
 		scheduled:   make(map[string]struct{}),
 		cross:       make(map[string]*crossTxn),
-		offsets:     make([]int64, nparts),
 		seqSeen:     make(map[string]struct{}),
 	}
 	for p := 0; p < nparts; p++ {
 		r.partCommits[p] = r.m.Counter(fmt.Sprintf("core.partition.%d.commits", p))
-		r.logs = append(r.logs, r.newInputLog(cfg.Name+"-txlog", p, fmt.Sprintf("p%d", p)))
+		r.logs = append(r.logs, r.newInputLog(fmt.Sprintf("p%d", p)))
 	}
 	if nparts > 1 {
-		r.gseq = r.newInputLog(cfg.Name+"-gseq", 0, "gseq")
+		r.gseq = r.newInputLog("gseq")
 		r.logs = append(r.logs, r.gseq)
 	}
 	return r
@@ -449,20 +435,13 @@ func (r *Runtime) Metrics() *metrics.Registry { return r.m }
 func (r *Runtime) Partitions() int { return r.nparts }
 
 // PartitionOf returns the home partition of a key.
-func (r *Runtime) PartitionOf(key string) int { return partitionForKey(key, r.nparts) }
+func (r *Runtime) PartitionOf(key string) int { return mq.PartitionForKey(key, r.nparts) }
 
 // Register binds a function name to its body.
 func (r *Runtime) Register(name string, fn TxnFunc) {
 	r.fnMu.Lock()
 	defer r.fnMu.Unlock()
 	r.fns[name] = fn
-}
-
-// partitionForKey maps a key to its home partition with the broker's own
-// partitioning hash, so the runtime homes keys exactly where the broker
-// would spread them.
-func partitionForKey(key string, n int) int {
-	return mq.PartitionForKey(key, n)
 }
 
 // partitionsOf returns the sorted distinct home partitions of a key set.
@@ -474,7 +453,7 @@ func (r *Runtime) partitionsOf(keys []string) []int {
 	seen := make(map[int]struct{}, len(keys))
 	parts := make([]int, 0, len(keys))
 	for _, k := range keys {
-		p := partitionForKey(k, r.nparts)
+		p := mq.PartitionForKey(k, r.nparts)
 		if _, ok := seen[p]; !ok {
 			seen[p] = struct{}{}
 			parts = append(parts, p)
@@ -493,10 +472,10 @@ func (r *Runtime) Start() error {
 		return nil
 	}
 	// First start in LogDir mode (or first after Stop detached the disks):
-	// attach every log's disk and replay it through Merkle verification
-	// into the broker — persist-then-act's recovery half. Crash/Recover
-	// keeps the disks attached (disk survives a crash), so recovery does
-	// not re-read them: the broker they rebuilt is still there.
+	// attach every log's disk and rebuild its tail through Merkle
+	// verification — persist-then-act's recovery half. Crash/Recover keeps
+	// the disks attached (disk survives a crash), so recovery does not
+	// re-read them: the tails they rebuilt are still there.
 	if r.cfg.LogDir != "" && r.logs[0].wal == nil {
 		for _, l := range r.logs {
 			if err := l.replay(); err != nil {
@@ -510,7 +489,7 @@ func (r *Runtime) Start() error {
 	r.ckMu.Lock()
 	ck := r.checkpoint
 	if ck == nil {
-		ck = &snapshot{offsets: make([]int64, r.nparts)}
+		ck = &snapshot{offsets: make([]int64, len(r.logs))}
 	}
 	r.stateMu.Lock()
 	r.state = cloneState(ck.state)
@@ -518,11 +497,10 @@ func (r *Runtime) Start() error {
 	r.resMu.Lock()
 	r.results = cloneResults(ck.results)
 	r.resMu.Unlock()
-	r.offMu.Lock()
-	copy(r.offsets, ck.offsets)
-	r.offMu.Unlock()
+	for i, l := range r.logs {
+		l.seek(ck.offsets[i])
+	}
 	r.seqMu.Lock()
-	r.seqOff = ck.seqOff
 	r.seqSeen = cloneSet(ck.seqSeen)
 	r.seqMu.Unlock()
 	r.ckMu.Unlock()
@@ -566,24 +544,6 @@ func (r *Runtime) Start() error {
 	return nil
 }
 
-func (r *Runtime) setOffset(part int, v int64) {
-	r.offMu.Lock()
-	r.offsets[part] = v
-	r.offMu.Unlock()
-}
-
-func (r *Runtime) getOffset(part int) int64 {
-	r.offMu.Lock()
-	defer r.offMu.Unlock()
-	return r.offsets[part]
-}
-
-func (r *Runtime) getSeqOff() int64 {
-	r.seqMu.Lock()
-	defer r.seqMu.Unlock()
-	return r.seqOff
-}
-
 // retryAfterHint is the coarse backoff hint attached to shed rejections:
 // the modeled append delay when one is configured (the queue drains at
 // roughly one group per SequenceDelay), otherwise a millisecond — the
@@ -596,7 +556,7 @@ func (r *Runtime) retryAfterHint() time.Duration {
 }
 
 // crossDone retires one counted cross-partition submission. The clamp
-// absorbs sequence-topic messages that were never counted (disk replay,
+// absorbs gseq records that were never counted (disk replay,
 // pre-bound incarnations), which can only make admission
 // temporarily more permissive, never wedge it.
 func (r *Runtime) crossDone() {
@@ -636,49 +596,44 @@ func (r *Runtime) pace(owed time.Duration, records int) time.Duration {
 // which is also why replay outruns original ingestion.
 func (r *Runtime) runExecutor(part int, stop chan struct{}) {
 	defer r.wg.Done()
-	r.logs[part].consume(r.getOffset(part), stop, func(msgs []mq.Message) {
-		for _, m := range msgs {
-			r.schedule(part, m.Offset, m.Value, stop)
+	r.logs[part].consume(stop, func(from int64, recs [][]byte) {
+		for i, rec := range recs {
+			r.schedule(part, from+int64(i), rec, stop)
 		}
-		r.setOffset(part, msgs[len(msgs)-1].Offset+1)
 	})
 }
 
-// runSequencer consumes the global sequence topic and interleaves each
-// cross-partition transaction into every involved partition's log, in
-// global sequence order. A single writer means all partitions observe
-// cross-partition transactions in the same relative order, which keeps the
-// combined conflict graph acyclic. Marker appends are idempotent (producer
-// id + global sequence offset), so replaying the sequence suffix after a
-// crash never duplicates a marker the broker already holds.
+// runSequencer consumes the gseq log and interleaves each cross-partition
+// transaction into every involved partition's log, in global sequence
+// order. A single writer means all partitions observe cross-partition
+// transactions in the same relative order, which keeps the combined
+// conflict graph acyclic. The reader's position advances only after a
+// batch's fan-out, so a drained gseq log implies every sequenced
+// transaction's markers are in the partition logs — what Quiesce relies on.
+// Each partition log drops a marker it already holds (its stamp
+// watermark), so re-sequencing the gseq suffix after a crash never
+// duplicates one.
 func (r *Runtime) runSequencer(stop chan struct{}) {
 	defer r.wg.Done()
-	producerID := r.cfg.Name + "-seq"
 	var owed time.Duration
-	r.gseq.consume(r.getSeqOff(), stop, func(msgs []mq.Message) {
+	r.gseq.consume(stop, func(from int64, recs [][]byte) {
 		if r.cfg.SequenceDelay > 0 && r.cfg.LogDir == "" {
-			owed = r.pace(owed, len(msgs))
+			owed = r.pace(owed, len(recs))
 		}
-		for _, m := range msgs {
-			r.sequenceOne(producerID, m, stop)
+		for i, rec := range recs {
+			r.sequenceOne(rec, from+int64(i), stop)
 			r.crossDone()
-			// Advance only after the fan-out: seqOff >= high water implies
-			// every sequenced transaction's markers are in the partition
-			// logs, which is what Quiesce relies on.
-			r.seqMu.Lock()
-			r.seqOff = m.Offset + 1
-			r.seqMu.Unlock()
 		}
 	})
 }
 
-// sequenceOne fans one global-sequence entry out to its involved partitions.
-// Duplicate request ids (client retries racing Submit's fast path) are
-// dropped here, so each partition log carries at most one marker per
-// cross-partition request.
-func (r *Runtime) sequenceOne(producerID string, m mq.Message, stop chan struct{}) {
+// sequenceOne fans the gseq entry at offset off out to its involved
+// partitions. Duplicate request ids (client retries racing Submit's fast
+// path) are dropped here, so each partition log carries at most one marker
+// per cross-partition request.
+func (r *Runtime) sequenceOne(rec []byte, off int64, stop chan struct{}) {
 	var req request
-	if err := json.Unmarshal(m.Value, &req); err != nil {
+	if err := json.Unmarshal(rec, &req); err != nil {
 		r.m.Counter("core.poison").Inc()
 		return
 	}
@@ -692,16 +647,15 @@ func (r *Runtime) sequenceOne(producerID string, m mq.Message, stop chan struct{
 		r.m.Counter("core.seq_dup_drops").Inc()
 		return
 	}
-	req.GSeq = m.Offset + 1
+	req.GSeq = off + 1
 	raw, err := json.Marshal(req)
 	if err != nil {
 		r.m.Counter("core.poison").Inc()
 		return
 	}
 	for _, p := range r.partitionsOf(req.Keys) {
-		if err := r.logs[p].appendMarker(producerID, req.ReqID, raw, m.Offset, stop); err != nil {
+		if err := r.logs[p].appendGroup([][]byte{raw}, req.GSeq, stop); err != nil {
 			r.m.Counter("core.wal_errors").Inc()
-			continue
 		}
 		r.logs[p].notify()
 	}
@@ -778,7 +732,7 @@ func (r *Runtime) runBatcher(part int, ch chan *pendingSubmit, stop chan struct{
 			}
 		}
 		if err == nil {
-			err = r.logs[part].appendGroup("", members, stop)
+			err = r.logs[part].appendGroup(members, 0, stop)
 		}
 		if err == nil && r.cfg.LogDir != "" {
 			r.m.Counter("core.wal_group_appends").Inc()
@@ -787,9 +741,7 @@ func (r *Runtime) runBatcher(part int, ch chan *pendingSubmit, stop chan struct{
 		for _, ps := range batch {
 			ps.acked <- err
 		}
-		if err == nil {
-			r.logs[part].notify()
-		}
+		r.logs[part].notify()
 	}
 }
 
@@ -931,7 +883,7 @@ func (r *Runtime) scheduleCross(part int, parts []int, req request, stop chan st
 	ct.joined[part] = true
 	myKeys := make([]string, 0, len(req.Keys))
 	for _, k := range req.Keys {
-		if partitionForKey(k, r.nparts) == part {
+		if mq.PartitionForKey(k, r.nparts) == part {
 			myKeys = append(myKeys, k)
 		}
 	}
@@ -1067,7 +1019,7 @@ func resolvedHandle(res Result) *Handle {
 }
 
 // Submit appends a transaction to its home partition (or, when its declared
-// keys span partitions, to the global sequence topic) and waits for its
+// keys span partitions, to the gseq log) and waits for its
 // result. reqID makes the call idempotent: resubmitting (a client retry)
 // returns the cached result without re-execution. Two simulated hops (to
 // the sequencer and back) are charged to tr — compare with the 2PC hop
@@ -1150,8 +1102,8 @@ func (r *Runtime) SubmitAsync(reqID, fn string, keys []string, args []byte, tr *
 		}
 	} else {
 		if r.maxPending > 0 {
-			// The gseq path's bound: submissions produced to the sequence
-			// topic but not yet consumed by the sequencer.
+			// The gseq path's bound: submissions appended to the gseq log
+			// but not yet consumed by the sequencer.
 			if n := r.crossPending.Load(); n >= int64(r.maxPending) {
 				r.m.Counter("core.shed").Inc()
 				return fail(&OverloadError{
@@ -1166,7 +1118,7 @@ func (r *Runtime) SubmitAsync(reqID, fn string, keys []string, args []byte, tr *
 		// (the sequencer's markers are derived from it).
 		raw, err := json.Marshal(req)
 		if err == nil {
-			err = r.gseq.appendGroup(reqID, [][]byte{raw}, stop)
+			err = r.gseq.appendGroup([][]byte{raw}, 0, stop)
 		}
 		if err != nil {
 			r.crossDone()
@@ -1288,39 +1240,23 @@ func (r *Runtime) Read(key string) ([]byte, bool) {
 }
 
 // caughtUp reports whether everything written to the logs so far has been
-// scheduled. The sequence topic is checked first: once the sequencer has
-// consumed up to its high water, every marker is already in the partition
-// logs, so the per-partition high waters observed afterwards cover them.
-func (r *Runtime) caughtUp() (bool, error) {
-	if r.nparts > 1 {
-		hw, err := r.broker.HighWater(r.gseq.tp)
-		if err != nil {
-			return false, err
-		}
-		if r.getSeqOff() < hw {
-			return false, nil
+// scheduled. The gseq log is checked first: once the sequencer has
+// consumed all of it, every marker is already in the partition logs, so
+// the partition lengths read afterwards cover them.
+func (r *Runtime) caughtUp() bool {
+	for i := len(r.logs) - 1; i >= 0; i-- { // gseq, when there is one, is last
+		if pos, length := r.logs[i].progress(); pos < length {
+			return false
 		}
 	}
-	for p := 0; p < r.nparts; p++ {
-		hw, err := r.broker.HighWater(r.logs[p].tp)
-		if err != nil {
-			return false, err
-		}
-		if r.getOffset(p) < hw {
-			return false, nil
-		}
-	}
-	return true, nil
+	return true
 }
 
 // Quiesce blocks until every transaction in the logs so far has executed.
 func (r *Runtime) Quiesce(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		ok, err := r.caughtUp()
-		if err != nil {
-			return err
-		}
+		ok := r.caughtUp()
 		if ok && r.inflightN.Load() == 0 {
 			return nil
 		}
@@ -1334,50 +1270,36 @@ func (r *Runtime) Quiesce(timeout time.Duration) error {
 	}
 }
 
-// progressCut samples the runtime's progress markers: per-partition
-// offsets, the sequencer position, and the number of executed transactions
-// (every execution inserts exactly one result).
-func (r *Runtime) progressCut() ([]int64, int64, int) {
-	r.offMu.Lock()
-	offsets := append([]int64(nil), r.offsets...)
-	r.offMu.Unlock()
-	r.seqMu.Lock()
-	seqOff := r.seqOff
-	r.seqMu.Unlock()
+// progressCut samples the runtime's progress markers: every log reader's
+// position, and the number of executed transactions (every execution
+// inserts exactly one result).
+func (r *Runtime) progressCut() ([]int64, int) {
+	offsets := make([]int64, len(r.logs))
+	for i, l := range r.logs {
+		offsets[i], _ = l.progress()
+	}
 	r.resMu.Lock()
-	nResults := len(r.results)
-	r.resMu.Unlock()
-	return offsets, seqOff, nResults
+	defer r.resMu.Unlock()
+	return offsets, len(r.results)
 }
 
-func sameProgress(offsA []int64, seqA int64, nResA int, offsB []int64, seqB int64, nResB int) bool {
-	if seqA != seqB || nResA != nResB || len(offsA) != len(offsB) {
-		return false
-	}
-	for i := range offsA {
-		if offsA[i] != offsB[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Checkpoint snapshots state + results + input offsets (per partition,
-// plus the sequencer's position and dedup set). The pieces are guarded by
-// separate locks, so after quiescing and cloning, progress is re-sampled
-// (through a second quiesce, which also drains anything consumed-but-
-// unexecuted at clone time): if a concurrent Submit advanced any marker
-// while the clones were cut, the pieces could disagree — offsets past a
-// transaction whose write is missing from state would silently lose it on
-// recovery — and the capture retries until it gets a stable cut. Returns
-// the total number of log entries consumed across partitions.
+// Checkpoint snapshots state + results + input offsets (every log reader's
+// position, the sequencer's included, plus its dedup set). The pieces are
+// guarded by separate locks, so after quiescing and cloning, progress is
+// re-sampled (through a second quiesce, which also drains anything
+// consumed-but-unexecuted at clone time): if a concurrent Submit advanced
+// any marker while the clones were cut, the pieces could disagree —
+// offsets past a transaction whose write is missing from state would
+// silently lose it on recovery — and the capture retries until it gets a
+// stable cut. Returns the total number of log entries consumed across
+// partitions.
 func (r *Runtime) Checkpoint() (int64, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if err := r.Quiesce(time.Until(deadline)); err != nil {
 			return 0, err
 		}
-		offsA, seqA, nResA := r.progressCut()
+		offsA, nResA := r.progressCut()
 		r.stateMu.Lock()
 		state := cloneState(r.state)
 		r.stateMu.Unlock()
@@ -1390,14 +1312,14 @@ func (r *Runtime) Checkpoint() (int64, error) {
 		if err := r.Quiesce(time.Until(deadline)); err != nil {
 			return 0, err
 		}
-		offsB, seqB, nResB := r.progressCut()
-		if sameProgress(offsA, seqA, nResA, offsB, seqB, nResB) && nResA == len(results) {
+		offsB, nResB := r.progressCut()
+		if slices.Equal(offsA, offsB) && nResA == nResB && nResA == len(results) {
 			r.ckMu.Lock()
-			r.checkpoint = &snapshot{offsets: offsA, seqOff: seqA, seqSeen: seqSeen, state: state, results: results}
+			r.checkpoint = &snapshot{offsets: offsA, seqSeen: seqSeen, state: state, results: results}
 			r.ckMu.Unlock()
 			r.m.Counter("core.checkpoints").Inc()
 			var total int64
-			for _, off := range offsA {
+			for _, off := range offsA[:r.nparts] {
 				total += off
 			}
 			return total, nil
@@ -1409,7 +1331,8 @@ func (r *Runtime) Checkpoint() (int64, error) {
 }
 
 // Crash kills the runtime, losing all in-memory state. Only the input logs
-// (broker) and the checkpoint survive.
+// (their tails and, in LogDir mode, their disks) and the checkpoint
+// survive.
 func (r *Runtime) Crash() {
 	r.runMu.Lock()
 	if !r.running {
@@ -1449,8 +1372,7 @@ func (r *Runtime) Recover() error { return r.Start() }
 // path singular and well-tested. In LogDir mode Stop also syncs and
 // detaches the disks (Crash deliberately does not: the disk "survives" a
 // crash, and in-process recovery reuses the open handles); a later Start
-// reattaches and re-replays them, with idempotent produce deduplicating
-// against a surviving broker.
+// reattaches them and rebuilds every tail from its disk.
 func (r *Runtime) Stop() {
 	r.Crash()
 	r.runMu.Lock()

@@ -46,7 +46,7 @@ func newBankRuntimeParts(t *testing.T, name string, partitions int) *Runtime {
 
 // registerBank installs the deposit/transfer functions shared by the
 // runtime tests (including the durable-log suite, which builds its own
-// runtimes over custom brokers and log dirs).
+// runtimes over their own log dirs).
 func registerBank(r *Runtime) {
 	r.Register("deposit", func(tx *Tx, args []byte) ([]byte, error) {
 		key := fmt.Sprintf("acc/%d", toI64(args[8:]))
@@ -250,6 +250,50 @@ func TestRecoverWithoutCheckpointReplaysAll(t *testing.T) {
 	}
 	if got := balance(r, 0); got != 15 {
 		t.Fatalf("balance = %d, want 15", got)
+	}
+}
+
+// TestModelCrashRecoverKeepsLogLengths pins model mode's input logs across
+// a crash: the tails survive it, and recovery without a checkpoint
+// re-sequences the whole gseq log. The partition logs' stamp watermark must
+// drop every marker it re-offers, so no log grows, and every balance
+// replays to its pre-crash value.
+func TestModelCrashRecoverKeepsLogLengths(t *testing.T) {
+	r := newBankRuntimeParts(t, "model-crash", 2)
+	const accounts = 6
+	for a := int64(0); a < accounts; a++ {
+		deposit(t, r, fmt.Sprintf("seed%d", a), a, 100)
+	}
+	for i := 0; i < 12; i++ {
+		if err := transfer(r, fmt.Sprintf("x%d", i), int64(i%accounts), int64((i+1)%accounts), 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r.Metrics().Counter("core.cross_submits").Value() == 0 {
+		t.Fatal("no transfer crossed partitions")
+	}
+	if err := r.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	lengths := logLengths(r)
+	want := make([]int64, accounts)
+	for a := range want {
+		want[a] = balance(r, int64(a))
+	}
+	r.Crash()
+	if err := r.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := logLengths(r); fmt.Sprint(got) != fmt.Sprint(lengths) {
+		t.Fatalf("log lengths after Crash/Recover = %v, want %v (re-sequencing re-appended markers)", got, lengths)
+	}
+	for a := int64(0); a < accounts; a++ {
+		if got := balance(r, a); got != want[a] {
+			t.Fatalf("acc %d after Crash/Recover = %d, want %d", a, got, want[a])
+		}
 	}
 }
 

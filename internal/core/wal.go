@@ -9,19 +9,20 @@ import (
 	"sync"
 	"time"
 
-	"tca/internal/mq"
 	"tca/internal/wal"
 )
 
 // The runtime's input logs and the durability layer under them. Each input
-// log is one broker topic partition — a partition of "<name>-txlog", or the
-// "<name>-gseq" sequence topic — read in order by one consumer (a partition
-// executor, or the sequencer). Config.LogDir mode is the same input log
-// with a disk attached: every group append, and every cross-partition
-// marker the sequencer fans out, is written to a segmented, checksummed,
-// fsynced write-ahead log (internal/wal) *before* it is produced to the
-// topic: persist, then act. The modeled Config.SequenceDelay is not charged
-// in this mode; the log's own write+fsync cost is the measured latency
+// log — one per partition, plus the global-sequence (gseq) log when the
+// runtime is sharded — is an in-memory tail of records indexed by offset,
+// read in order by one reader (a partition executor, or the sequencer). The
+// tail survives Crash, the way a log's storage does. Config.LogDir mode is
+// the same input log with a disk attached: every group append, and every
+// cross-partition marker the sequencer fans out, is written to a segmented,
+// checksummed, fsynced write-ahead log (internal/wal) *before* it enters
+// the tail: persist, then act. Start rebuilds the tail from the disk. The
+// modeled Config.SequenceDelay is not charged in this mode; the log's own
+// write+fsync cost is the measured latency
 // (BenchmarkE22_DurabilityFrontier maps the batch-size × fsync-policy
 // frontier).
 //
@@ -84,39 +85,36 @@ type walHeader struct {
 	Root []byte `json:"root"`
 }
 
-// inputLog is one input log: its topic partition, its reader's wake
-// channel and, in LogDir mode, its disk. The mutex is held across the
-// persist and the produce, so disk order is exactly topic order — which is
-// what makes a fresh-broker rebuild replay the identical schedule.
+// inputLog is one input log: its tail, its reader's position and wake
+// channel and, in LogDir mode, its disk.
 type inputLog struct {
-	rt       *Runtime
-	tp       mq.TopicPartition
-	dir      string        // the disk's directory; "" in model mode
-	producer string        // idempotent-producer id of the disk's group appends
-	wake     chan struct{} // poked after an append so the reader needn't poll
+	rt   *Runtime
+	dir  string        // the disk's directory; "" in model mode
+	wake chan struct{} // poked after an append so the reader needn't poll
 
+	// mu orders appends. It is held across the persist and the push, so the
+	// tail holds the disk's records in disk order — which is what makes a
+	// replay rebuild the identical offsets.
 	mu  sync.Mutex
 	wal *wal.Log // attached by replay, detached by close
-	// groups counts the disk's group appends: the producer sequence space.
-	groups int64
-	// markerHi is the highest global-sequence stamp whose marker is already
-	// on this log's disk — replay seeds it, and the live sequencer consults
-	// it so re-sequencing the gseq topic after a restart never re-appends a
-	// marker the disk already holds (the idempotent produce dedups the
-	// broker side; this dedups the disk side). Markers reach a partition in
-	// increasing stamp order, so a watermark suffices.
+	// markerHi is the highest global-sequence stamp whose marker the log
+	// already holds. Re-sequencing the gseq log after a crash re-offers
+	// every marker past the checkpoint, and markers reach a partition in
+	// increasing stamp order, so this watermark is the fan-out's dedup.
+	// Replay seeds it from the disk.
 	markerHi int64
+
+	// tailMu guards the tail and the reader's position. It is never held
+	// across a disk write, so a reader never waits behind an fsync.
+	tailMu sync.Mutex
+	tail   [][]byte // the records, indexed by offset
+	pos    int64    // the reader's position: the next offset to schedule
 }
 
-// newInputLog makes the log over one topic partition. sub names its disk
-// under Config.LogDir (p<partition>/ or gseq/) and its producer id.
-func (r *Runtime) newInputLog(topic string, part int, sub string) *inputLog {
-	l := &inputLog{
-		rt:       r,
-		tp:       mq.TopicPartition{Topic: topic, Partition: part},
-		producer: r.cfg.Name + "-wal-" + sub,
-		wake:     make(chan struct{}, 1),
-	}
+// newInputLog makes an empty log. sub names its disk under Config.LogDir
+// (p<partition>/ or gseq/).
+func (r *Runtime) newInputLog(sub string) *inputLog {
+	l := &inputLog{rt: r, wake: make(chan struct{}, 1)}
 	if r.cfg.LogDir != "" {
 		l.dir = filepath.Join(r.cfg.LogDir, sub)
 	}
@@ -138,55 +136,58 @@ func walOptions(cfg Config) wal.Options {
 	return opts
 }
 
-// appendGroup appends one group of member payloads as one log record (see
-// combineGroup). In LogDir mode it first persists the group — header and
-// members in one write, fsync per policy, in interval mode waiting out the
-// covering sync — so its return is the configured durability point: what
-// the submitters' acks mean.
-func (l *inputLog) appendGroup(key string, members [][]byte, cancel <-chan struct{}) error {
-	raw := combineGroup(members)
+// appendGroup appends one group of member payloads as one record (see
+// combineGroup). stamp is a sequencer marker's global-sequence stamp, and
+// zero for everything else; a marker at or below markerHi is already in
+// the log and is skipped. In LogDir mode the group is persisted first —
+// header and members in one write, fsync per policy, in interval mode
+// waiting out the covering sync — so the return is the configured
+// durability point: what the submitters' acks mean. A written group is in
+// the disk's record stream even when that wait fails (it fails only when
+// the runtime stops under it), so it enters the tail either way and the
+// error is still returned: the tail mirrors the disk record for record.
+func (l *inputLog) appendGroup(members [][]byte, stamp int64, cancel <-chan struct{}) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.dir == "" {
-		_, err := l.rt.broker.Produce(l.tp, key, raw)
-		return err
+	if stamp != 0 && stamp <= l.markerHi {
+		return nil
 	}
-	if err := l.write(members); err != nil {
-		return err
+	var err error
+	if l.dir != "" {
+		if err = l.write(members); err != nil {
+			return err
+		}
+		err = l.waitDurable(cancel)
 	}
-	if err := l.waitDurable(cancel); err != nil {
-		return err
-	}
-	_, err := l.rt.broker.ProduceIdempotentTo(l.tp, key, raw, l.producer, l.groups)
-	l.groups++
+	l.push(combineGroup(members), stamp)
 	return err
 }
 
-// appendMarker is the sequencer's fan-out of one cross-partition
-// transaction into this partition log, produced idempotently keyed by its
-// global-sequence offset. In LogDir mode the marker is persisted first,
-// unless replay already found it on disk (stamp at or below markerHi): the
-// produce still runs and dedups, covering the crash window where the gseq
-// log got the entry but this log missed the marker.
-func (l *inputLog) appendMarker(producerID, reqID string, raw []byte, gseqOff int64, cancel <-chan struct{}) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.dir != "" && gseqOff+1 > l.markerHi {
-		if err := l.write([][]byte{raw}); err != nil {
-			return err
-		}
-		l.markerHi = gseqOff + 1
-		if err := l.waitDurable(cancel); err != nil {
-			return err
-		}
+// push appends one record to the tail and raises markerHi to a marker's
+// stamp. Caller holds l.mu.
+func (l *inputLog) push(rec []byte, stamp int64) {
+	if stamp != 0 {
+		l.markerHi = stamp
 	}
-	_, err := l.rt.broker.ProduceIdempotentTo(l.tp, reqID, raw, producerID, gseqOff)
-	return err
+	l.tailMu.Lock()
+	l.tail = append(l.tail, rec)
+	l.tailMu.Unlock()
+}
+
+// notify wakes the log's reader without blocking. Appenders call it after
+// appendGroup, the batcher only once it has acked the group's submitters:
+// a reader woken first takes the processor from the submitters about to
+// refill the next group.
+func (l *inputLog) notify() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
 }
 
 // write persists one group (header + members) to the disk. A detached or
 // closed disk fails it with ErrNotRunning, so nothing reaches only the
-// broker. Caller holds l.mu.
+// tail. Caller holds l.mu.
 func (l *inputLog) write(members [][]byte) error {
 	if l.wal == nil {
 		return ErrNotRunning
@@ -210,8 +211,8 @@ func (l *inputLog) write(members [][]byte) error {
 // immediately — EveryBatch synced inside the write itself, and None
 // explicitly leaves durability to the OS. cancel (the runtime's stop
 // channel) aborts the wait on crash/shutdown; the caller then fails its
-// submitters instead of acking, and recovery replays the record if the
-// sync in fact made it. Caller holds l.mu.
+// submitters instead of acking, and the record's fate is the disk's:
+// recovery runs it if the disk still holds it. Caller holds l.mu.
 func (l *inputLog) waitDurable(cancel <-chan struct{}) error {
 	if l.rt.cfg.Fsync != FsyncInterval {
 		return nil
@@ -292,18 +293,15 @@ func readGroups(l *wal.Log) (groups []group, torn int, err error) {
 }
 
 // replay attaches the log's disk (Start in LogDir mode, on the first run
-// and after Stop) and produces every verified group into the broker,
-// idempotently and under the producer id and sequence its live append
-// used, so a fresh broker (real restart) is rebuilt in the exact pre-crash
-// order and a surviving broker deduplicates everything. The group counter
-// and marker watermark restart from what the disk holds: left at their
-// pre-Stop values, the replay would re-append every group to a surviving
-// broker and later appends would be deduplicated away. Torn tail bytes are
-// trimmed on open so live appends extend the valid record stream, and a
-// torn group rebuilds the log down to its verified groups: the dangling
-// partial group must not precede live appends on disk, or the next restart
-// would misparse the new group headers as members of the old partial
-// group. On error the disk stays attached for the caller to close.
+// and after Stop) and rebuilds the tail, and the marker watermark, from
+// the disk's verified groups in disk order: every record gets back the
+// offset its live append gave it, so a checkpoint's reader positions still
+// hold. Torn tail bytes are trimmed on open so live appends extend the
+// valid record stream, and a torn group rebuilds the log down to its
+// verified groups: the dangling partial group must not precede live
+// appends on disk, or the next restart would misparse the new group
+// headers as members of the old partial group. On error the disk stays
+// attached for the caller to close.
 func (l *inputLog) replay() error {
 	w, err := wal.Open(l.dir, walOptions(l.rt.cfg))
 	if err != nil {
@@ -311,7 +309,7 @@ func (l *inputLog) replay() error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.wal, l.groups, l.markerHi = w, 0, 0
+	l.wal, l.markerHi = w, 0
 	if _, err := w.TrimTorn(); err != nil {
 		return err
 	}
@@ -333,21 +331,15 @@ func (l *inputLog) replay() error {
 			return err
 		}
 	}
-	seqProducer := l.rt.cfg.Name + "-seq"
+	l.tailMu.Lock()
+	l.tail = make([][]byte, 0, len(groups))
+	l.tailMu.Unlock()
 	for _, g := range groups {
-		if marker, gseq := markerOf(g.members); marker != nil {
-			// A cross-partition marker fanned out by the sequencer: same
-			// producer id and sequence as the original fan-out, so the live
-			// sequencer's re-pass dedups against it.
-			l.rt.broker.ProduceIdempotentTo(l.tp, "", marker, seqProducer, gseq-1)
-			l.markerHi = gseq
-			continue
-		}
-		l.rt.broker.ProduceIdempotentTo(l.tp, "", combineGroup(g.members), l.producer, l.groups)
-		l.groups++
-		if l != l.rt.gseq {
+		stamp := markerStamp(g.members)
+		if stamp == 0 && l != l.rt.gseq {
 			l.rt.m.Counter("core.wal_replayed_groups").Inc()
 		}
+		l.push(combineGroup(g.members), stamp)
 	}
 	return nil
 }
@@ -362,54 +354,58 @@ func (l *inputLog) close() {
 	}
 }
 
-// consume reads the log in order from offset from, handing each fetched
-// batch to fn (which publishes the reader's progress), and parks until the
-// next notify — or a millisecond poll — when caught up. It returns when
-// stop closes.
-func (l *inputLog) consume(from int64, stop chan struct{}, fn func([]mq.Message)) {
+// consume hands fn, in order, every record past the reader's position as
+// one batch with the offset of its first record, and moves the position
+// past the batch once fn returns. Caught up, it parks until the next
+// notify. It returns when stop closes.
+func (l *inputLog) consume(stop chan struct{}, fn func(from int64, recs [][]byte)) {
 	for {
 		select {
 		case <-stop:
 			return
 		default:
 		}
-		msgs, err := l.rt.broker.Fetch(l.tp, from, 128)
-		if err != nil || len(msgs) == 0 {
+		l.tailMu.Lock()
+		from, recs := l.pos, l.tail[l.pos:]
+		l.tailMu.Unlock()
+		if len(recs) == 0 {
 			select {
 			case <-stop:
 				return
 			case <-l.wake:
-			case <-time.After(time.Millisecond):
 			}
 			continue
 		}
-		fn(msgs)
-		from = msgs[len(msgs)-1].Offset + 1
+		fn(from, recs)
+		l.seek(from + int64(len(recs)))
 	}
 }
 
-// notify pokes the log's reader without blocking.
-func (l *inputLog) notify() {
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
+// seek sets the reader's position.
+func (l *inputLog) seek(pos int64) {
+	l.tailMu.Lock()
+	l.pos = pos
+	l.tailMu.Unlock()
 }
 
-// markerOf reports whether a single-member group is a sequencer marker
-// (GSeq stamped) and returns its payload and stamp.
-func markerOf(members [][]byte) ([]byte, int64) {
+// progress returns the reader's position and the log's length.
+func (l *inputLog) progress() (pos, length int64) {
+	l.tailMu.Lock()
+	defer l.tailMu.Unlock()
+	return l.pos, int64(len(l.tail))
+}
+
+// markerStamp returns a single-member group's global-sequence stamp when
+// it is a sequencer marker, and zero otherwise.
+func markerStamp(members [][]byte) int64 {
 	if len(members) != 1 {
-		return nil, 0
+		return 0
 	}
 	var req request
 	if err := json.Unmarshal(members[0], &req); err != nil {
-		return nil, 0
+		return 0
 	}
-	if req.GSeq == 0 {
-		return nil, 0
-	}
-	return members[0], req.GSeq
+	return req.GSeq
 }
 
 // combineGroup builds the log record for one group append: a single member

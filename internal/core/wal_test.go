@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +20,8 @@ import (
 
 // The durable-log suite: the runtime in Config.LogDir mode, where every
 // group append persists to a real WAL (with a Merkle root per group) before
-// the broker sees it, and Start replays the logs through verification.
+// it enters the log's tail, and Start replays the logs through
+// verification.
 
 func newWALRuntime(t *testing.T, name, dir string, parts int) *Runtime {
 	t.Helper()
@@ -60,9 +62,9 @@ func TestDurableLogCommitAndCounters(t *testing.T) {
 }
 
 // TestDurableLogRestartRebuildsFreshBroker is the real-restart path: the
-// broker (in-memory) is lost, only the log directory survives. A new
-// runtime over a fresh broker must rebuild the identical state from the
-// WAL alone, and replayed requests must stay idempotent.
+// runtime and its in-memory tails are lost, only the log directory
+// survives. A new runtime must rebuild the identical state from the WAL
+// alone, and replayed requests must stay idempotent.
 func TestDurableLogRestartRebuildsFreshBroker(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Name: "wal-restart", LogDir: dir}
@@ -84,7 +86,7 @@ func TestDurableLogRestartRebuildsFreshBroker(t *testing.T) {
 	want := []int64{balance(r, 0), balance(r, 1), balance(r, 2)}
 	r.Stop()
 
-	r2 := NewRuntime(mq.NewBroker(), cfg) // fresh broker: only disk survives
+	r2 := NewRuntime(mq.NewBroker(), cfg) // new runtime: only disk survives
 	registerBank(r2)
 	if err := r2.Start(); err != nil {
 		t.Fatal(err)
@@ -165,7 +167,7 @@ func TestDurableLogCrossPartitionRestart(t *testing.T) {
 // TestDurableLogHandlesResolveAcrossCrash is the WAL-mode twin of the
 // modeled crash/replay handle test: handles issued before an in-process
 // crash resolve exactly once after recovery, because the acked submissions
-// are on disk and in the surviving broker.
+// are on disk and in the surviving tails.
 func TestDurableLogHandlesResolveAcrossCrash(t *testing.T) {
 	dir := t.TempDir()
 	r := newWALRuntime(t, "wal-handles", dir, 1)
@@ -218,7 +220,7 @@ func segFiles(t *testing.T, dir string) []string {
 
 // TestDurableLogTornTailDropsOnlyTornBatch truncates the last segment mid-
 // record — the torn tail a crash between the buffered write and its
-// completion leaves — and restarts over a fresh broker. Replay must stop at
+// completion leaves — and restarts a new runtime. Replay must stop at
 // the tear, flag exactly the torn batch, and come up clean with everything
 // before it intact.
 func TestDurableLogTornTailDropsOnlyTornBatch(t *testing.T) {
@@ -454,7 +456,7 @@ func TestIntervalAckCoversDurability(t *testing.T) {
 			t.Fatal("parked ack never released by the crash")
 		}
 		// Full restart from disk (Stop syncs and closes the logs, so the
-		// written record reaches stable storage; a fresh broker means only
+		// written record reaches stable storage; a new runtime means only
 		// the log directory survives). The appended record must apply
 		// exactly once — never twice, never torn — and its request id must
 		// land in the rebuilt dedup cache.
@@ -481,15 +483,102 @@ func TestIntervalAckCoversDurability(t *testing.T) {
 	})
 }
 
+// TestCrashWhileMarkerWaitParkedAppliesOnce crashes while a
+// cross-partition marker's interval-mode durability wait is parked: the
+// marker is written to its partition's disk, but no sync has covered it.
+// Recovery re-sequences the gseq log, and the transaction must still apply
+// exactly once — not lost because the re-sequenced marker was taken for one
+// already in the log, not doubled because it was appended again.
+func TestCrashWhileMarkerWaitParkedAppliesOnce(t *testing.T) {
+	r := NewRuntime(mq.NewBroker(), Config{
+		Name: "wal-marker-park", Partitions: 2, LogDir: t.TempDir(),
+		Fsync: FsyncInterval, FsyncEvery: time.Hour,
+	})
+	r.Register("bump", func(tx *Tx, args []byte) ([]byte, error) {
+		for _, k := range strings.Fields(string(args)) {
+			cur, _, err := tx.Get(k)
+			if err != nil {
+				return nil, err
+			}
+			if err := tx.Put(k, i64(toI64(cur)+1)); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	})
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Stop)
+	keys := []string{"acc/0", "acc/1"}
+	for r.PartitionOf(keys[1]) == r.PartitionOf(keys[0]) {
+		keys[1] += "x"
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	submitted := make(chan *Handle, 1)
+	go func() {
+		h, err := r.SubmitAsync("cross", "bump", keys, []byte(strings.Join(keys, " ")), nil)
+		if err != nil {
+			t.Error(err)
+		}
+		submitted <- h
+	}()
+	// The submission parks on the gseq log's hour-long interval; syncing
+	// that disk releases it, and the sequencer fans the transaction out.
+	waitFor("the gseq append", func() bool { return r.gseq.wal.Len() > 0 })
+	if err := r.gseq.wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	h := <-submitted
+	if h == nil {
+		t.FailNow()
+	}
+	// The first involved partition's marker is on its disk, and the
+	// sequencer is parked on that disk's interval wait. Crash there.
+	first := min(r.PartitionOf(keys[0]), r.PartitionOf(keys[1]))
+	waitFor("the marker append", func() bool { return r.logs[first].wal.Len() > 0 })
+	r.Crash()
+	if err := r.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Result(); err != nil {
+		t.Fatalf("handle after crash: %v", err)
+	}
+	for _, k := range keys {
+		if v, _ := r.Read(k); toI64(v) != 1 {
+			t.Fatalf("%s = %d after crash and recovery, want 1 (the transaction applies exactly once)", k, toI64(v))
+		}
+	}
+}
+
+// logLengths returns every input log's length, in Runtime.logs order.
+func logLengths(r *Runtime) []int64 {
+	out := make([]int64, len(r.logs))
+	for i, l := range r.logs {
+		_, out[i] = l.progress()
+	}
+	return out
+}
+
 // TestDurableLogStopStartKeepsSurvivingBroker is the restart Stop's doc
-// promises: Stop detaches the disks, and Start on the same runtime and
-// broker replays them into a broker that already holds every record. The
-// replay must deduplicate all of it — no topic grows — and appends after
-// the restart must still land.
+// promises: Stop detaches the disks, and Start on the same runtime
+// rebuilds every tail from its disk. The rebuilt tails must have exactly
+// the lengths the live ones had — no record lost or doubled, so the
+// offsets still line up — and appends after the restart must still land.
 func TestDurableLogStopStartKeepsSurvivingBroker(t *testing.T) {
-	const name, accounts = "wal-survive", 6
-	broker := mq.NewBroker()
-	r := NewRuntime(broker, Config{Name: name, Partitions: 2, LogDir: t.TempDir()})
+	const accounts = 6
+	r := NewRuntime(mq.NewBroker(), Config{Name: "wal-survive", Partitions: 2, LogDir: t.TempDir()})
 	registerBank(r)
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
@@ -507,19 +596,7 @@ func TestDurableLogStopStartKeepsSurvivingBroker(t *testing.T) {
 	if r.Metrics().Counter("core.cross_submits").Value() == 0 {
 		t.Fatal("no transfer crossed partitions")
 	}
-	tps := []mq.TopicPartition{{Topic: name + "-txlog", Partition: 0}, {Topic: name + "-txlog", Partition: 1}, {Topic: name + "-gseq"}}
-	highWaters := func() []int64 {
-		hws := make([]int64, len(tps))
-		for i, tp := range tps {
-			hw, err := broker.HighWater(tp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			hws[i] = hw
-		}
-		return hws
-	}
-	before := highWaters()
+	before := logLengths(r)
 	want := make([]int64, accounts)
 	for a := range want {
 		want[a] = balance(r, int64(a))
@@ -532,8 +609,8 @@ func TestDurableLogStopStartKeepsSurvivingBroker(t *testing.T) {
 	if err := r.Quiesce(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if after := highWaters(); fmt.Sprint(after) != fmt.Sprint(before) {
-		t.Fatalf("high waters after Stop/Start = %v, want %v (replay re-appended to the surviving broker)", after, before)
+	if after := logLengths(r); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("log lengths after Stop/Start = %v, want %v (replay did not rebuild the tails record for record)", after, before)
 	}
 	for a := int64(0); a < accounts; a++ {
 		if got := balance(r, a); got != want[a] {

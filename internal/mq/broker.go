@@ -213,8 +213,7 @@ func (b *Broker) Fetch(tp TopicPartition, offset int64, max int) ([]Message, err
 
 // PartitionForKey maps a key to one of n partitions with FNV-1a, matching
 // the fabric's placement hash so co-partitioned topics align. Exported so
-// log-sharded runtimes (internal/core) home keys exactly the way the
-// broker spreads them — one hash, one owner.
+// anything else sharded by key uses the same hash: one hash, one owner.
 func PartitionForKey(key string, n int) int {
 	if n <= 1 {
 		return 0
@@ -293,8 +292,7 @@ func (b *Broker) ProduceIdempotent(topicName, key string, value []byte, producer
 
 // Produce appends one message directly to an explicit partition, bypassing
 // the key hash, and returns its offset. Callers that own their partitioning
-// scheme (the deterministic core runtime routes each transaction to the
-// partition its key set hashes to) use this instead of Producer.Send.
+// scheme use this instead of Producer.Send.
 func (b *Broker) Produce(tp TopicPartition, key string, value []byte) (int64, error) {
 	p, err := b.partition(tp)
 	if err != nil {
@@ -303,20 +301,4 @@ func (b *Broker) Produce(tp TopicPartition, key string, value []byte) (int64, er
 	msg := Message{Key: key, Value: append([]byte(nil), value...)}
 	_, off := p.append(tp.Topic, tp.Partition, "", 0, []Message{msg})
 	return off, nil
-}
-
-// ProduceIdempotentTo is ProduceIdempotent with an explicit target partition
-// instead of the key hash. A caller that fans one logical record out to
-// several partitions (the core runtime's cross-partition sequencer) passes
-// the record's global sequence number as seq: partition-side producer dedup
-// then drops replayed fan-outs after a crash, making the fan-out exactly-once
-// per partition.
-func (b *Broker) ProduceIdempotentTo(tp TopicPartition, key string, value []byte, producerID string, seq int64) (appended bool, err error) {
-	p, err := b.partition(tp)
-	if err != nil {
-		return false, err
-	}
-	msg := Message{Key: key, Value: append([]byte(nil), value...)}
-	n, _ := p.append(tp.Topic, tp.Partition, producerID, seq, []Message{msg})
-	return n == 1, nil
 }

@@ -149,29 +149,29 @@
 //
 // # Durability
 //
-// By default the Deterministic cell's log lives in the in-memory broker
-// and its append cost is modeled (Options.SequenceDelay). Setting
+// By default the Deterministic cell's input log lives only in memory and
+// its append cost is modeled (Options.SequenceDelay). Setting
 // Options.LogDir puts a real segmented write-ahead log (internal/wal)
 // under it instead: every group of concurrent submissions becomes one
 // group append — a header record carrying the group's Merkle root, then
 // the member records, written in one buffered write and made durable per
 // Options.Fsync (every batch, a ~1ms interval, or the OS page cache)
-// before the broker, and so the scheduler, sees the group. Submit
-// acknowledges after that append: on the every-batch policy,
-// acknowledged means fsynced. Options.MaxGroupAppend caps the group
-// size, trading acknowledgment latency against how many transactions
-// amortize each fsync — E22 (BenchmarkE22_DurabilityFrontier) maps that
-// frontier.
+// before the group enters the log's in-memory tail, where the scheduler
+// reads it. Submit acknowledges after that append: on the every-batch
+// policy, acknowledged means fsynced. Options.MaxGroupAppend caps the
+// group size, trading acknowledgment latency against how many
+// transactions amortize each fsync — E22
+// (BenchmarkE22_DurabilityFrontier) maps that frontier.
 //
-// On Start the cell replays the logs from disk before accepting traffic,
+// On Start the cell rebuilds the tails from disk before accepting traffic,
 // re-verifying each group against its Merkle root: a partial group at
 // the tail of the stream is a torn write from a crash mid-append — it is
 // counted (core.wal_torn_batches), dropped, and the log is rewritten to
 // the last complete group; a root mismatch anywhere else means the bytes
 // on disk are not the bytes that were acknowledged, and Start refuses
 // with core.ErrLogTampered rather than replaying corrupted history.
-// Because groups persist before the broker sees them, the disk order and
-// the topic order agree, so replay rebuilds the identical schedule and
+// Because groups persist before they enter the tail, the disk order and
+// the tail order agree, so replay rebuilds the identical schedule and
 // in-flight Handles resolve exactly once across a crash.
 //
 // # Geo-replication
