@@ -1,6 +1,8 @@
 # verify is what CI runs (.github/workflows/ci.yml): formatting, vet,
-# build, the full test suite under the race detector, and a one-iteration
-# benchmark smoke pass so bench-only code paths can't rot unbuilt.
+# build, the full test suite under the race detector, a one-iteration
+# benchmark smoke pass so bench-only code paths can't rot unbuilt, and the
+# bench module's vet and tests (its catalogue lint against BENCHMARK.json
+# included).
 .PHONY: verify stress fmt test bench bench-smoke bench-json bench-gate bench-baseline loc
 
 verify:
@@ -12,6 +14,7 @@ verify:
 	go build ./...
 	go test -race ./...
 	$(MAKE) bench-smoke
+	cd bench && go vet ./... && go test ./...
 
 # stress is the concurrency check verify's single -race pass is too short
 # for: the packages every cell's isolation rests on (the store's OCC and
@@ -91,7 +94,7 @@ bench-baseline:
 # outside bench/ (the benchmark module is not the system under study). It
 # is also a ratchet: it fails when the non-test count exceeds LOC_CEILING,
 # so a change that grows the system raises the ceiling in its own diff.
-LOC_CEILING = 20629
+LOC_CEILING = 20588
 loc:
 	@nontest=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo "non-test Go lines: $$nontest"; \

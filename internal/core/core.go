@@ -51,7 +51,6 @@
 package core
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -218,10 +217,11 @@ type Config struct {
 	// log under <LogDir>/p<partition> (and <LogDir>/gseq for the gseq log).
 	// Every append — batcher groups, cross-partition submissions, sequencer
 	// markers — is persisted (header record with a Merkle root over the
-	// members, then the member records) before it enters the log's
-	// in-memory tail, and Start rebuilds the tails from the disks through
-	// Merkle verification — persist, then act, measured instead of modeled.
-	// See internal/core/wal.go.
+	// members, then one JSON record per member) before it enters the log's
+	// in-memory tail, which then keeps only what its reader has not yet
+	// scheduled. Every Start, Recover included, rebuilds the tails from the
+	// disks through Merkle verification — persist, then act, measured
+	// instead of modeled. See internal/core/wal.go.
 	LogDir string
 	// Fsync selects the durable log's sync policy (LogDir mode only):
 	// every batch (default), interval (FsyncEvery), or none.
@@ -251,7 +251,7 @@ type Config struct {
 // Result is a transaction outcome. Seq is the transaction's position in
 // the runtime's serialization order — derived from its log offset, with
 // group-append members sub-ordered by their batch index (members share a
-// record and therefore a TID, but are scheduled, and so serialized, in
+// log entry and therefore a TID, but are scheduled, and so serialized, in
 // batch order). Zero means unknown (e.g. a timed-out handle).
 type Result struct {
 	Value []byte
@@ -260,20 +260,20 @@ type Result struct {
 	Seq   int64
 }
 
-// request is the input-log wire format. GSeq is zero for transactions
+// request is one transaction as an input log holds it: a group append
+// (SubmitAsync batching concurrent submissions) is a []request — one log
+// entry, many transactions, one SequenceDelay: the amortization that makes
+// pipelined clients scale the log's serial append rate. Its JSON is the
+// disk's member record format (wal.go). GSeq is zero for transactions
 // appended directly to their home partition; the sequencer stamps
-// cross-partition markers with their global sequence offset + 1. A group
-// append (SubmitAsync batching concurrent submissions) carries its member
-// transactions in Batch instead — one log record, many transactions, one
-// SequenceDelay: the amortization that makes pipelined clients scale the
-// log's serial append rate.
+// cross-partition markers, each a group of one, with their global sequence
+// offset + 1. A request is immutable once appended.
 type request struct {
-	ReqID string    `json:"r,omitempty"`
-	Fn    string    `json:"f,omitempty"`
-	Keys  []string  `json:"k,omitempty"`
-	Args  []byte    `json:"a,omitempty"`
-	GSeq  int64     `json:"g,omitempty"`
-	Batch []request `json:"b,omitempty"`
+	ReqID string   `json:"r,omitempty"`
+	Fn    string   `json:"f,omitempty"`
+	Keys  []string `json:"k,omitempty"`
+	Args  []byte   `json:"a,omitempty"`
+	GSeq  int64    `json:"g,omitempty"`
 }
 
 // maxGroupAppend is the default bound on how many concurrent submissions
@@ -317,9 +317,9 @@ type Runtime struct {
 
 	// logs are the input logs: one per partition, then (when sharded) the
 	// global-sequence log, which gseq also names. Each owns its reader's
-	// position. In LogDir mode each has a disk, attached and replayed by the
-	// first Start, kept across Crash/Recover (disk survives a crash),
-	// detached by Stop.
+	// position. In LogDir mode each has a disk, replayed by every Start,
+	// kept attached across Crash (the disk survives a crash), detached by
+	// Stop.
 	logs []*inputLog
 	gseq *inputLog
 
@@ -464,19 +464,18 @@ func (r *Runtime) partitionsOf(keys []string) []int {
 }
 
 // Start launches the partition executors (and, when sharded, the global
-// sequencer) from the latest checkpoint.
+// sequencer) from the latest checkpoint. In LogDir mode it first rebuilds
+// every input log from its disk.
 func (r *Runtime) Start() error {
 	r.runMu.Lock()
 	defer r.runMu.Unlock()
 	if r.running {
 		return nil
 	}
-	// First start in LogDir mode (or first after Stop detached the disks):
-	// attach every log's disk and rebuild its tail through Merkle
-	// verification — persist-then-act's recovery half. Crash/Recover keeps
-	// the disks attached (disk survives a crash), so recovery does not
-	// re-read them: the tails they rebuilt are still there.
-	if r.cfg.LogDir != "" && r.logs[0].wal == nil {
+	// In LogDir mode every start — the first, after Crash, after Stop —
+	// rebuilds each log's tail from its disk through Merkle verification:
+	// persist-then-act's recovery half, one path for every restart.
+	if r.cfg.LogDir != "" {
 		for _, l := range r.logs {
 			if err := l.replay(); err != nil {
 				for _, l := range r.logs {
@@ -555,6 +554,21 @@ func (r *Runtime) retryAfterHint() time.Duration {
 	return time.Millisecond
 }
 
+// admitCross reserves one of the gseq path's MaxPending slots — one Add,
+// then the bound, so concurrent submitters cannot both pass a check made
+// before either counted — and sheds when none is free.
+func (r *Runtime) admitCross() error {
+	if r.maxPending <= 0 {
+		return nil
+	}
+	if n := r.crossPending.Add(1); n > int64(r.maxPending) {
+		r.crossPending.Add(-1)
+		r.m.Counter("core.shed").Inc()
+		return &OverloadError{Partition: -1, Pending: int(n - 1), RetryAfter: r.retryAfterHint()}
+	}
+	return nil
+}
+
 // crossDone retires one counted cross-partition submission. The clamp
 // absorbs gseq records that were never counted (disk replay,
 // pre-bound incarnations), which can only make admission
@@ -596,9 +610,9 @@ func (r *Runtime) pace(owed time.Duration, records int) time.Duration {
 // which is also why replay outruns original ingestion.
 func (r *Runtime) runExecutor(part int, stop chan struct{}) {
 	defer r.wg.Done()
-	r.logs[part].consume(stop, func(from int64, recs [][]byte) {
-		for i, rec := range recs {
-			r.schedule(part, from+int64(i), rec, stop)
+	r.logs[part].consume(stop, func(from int64, groups [][]request) {
+		for i, reqs := range groups {
+			r.schedule(part, from+int64(i), reqs, stop)
 		}
 	})
 }
@@ -616,13 +630,15 @@ func (r *Runtime) runExecutor(part int, stop chan struct{}) {
 func (r *Runtime) runSequencer(stop chan struct{}) {
 	defer r.wg.Done()
 	var owed time.Duration
-	r.gseq.consume(stop, func(from int64, recs [][]byte) {
+	r.gseq.consume(stop, func(from int64, groups [][]request) {
 		if r.cfg.SequenceDelay > 0 && r.cfg.LogDir == "" {
-			owed = r.pace(owed, len(recs))
+			owed = r.pace(owed, len(groups))
 		}
-		for i, rec := range recs {
-			r.sequenceOne(rec, from+int64(i), stop)
-			r.crossDone()
+		for i, reqs := range groups {
+			for _, req := range reqs {
+				r.sequenceOne(req, from+int64(i), stop)
+				r.crossDone()
+			}
 		}
 	})
 }
@@ -630,13 +646,9 @@ func (r *Runtime) runSequencer(stop chan struct{}) {
 // sequenceOne fans the gseq entry at offset off out to its involved
 // partitions. Duplicate request ids (client retries racing Submit's fast
 // path) are dropped here, so each partition log carries at most one marker
-// per cross-partition request.
-func (r *Runtime) sequenceOne(rec []byte, off int64, stop chan struct{}) {
-	var req request
-	if err := json.Unmarshal(rec, &req); err != nil {
-		r.m.Counter("core.poison").Inc()
-		return
-	}
+// per cross-partition request. req is a copy of the gseq entry, so
+// stamping it leaves the tail as appended.
+func (r *Runtime) sequenceOne(req request, off int64, stop chan struct{}) {
 	r.seqMu.Lock()
 	_, dup := r.seqSeen[req.ReqID]
 	if !dup {
@@ -648,13 +660,9 @@ func (r *Runtime) sequenceOne(rec []byte, off int64, stop chan struct{}) {
 		return
 	}
 	req.GSeq = off + 1
-	raw, err := json.Marshal(req)
-	if err != nil {
-		r.m.Counter("core.poison").Inc()
-		return
-	}
+	marker := []request{req}
 	for _, p := range r.partitionsOf(req.Keys) {
-		if err := r.logs[p].appendGroup([][]byte{raw}, req.GSeq, stop); err != nil {
+		if err := r.logs[p].appendGroup(marker, req.GSeq, stop); err != nil {
 			r.m.Counter("core.wal_errors").Inc()
 		}
 		r.logs[p].notify()
@@ -669,7 +677,6 @@ func (r *Runtime) sequenceOne(rec []byte, off int64, stop chan struct{}) {
 // current group — classic group commit. A group of N concurrent
 // submissions therefore costs one record's delay instead of N, which is
 // why the deterministic cell's throughput grows with client count in E20.
-// A group of one keeps the legacy single-request record shape.
 func (r *Runtime) runBatcher(part int, ch chan *pendingSubmit, stop chan struct{}) {
 	defer r.wg.Done()
 	var owed time.Duration
@@ -721,22 +728,16 @@ func (r *Runtime) runBatcher(part int, ch chan *pendingSubmit, stop chan struct{
 			r.m.Counter("core.group_appends").Inc()
 			r.m.Counter("core.grouped_txns").Add(int64(len(batch)))
 		}
-		// Each member is marshaled once: the members are the disk's Merkle
-		// leaves and replayable units, and combineGroup makes the record.
-		// In LogDir mode the ack below means "on disk per the fsync policy".
-		members := make([][]byte, len(batch))
-		var err error
+		// The group is one log entry. In LogDir mode the ack below means
+		// "on disk per the fsync policy".
+		reqs := make([]request, len(batch))
 		for i, ps := range batch {
-			if members[i], err = json.Marshal(ps.req); err != nil {
-				break
-			}
+			reqs[i] = ps.req
 		}
-		if err == nil {
-			err = r.logs[part].appendGroup(members, 0, stop)
-		}
+		err := r.logs[part].appendGroup(reqs, 0, stop)
 		if err == nil && r.cfg.LogDir != "" {
 			r.m.Counter("core.wal_group_appends").Inc()
-			r.m.Counter("core.wal_records").Add(int64(len(members)))
+			r.m.Counter("core.wal_records").Add(int64(len(reqs)))
 		}
 		for _, ps := range batch {
 			ps.acked <- err
@@ -745,34 +746,21 @@ func (r *Runtime) runBatcher(part int, ch chan *pendingSubmit, stop chan struct{
 	}
 }
 
-// schedule routes one log entry: group appends are unpacked into their
-// member transactions in record order (so chain order still equals log
-// order); entries whose keys span partitions are cross-partition markers
-// written by the sequencer; everything else is a home-partition
-// transaction scheduled exactly as in the single-log runtime.
-func (r *Runtime) schedule(part int, off int64, raw []byte, stop chan struct{}) {
-	var req request
-	if err := json.Unmarshal(raw, &req); err != nil {
-		r.m.Counter("core.poison").Inc()
-		return
-	}
-	if len(req.Batch) > 0 {
-		// Members of a group append share the record's transaction id; they
-		// were all single-partition submissions homed here, and replay
-		// unpacks the identical record identically.
-		tid := off*int64(r.nparts) + int64(part)
-		for i := range req.Batch {
-			r.scheduleSingle(part, tid, tid*int64(r.maxGroup)+int64(i)+1, req.Batch[i], stop)
-		}
-		return
-	}
-	parts := r.partitionsOf(req.Keys)
-	if len(parts) > 1 {
-		r.scheduleCross(part, parts, req, stop)
+// schedule routes one log entry: a group of one with a global-sequence
+// stamp is a cross-partition marker written by the sequencer; any other
+// group's members are home-partition transactions, scheduled in group
+// order (so chain order still equals log order). Members share the entry's
+// transaction id and are sub-ordered by their index, and replay rebuilds
+// the identical group.
+func (r *Runtime) schedule(part int, off int64, reqs []request, stop chan struct{}) {
+	if len(reqs) == 1 && reqs[0].GSeq != 0 {
+		r.scheduleCross(part, r.partitionsOf(reqs[0].Keys), reqs[0], stop)
 		return
 	}
 	tid := off*int64(r.nparts) + int64(part)
-	r.scheduleSingle(part, tid, tid*int64(r.maxGroup)+1, req, stop)
+	for i, req := range reqs {
+		r.scheduleSingle(part, tid, tid*int64(r.maxGroup)+int64(i)+1, req, stop)
+	}
 }
 
 // scheduleSingle wires a home-partition transaction into the per-key
@@ -917,7 +905,9 @@ func (r *Runtime) execute(tid, seq int64, req request, part int) {
 		for _, k := range req.Keys {
 			tx.keys[k] = struct{}{}
 		}
-		value, err := fn(tx, req.Args)
+		// The body gets its own copy of the args: the log entry must
+		// replay as appended.
+		value, err := fn(tx, slices.Clone(req.Args))
 		if err != nil {
 			res = Result{Err: err.Error(), TID: tid, Seq: seq}
 			r.m.Counter("core.aborts").Inc()
@@ -1067,7 +1057,9 @@ func (r *Runtime) SubmitAsync(reqID, fn string, keys []string, args []byte, tr *
 		return nil, err
 	}
 
-	req := request{ReqID: reqID, Fn: fn, Keys: keys, Args: args}
+	// The log entry owns its keys and args: the caller may reuse its
+	// buffers once SubmitAsync returns.
+	req := request{ReqID: reqID, Fn: fn, Keys: slices.Clone(keys), Args: slices.Clone(args)}
 	if parts := r.partitionsOf(keys); len(parts) == 1 {
 		ps := &pendingSubmit{req: req, acked: make(chan error, 1)}
 		if r.maxPending > 0 {
@@ -1101,26 +1093,14 @@ func (r *Runtime) SubmitAsync(reqID, fn string, keys []string, args []byte, tr *
 			return fail(ErrNotRunning)
 		}
 	} else {
-		if r.maxPending > 0 {
-			// The gseq path's bound: submissions appended to the gseq log
-			// but not yet consumed by the sequencer.
-			if n := r.crossPending.Load(); n >= int64(r.maxPending) {
-				r.m.Counter("core.shed").Inc()
-				return fail(&OverloadError{
-					Partition:  -1,
-					Pending:    int(n),
-					RetryAfter: r.retryAfterHint(),
-				})
-			}
-			r.crossPending.Add(1)
+		// The gseq path's bound: submissions appended to the gseq log but
+		// not yet consumed by the sequencer.
+		if err := r.admitCross(); err != nil {
+			return fail(err)
 		}
 		// The gseq log is a cross-partition submission's durability point
 		// (the sequencer's markers are derived from it).
-		raw, err := json.Marshal(req)
-		if err == nil {
-			err = r.gseq.appendGroup([][]byte{raw}, 0, stop)
-		}
-		if err != nil {
+		if err := r.gseq.appendGroup([]request{req}, 0, stop); err != nil {
 			r.crossDone()
 			return fail(err)
 		}
@@ -1331,8 +1311,8 @@ func (r *Runtime) Checkpoint() (int64, error) {
 }
 
 // Crash kills the runtime, losing all in-memory state. Only the input logs
-// (their tails and, in LogDir mode, their disks) and the checkpoint
-// survive.
+// and the checkpoint survive: in model mode their tails, in LogDir mode
+// their disks, which stay attached for Recover to re-read.
 func (r *Runtime) Crash() {
 	r.runMu.Lock()
 	if !r.running {
@@ -1363,16 +1343,17 @@ func (r *Runtime) Crash() {
 	r.m.Counter("core.crashes").Inc()
 }
 
-// Recover restarts from the checkpoint and replays the log suffixes.
-// Determinism guarantees the replay reproduces the pre-crash state.
+// Recover restarts from the checkpoint and replays the log suffixes (in
+// LogDir mode re-read from the disks, as Start does). Determinism
+// guarantees the replay reproduces the pre-crash state.
 func (r *Runtime) Recover() error { return r.Start() }
 
 // Stop halts gracefully. In-memory state is discarded, like Crash — resume
 // is always from the checkpoint plus log replay, which keeps the recovery
 // path singular and well-tested. In LogDir mode Stop also syncs and
-// detaches the disks (Crash deliberately does not: the disk "survives" a
-// crash, and in-process recovery reuses the open handles); a later Start
-// reattaches them and rebuilds every tail from its disk.
+// detaches the disks (Crash leaves them attached: the disk "survives" a
+// crash); a later Start reopens them, and like Recover rebuilds every tail
+// from its disk.
 func (r *Runtime) Stop() {
 	r.Crash()
 	r.runMu.Lock()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -416,5 +417,86 @@ func TestSubmitAsyncSeqIsCommitOrder(t *testing.T) {
 		if o.bal != sum {
 			t.Fatalf("balance %d at seq %d, want running sum %d: stamps disagree with commit order", o.bal, o.seq, sum)
 		}
+	}
+}
+
+// TestSubmitAsyncOwnsItsArgs pins that a log entry is the runtime's own:
+// the caller reuses its key and args buffers as soon as SubmitAsync
+// returns, and the body scribbles over the args it is handed, yet the
+// recovery replay still runs the original request and rebuilds the same
+// state.
+func TestSubmitAsyncOwnsItsArgs(t *testing.T) {
+	r := NewRuntime(mq.NewBroker(), Config{Name: "owns-args"})
+	var mu sync.Mutex
+	var seen []string
+	r.Register("keep", func(tx *Tx, args []byte) ([]byte, error) {
+		mu.Lock()
+		seen = append(seen, string(args))
+		mu.Unlock()
+		err := tx.Put("k", append([]byte(nil), args...))
+		for i := range args {
+			args[i] = 'x'
+		}
+		return nil, err
+	})
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Stop)
+	keys, args := []string{"k"}, []byte("original")
+	h, err := r.SubmitAsync("own", "keep", keys, args, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys[0] = "other"
+	copy(args, "XXXXXXXX")
+	if _, err := h.Result(); err != nil {
+		t.Fatal(err)
+	}
+	r.Crash()
+	if err := r.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := r.Read("k"); string(v) != "original" {
+		t.Fatalf("k after Crash/Recover = %q, want %q", v, "original")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(seen) != "[original original]" {
+		t.Fatalf("the live run and the replay saw args %q, want the original bytes twice", seen)
+	}
+}
+
+// TestCrossAdmissionAdmitsExactlyTheBound races 64 cross-partition
+// admissions against MaxPending 4 with nothing consuming: a check made
+// before the count would let interleaved submitters past the bound, so
+// exactly 4 must be admitted and the rest shed.
+func TestCrossAdmissionAdmitsExactlyTheBound(t *testing.T) {
+	r := NewRuntime(mq.NewBroker(), Config{Name: "cross-admit", Partitions: 2, MaxPending: 4})
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if err := r.admitCross(); err == nil {
+				admitted.Add(1)
+			} else if !errors.Is(err, ErrOverloaded) {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := admitted.Load(); n != 4 {
+		t.Fatalf("admitted %d cross-partition submissions, want exactly MaxPending = 4", n)
+	}
+	if shed := r.Metrics().Counter("core.shed").Value(); shed != 60 {
+		t.Fatalf("core.shed = %d, want 60", shed)
 	}
 }

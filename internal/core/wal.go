@@ -14,20 +14,23 @@ import (
 
 // The runtime's input logs and the durability layer under them. Each input
 // log — one per partition, plus the global-sequence (gseq) log when the
-// runtime is sharded — is an in-memory tail of records indexed by offset,
-// read in order by one reader (a partition executor, or the sequencer). The
-// tail survives Crash, the way a log's storage does. Config.LogDir mode is
-// the same input log with a disk attached: every group append, and every
+// runtime is sharded — is an in-memory tail of decoded requests, one entry
+// per group append, indexed by offset and read in order by one reader (a
+// partition executor, or the sequencer). Config.LogDir mode is the same
+// input log with a disk attached: every group append, and every
 // cross-partition marker the sequencer fans out, is written to a segmented,
 // checksummed, fsynced write-ahead log (internal/wal) *before* it enters
-// the tail: persist, then act. Start rebuilds the tail from the disk. The
-// modeled Config.SequenceDelay is not charged in this mode; the log's own
-// write+fsync cost is the measured latency
-// (BenchmarkE22_DurabilityFrontier maps the batch-size × fsync-policy
+// the tail: persist, then act. JSON exists only there: appendGroup marshals
+// the members it writes, and replay decodes them. With a disk attached the
+// tail keeps only what its reader has not yet scheduled, and every Start
+// rebuilds it from the disk; in model mode the tail is the storage, keeps
+// every entry and survives Crash. The modeled Config.SequenceDelay is not
+// charged in LogDir mode; the log's own write+fsync cost is the measured
+// latency (BenchmarkE22_DurabilityFrontier maps the batch-size × fsync-policy
 // frontier).
 //
 // On disk, one logical group append is a *header record* followed by its
-// member records:
+// member records, each member one request's JSON:
 //
 //	header  {"n": N, "root": <merkle root over the N member payloads>}
 //	member  payload 1
@@ -105,10 +108,12 @@ type inputLog struct {
 	markerHi int64
 
 	// tailMu guards the tail and the reader's position. It is never held
-	// across a disk write, so a reader never waits behind an fsync.
+	// across a disk write, so a reader never waits behind an fsync. Tail
+	// entries are never mutated: a replay runs what the live append held.
 	tailMu sync.Mutex
-	tail   [][]byte // the records, indexed by offset
-	pos    int64    // the reader's position: the next offset to schedule
+	tail   [][]request // the group appends from offset base on
+	base   int64       // the offset of tail[0]; zero in model mode
+	pos    int64       // the reader's position: the next offset to schedule
 }
 
 // newInputLog makes an empty log. sub names its disk under Config.LogDir
@@ -136,17 +141,27 @@ func walOptions(cfg Config) wal.Options {
 	return opts
 }
 
-// appendGroup appends one group of member payloads as one record (see
-// combineGroup). stamp is a sequencer marker's global-sequence stamp, and
-// zero for everything else; a marker at or below markerHi is already in
-// the log and is skipped. In LogDir mode the group is persisted first —
-// header and members in one write, fsync per policy, in interval mode
-// waiting out the covering sync — so the return is the configured
-// durability point: what the submitters' acks mean. A written group is in
-// the disk's record stream even when that wait fails (it fails only when
-// the runtime stops under it), so it enters the tail either way and the
-// error is still returned: the tail mirrors the disk record for record.
-func (l *inputLog) appendGroup(members [][]byte, stamp int64, cancel <-chan struct{}) error {
+// appendGroup appends one group of requests as one log entry. stamp is a
+// sequencer marker's global-sequence stamp, and zero for everything else; a
+// marker at or below markerHi is already in the log and is skipped. In
+// LogDir mode the group is persisted first — header and JSON members in one
+// write, fsync per policy, in interval mode waiting out the covering sync —
+// so the return is the configured durability point: what the submitters'
+// acks mean. A written group is in the disk's record stream even when that
+// wait fails (it fails only when the runtime stops under it), so it enters
+// the tail either way and the error is still returned: the tail mirrors the
+// disk group for group. reqs must not be mutated afterwards.
+func (l *inputLog) appendGroup(reqs []request, stamp int64, cancel <-chan struct{}) error {
+	var members [][]byte
+	if l.dir != "" {
+		members = make([][]byte, len(reqs))
+		for i := range reqs {
+			var err error
+			if members[i], err = json.Marshal(reqs[i]); err != nil {
+				return err
+			}
+		}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if stamp != 0 && stamp <= l.markerHi {
@@ -159,18 +174,18 @@ func (l *inputLog) appendGroup(members [][]byte, stamp int64, cancel <-chan stru
 		}
 		err = l.waitDurable(cancel)
 	}
-	l.push(combineGroup(members), stamp)
+	l.push(reqs, stamp)
 	return err
 }
 
-// push appends one record to the tail and raises markerHi to a marker's
+// push appends one group to the tail and raises markerHi to a marker's
 // stamp. Caller holds l.mu.
-func (l *inputLog) push(rec []byte, stamp int64) {
+func (l *inputLog) push(reqs []request, stamp int64) {
 	if stamp != 0 {
 		l.markerHi = stamp
 	}
 	l.tailMu.Lock()
-	l.tail = append(l.tail, rec)
+	l.tail = append(l.tail, reqs)
 	l.tailMu.Unlock()
 }
 
@@ -229,87 +244,60 @@ func diskErr(err error) error {
 	return err
 }
 
-// group is one verified on-disk group append.
-type group struct {
-	members [][]byte
-}
-
 // readGroups replays one WAL through group parsing and Merkle
-// verification. It returns the verified groups, the number of torn
-// (incomplete, tail-only) groups dropped, and an error on tampering or
-// mid-log corruption.
-func readGroups(l *wal.Log) (groups []group, torn int, err error) {
-	var cur *group
+// verification. It returns the verified groups' member payloads, whether
+// the stream ends inside a group — a torn tail: the WAL itself stops at
+// the first torn record, so only the last group can be incomplete — and an
+// error on tampering or mid-log corruption.
+func readGroups(l *wal.Log) (groups [][][]byte, torn bool, err error) {
+	var cur [][]byte
 	var want int
 	var root []byte
-	flush := func() error {
-		if cur == nil {
-			return nil
-		}
-		if len(cur.members) < want {
-			// Incomplete group: legal only as the very tail (the WAL
-			// itself already stopped at the first torn record). The caller
-			// sees it as torn because nothing follows.
-			torn++
-			cur = nil
-			return nil
-		}
-		got := wal.MerkleRoot(cur.members)
-		if !bytes.Equal(got[:], root) {
-			return fmt.Errorf("%w: group %d", ErrLogTampered, len(groups))
-		}
-		groups = append(groups, *cur)
-		cur = nil
-		return nil
-	}
-	replayErr := l.Replay(func(payload []byte) error {
+	err = l.Replay(func(payload []byte) error {
 		if cur == nil {
 			var hdr walHeader
 			if err := json.Unmarshal(payload, &hdr); err != nil || hdr.N <= 0 {
 				return fmt.Errorf("%w: malformed group header", ErrLogTampered)
 			}
-			cur = &group{members: make([][]byte, 0, hdr.N)}
-			want, root = hdr.N, hdr.Root
+			cur, want, root = make([][]byte, 0, hdr.N), hdr.N, hdr.Root
 			return nil
 		}
-		cur.members = append(cur.members, append([]byte(nil), payload...))
-		if len(cur.members) == want {
-			return flush()
+		if cur = append(cur, bytes.Clone(payload)); len(cur) < want {
+			return nil
 		}
+		if got := wal.MerkleRoot(cur); !bytes.Equal(got[:], root) {
+			return fmt.Errorf("%w: group %d", ErrLogTampered, len(groups))
+		}
+		groups, cur = append(groups, cur), nil
 		return nil
 	})
-	if replayErr != nil {
-		return nil, 0, replayErr
-	}
-	// A group still open at stream end is torn — unless it had all its
-	// members, in which case flush verifies it normally (can't happen:
-	// full groups flush inline), so this only counts the partial tail.
-	if cur != nil {
-		if err := flush(); err != nil {
-			return nil, 0, err
-		}
-	}
-	return groups, torn, nil
+	return groups, cur != nil, err
 }
 
-// replay attaches the log's disk (Start in LogDir mode, on the first run
-// and after Stop) and rebuilds the tail, and the marker watermark, from
-// the disk's verified groups in disk order: every record gets back the
-// offset its live append gave it, so a checkpoint's reader positions still
-// hold. Torn tail bytes are trimmed on open so live appends extend the
-// valid record stream, and a torn group rebuilds the log down to its
-// verified groups: the dangling partial group must not precede live
-// appends on disk, or the next restart would misparse the new group
-// headers as members of the old partial group. On error the disk stays
-// attached for the caller to close.
+// replay rebuilds the tail, and the marker watermark, from the disk's
+// verified groups in disk order (Start in LogDir mode, every time): every
+// group gets back the offset its live append gave it, so a checkpoint's
+// reader positions still hold. It reuses a disk still attached after Crash
+// and opens one after Stop. Torn tail bytes are trimmed so live appends
+// extend the valid record stream, and a torn group rebuilds the log down to
+// its verified groups: the dangling partial group must not precede live
+// appends on disk, or the next restart would misparse the new group headers
+// as members of the old partial group. Each member is decoded once; one that
+// does not decode is dropped and counted in core.poison. Every replay adds
+// the partition-log groups it re-read, markers aside, to
+// core.wal_replayed_groups. On error the disk stays attached for the
+// caller to close.
 func (l *inputLog) replay() error {
-	w, err := wal.Open(l.dir, walOptions(l.rt.cfg))
-	if err != nil {
-		return err
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.wal, l.markerHi = w, 0
+	if l.wal == nil {
+		w, err := wal.Open(l.dir, walOptions(l.rt.cfg))
+		if err != nil {
+			return err
+		}
+		l.wal = w
+	}
+	w := l.wal
 	if _, err := w.TrimTorn(); err != nil {
 		return err
 	}
@@ -317,13 +305,13 @@ func (l *inputLog) replay() error {
 	if err != nil {
 		return err
 	}
-	if torn > 0 {
-		l.rt.m.Counter("core.wal_torn_batches").Add(int64(torn))
+	if torn {
+		l.rt.m.Counter("core.wal_torn_batches").Inc()
 		if err := w.Truncate(); err != nil {
 			return err
 		}
-		for _, g := range groups {
-			if err := l.write(g.members); err != nil {
+		for _, members := range groups {
+			if err := l.write(members); err != nil {
 				return err
 			}
 		}
@@ -331,15 +319,28 @@ func (l *inputLog) replay() error {
 			return err
 		}
 	}
+	l.markerHi = 0
 	l.tailMu.Lock()
-	l.tail = make([][]byte, 0, len(groups))
+	l.tail, l.base = make([][]request, 0, len(groups)), 0
 	l.tailMu.Unlock()
-	for _, g := range groups {
-		stamp := markerStamp(g.members)
+	for _, members := range groups {
+		reqs := make([]request, 0, len(members))
+		for _, m := range members {
+			var req request
+			if err := json.Unmarshal(m, &req); err != nil {
+				l.rt.m.Counter("core.poison").Inc()
+				continue
+			}
+			reqs = append(reqs, req)
+		}
+		var stamp int64
+		if len(reqs) == 1 {
+			stamp = reqs[0].GSeq
+		}
 		if stamp == 0 && l != l.rt.gseq {
 			l.rt.m.Counter("core.wal_replayed_groups").Inc()
 		}
-		l.push(combineGroup(g.members), stamp)
+		l.push(reqs, stamp)
 	}
 	return nil
 }
@@ -354,11 +355,11 @@ func (l *inputLog) close() {
 	}
 }
 
-// consume hands fn, in order, every record past the reader's position as
-// one batch with the offset of its first record, and moves the position
+// consume hands fn, in order, every group past the reader's position as
+// one batch with the offset of its first group, and moves the position
 // past the batch once fn returns. Caught up, it parks until the next
 // notify. It returns when stop closes.
-func (l *inputLog) consume(stop chan struct{}, fn func(from int64, recs [][]byte)) {
+func (l *inputLog) consume(stop chan struct{}, fn func(from int64, groups [][]request)) {
 	for {
 		select {
 		case <-stop:
@@ -366,9 +367,9 @@ func (l *inputLog) consume(stop chan struct{}, fn func(from int64, recs [][]byte
 		default:
 		}
 		l.tailMu.Lock()
-		from, recs := l.pos, l.tail[l.pos:]
+		from, groups := l.pos, l.tail[l.pos-l.base:]
 		l.tailMu.Unlock()
-		if len(recs) == 0 {
+		if len(groups) == 0 {
 			select {
 			case <-stop:
 				return
@@ -376,57 +377,31 @@ func (l *inputLog) consume(stop chan struct{}, fn func(from int64, recs [][]byte
 			}
 			continue
 		}
-		fn(from, recs)
-		l.seek(from + int64(len(recs)))
+		fn(from, groups)
+		l.seek(from + int64(len(groups)))
 	}
 }
 
-// seek sets the reader's position.
+// seek sets the reader's position. With a disk attached the tail then
+// drops every entry below it — the disk holds them, and the next Start
+// re-reads it — by moving the unread entries to the front of the tail and
+// clearing the slots they leave; base keeps offsets absolute. Only the
+// reader (or Start, before any reader runs) seeks, so no batch consume
+// handed out is still being read.
 func (l *inputLog) seek(pos int64) {
 	l.tailMu.Lock()
+	defer l.tailMu.Unlock()
 	l.pos = pos
-	l.tailMu.Unlock()
+	if l.dir != "" {
+		n := copy(l.tail, l.tail[pos-l.base:])
+		clear(l.tail[n:])
+		l.tail, l.base = l.tail[:n], pos
+	}
 }
 
 // progress returns the reader's position and the log's length.
 func (l *inputLog) progress() (pos, length int64) {
 	l.tailMu.Lock()
 	defer l.tailMu.Unlock()
-	return l.pos, int64(len(l.tail))
-}
-
-// markerStamp returns a single-member group's global-sequence stamp when
-// it is a sequencer marker, and zero otherwise.
-func markerStamp(members [][]byte) int64 {
-	if len(members) != 1 {
-		return 0
-	}
-	var req request
-	if err := json.Unmarshal(members[0], &req); err != nil {
-		return 0
-	}
-	return req.GSeq
-}
-
-// combineGroup builds the log record for one group append: a single member
-// is its own record; N members are the {"b":[...]} group record —
-// byte-identical to json.Marshal(request{Batch}) over the members, since
-// each member payload *is* that member's marshaling.
-func combineGroup(members [][]byte) []byte {
-	if len(members) == 1 {
-		return members[0]
-	}
-	n := len(`{"b":[]}`) + len(members) - 1
-	for _, m := range members {
-		n += len(m)
-	}
-	buf := make([]byte, 0, n)
-	buf = append(buf, `{"b":[`...)
-	for i, m := range members {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, m...)
-	}
-	return append(buf, `]}`...)
+	return l.pos, l.base + int64(len(l.tail))
 }

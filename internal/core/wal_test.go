@@ -3,12 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -638,33 +638,258 @@ func TestDurableLogStopStartKeepsSurvivingBroker(t *testing.T) {
 	}
 }
 
-// TestCombineGroupMatchesBatchMarshal pins the one record encoding both
-// modes produce: a group's record built from its members' marshalings is
-// byte-identical to marshaling the group request, and a one-member group
-// is the member's own marshaling.
-func TestCombineGroupMatchesBatchMarshal(t *testing.T) {
-	reqs := []request{
-		{ReqID: "bin", Fn: "deposit", Keys: []string{"acc/1"}, Args: []byte{0, 1, 0x7f, 0x80, 0xff}},
-		{ReqID: "nokeys", Fn: "noop", Keys: []string{}},
-		{ReqID: `esc"\`, Fn: "f", Keys: []string{"k\n\"<x>&", "ü \x00"}, Args: []byte(`{"a":1}`)},
-		{ReqID: "marker", Fn: "transfer", Keys: []string{"acc/1", "acc/2"}, GSeq: 42},
+// TestReplayRunsTheLiveRequests pins what a disk replay runs: exactly the
+// requests the live run executed — the same ids, keys, args, TIDs and
+// serialization stamps — over the inputs a JSON member record must carry
+// intact: args holding every byte value, an empty key set, keys that need
+// escaping, and a cross-partition transaction (a marker). Concurrent
+// submissions share group appends, and a Stop/Start with no checkpoint
+// replays everything; the log lengths and marker watermarks come back
+// unchanged.
+func TestReplayRunsTheLiveRequests(t *testing.T) {
+	type execution struct {
+		keys     []string
+		args     []byte
+		tid, seq int64
 	}
-	members := make([][]byte, len(reqs))
-	for i, req := range reqs {
-		raw, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
+	var mu sync.Mutex
+	ran := map[string]execution{}
+	r := NewRuntime(mq.NewBroker(), Config{Name: "wal-replay-runs", Partitions: 2, LogDir: t.TempDir()})
+	r.Register("record", func(tx *Tx, args []byte) ([]byte, error) {
+		keys := make([]string, 0, len(tx.keys))
+		for k := range tx.keys {
+			keys = append(keys, k)
 		}
-		members[i] = raw
-		if got := combineGroup([][]byte{raw}); !bytes.Equal(got, raw) {
-			t.Fatalf("one-member group %q = %s, want %s", req.ReqID, got, raw)
-		}
-	}
-	want, err := json.Marshal(request{Batch: reqs})
-	if err != nil {
+		sort.Strings(keys)
+		mu.Lock()
+		ran[tx.ReqID()] = execution{keys: keys, args: bytes.Clone(args), tid: tx.TID()}
+		mu.Unlock()
+		return nil, nil
+	})
+	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if got := combineGroup(members); !bytes.Equal(got, want) {
-		t.Fatalf("combineGroup = %s\nwant json.Marshal(request{Batch}) = %s", got, want)
+	t.Cleanup(r.Stop)
+
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	esc := []string{"k\n\"<x>&\\", "ü \x00"}
+	for r.PartitionOf(esc[1]) != r.PartitionOf(esc[0]) {
+		esc[1] += "ü"
+	}
+	cross := []string{"acc/1", "acc/2"}
+	for r.PartitionOf(cross[1]) == r.PartitionOf(cross[0]) {
+		cross[1] += "x"
+	}
+	inputs := []request{
+		{ReqID: "bin", Keys: []string{"acc/1"}, Args: all},
+		{ReqID: "nokeys", Keys: []string{}},
+		{ReqID: `esc"\`, Keys: esc, Args: []byte(`{"a":1}`)},
+		{ReqID: "marker", Keys: cross, Args: []byte{0xff, 0}},
+	}
+	const copies = 8
+	want := map[string]request{}
+	var wg sync.WaitGroup
+	for _, in := range inputs {
+		for c := 0; c < copies; c++ {
+			req := in
+			req.ReqID = fmt.Sprintf("%s/%d", in.ReqID, c)
+			want[req.ReqID] = req
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := r.Submit(req.ReqID, "record", req.Keys, req.Args, nil); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if err := r.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if r.Metrics().Counter("core.cross_sequenced").Value() != copies {
+		t.Fatalf("cross_sequenced = %d, want %d", r.Metrics().Counter("core.cross_sequenced").Value(), copies)
+	}
+	stamps := func() map[string]execution {
+		mu.Lock()
+		defer mu.Unlock()
+		out := make(map[string]execution, len(ran))
+		for id, e := range ran {
+			e.seq = r.results[id].Seq
+			out[id] = e
+		}
+		clear(ran)
+		return out
+	}
+	markers := func() []int64 {
+		out := make([]int64, len(r.logs))
+		for i, l := range r.logs {
+			l.mu.Lock()
+			out[i] = l.markerHi
+			l.mu.Unlock()
+		}
+		return out
+	}
+	if r.Metrics().Counter("core.grouped_txns").Value() == 0 {
+		t.Fatal("no submissions shared a group append")
+	}
+	live, lengths, his := stamps(), logLengths(r), markers()
+	if len(live) != len(want) {
+		t.Fatalf("live run executed %d requests, want %d", len(live), len(want))
+	}
+	for id, req := range want {
+		keys := slices.Clone(req.Keys)
+		sort.Strings(keys)
+		if e := live[id]; !slices.Equal(e.keys, keys) || !bytes.Equal(e.args, req.Args) {
+			t.Fatalf("live %q ran keys %q args %x, want keys %q args %x", id, e.keys, e.args, keys, req.Args)
+		}
+	}
+
+	r.Stop()
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	replayed := stamps()
+	if len(replayed) != len(live) {
+		t.Fatalf("replay executed %d requests, want %d", len(replayed), len(live))
+	}
+	for id, e := range live {
+		got := replayed[id]
+		if !slices.Equal(got.keys, e.keys) || !bytes.Equal(got.args, e.args) || got.tid != e.tid || got.seq != e.seq {
+			t.Fatalf("replayed %q = %+v, want the live execution %+v", id, got, e)
+		}
+	}
+	if got := logLengths(r); !slices.Equal(got, lengths) {
+		t.Fatalf("log lengths after replay = %v, want %v", got, lengths)
+	}
+	if got := markers(); !slices.Equal(got, his) {
+		t.Fatalf("marker watermarks after replay = %v, want %v", got, his)
+	}
+}
+
+// TestDurableLogTailHoldsOnlyUnread pins the disk-backed tail's retention:
+// once its reader has scheduled an entry the disk holds it, so a quiesced
+// tail is empty while the log's length still counts every append. Crash
+// and Recover then rebuild the tails from the disks: the state comes back,
+// every handle resolves once, and the tails drain to empty again.
+func TestDurableLogTailHoldsOnlyUnread(t *testing.T) {
+	const accounts = 8
+	r := newWALRuntime(t, "wal-retain", t.TempDir(), 2)
+	for a := int64(0); a < accounts; a++ {
+		deposit(t, r, fmt.Sprintf("seed%d", a), a, 1000)
+	}
+	// submit issues n ops from 4 goroutines: deposits, and every fifth a
+	// transfer, most of them across the partitions.
+	submit := func(prefix string, n int) []*Handle {
+		handles := make([]*Handle, n)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < n; i += 4 {
+					id, acc := fmt.Sprintf("%s%d", prefix, i), int64(i%accounts)
+					fn, keys, args := "deposit", []string{fmt.Sprintf("acc/%d", acc)}, append(i64(1), i64(acc)...)
+					if i%5 == 4 {
+						to := (acc + 1) % accounts
+						fn, keys = "transfer", append(keys, fmt.Sprintf("acc/%d", to))
+						args = append(append(i64(1), i64(acc)...), i64(to)...)
+					}
+					h, err := r.SubmitAsync(id, fn, keys, args, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					handles[i] = h
+				}
+			}(w)
+		}
+		wg.Wait()
+		return handles
+	}
+	drained := func(when string) {
+		t.Helper()
+		if err := r.Quiesce(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range r.logs {
+			l.tailMu.Lock()
+			n := len(l.tail)
+			l.tailMu.Unlock()
+			if pos, length := l.progress(); n != 0 || pos != length {
+				t.Fatalf("%s: log %d holds %d entries at position %d of %d, want none unread", when, i, n, pos, length)
+			}
+		}
+	}
+	balances := func() []int64 {
+		out := make([]int64, accounts)
+		for a := range out {
+			out[a] = balance(r, int64(a))
+		}
+		return out
+	}
+
+	if len(submit("a", 500-accounts)) == 0 || t.Failed() {
+		t.FailNow()
+	}
+	drained("after 500 ops")
+	// The lengths still count every append: the batcher's groups plus one
+	// marker per partition per sequenced transfer, and the gseq log's
+	// submissions.
+	m := r.Metrics()
+	if m.Counter("core.cross_sequenced").Value() == 0 {
+		t.Fatal("no transfer crossed partitions")
+	}
+	lengths := logLengths(r)
+	wantPart := m.Counter("core.wal_group_appends").Value() + 2*m.Counter("core.cross_sequenced").Value()
+	if got := lengths[0] + lengths[1]; got != wantPart || lengths[2] != m.Counter("core.cross_submits").Value() {
+		t.Fatalf("log lengths %v, want partitions summing to %d and gseq %d", lengths, wantPart, m.Counter("core.cross_submits").Value())
+	}
+	if _, err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	handles := submit("b", 200)
+	if t.Failed() {
+		t.FailNow()
+	}
+	if err := r.Quiesce(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want, lengths := balances(), logLengths(r)
+	r.Crash()
+	if err := r.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range handles {
+		if _, err := h.Result(); err != nil {
+			t.Fatalf("handle %d after Crash/Recover: %v", i, err)
+		}
+	}
+	drained("after Crash/Recover")
+	if got := balances(); !slices.Equal(got, want) {
+		t.Fatalf("balances after Crash/Recover = %v, want %v", got, want)
+	}
+	if got := logLengths(r); !slices.Equal(got, lengths) {
+		t.Fatalf("log lengths after Crash/Recover = %v, want %v", got, lengths)
+	}
+	r.resMu.Lock()
+	left := len(r.waiters)
+	r.resMu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d waiters left after every handle resolved", left)
+	}
+	var total int64
+	for _, b := range want {
+		total += b
+	}
+	// submit's n ops hold (n+1)/5 transfers, and each deposit adds 1.
+	if deposits := int64(accounts*1000 + (500 - accounts) - (501-accounts)/5 + 200 - 201/5); total != deposits {
+		t.Fatalf("total = %d, want %d (every deposit applied exactly once)", total, deposits)
 	}
 }

@@ -154,20 +154,23 @@
 // Options.LogDir puts a real segmented write-ahead log (internal/wal)
 // under it instead: every group of concurrent submissions becomes one
 // group append — a header record carrying the group's Merkle root, then
-// the member records, written in one buffered write and made durable per
-// Options.Fsync (every batch, a ~1ms interval, or the OS page cache)
-// before the group enters the log's in-memory tail, where the scheduler
-// reads it. Submit acknowledges after that append: on the every-batch
-// policy, acknowledged means fsynced. Options.MaxGroupAppend caps the
+// one JSON record per member, written in one buffered write and made
+// durable per Options.Fsync (every batch, a ~1ms interval, or the OS page
+// cache) before the group enters the log's in-memory tail, where the
+// scheduler reads it as decoded requests; the tail keeps only what the
+// scheduler has not yet read, since the disk holds the rest. Submit
+// acknowledges after that append: on the every-batch policy, acknowledged
+// means fsynced. Options.MaxGroupAppend caps the
 // group size, trading acknowledgment latency against how many
 // transactions amortize each fsync — E22
 // (BenchmarkE22_DurabilityFrontier) maps that frontier.
 //
-// On Start the cell rebuilds the tails from disk before accepting traffic,
-// re-verifying each group against its Merkle root: a partial group at
-// the tail of the stream is a torn write from a crash mid-append — it is
-// counted (core.wal_torn_batches), dropped, and the log is rewritten to
-// the last complete group; a root mismatch anywhere else means the bytes
+// On every Start, a recovery after a crash included, the cell rebuilds
+// the tails from disk before accepting traffic, re-verifying each group
+// against its Merkle root: a partial group at the tail of the stream is a
+// torn write from a crash mid-append — it is counted
+// (core.wal_torn_batches), dropped, and the log is rewritten to the last
+// complete group; a root mismatch anywhere else means the bytes
 // on disk are not the bytes that were acknowledged, and Start refuses
 // with core.ErrLogTampered rather than replaying corrupted history.
 // Because groups persist before they enter the tail, the disk order and
@@ -349,8 +352,8 @@ type Options struct {
 	// LogDir, when set, backs the Deterministic cell with a real durable
 	// write-ahead log under that directory: group appends persist (one
 	// buffered write + fsync per the policy, with a Merkle root over each
-	// group's members) before the broker sees them, and startup replays the
-	// logs through verification. See the package doc's Durability section.
+	// group's members) before they enter the in-memory log, and every start
+	// replays the logs through verification. See the package doc's Durability section.
 	// Other models ignore it.
 	LogDir string
 	// Fsync selects the durable log's sync policy in LogDir mode:
