@@ -19,7 +19,9 @@ verify:
 # stress is the concurrency check verify's single -race pass is too short
 # for: the packages every cell's isolation rests on (the store's OCC and
 # wound-wait locks, actor transactions, the deterministic core and the WAL
-# whose WaitDurable its interval-mode two-phase ack rests on) and the root
+# whose WaitDurable its interval-mode two-phase ack rests on, and the
+# dataflow engine and stateful functions, whose egress callbacks run on one
+# goroutine per partition) and the root
 # package's submit / shed / session / read-only / wide-transaction / geo
 # tests, ten times each under the race detector at 1, 2, 4 and 8 Ps — the
 # bugs ROADMAP item 1 lists only showed at more than one P, and not on
@@ -28,7 +30,7 @@ verify:
 # last fuzzes the TPC-C args decoder against encoding/json for 15 s.
 stress:
 	go test -count=200 -run TestUpdateRetriesConflicts ./internal/store
-	go test -race -count=10 -cpu 1,2,4,8 ./internal/store ./internal/actor ./internal/core ./internal/wal
+	go test -race -count=10 -cpu 1,2,4,8 ./internal/store ./internal/actor ./internal/core ./internal/wal ./internal/dataflow ./internal/statefun
 	go test -race -count=10 -cpu 1,2,4,8 -run 'Submit|Shed|Session|ReadOnly|WideTxn|Geo' .
 	go test -run '^$$' -fuzz '^FuzzDecodeTPCCOp$$' -fuzztime 15s ./internal/workload
 
@@ -94,7 +96,7 @@ bench-baseline:
 # outside bench/ (the benchmark module is not the system under study). It
 # is also a ratchet: it fails when the non-test count exceeds LOC_CEILING,
 # so a change that grows the system raises the ceiling in its own diff.
-LOC_CEILING = 20588
+LOC_CEILING = 20234
 loc:
 	@nontest=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo "non-test Go lines: $$nontest"; \

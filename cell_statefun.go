@@ -139,6 +139,9 @@ func newStatefunExec(cl *cell, env *Env, opts Options) (*statefunExec, error) {
 	name := "cell-" + cl.app.Name()
 	sf := statefun.NewApp(env.Broker, statefun.Config{
 		Name: name, Parallelism: 2, Ingress: name + "-ingress",
+		// OnEgress may run on both partitions' goroutines at once: the
+		// resolver and probe maps are taken under their locks, and a
+		// probe channel is buffered and taken once.
 		OnEgress: func(key string, value []byte) {
 			if req, ok := strings.CutPrefix(key, sfDonePrefix); ok {
 				c.resolveDone(req, value)

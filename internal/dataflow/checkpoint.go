@@ -2,59 +2,20 @@ package dataflow
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
-// checkpoint is one completed coordinated snapshot: the source offsets and
-// every instance's state as of the same barrier, i.e. a consistent cut of
-// the whole dataflow (the Chandy-Lamport global state of §4.1).
+// checkpoint is one completed snapshot: every instance's cut, indexed by
+// partition, with its sink output already committed.
 type checkpoint struct {
-	epoch   uint64
-	offsets map[int]int64 // partition -> next offset to read
-	// snapshots[stage][instance] -> state
-	snapshots map[int]map[int]map[string][]byte
+	epoch uint64
+	cuts  []cut
 }
 
-func (c *checkpoint) snapshotFor(stage, instance int) map[string][]byte {
-	if s, ok := c.snapshots[stage]; ok {
-		return s[instance]
-	}
-	return nil
-}
-
-// checkpointStore retains completed checkpoints. It survives Job.Crash —
-// it models the external durable storage (S3 / DFS) checkpoints are
-// written to (§3.3 Dataflows).
-type checkpointStore struct {
-	mu   sync.Mutex
-	cks  []*checkpoint
-	keep int
-}
-
-func newCheckpointStore() *checkpointStore { return &checkpointStore{keep: 3} }
-
-func (s *checkpointStore) save(ck *checkpoint) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cks = append(s.cks, ck)
-	if len(s.cks) > s.keep {
-		s.cks = s.cks[len(s.cks)-s.keep:]
-	}
-}
-
-func (s *checkpointStore) latest() *checkpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.cks) == 0 {
-		return nil
-	}
-	return s.cks[len(s.cks)-1]
-}
-
-// runCheckpoint coordinates one checkpoint epoch: inject barriers at every
-// source, collect acks from sources, all operator instances, and the sink,
-// then commit the sink's staged output and persist the checkpoint.
+// checkpoint asks every instance for its cut, commits the topic sink's
+// output in one broker transaction, and saves the checkpoint. The
+// instances are asked one after another, each answering between two
+// records; see the package doc for why that is a consistent cut.
 //
 // Ordering note: the sink transaction commits before the checkpoint record
 // is persisted. A crash between the two replays the epoch and can duplicate
@@ -62,52 +23,49 @@ func (s *checkpointStore) latest() *checkpoint {
 // with resumable transaction handles, which the broker stand-in does not
 // model. The window is nanoseconds wide here and irrelevant to the
 // experiments, but it is the honest place to say so.
-func (rt *runtime) runCheckpoint(epoch uint64) error {
+func (rt *runtime) checkpoint(epoch uint64) error {
 	rt.ckptMu.Lock()
 	defer rt.ckptMu.Unlock()
 
-	for _, s := range rt.sources {
-		select {
-		case s.trigger <- epoch:
-		case <-rt.stop:
-			return ErrNotRunning
-		}
-	}
-	expected := len(rt.sources) + len(rt.allInstances()) + 1
-	ck := &checkpoint{
-		epoch:     epoch,
-		offsets:   make(map[int]int64),
-		snapshots: make(map[int]map[int]map[string][]byte),
-	}
+	ck := &checkpoint{epoch: epoch, cuts: make([]cut, len(rt.insts))}
+	var out []Record
 	timeout := time.After(10 * time.Second)
-	got := 0
-	for got < expected {
+	for p, inst := range rt.insts {
+		reply := make(chan cut, 1) // the instance never blocks answering
 		select {
-		case a := <-rt.acks:
-			if a.epoch != epoch {
-				continue // stale ack from an aborted earlier epoch
-			}
-			got++
-			switch a.kind {
-			case "source":
-				for p, off := range a.offsets {
-					ck.offsets[p] = off
-				}
-			case "op":
-				if ck.snapshots[a.stage] == nil {
-					ck.snapshots[a.stage] = make(map[int]map[string][]byte)
-				}
-				ck.snapshots[a.stage][a.instance] = a.snapshot
-			}
+		case inst.cuts <- reply:
+			ck.cuts[p] = <-reply
 		case <-rt.stop:
 			return ErrNotRunning
 		case <-timeout:
-			return fmt.Errorf("dataflow: checkpoint %d timed out (%d/%d acks)", epoch, got, expected)
+			return fmt.Errorf("dataflow: checkpoint %d timed out (%d/%d instances)", epoch, p, len(rt.insts))
 		}
+		out = append(out, ck.cuts[p].out...)
+		ck.cuts[p].out = nil
 	}
-	if err := rt.sink.commit(epoch); err != nil {
+	if err := rt.commit(epoch, out); err != nil {
 		return fmt.Errorf("dataflow: sink commit for epoch %d: %w", epoch, err)
 	}
-	rt.job.ckptmgr.save(ck)
+	rt.job.latest.Store(ck)
 	return nil
+}
+
+// commit publishes an epoch's sink output atomically via a transactional
+// producer.
+func (rt *runtime) commit(epoch uint64, recs []Record) error {
+	j := rt.job
+	if len(recs) == 0 {
+		return nil
+	}
+	p := j.broker.NewTransactionalProducer(fmt.Sprintf("%s-sink-%d", j.cfg.Name, epoch))
+	if err := p.Begin(); err != nil {
+		return err
+	}
+	for _, r := range recs {
+		if _, _, err := p.Send(j.sinkTopic, r.Key, r.Value); err != nil {
+			p.Abort()
+			return err
+		}
+	}
+	return p.Commit()
 }

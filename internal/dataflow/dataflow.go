@@ -1,11 +1,17 @@
 // Package dataflow implements the stateful dataflow programming model of
-// §3.1: an application is a chain of keyed, stateful operator stages fed by
-// message-log partitions, in the style of Apache Flink. The engine provides
-// the fault-tolerance design of §4.1:
+// §3.1 in the style of Apache Flink: one keyed, stateful operator fed by
+// the partitions of a message-log topic. Instance i owns partition i: one
+// goroutine fetches it, runs the operator on each record, and hands every
+// emitted record to the sink, all inline. The engine provides the
+// fault-tolerance design of §4.1:
 //
-//   - Coordinated checkpoints: Chandy-Lamport-style barriers flow from the
-//     sources through every stage; an operator aligns barriers from all its
-//     inputs, snapshots its state, and forwards the barrier.
+//   - Checkpoints: each instance reports, at a record boundary, its next
+//     source offset, a copy of its state and the output it buffered for
+//     the topic sink. No barriers are needed: the instances share no
+//     channel but broker partitions, which replay from the saved offsets,
+//     so any per-partition cut is consistent, provided an operator that
+//     writes to another partition does so idempotently keyed on the
+//     record it consumed (as internal/statefun's sends are).
 //   - Recovery: on failure the whole job rolls back to the last completed
 //     checkpoint (state snapshots + source offsets) and replays the log.
 //
@@ -36,13 +42,12 @@ import (
 
 // Common engine errors.
 var (
-	ErrRunning      = errors.New("dataflow: job already running")
-	ErrNotRunning   = errors.New("dataflow: job not running")
-	ErrNoCheckpoint = errors.New("dataflow: no completed checkpoint")
-	ErrBadTopology  = errors.New("dataflow: invalid topology")
+	ErrRunning     = errors.New("dataflow: job already running")
+	ErrNotRunning  = errors.New("dataflow: job not running")
+	ErrBadTopology = errors.New("dataflow: invalid topology")
 )
 
-// Record is one data element flowing through the graph.
+// Record is one record read from the source or emitted by the operator.
 type Record struct {
 	Key   string
 	Value []byte
@@ -99,21 +104,18 @@ func (s *mapState) restore(snap map[string][]byte) {
 type OpCtx struct {
 	state *mapState
 	emit  func(Record)
-	// StageIndex / InstanceIndex identify the executing instance.
-	StageIndex    int
-	InstanceIndex int
 }
 
 // State returns the instance's keyed state.
 func (c *OpCtx) State() State { return c.state }
 
-// Emit sends a record to the next stage (or sink), routed by key hash.
+// Emit hands a record to the sink.
 func (c *OpCtx) Emit(key string, value []byte) {
 	c.emit(Record{Key: key, Value: value})
 }
 
 // ProcessFunc is the operator body: it receives one record and may read or
-// write state and emit downstream records.
+// write state and emit records to the sink.
 type ProcessFunc func(ctx *OpCtx, rec Record)
 
 // stageSpec describes one operator stage.
@@ -123,14 +125,10 @@ type stageSpec struct {
 	fn          ProcessFunc
 }
 
-// Config tunes a job.
+// Config names a job.
 type Config struct {
-	// Name identifies the job in metrics.
+	// Name identifies the job (it names the sink's transactional producers).
 	Name string
-	// PollBatch is the source fetch size. Zero means 128.
-	PollBatch int
-	// ChannelDepth bounds inter-instance channels. Zero means 256.
-	ChannelDepth int
 }
 
 // Job is one dataflow topology plus its execution machinery.
@@ -143,43 +141,33 @@ type Job struct {
 	stages      []stageSpec
 	sinkTopic   string       // "" = callback sink
 	sinkFn      func(Record) // may be nil
-	sinkAtEpoch bool         // deliver collector records on epoch commit
 
-	mu      sync.Mutex
-	running bool
-	rt      *runtime // live execution; nil when stopped
-	ckptmgr *checkpointStore
+	mu sync.Mutex
+	rt *runtime // live execution; nil when stopped
 
-	inflight atomic.Int64 // records currently inside the graph
+	// latest is the last completed checkpoint. It survives Crash: it
+	// models the external durable storage (S3 / DFS) checkpoints are
+	// written to (§3.3 Dataflows).
+	latest   atomic.Pointer[checkpoint]
 	epochSeq atomic.Uint64
 }
 
 // NewJob creates an empty job over the broker.
 func NewJob(broker *mq.Broker, cfg Config) *Job {
-	if cfg.PollBatch <= 0 {
-		cfg.PollBatch = 128
-	}
-	if cfg.ChannelDepth <= 0 {
-		cfg.ChannelDepth = 256
-	}
-	return &Job{
-		cfg:     cfg,
-		broker:  broker,
-		m:       metrics.NewRegistry(),
-		ckptmgr: newCheckpointStore(),
-	}
+	return &Job{cfg: cfg, broker: broker, m: metrics.NewRegistry()}
 }
 
 // Metrics exposes the job's instruments.
 func (j *Job) Metrics() *metrics.Registry { return j.m }
 
-// Source sets the input topic; every partition becomes one source instance.
+// Source sets the input topic; partition i feeds operator instance i.
 func (j *Job) Source(topic string) *Job {
 	j.sourceTopic = topic
 	return j
 }
 
-// Stage appends a keyed stateful operator stage.
+// Stage appends a keyed stateful operator stage. Start accepts exactly one
+// stage, whose parallelism equals the source's partition count.
 func (j *Job) Stage(name string, parallelism int, fn ProcessFunc) *Job {
 	if parallelism <= 0 {
 		parallelism = 1
@@ -188,7 +176,7 @@ func (j *Job) Stage(name string, parallelism int, fn ProcessFunc) *Job {
 	return j
 }
 
-// SinkTo directs final-stage output to a topic with exactly-once semantics:
+// SinkTo directs the operator's output to a topic with exactly-once semantics:
 // each epoch's records are staged in a broker transaction that commits when
 // the checkpoint completes. Output between checkpoints is invisible.
 func (j *Job) SinkTo(topic string) *Job {
@@ -196,23 +184,26 @@ func (j *Job) SinkTo(topic string) *Job {
 	return j
 }
 
-// Sink installs a callback sink invoked as records arrive (at-least-once
-// across failures: replays after recovery re-deliver).
+// Sink installs a callback sink invoked as records are emitted
+// (at-least-once across failures: replays after recovery re-deliver). The
+// callback runs on the goroutine of the partition whose record emitted it:
+// calls from one partition, and so for one source key, come in emit order;
+// calls from different partitions may overlap.
 func (j *Job) Sink(fn func(Record)) *Job {
 	j.sinkFn = fn
 	return j
 }
 
-// validate checks the topology.
-func (j *Job) validate() error {
-	if j.sourceTopic == "" {
-		return fmt.Errorf("%w: no source", ErrBadTopology)
-	}
-	if len(j.stages) == 0 {
-		return fmt.Errorf("%w: no stages", ErrBadTopology)
-	}
-	if j.sinkTopic == "" && j.sinkFn == nil {
+// validate checks the topology against the source's partition count.
+func (j *Job) validate(partitions int) error {
+	switch {
+	case j.sinkTopic == "" && j.sinkFn == nil:
 		return fmt.Errorf("%w: no sink", ErrBadTopology)
+	case len(j.stages) != 1:
+		return fmt.Errorf("%w: %d stages, want 1", ErrBadTopology, len(j.stages))
+	case j.stages[0].parallelism != partitions:
+		return fmt.Errorf("%w: stage %q has parallelism %d, source has %d partitions",
+			ErrBadTopology, j.stages[0].name, j.stages[0].parallelism, partitions)
 	}
 	return nil
 }
@@ -220,55 +211,47 @@ func (j *Job) validate() error {
 // Start launches the job from the latest completed checkpoint (or from the
 // beginning when none exists).
 func (j *Job) Start() error {
-	if err := j.validate(); err != nil {
-		return err
+	if j.sourceTopic == "" {
+		return fmt.Errorf("%w: no source", ErrBadTopology)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.running {
+	if j.rt != nil {
 		return ErrRunning
 	}
 	parts, err := j.broker.Partitions(j.sourceTopic)
 	if err != nil {
 		return err
 	}
-	ck := j.ckptmgr.latest()
-	rt, err := newRuntime(j, parts, ck)
-	if err != nil {
+	if err := j.validate(parts); err != nil {
 		return err
 	}
-	j.rt = rt
-	j.running = true
-	rt.start()
+	j.rt = newRuntime(j, parts, j.latest.Load())
 	return nil
 }
 
 // Stop halts execution gracefully (no state loss; a later Start resumes
 // from the last checkpoint, so un-checkpointed work is re-done).
-func (j *Job) Stop() {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.running {
-		return
+func (j *Job) Stop() { j.halt() }
+
+// Crash simulates a process failure: execution halts and all in-memory
+// state is discarded. Only checkpoints survive.
+func (j *Job) Crash() {
+	if j.halt() {
+		j.m.Counter("dataflow.crashes").Inc()
 	}
-	j.rt.halt()
-	j.rt = nil
-	j.running = false
 }
 
-// Crash simulates a process failure: execution halts, all in-memory state
-// and in-flight records are discarded. Only checkpoints survive.
-func (j *Job) Crash() {
+// halt stops the live runtime, if any, and reports whether one ran.
+func (j *Job) halt() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.running {
-		return
+	if j.rt == nil {
+		return false
 	}
 	j.rt.halt()
 	j.rt = nil
-	j.running = false
-	j.inflight.Store(0)
-	j.m.Counter("dataflow.crashes").Inc()
+	return true
 }
 
 // Recover restarts after a crash from the last completed checkpoint.
@@ -276,9 +259,9 @@ func (j *Job) Recover() error {
 	return j.Start()
 }
 
-// TriggerCheckpoint starts checkpoint epoch n and blocks until it completes
-// (all instances snapshotted, transactional sink committed). Returns the
-// epoch id.
+// TriggerCheckpoint takes the next checkpoint epoch and blocks until it
+// completes (all instances snapshotted, transactional sink committed).
+// Returns the epoch id.
 func (j *Job) TriggerCheckpoint() (uint64, error) {
 	j.mu.Lock()
 	rt := j.rt
@@ -287,15 +270,15 @@ func (j *Job) TriggerCheckpoint() (uint64, error) {
 		return 0, ErrNotRunning
 	}
 	epoch := j.epochSeq.Add(1)
-	if err := rt.runCheckpoint(epoch); err != nil {
+	if err := rt.checkpoint(epoch); err != nil {
 		return 0, err
 	}
 	j.m.Counter("dataflow.checkpoints").Inc()
 	return epoch, nil
 }
 
-// Lag returns unprocessed source records plus in-flight records — zero
-// means the job is quiescent.
+// Lag returns the source records not yet processed — zero means the job
+// is quiescent.
 func (j *Job) Lag() int64 {
 	j.mu.Lock()
 	rt := j.rt
@@ -303,7 +286,7 @@ func (j *Job) Lag() int64 {
 	if rt == nil {
 		return 0
 	}
-	return rt.sourceLag() + j.inflight.Load()
+	return rt.lag()
 }
 
 // WaitIdle blocks until the job is quiescent or the timeout elapses.

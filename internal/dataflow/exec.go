@@ -1,36 +1,16 @@
 package dataflow
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"tca/internal/metrics"
 	"tca/internal/mq"
 )
 
-// event is the union flowing through inter-instance channels.
-type event struct {
-	rec     Record
-	barrier uint64 // 0 = data record, >0 = checkpoint barrier epoch
-}
-
-// tagged wraps an event with the index of the upstream that sent it, which
-// barrier alignment needs.
-type tagged struct {
-	from int
-	ev   event
-}
-
-// ack is an instance's report to the checkpoint coordinator.
-type ack struct {
-	epoch    uint64
-	kind     string // "source" | "op" | "sink"
-	stage    int
-	instance int
-	offsets  map[int]int64     // source acks: partition -> next offset
-	snapshot map[string][]byte // op acks: state snapshot
-}
+// pollBatch is the most records one fetch hands an instance.
+const pollBatch = 128
 
 // runtime is one live execution of a job.
 type runtime struct {
@@ -38,138 +18,49 @@ type runtime struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	sources []*source
-	stages  [][]*instance
-	sink    *sink
-
-	acks   chan ack
+	insts  []*instance
 	ckptMu sync.Mutex
 }
 
-// source reads one partition of the input topic.
-type source struct {
-	rt      *runtime
-	index   int
-	tp      mq.TopicPartition
-	pos     atomic.Int64
-	trigger chan uint64
-	outs    []chan tagged // stage-0 instances
-}
-
-// instance is one parallel task of one stage.
+// instance runs the operator over one source partition.
 type instance struct {
-	rt       *runtime
-	stage    int
-	index    int
-	fn       ProcessFunc
-	in       chan tagged
-	outs     []chan tagged // next stage instances; nil for last stage
-	sinkIn   chan tagged   // set on last stage
-	upstream int           // number of distinct upstream senders
-
-	stateMu sync.Mutex
-	state   *mapState
-
-	// alignment state for the in-progress barrier.
-	aligning uint64
-	arrived  map[int]bool
-	held     []tagged
+	rt    *runtime
+	tp    mq.TopicPartition
+	pos   atomic.Int64 // next offset to process; stored after each record
+	state *mapState
+	// out is the topic sink's output since the last checkpoint.
+	out []Record
+	// cuts carries checkpoint requests; the instance answers each on the
+	// channel it receives, between two records.
+	cuts chan chan cut
 }
 
-// sink terminates the graph.
-type sink struct {
-	rt       *runtime
-	in       chan tagged
-	upstream int
-	arrived  map[int]bool
-	aligning uint64
-	held     []tagged
-
-	mu      sync.Mutex
-	buffer  []Record            // records since last barrier (topic mode)
-	pending map[uint64][]Record // staged per epoch awaiting commit
+// cut is one instance's part of a checkpoint.
+type cut struct {
+	offset int64
+	state  map[string][]byte
+	out    []Record
 }
 
-func newRuntime(j *Job, partitions int, ck *checkpoint) (*runtime, error) {
-	rt := &runtime{
-		job:  j,
-		stop: make(chan struct{}),
-		acks: make(chan ack, 1024),
-	}
-	// Build stages back to front so outs can be wired.
-	rt.sink = &sink{
-		rt:       rt,
-		in:       make(chan tagged, j.cfg.ChannelDepth),
-		upstream: j.stages[len(j.stages)-1].parallelism,
-		arrived:  make(map[int]bool),
-		pending:  make(map[uint64][]Record),
-	}
-	rt.stages = make([][]*instance, len(j.stages))
-	for si := len(j.stages) - 1; si >= 0; si-- {
-		spec := j.stages[si]
-		upstream := partitions
-		if si > 0 {
-			upstream = j.stages[si-1].parallelism
-		}
-		insts := make([]*instance, spec.parallelism)
-		for ii := 0; ii < spec.parallelism; ii++ {
-			inst := &instance{
-				rt:       rt,
-				stage:    si,
-				index:    ii,
-				fn:       spec.fn,
-				in:       make(chan tagged, j.cfg.ChannelDepth),
-				upstream: upstream,
-				state:    newMapState(),
-				arrived:  make(map[int]bool),
-			}
-			if si == len(j.stages)-1 {
-				inst.sinkIn = rt.sink.in
-			} else {
-				for _, down := range rt.stages[si+1] {
-					inst.outs = append(inst.outs, down.in)
-				}
-			}
-			if ck != nil {
-				if snap := ck.snapshotFor(si, ii); snap != nil {
-					inst.state.restore(snap)
-				}
-			}
-			insts[ii] = inst
-		}
-		rt.stages[si] = insts
-	}
-	// Sources.
-	rt.sources = make([]*source, partitions)
-	for pi := 0; pi < partitions; pi++ {
-		s := &source{
-			rt:      rt,
-			index:   pi,
-			tp:      mq.TopicPartition{Topic: j.sourceTopic, Partition: pi},
-			trigger: make(chan uint64, 4),
+func newRuntime(j *Job, partitions int, ck *checkpoint) *runtime {
+	rt := &runtime{job: j, stop: make(chan struct{})}
+	sinkRecords := j.m.Counter("dataflow.sink_records")
+	for p := 0; p < partitions; p++ {
+		inst := &instance{
+			rt:    rt,
+			tp:    mq.TopicPartition{Topic: j.sourceTopic, Partition: p},
+			state: newMapState(),
+			cuts:  make(chan chan cut),
 		}
 		if ck != nil {
-			s.pos.Store(ck.offsets[pi])
+			inst.pos.Store(ck.cuts[p].offset)
+			inst.state.restore(ck.cuts[p].state)
 		}
-		for _, inst := range rt.stages[0] {
-			s.outs = append(s.outs, inst.in)
-		}
-		rt.sources[pi] = s
-	}
-	return rt, nil
-}
-
-func (rt *runtime) start() {
-	for _, inst := range rt.allInstances() {
+		rt.insts = append(rt.insts, inst)
 		rt.wg.Add(1)
-		go inst.run()
+		go inst.run(j.stages[0].fn, sinkRecords)
 	}
-	rt.wg.Add(1)
-	go rt.sink.run()
-	for _, s := range rt.sources {
-		rt.wg.Add(1)
-		go s.run()
-	}
+	return rt
 }
 
 func (rt *runtime) halt() {
@@ -177,258 +68,58 @@ func (rt *runtime) halt() {
 	rt.wg.Wait()
 }
 
-func (rt *runtime) allInstances() []*instance {
-	var out []*instance
-	for _, st := range rt.stages {
-		out = append(out, st...)
+// lag sums the records each instance has yet to process. It reads every
+// position before any high-water mark: a total of zero then means that at
+// one instant between the two passes every partition was fully processed,
+// and, since an instance stores its position only after the operator's
+// sends are in the broker, that no record was mid-flight.
+func (rt *runtime) lag() int64 {
+	pos := make([]int64, len(rt.insts))
+	for p, inst := range rt.insts {
+		pos[p] = inst.pos.Load()
 	}
-	return out
-}
-
-func (rt *runtime) sourceLag() int64 {
 	var lag int64
-	for _, s := range rt.sources {
-		hw, err := rt.job.broker.HighWater(s.tp)
-		if err != nil {
-			continue
+	for p, inst := range rt.insts {
+		if hw, err := rt.job.broker.HighWater(inst.tp); err == nil {
+			lag += hw - pos[p]
 		}
-		lag += hw - s.pos.Load()
 	}
 	return lag
 }
 
-// send delivers ev to ch unless the runtime is halting.
-func (rt *runtime) send(ch chan tagged, t tagged) bool {
-	select {
-	case ch <- t:
-		return true
-	case <-rt.stop:
-		return false
-	}
-}
-
-// --- source ---------------------------------------------------------------
-
-func (s *source) run() {
-	defer s.rt.wg.Done()
-	for {
-		select {
-		case <-s.rt.stop:
-			return
-		case epoch := <-s.trigger:
-			// Record the restart position, ack, and emit the barrier.
-			offs := map[int]int64{s.index: s.pos.Load()}
-			s.rt.acks <- ack{epoch: epoch, kind: "source", instance: s.index, offsets: offs}
-			for _, out := range s.outs {
-				if !s.rt.send(out, tagged{from: s.index, ev: event{barrier: epoch}}) {
-					return
-				}
-			}
-		default:
-			msgs, err := s.rt.job.broker.Fetch(s.tp, s.pos.Load(), s.rt.job.cfg.PollBatch)
-			if err != nil || len(msgs) == 0 {
-				time.Sleep(100 * time.Microsecond)
-				continue
-			}
-			for _, m := range msgs {
-				rec := Record{
-					Key: m.Key, Value: m.Value,
-					Topic: m.Topic, Partition: m.Partition, Offset: m.Offset,
-				}
-				s.rt.job.inflight.Add(1)
-				target := int(hash64(rec.Key) % uint64(len(s.outs)))
-				if !s.rt.send(s.outs[target], tagged{from: s.index, ev: event{rec: rec}}) {
-					return
-				}
-			}
-			s.pos.Store(msgs[len(msgs)-1].Offset + 1)
-		}
-	}
-}
-
-// --- operator instance ------------------------------------------------------
-
-func (i *instance) run() {
+func (i *instance) run(fn ProcessFunc, sinkRecords *metrics.Counter) {
 	defer i.rt.wg.Done()
-	ctx := &OpCtx{state: i.state, StageIndex: i.stage, InstanceIndex: i.index, emit: i.emit}
+	j := i.rt.job
+	ctx := &OpCtx{state: i.state, emit: func(rec Record) {
+		if j.sinkTopic != "" {
+			i.out = append(i.out, rec)
+		}
+		if j.sinkFn != nil {
+			j.sinkFn(rec)
+		}
+		sinkRecords.Inc()
+	}}
 	for {
 		select {
 		case <-i.rt.stop:
 			return
-		case t := <-i.in:
-			if t.ev.barrier > 0 {
-				if done := i.onBarrier(t, ctx); !done {
-					return
-				}
-				continue
-			}
-			if i.aligning != 0 && i.arrived[t.from] {
-				// Input already delivered its barrier for the epoch being
-				// aligned: hold the record back (alignment blocking).
-				i.held = append(i.held, t)
-				continue
-			}
-			i.process(ctx, t.ev.rec)
+		case reply := <-i.cuts:
+			reply <- cut{offset: i.pos.Load(), state: i.state.snapshot(), out: i.out}
+			i.out = nil
+			continue
+		default:
+		}
+		msgs, err := j.broker.Fetch(i.tp, i.pos.Load(), pollBatch)
+		if err != nil || len(msgs) == 0 {
+			time.Sleep(100 * time.Microsecond)
+			continue
+		}
+		for _, m := range msgs {
+			fn(ctx, Record{
+				Key: m.Key, Value: m.Value,
+				Topic: m.Topic, Partition: m.Partition, Offset: m.Offset,
+			})
+			i.pos.Store(m.Offset + 1)
 		}
 	}
-}
-
-func (i *instance) process(ctx *OpCtx, rec Record) {
-	i.stateMu.Lock()
-	i.fn(ctx, rec)
-	i.stateMu.Unlock()
-	i.rt.job.inflight.Add(-1)
-}
-
-// emit routes a record downstream (next stage or sink).
-func (i *instance) emit(rec Record) {
-	i.rt.job.inflight.Add(1)
-	if i.sinkIn != nil {
-		i.rt.send(i.sinkIn, tagged{from: i.index, ev: event{rec: rec}})
-		return
-	}
-	target := int(hash64(rec.Key) % uint64(len(i.outs)))
-	i.rt.send(i.outs[target], tagged{from: i.index, ev: event{rec: rec}})
-}
-
-// onBarrier performs alignment; when the barrier has arrived from every
-// upstream, the instance snapshots, acks, forwards the barrier, and then
-// processes the records it held back. Returns false if halting.
-func (i *instance) onBarrier(t tagged, ctx *OpCtx) bool {
-	epoch := t.ev.barrier
-	if i.aligning == 0 {
-		i.aligning = epoch
-	}
-	i.arrived[t.from] = true
-	if len(i.arrived) < i.upstream {
-		return true
-	}
-	// Aligned: snapshot and ack.
-	i.stateMu.Lock()
-	snap := i.state.snapshot()
-	i.stateMu.Unlock()
-	i.rt.acks <- ack{epoch: epoch, kind: "op", stage: i.stage, instance: i.index, snapshot: snap}
-	// Forward the barrier.
-	if i.sinkIn != nil {
-		if !i.rt.send(i.sinkIn, tagged{from: i.index, ev: event{barrier: epoch}}) {
-			return false
-		}
-	} else {
-		for _, out := range i.outs {
-			if !i.rt.send(out, tagged{from: i.index, ev: event{barrier: epoch}}) {
-				return false
-			}
-		}
-	}
-	// Release held-back records.
-	held := i.held
-	i.held = nil
-	i.aligning = 0
-	i.arrived = make(map[int]bool)
-	for _, h := range held {
-		i.process(ctx, h.ev.rec)
-	}
-	return true
-}
-
-// --- sink -------------------------------------------------------------------
-
-func (k *sink) run() {
-	defer k.rt.wg.Done()
-	for {
-		select {
-		case <-k.rt.stop:
-			return
-		case t := <-k.in:
-			if t.ev.barrier > 0 {
-				k.onBarrier(t)
-				continue
-			}
-			if k.aligning != 0 && k.arrived[t.from] {
-				k.held = append(k.held, t)
-				continue
-			}
-			k.deliver(t.ev.rec)
-		}
-	}
-}
-
-func (k *sink) deliver(rec Record) {
-	j := k.rt.job
-	if j.sinkTopic != "" {
-		k.mu.Lock()
-		k.buffer = append(k.buffer, rec)
-		k.mu.Unlock()
-	}
-	if j.sinkFn != nil && !j.sinkAtEpoch {
-		j.sinkFn(rec)
-	}
-	j.inflight.Add(-1)
-	j.m.Counter("dataflow.sink_records").Inc()
-}
-
-func (k *sink) onBarrier(t tagged) {
-	epoch := t.ev.barrier
-	if k.aligning == 0 {
-		k.aligning = epoch
-	}
-	k.arrived[t.from] = true
-	if len(k.arrived) < k.upstream {
-		return
-	}
-	// Stage the epoch's output for commit-on-checkpoint-complete.
-	k.mu.Lock()
-	if k.rt.job.sinkTopic != "" {
-		k.pending[epoch] = k.buffer
-		k.buffer = nil
-	}
-	k.mu.Unlock()
-	k.rt.acks <- ack{epoch: epoch, kind: "sink"}
-	held := k.held
-	k.held = nil
-	k.aligning = 0
-	k.arrived = make(map[int]bool)
-	for _, h := range held {
-		k.deliver(h.ev.rec)
-	}
-}
-
-// commit publishes epoch's staged output atomically via a transactional
-// producer. Called by the checkpoint coordinator after all acks.
-func (k *sink) commit(epoch uint64) error {
-	j := k.rt.job
-	if j.sinkTopic == "" {
-		return nil
-	}
-	k.mu.Lock()
-	recs := k.pending[epoch]
-	delete(k.pending, epoch)
-	k.mu.Unlock()
-	if len(recs) == 0 {
-		return nil
-	}
-	p := j.broker.NewTransactionalProducer(fmt.Sprintf("%s-sink-%d", j.cfg.Name, epoch))
-	if err := p.Begin(); err != nil {
-		return err
-	}
-	for _, r := range recs {
-		if _, _, err := p.Send(j.sinkTopic, r.Key, r.Value); err != nil {
-			p.Abort()
-			return err
-		}
-	}
-	return p.Commit()
-}
-
-func hash64(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
 }

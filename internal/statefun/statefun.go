@@ -8,13 +8,17 @@
 // achieves exactly-once processing and atomicity as a consequence.
 // However, there is no transactional isolation across Statefun entities.").
 //
-// Architecture: one dataflow job over an internal message topic. An ingress
-// relay copies external messages into the internal topic with a broker
-// transaction (exactly-once). Function-to-function sends append to the
-// internal topic with deterministic idempotent-producer sequence numbers
-// derived from the consumed record's coordinates, so crash-replay re-sends
-// are deduplicated by the broker — exactly-once function messaging without
-// any application code.
+// Architecture: one dataflow job over an internal message topic, whose
+// single keyed operator dispatches each message to its function on the
+// goroutine that owns the message's partition. An ingress relay copies
+// external messages into the internal topic with a broker transaction
+// (exactly-once). Function-to-function sends append to the internal topic
+// with deterministic idempotent-producer sequence numbers derived from the
+// consumed record's coordinates, so crash-replay re-sends are deduplicated
+// by the broker — exactly-once function messaging without any application
+// code. Sends are also why a checkpoint needs no barriers: the partitions
+// are the only channels between instances, and each instance's (offset,
+// state) pair replays into the same sends.
 //
 // The missing transactional isolation across functions is not a bug: it is
 // the exact gap experiment E7 demonstrates, and the one internal/core
@@ -151,6 +155,9 @@ type Config struct {
 	// Egress is the exactly-once output topic ("" = use OnEgress).
 	Egress string
 	// OnEgress is the at-least-once callback sink used when Egress is "".
+	// It runs on the goroutine of the partition that emitted the record:
+	// calls for records one function instance emits come in order, and
+	// calls from different partitions may overlap.
 	OnEgress func(key string, value []byte)
 }
 
@@ -316,13 +323,17 @@ func (a *App) WaitIdle(timeout time.Duration) error {
 }
 
 // TriggerCheckpoint checkpoints the app (state + progress + egress commit).
+// It releases a.mu before the job checkpoints: dispatch read-locks a.mu
+// for every record, and a writer queued behind a held read lock (Register,
+// Stop) would block the instances the checkpoint waits on.
 func (a *App) TriggerCheckpoint() (uint64, error) {
 	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if !a.running {
+	running, job := a.running, a.job
+	a.mu.RUnlock()
+	if !running {
 		return 0, ErrNotRunning
 	}
-	return a.job.TriggerCheckpoint()
+	return job.TriggerCheckpoint()
 }
 
 // Crash simulates a process failure of the whole app (job + relay).

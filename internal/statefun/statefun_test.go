@@ -467,3 +467,51 @@ func TestUnregisteredFunctionDropped(t *testing.T) {
 	app.SendToIngress(Ref{"counter", "ok"}, i64(1))
 	waitIdle(t, app)
 }
+
+// TestCheckpointRacingRegister checkpoints while functions are registered
+// and traffic flows. dispatch takes the app's read lock for every record,
+// so a checkpoint that held that lock while it waited on the job would
+// wait forever on an instance stuck behind a queued Register.
+func TestCheckpointRacingRegister(t *testing.T) {
+	app, _ := newCounterApp(t, "ckreg", nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := app.SendToIngress(Ref{"counter", fmt.Sprintf("c%d", i%16)}, i64(1)); err != nil {
+				t.Error(err)
+				return
+			}
+			if i%64 == 63 {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			app.Register("counter", counterFn)
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 50; i++ {
+		t0 := time.Now()
+		if _, err := app.TriggerCheckpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", i, err)
+		}
+		if d := time.Since(t0); d > 3*time.Second {
+			t.Fatalf("checkpoint %d took %v", i, d)
+		}
+	}
+}
