@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"tca/internal/mq"
 	"tca/internal/workload"
 )
 
@@ -168,11 +169,10 @@ func TestLedgerCrossModelAudit(t *testing.T) {
 // crash/recovery surface end to end through the tca API, the path
 // examples/streamledger demos: checkpoint, more writes, crash before the
 // next checkpoint, recover, and the replayed state must be exact and
-// readable. Regression test for the restarted relay producer being
-// sequence-deduplicated against its fenced predecessor (same
-// transactional id, fresh sequence space) — the broker must scope
-// idempotence by producer epoch or every post-recovery relayed message,
-// probes included, is silently dropped.
+// readable: the recovered job replays the app's topic from the
+// checkpoint's offsets, and the broker's idempotent produce dedups the
+// replayed sends against the ones the crashed run made, so every bump
+// applies exactly once and post-recovery probes still answer.
 func TestStatefunCellCrashRecoverReads(t *testing.T) {
 	env := NewEnv(1, 3)
 	cell, err := Deploy(StatefulDataflow, geoTestApp(), env)
@@ -213,6 +213,54 @@ func TestStatefunCellCrashRecoverReads(t *testing.T) {
 	}
 	if !found || DecodeInt(raw) != 15 {
 		t.Fatalf("cnt/0 = %d (found=%v), want 15", DecodeInt(raw), found)
+	}
+}
+
+// TestStatefunCellRecordsPerOp pins what one TPC-C op costs the dataflow
+// cell in broker records: the op itself, then at most one read, one
+// response and one write batch per touched partition. A per-key
+// choreography, or a second topic each ingress message is copied into,
+// reads well above the bound. The sum runs over every topic the cell has
+// named; "internal" is the copy topic of the retired ingress relay and,
+// like any topic that does not exist, counts 0.
+func TestStatefunCellRecordsPerOp(t *testing.T) {
+	const ops = 2000
+	env := NewEnv(1, 3)
+	app := TPCCApp()
+	cell, err := Deploy(StatefulDataflow, app, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cell.Close()
+	next := opStream(workload.NewTPCC(1, workload.DefaultTPCCConfig(32)).Next, tpccOpName)
+	sess := NewSession(cell, "records", SessionOptions{MaxInFlight: 16})
+	for i := 0; i < ops; i++ {
+		name, args := next()
+		sess.Submit(name, args, nil)
+	}
+	sess.Drain()
+	if err := cell.Settle(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sess.Errors(); n != 0 {
+		t.Fatalf("%d of %d submissions failed", n, ops)
+	}
+	var records int64
+	for _, suffix := range []string{"ingress", "internal"} {
+		topic := "cell-" + app.Name() + "-" + suffix
+		parts, err := env.Broker.Partitions(topic)
+		if err != nil {
+			continue // never created
+		}
+		for p := 0; p < parts; p++ {
+			hw, _ := env.Broker.HighWater(mq.TopicPartition{Topic: topic, Partition: p})
+			records += hw
+		}
+	}
+	perOp := float64(records) / ops
+	t.Logf("%d broker records for %d ops: %.2f per op", records, ops, perOp)
+	if perOp > 9 {
+		t.Fatalf("%.2f broker records per op, want <= 9", perOp)
 	}
 }
 

@@ -16,36 +16,35 @@ import (
 
 // statefunExec runs an App on stateful dataflow functions. Every key's
 // state lives in a keyed "key" function; an op runs as a message
-// choreography coordinated by a per-request "txn" function:
+// choreography coordinated by a per-request "txn" function, with one
+// message per touched partition rather than per key:
 //
-//  1. submit appends the op to the ingress (acceptance, not completion);
-//  2. the txn function sends a read request to each declared key;
-//  3. key functions reply with their current values;
-//  4. when the last reply arrives the body runs over the gathered
-//     snapshot, and its writes go out as messages, one write record each:
-//     the key function applies a Put as a full value, an Add as a
+//  1. submit appends the op to the app's topic (acceptance, not
+//     completion);
+//  2. the txn function groups the declared keys by partition and sends
+//     one read message per group, to the group's first key;
+//  3. that key function answers the whole group in one response, reading
+//     its partition's other key functions through statefun.Ctx.StateOf;
+//  4. when the last response arrives the body runs over the gathered
+//     snapshot, and its writes go out as one write batch per touched
+//     partition, applied the same way: a Put as a full value, an Add as a
 //     commutative delta, a PushCap as a bounded-list merge.
 //
-// Wide transactions chunk: the runtime budgets statefun.MaxSends sends
-// per invocation, so both the read-scatter and the write-emit reserve the
-// last slot for a SendSelf continuation and resume from the
-// continuation's own invocation (cursor and pending writes held in the
-// txn function's scoped state, checkpoint-consistent with the messages).
-// A compose-post to 128 followers is no longer a hard failure — it is
-// ⌈129/31⌉ scatter rounds and ⌈129/31⌉ emit rounds, each exactly-once.
+// A scatter sends at most sfParallelism messages, so no op, however wide,
+// nears the runtime's per-invocation send budget (statefun.MaxSends).
 //
 // Every message is exactly-once (the statefun runtime's idempotent
 // produce), so deltas never double-apply — but the snapshot is gathered
-// asynchronously and writes land asynchronously: there is no isolation
-// across keys, the §4.2 gap E7/E17 demonstrate. Chunking widens the
-// gather window, it does not change the guarantee.
+// asynchronously and writes land asynchronously: the partitions are read
+// at different times and there is no isolation across keys, the §4.2 gap
+// E7/E17 demonstrate.
 type statefunExec struct {
 	c  *cell
 	sf *statefun.App
 
 	probeSeq atomic.Int64
 	mu       sync.Mutex
-	probes   map[string]chan sfMsg
+	probes   map[string]chan sfVal
 
 	// resolvers holds the in-flight Submit handles by reqID, resolved when
 	// the choreography's result record lands on the egress. The egress
@@ -60,8 +59,9 @@ type statefunExec struct {
 
 	// handlerErrs counts handler invocations that returned an error —
 	// the cell's honest drop count, which the conformance tests pin to
-	// zero (in particular: statefun.ErrTooManySends must be unreachable
-	// now that both choreography phases chunk).
+	// zero (in particular: statefun.ErrTooManySends must be unreachable,
+	// and so must statefun.ErrOtherPartition, since every group is sent
+	// to a key on its own partition).
 	handlerErrs    atomic.Int64
 	lastHandlerErr atomic.Value // sfErrBox
 }
@@ -71,27 +71,32 @@ type statefunExec struct {
 // legitimately vary in dynamic type.
 type sfErrBox struct{ err error }
 
-// sfMsg is the wire format of what a txn function receives and of a key
-// function's answers (a "resp" to the txn function, a probe's value on the
-// egress). A key function itself receives no sfMsg: its payload is either a
-// write record as JSON — the write message is the record — or one of two
-// control words, sfReadReq or a probe id, which need no encoding at all.
+// sfMsg is the wire format of the choreography's messages: the "op" a
+// txn function receives on submit, a "read" listing one partition's keys,
+// its "resp" carrying their values, and a "write" batch of one
+// partition's writes, in buffer order. Probes are the one exception: a
+// probe id is its own payload, and its answer on the egress is an sfVal.
 type sfMsg struct {
-	Kind  string `json:"k,omitempty"` // "op", "cont", "resp", "flush"
-	Op    string `json:"o,omitempty"`
-	Args  []byte `json:"a,omitempty"`
+	Kind   string   `json:"k,omitempty"` // "op", "read", "resp", "write"
+	Op     string   `json:"o,omitempty"`
+	Args   []byte   `json:"a,omitempty"`
+	Keys   []string `json:"ks,omitempty"`
+	Vals   []sfVal  `json:"vs,omitempty"`
+	Writes []write  `json:"w,omitempty"`
+}
+
+// sfVal is one key's value as a key function read it.
+type sfVal struct {
 	Key   string `json:"key,omitempty"`
 	Val   []byte `json:"v,omitempty"`
 	Found bool   `json:"f,omitempty"`
 }
 
-var sfReadReq = []byte("read")
-
 const sfProbePrefix = "probe-"
 
 // sfDone is the choreography's result record, emitted on the egress under
 // the key "done/<reqID>" when the txn function has run the body and
-// shipped the last write chunk. Err carries a body failure — the drop an
+// shipped its write batches. Err carries a body failure — the drop an
 // asynchronous cell could never report to its caller before Submit.
 type sfDone struct {
 	Val []byte `json:"v,omitempty"`
@@ -122,6 +127,10 @@ const (
 	sfTxnFn = "txn"
 )
 
+// sfParallelism is the cell's partition count, and so the most messages
+// one scatter sends.
+const sfParallelism = 2
+
 // sfDefaultMaxInflight is the default bound on acknowledged-not-yet-applied
 // ingress records (Options.MaxPending == 0). The dataflow cell pipelines
 // deeply by design, so its default headroom is wider than the worker-pool
@@ -132,13 +141,13 @@ const sfDefaultMaxInflight = 1024
 func newStatefunExec(cl *cell, env *Env, opts Options) (*statefunExec, error) {
 	c := &statefunExec{
 		c:           cl,
-		probes:      make(map[string]chan sfMsg),
+		probes:      make(map[string]chan sfVal),
 		resolvers:   make(map[string]sfPending),
 		maxInflight: pendingBound(opts.MaxPending, sfDefaultMaxInflight),
 	}
 	name := "cell-" + cl.app.Name()
 	sf := statefun.NewApp(env.Broker, statefun.Config{
-		Name: name, Parallelism: 2, Ingress: name + "-ingress",
+		Name: name, Parallelism: sfParallelism, Ingress: name + "-ingress",
 		// OnEgress may run on both partitions' goroutines at once: the
 		// resolver and probe maps are taken under their locks, and a
 		// probe channel is buffered and taken once.
@@ -147,7 +156,7 @@ func newStatefunExec(cl *cell, env *Env, opts Options) (*statefunExec, error) {
 				c.resolveDone(req, value)
 				return
 			}
-			var resp sfMsg
+			var resp sfVal
 			if json.Unmarshal(value, &resp) != nil {
 				return
 			}
@@ -203,32 +212,48 @@ func (c *statefunExec) resolveDone(reqID string, value []byte) {
 }
 
 // keyHandler owns one key's state (scoped under the function instance).
+// A read or write message addressed to it serves its whole partition's
+// group of keys through StateOf.
 func (c *statefunExec) keyHandler(ctx *statefun.Ctx, payload []byte) error {
-	switch {
-	case bytes.Equal(payload, sfReadReq):
+	if bytes.HasPrefix(payload, []byte(sfProbePrefix)) {
 		val, found := ctx.Get("v")
-		reply, _ := json.Marshal(sfMsg{Kind: "resp", Key: ctx.Self.ID, Val: val, Found: found})
-		return ctx.Send(ctx.Caller, reply)
-	case bytes.HasPrefix(payload, []byte(sfProbePrefix)):
-		val, found := ctx.Get("v")
-		out, _ := json.Marshal(sfMsg{Val: val, Found: found})
+		out, _ := json.Marshal(sfVal{Val: val, Found: found})
 		ctx.SendEgress(string(payload), out)
-	default:
-		var w write
-		if err := json.Unmarshal(payload, &w); err != nil {
-			return err
+		return nil
+	}
+	var m sfMsg
+	if err := json.Unmarshal(payload, &m); err != nil {
+		return err
+	}
+	switch m.Kind {
+	case "read":
+		resp := sfMsg{Kind: "resp", Vals: make([]sfVal, len(m.Keys))}
+		for i, k := range m.Keys {
+			st, err := ctx.StateOf(sfKeyRef(k))
+			if err != nil {
+				return err
+			}
+			val, found := st.Get("v")
+			resp.Vals[i] = sfVal{Key: k, Val: val, Found: found}
 		}
-		val, _ := w.apply(ctx.Get("v"))
-		ctx.Set("v", val)
+		reply, _ := json.Marshal(resp)
+		return ctx.Send(ctx.Caller, reply)
+	case "write":
+		for _, w := range m.Writes {
+			st, err := ctx.StateOf(sfKeyRef(w.Key))
+			if err != nil {
+				return err
+			}
+			val, _ := w.apply(st.Get("v"))
+			st.Set("v", val)
+		}
 	}
 	return nil
 }
 
-// txnHandler coordinates one op: gathers the declared snapshot (chunked
-// across continuation rounds past the send budget), runs the body, and
-// emits the writes (chunked the same way). Its scoped state (keyed by the
-// reqID) holds the pending op, the scatter cursor, and the un-emitted
-// writes between rounds.
+// txnHandler coordinates one op: it sends one read per touched partition,
+// gathers the responses in its scoped state (keyed by the reqID), and runs
+// the body when the last one lands.
 func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 	var m sfMsg
 	if err := json.Unmarshal(payload, &m); err != nil {
@@ -244,26 +269,21 @@ func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		if len(keys) == 0 {
 			return c.execute(ctx, op, m.Args, nil)
 		}
+		groups := byPartition(c.sf, keys, func(k string) string { return k })
+		for _, group := range groups {
+			read, _ := json.Marshal(sfMsg{Kind: "read", Keys: group})
+			if err := ctx.Send(sfKeyRef(group[0]), read); err != nil {
+				return err
+			}
+		}
 		ctx.Set("op", payload)
-		ctx.Set("want", EncodeInt(int64(len(keys))))
+		ctx.Set("want", EncodeInt(int64(len(groups))))
 		ctx.Set("got", EncodeInt(0))
-		return c.scatterReads(ctx, keys, 0)
-	case "cont":
-		// Continuation of the read scatter: recompute the declared key
-		// set from the stored op and resume from the cursor.
-		opRaw, ok := ctx.Get("op")
-		if !ok {
-			return nil // already completed (replayed continuation)
-		}
-		op, args, err := c.pendingOp(opRaw)
-		if err != nil {
-			return err
-		}
-		cursorRaw, _ := ctx.Get("next")
-		return c.scatterReads(ctx, c.c.app.keysOf(op, args), int(DecodeInt(cursorRaw)))
 	case "resp":
-		if m.Found {
-			ctx.Set("val/"+m.Key, m.Val)
+		for _, v := range m.Vals {
+			if v.Found {
+				ctx.Set("val/"+v.Key, v.Val)
+			}
 		}
 		raw, _ := ctx.Get("got")
 		got := DecodeInt(raw) + 1
@@ -276,12 +296,16 @@ func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		if !ok {
 			return nil
 		}
-		op, args, err := c.pendingOp(opRaw)
+		var om sfMsg
+		if err := json.Unmarshal(opRaw, &om); err != nil {
+			return err
+		}
+		op, err := c.c.op(om.Op)
 		if err != nil {
 			return err
 		}
 		snapshot := make(map[string][]byte)
-		for _, k := range c.c.app.keysOf(op, args) {
+		for _, k := range c.c.app.keysOf(op, om.Args) {
 			if v, found := ctx.Get("val/" + k); found {
 				snapshot[k] = v
 			}
@@ -290,102 +314,35 @@ func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		ctx.Del("op")
 		ctx.Del("want")
 		ctx.Del("got")
-		ctx.Del("next")
-		return c.execute(ctx, op, args, snapshot)
-	case "flush":
-		// Continuation of the write emit: ship the next chunk of the
-		// writes stored by the previous round.
-		pendRaw, ok := ctx.Get("pend")
-		if !ok {
-			return nil // already flushed (replayed continuation)
-		}
-		var writes []write
-		if err := json.Unmarshal(pendRaw, &writes); err != nil {
-			return err
-		}
-		return c.emitWrites(ctx, writes)
+		return c.execute(ctx, op, om.Args, snapshot)
 	}
 	return nil
 }
 
-// pendingOp decodes the "op" message a choreography keeps in scoped state
-// between rounds and resolves its op.
-func (c *statefunExec) pendingOp(raw []byte) (Op, []byte, error) {
-	var m sfMsg
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return Op{}, nil, err
+// byPartition groups items by the partition of their key's key function,
+// keeping the items' order within each group; empty groups are left out.
+func byPartition[T any](sf *statefun.App, items []T, key func(T) string) [][]T {
+	groups := make([][]T, sfParallelism)
+	for _, it := range items {
+		p := sf.PartitionOf(sfKeyRef(key(it)))
+		groups[p] = append(groups[p], it)
 	}
-	op, err := c.c.op(m.Op)
-	return op, m.Args, err
-}
-
-// scatterReads sends read requests for keys[from:], reserving the last
-// send slot for a SendSelf continuation when the remainder exceeds the
-// invocation's budget. The cursor persists in scoped state so the
-// continuation round resumes where this one stopped.
-func (c *statefunExec) scatterReads(ctx *statefun.Ctx, keys []string, from int) error {
-	n := len(keys) - from
-	budget := ctx.SendsRemaining()
-	chunked := n > budget
-	if chunked {
-		n = budget - 1
-	}
-	for _, k := range keys[from : from+n] {
-		if err := ctx.Send(statefun.Ref{Type: sfKeyFn, ID: k}, sfReadReq); err != nil {
-			return err
+	out := groups[:0]
+	for _, g := range groups {
+		if len(g) > 0 {
+			out = append(out, g)
 		}
 	}
-	if !chunked {
-		return nil
-	}
-	ctx.Set("next", EncodeInt(int64(from+n)))
-	cont, _ := json.Marshal(sfMsg{Kind: "cont"})
-	return ctx.SendSelf(cont)
+	return out
 }
 
-// emitWrites ships writes to the key functions, reserving the last send
-// slot for a SendSelf continuation when the remainder exceeds the
-// invocation's budget; the tail persists in scoped state until the flush
-// round picks it up.
-func (c *statefunExec) emitWrites(ctx *statefun.Ctx, writes []write) error {
-	n := len(writes)
-	budget := ctx.SendsRemaining()
-	chunked := n > budget
-	if chunked {
-		n = budget - 1
-	}
-	for i := range writes[:n] {
-		w := &writes[i]
-		msg, _ := json.Marshal(w)
-		if err := ctx.Send(statefun.Ref{Type: sfKeyFn, ID: w.Key}, msg); err != nil {
-			return err
-		}
-	}
-	if !chunked {
-		// Final round: every write is in its key's partition log (the sends
-		// above are exactly-once produces), so the result record emitted
-		// here orders after them — a read submitted once the handle
-		// resolves gathers a snapshot that includes this op's writes.
-		ctx.Del("pend")
-		res, _ := ctx.Get("res")
-		ctx.Del("res")
-		c.sendDone(ctx, res, nil)
-		return nil
-	}
-	rest, err := json.Marshal(writes[n:])
-	if err != nil {
-		return err
-	}
-	ctx.Set("pend", rest)
-	cont, _ := json.Marshal(sfMsg{Kind: "flush"})
-	return ctx.SendSelf(cont)
-}
+func sfKeyRef(key string) statefun.Ref { return statefun.Ref{Type: sfKeyFn, ID: key} }
 
-// execute runs the body over the gathered snapshot and sends its writes
-// to the key functions. Body errors drop the op — the honest dataflow
-// failure mode — but the result record carries the error, so a Submit
-// handle (unlike the fire-and-forget ingress append of old) learns about
-// the drop. The txn function instance is keyed by the request id.
+// execute runs the body over the gathered snapshot, sends one write batch
+// per touched partition, and emits the result record. Body errors drop
+// the op — the honest dataflow failure mode — but the result record
+// carries the error, so a Submit handle learns about the drop. The txn
+// function instance is keyed by the request id.
 func (c *statefunExec) execute(ctx *statefun.Ctx, op Op, args []byte, snapshot map[string][]byte) error {
 	tx := &sfTxn{snapshot: snapshot}
 	result, err := c.c.runBody(op, ctx.Self.ID, tx, args)
@@ -393,19 +350,19 @@ func (c *statefunExec) execute(ctx *statefun.Ctx, op Op, args []byte, snapshot m
 		c.sendDone(ctx, nil, err)
 		return nil
 	}
-	if op.ReadOnly {
-		// A query is answered by the read-gather phase itself: the body ran
-		// over the gathered snapshot and there is no write-emit round —
-		// half the choreography's messages, and the key functions never
-		// see the op. The result record is the answer.
-		c.sendDone(ctx, result, nil)
-		return nil
+	// A query's buffer is empty (runBody refuses its writes), so it is
+	// answered by the gather alone. Otherwise every batch is in its
+	// partition's log before the result record is emitted (the sends are
+	// exactly-once produces), so a read submitted once the handle
+	// resolves gathers a snapshot that includes this op's writes.
+	for _, batch := range byPartition(c.sf, tx.writeBuffer, func(w write) string { return w.Key }) {
+		msg, _ := json.Marshal(sfMsg{Kind: "write", Writes: batch})
+		if err := ctx.Send(sfKeyRef(batch[0].Key), msg); err != nil {
+			return err
+		}
 	}
-	// The result rides in scoped state until the last write chunk ships:
-	// a chunked emit finishes in a later "flush" invocation, and the
-	// result record must order after every write.
-	ctx.Set("res", result)
-	return c.emitWrites(ctx, tx.writeBuffer)
+	c.sendDone(ctx, result, nil)
+	return nil
 }
 
 // sendDone emits the choreography's result record on the egress. The txn
@@ -421,10 +378,8 @@ func (c *statefunExec) sendDone(ctx *statefun.Ctx, val []byte, err error) {
 }
 
 // sfTxn runs a body over the choreography's gathered snapshot. Writes are
-// buffered and shipped as messages after the body succeeds (the tail of a
-// chunked emit round persists JSON-encoded in the txn function's scoped
-// state between invocations); Gets overlay the op's own writes on the
-// snapshot.
+// buffered and shipped as write batches after the body succeeds; Gets
+// overlay the op's own writes on the snapshot.
 type sfTxn struct {
 	snapshot map[string][]byte
 	writeBuffer
@@ -443,8 +398,8 @@ func (c *statefunExec) guarantee() Guarantee {
 
 // submit appends the op to the ingress — acceptance, one produce hop —
 // and the handle resolves when the choreography's result record lands on
-// the egress: the body ran over its gathered snapshot and the final write
-// chunk is durably in the key functions' partition logs. That is the
+// the egress: the body ran over its gathered snapshot and every write
+// batch is durably in its partition's log. That is the
 // cell's honest accept/apply gap, now visible as two latency numbers per
 // request (E20). Per-key settlement of the writes still needs Settle;
 // the guarantee is unchanged.
@@ -512,7 +467,7 @@ func (c *statefunExec) read(key string) ([]byte, bool, error) {
 // performs mid-flight (experiment E7).
 func (c *statefunExec) peek(key string) ([]byte, bool, error) {
 	probe := fmt.Sprintf("%s%d", sfProbePrefix, c.probeSeq.Add(1))
-	ch := make(chan sfMsg, 1)
+	ch := make(chan sfVal, 1)
 	c.mu.Lock()
 	c.probes[probe] = ch
 	c.mu.Unlock()
@@ -530,7 +485,7 @@ func (c *statefunExec) peek(key string) ([]byte, bool, error) {
 }
 
 // takeProbe removes and returns a registered probe's reply channel.
-func (c *statefunExec) takeProbe(probe string) (chan sfMsg, bool) {
+func (c *statefunExec) takeProbe(probe string) (chan sfVal, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ch, ok := c.probes[probe]

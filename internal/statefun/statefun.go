@@ -8,17 +8,22 @@
 // achieves exactly-once processing and atomicity as a consequence.
 // However, there is no transactional isolation across Statefun entities.").
 //
-// Architecture: one dataflow job over an internal message topic, whose
-// single keyed operator dispatches each message to its function on the
-// goroutine that owns the message's partition. An ingress relay copies
-// external messages into the internal topic with a broker transaction
-// (exactly-once). Function-to-function sends append to the internal topic
-// with deterministic idempotent-producer sequence numbers derived from the
+// Architecture: one dataflow job over the app's one topic (Config.Ingress),
+// whose single keyed operator dispatches each message to its function on
+// the goroutine that owns the message's partition. External messages and
+// function-to-function sends land on the same topic. Sends carry
+// deterministic idempotent-producer sequence numbers derived from the
 // consumed record's coordinates, so crash-replay re-sends are deduplicated
 // by the broker — exactly-once function messaging without any application
-// code. Sends are also why a checkpoint needs no barriers: the partitions
-// are the only channels between instances, and each instance's (offset,
-// state) pair replays into the same sends.
+// code. An external message is appended once, and like every record it
+// replays from the checkpointed source offsets against the checkpointed
+// state, so its effects also apply exactly once. Sends are also why a
+// checkpoint needs no barriers: the partitions are the only channels
+// between instances, and each instance's (offset, state) pair replays
+// into the same sends. The goroutine that owns a partition owns every
+// function instance on it, so an invocation may also reach the scoped
+// state of another instance on its own partition (Ctx.StateOf), as
+// atomically and as checkpoint-consistently as its own.
 //
 // The missing transactional isolation across functions is not a bug: it is
 // the exact gap experiment E7 demonstrates, and the one internal/core
@@ -38,9 +43,10 @@ import (
 
 // Common runtime errors.
 var (
-	ErrNoFunction   = errors.New("statefun: no registered function type")
-	ErrTooManySends = errors.New("statefun: too many sends in one invocation")
-	ErrNotRunning   = errors.New("statefun: app not running")
+	ErrNoFunction     = errors.New("statefun: no registered function type")
+	ErrTooManySends   = errors.New("statefun: too many sends in one invocation")
+	ErrNotRunning     = errors.New("statefun: app not running")
+	ErrOtherPartition = errors.New("statefun: function instance on another partition")
 )
 
 // MaxSends bounds function fan-out per consumed message; the deterministic
@@ -49,7 +55,7 @@ var (
 // send up to MaxSends-1 messages, reserve the last slot for a SendSelf
 // continuation, and resume from the continuation's own invocation. Each
 // continuation round is driven by its own consumed record (a fresh offset
-// on the internal topic), so the per-record sequence space
+// on the app's topic), so the per-record sequence space
 // origin.Offset*MaxSends+sends stays collision-free across rounds — no
 // extension of the idempotence scheme is needed, only the reserved slot.
 const MaxSends = 32
@@ -62,7 +68,7 @@ type Ref struct {
 
 func (r Ref) String() string { return r.Type + "/" + r.ID }
 
-// envelope is the wire format on the internal topic.
+// envelope is the wire format on the app's topic.
 type envelope struct {
 	To      Ref    `json:"to"`
 	From    Ref    `json:"from,omitempty"`
@@ -71,6 +77,27 @@ type envelope struct {
 
 // Handler is the body of a stateful function.
 type Handler func(ctx *Ctx, payload []byte) error
+
+// Scope is the scoped state of one function instance: its keys, prefixed
+// with the instance's address, within its partition's keyed state.
+type Scope struct {
+	state  dataflow.State
+	prefix string
+}
+
+func scopeOf(state dataflow.State, ref Ref) Scope {
+	return Scope{state: state, prefix: ref.String() + "\x00"}
+}
+
+// Get reads a key of the scoped state.
+func (s Scope) Get(key string) ([]byte, bool) { return s.state.Get(s.prefix + key) }
+
+// Set writes a key of the scoped state. The update is covered by the job's
+// checkpoints: state and message progress commit together.
+func (s Scope) Set(key string, value []byte) { s.state.Put(s.prefix+key, value) }
+
+// Del removes a key of the scoped state.
+func (s Scope) Del(key string) { s.state.Delete(s.prefix + key) }
 
 // Ctx is the per-invocation context of a function.
 type Ctx struct {
@@ -85,24 +112,26 @@ type Ctx struct {
 	sends  int
 }
 
-// stateKey prefixes user keys with the function address, giving each
-// (type, id) its own scoped namespace within the instance's keyed state.
-func (c *Ctx) stateKey(key string) string { return c.Self.String() + "\x00" + key }
-
 // Get reads a key of the function's scoped state.
-func (c *Ctx) Get(key string) ([]byte, bool) {
-	return c.op.State().Get(c.stateKey(key))
-}
+func (c *Ctx) Get(key string) ([]byte, bool) { return scopeOf(c.op.State(), c.Self).Get(key) }
 
-// Set writes a key of the function's scoped state. The update is covered by
-// the job's checkpoints: state and message progress commit together.
-func (c *Ctx) Set(key string, value []byte) {
-	c.op.State().Put(c.stateKey(key), value)
-}
+// Set writes a key of the function's scoped state.
+func (c *Ctx) Set(key string, value []byte) { scopeOf(c.op.State(), c.Self).Set(key, value) }
 
 // Del removes a key of the function's scoped state.
-func (c *Ctx) Del(key string) {
-	c.op.State().Delete(c.stateKey(key))
+func (c *Ctx) Del(key string) { scopeOf(c.op.State(), c.Self).Del(key) }
+
+// StateOf returns the scoped state of another function instance on the
+// invocation's own partition, or ErrOtherPartition. The partition's
+// goroutine owns every instance on it, so reads and writes through the
+// Scope are as atomic and as checkpoint-consistent as the invocation's own
+// Get and Set: one invocation may serve a whole partition's instances
+// without a message each.
+func (c *Ctx) StateOf(ref Ref) (Scope, error) {
+	if c.app.PartitionOf(ref) != c.origin.Partition {
+		return Scope{}, fmt.Errorf("%w: %s", ErrOtherPartition, ref)
+	}
+	return scopeOf(c.op.State(), ref), nil
 }
 
 // Send delivers a message to another function, exactly once even across
@@ -119,7 +148,7 @@ func (c *Ctx) Send(to Ref, payload []byte) error {
 	producerID := fmt.Sprintf("%s-fn-p%d", c.app.cfg.Name, c.origin.Partition)
 	seq := c.origin.Offset*MaxSends + int64(c.sends)
 	c.sends++
-	_, err = c.app.broker.ProduceIdempotent(c.app.internalTopic(), to.String(), data, producerID, seq)
+	_, err = c.app.broker.ProduceIdempotent(c.app.cfg.Ingress, to.String(), data, producerID, seq)
 	return err
 }
 
@@ -146,11 +175,13 @@ func (c *Ctx) SendEgress(key string, value []byte) {
 
 // Config describes a statefun application.
 type Config struct {
-	// Name identifies the app (topics are derived from it).
+	// Name identifies the app (it names the job and its producers).
 	Name string
 	// Parallelism is the number of partitions/instances. Zero means 4.
 	Parallelism int
-	// Ingress is the external input topic (created if needed).
+	// Ingress is the app's one topic (created if needed): the job reads
+	// it, SendToIngress appends external messages to it, and every Send
+	// appends to it.
 	Ingress string
 	// Egress is the exactly-once output topic ("" = use OnEgress).
 	Egress string
@@ -170,9 +201,6 @@ type App struct {
 	mu      sync.RWMutex
 	fns     map[string]Handler
 	running bool
-
-	relayStop chan struct{}
-	relayWG   sync.WaitGroup
 }
 
 // NewApp creates an application over the broker.
@@ -182,14 +210,17 @@ func NewApp(broker *mq.Broker, cfg Config) *App {
 	}
 	a := &App{cfg: cfg, broker: broker, fns: make(map[string]Handler)}
 	broker.CreateTopic(cfg.Ingress, cfg.Parallelism)
-	broker.CreateTopic(a.internalTopic(), cfg.Parallelism)
 	if cfg.Egress != "" {
 		broker.CreateTopic(cfg.Egress, cfg.Parallelism)
 	}
 	return a
 }
 
-func (a *App) internalTopic() string { return a.cfg.Name + "-internal" }
+// PartitionOf returns the partition, and so the instance goroutine, that
+// owns the function instance ref.
+func (a *App) PartitionOf(ref Ref) int {
+	return mq.PartitionForKey(ref.String(), a.cfg.Parallelism)
+}
 
 // Register binds a function type to its handler.
 func (a *App) Register(fnType string, h Handler) {
@@ -201,7 +232,7 @@ func (a *App) Register(fnType string, h Handler) {
 // Job exposes the underlying dataflow job (checkpoint control, metrics).
 func (a *App) Job() *dataflow.Job { return a.job }
 
-// Start builds and launches the dataflow job and the ingress relay.
+// Start builds and launches the dataflow job.
 func (a *App) Start() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -210,7 +241,7 @@ func (a *App) Start() error {
 	}
 	if a.job == nil {
 		j := dataflow.NewJob(a.broker, dataflow.Config{Name: a.cfg.Name}).
-			Source(a.internalTopic()).
+			Source(a.cfg.Ingress).
 			Stage("functions", a.cfg.Parallelism, a.dispatch)
 		switch {
 		case a.cfg.Egress != "":
@@ -225,9 +256,6 @@ func (a *App) Start() error {
 	if err := a.job.Start(); err != nil {
 		return err
 	}
-	a.relayStop = make(chan struct{})
-	a.relayWG.Add(1)
-	go a.runRelay()
 	a.running = true
 	return nil
 }
@@ -248,41 +276,6 @@ func (a *App) dispatch(op *dataflow.OpCtx, rec dataflow.Record) {
 	_ = h(ctx, env.Payload) // handler errors are the function's own policy
 }
 
-// runRelay pumps ingress into the internal topic with exactly-once
-// consume-transform-produce.
-func (a *App) runRelay() {
-	defer a.relayWG.Done()
-	group := a.cfg.Name + "-relay"
-	consumer, err := a.broker.NewConsumer(group, mq.AtLeastOnce, a.cfg.Ingress)
-	if err != nil {
-		return
-	}
-	producer := a.broker.NewTransactionalProducer(group)
-	for {
-		select {
-		case <-a.relayStop:
-			return
-		default:
-		}
-		msgs, err := consumer.Poll(64)
-		if err != nil || len(msgs) == 0 {
-			time.Sleep(100 * time.Microsecond)
-			continue
-		}
-		if err := producer.Begin(); err != nil {
-			return // fenced by a newer relay instance
-		}
-		for _, m := range msgs {
-			producer.Send(a.internalTopic(), m.Key, m.Value)
-		}
-		producer.SendOffsets(group, consumer.PendingOffsets())
-		if err := producer.Commit(); err != nil {
-			return
-		}
-		consumer.ClearPending()
-	}
-}
-
 // SendToIngress enqueues an external message for a function.
 func (a *App) SendToIngress(to Ref, payload []byte) error {
 	env := envelope{To: to, Payload: payload}
@@ -295,31 +288,16 @@ func (a *App) SendToIngress(to Ref, payload []byte) error {
 	return err
 }
 
-// WaitIdle blocks until ingress, internal traffic, and in-flight records
-// drain.
+// WaitIdle blocks until every message on the app's topic, external or
+// sent, has been processed.
 func (a *App) WaitIdle(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		idle := true
-		// Ingress relay lag.
-		for p := 0; p < a.cfg.Parallelism; p++ {
-			tp := mq.TopicPartition{Topic: a.cfg.Ingress, Partition: p}
-			hw, err := a.broker.HighWater(tp)
-			if err == nil && hw > a.broker.CommittedOffset(a.cfg.Name+"-relay", tp) {
-				idle = false
-			}
-		}
-		if a.job != nil && a.job.Lag() != 0 {
-			idle = false
-		}
-		if idle {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("statefun: not idle after %v", timeout)
-		}
-		time.Sleep(200 * time.Microsecond)
+	a.mu.RLock()
+	job := a.job
+	a.mu.RUnlock()
+	if job == nil {
+		return nil
 	}
+	return job.WaitIdle(timeout)
 }
 
 // TriggerCheckpoint checkpoints the app (state + progress + egress commit).
@@ -336,7 +314,7 @@ func (a *App) TriggerCheckpoint() (uint64, error) {
 	return job.TriggerCheckpoint()
 }
 
-// Crash simulates a process failure of the whole app (job + relay).
+// Crash simulates a process failure of the whole app.
 func (a *App) Crash() {
 	if job := a.prepareShutdown(); job != nil {
 		job.Crash()
@@ -353,20 +331,15 @@ func (a *App) Stop() {
 	}
 }
 
-// prepareShutdown stops the relay and flips the running flag, returning the
-// job to halt — without holding a.mu, which dispatch (running inside the
-// job's instance goroutines) also acquires.
+// prepareShutdown flips the running flag and returns the job to halt, so
+// the caller halts it without holding a.mu, which dispatch (running
+// inside the job's instance goroutines) also acquires.
 func (a *App) prepareShutdown() *dataflow.Job {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	if !a.running {
-		a.mu.Unlock()
 		return nil
 	}
 	a.running = false
-	stop := a.relayStop
-	job := a.job
-	a.mu.Unlock()
-	close(stop)
-	a.relayWG.Wait()
-	return job
+	return a.job
 }

@@ -2,6 +2,7 @@ package statefun
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -333,8 +334,8 @@ func TestTooManySends(t *testing.T) {
 
 // registerChunkedFanout registers a function that delivers one message to
 // each of n counters (t0..t{n-1}) across as many invocation rounds as the
-// send budget requires — the continuation pattern the tca statefun cell
-// uses for wide transactions. The payload carries the next target index.
+// send budget requires — the continuation pattern for apps that fan out
+// wider than MaxSends. The payload carries the next target index.
 func registerChunkedFanout(app *App, n int, errs chan<- error) {
 	app.Register("cfan", func(ctx *Ctx, payload []byte) error {
 		next := int(toI64(payload))
@@ -457,6 +458,96 @@ func TestChunkedFanoutExactlyOnceAcrossCrash(t *testing.T) {
 		if last[k] != 1 {
 			t.Fatalf("counter %s = %d, want exactly 1 across crash-replay", k, last[k])
 		}
+	}
+}
+
+// TestStateOfSamePartitionOnly pins Ctx.StateOf: a handler adds to the
+// scoped state of another instance on its own partition, that instance's
+// own Get sees every add exactly once across a checkpoint, a crash and a
+// replay of the un-checkpointed tail, and a ref on the other partition
+// gets ErrOtherPartition and changes nothing.
+func TestStateOfSamePartitionOnly(t *testing.T) {
+	var mu sync.Mutex
+	last := map[string]int64{}
+	b := mq.NewBroker()
+	app := NewApp(b, Config{
+		Name: "stateof", Parallelism: 2, Ingress: "stateof-in",
+		OnEgress: func(k string, v []byte) {
+			mu.Lock()
+			last[k] = toI64(v)
+			mu.Unlock()
+		},
+	})
+	writer := Ref{"writer", "w"}
+	var same, other Ref
+	for i := 0; same.ID == "" || other.ID == ""; i++ {
+		ref := Ref{"counter", fmt.Sprintf("c%d", i)}
+		if app.PartitionOf(ref) == app.PartitionOf(writer) {
+			same = ref
+		} else {
+			other = ref
+		}
+	}
+	errs := make(chan error, 8)
+	// The payload names the counter to add 1 to.
+	app.Register("writer", func(ctx *Ctx, payload []byte) error {
+		st, err := ctx.StateOf(Ref{"counter", string(payload)})
+		if err != nil {
+			errs <- err
+			return err
+		}
+		cur, _ := st.Get("n")
+		st.Set("n", i64(toI64(cur)+1))
+		return nil
+	})
+	app.Register("counter", counterFn)
+	if err := app.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer app.Stop()
+	add := func(to Ref) {
+		t.Helper()
+		if err := app.SendToIngress(writer, []byte(to.ID)); err != nil {
+			t.Fatal(err)
+		}
+		waitIdle(t, app)
+	}
+	add(same)
+	add(same)
+	if _, err := app.TriggerCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	add(same) // un-checkpointed: replays after the crash
+	app.Crash()
+	if err := app.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, app)
+	add(other)
+	select {
+	case err := <-errs:
+		if !errors.Is(err, ErrOtherPartition) {
+			t.Fatalf("StateOf(%v) = %v, want ErrOtherPartition", other, err)
+		}
+	default:
+		t.Fatalf("StateOf(%v) from %v returned no error", other, writer)
+	}
+	select {
+	case err := <-errs:
+		t.Fatalf("unexpected StateOf error: %v", err)
+	default:
+	}
+	// counterFn adds 0 and emits its own Get of the count.
+	app.SendToIngress(same, i64(0))
+	app.SendToIngress(other, i64(0))
+	waitIdle(t, app)
+	mu.Lock()
+	defer mu.Unlock()
+	if got := last[same.ID]; got != 3 {
+		t.Fatalf("counter %v = %d, want exactly 3", same, got)
+	}
+	if got, ok := last[other.ID]; !ok || got != 0 {
+		t.Fatalf("counter %v = %d (emitted %v), want 0", other, got, ok)
 	}
 }
 

@@ -285,8 +285,8 @@ func TestCoreConcurrentSubmissionsShareGroupAppends(t *testing.T) {
 // TestSessionOrderKeysReadYourWrites pins what OrderKeys buys on the
 // eventual cell: a read submitted through the same session after a write
 // to an overlapping key must observe the write — the result record orders
-// after the final write chunk in the key's partition log, so the read's
-// gather sees it. Without client-side ordering the dataflow cell makes no
+// after the write batch in the key's partition log, so the read's gather
+// sees it. Without client-side ordering the dataflow cell makes no
 // such promise.
 func TestSessionOrderKeysReadYourWrites(t *testing.T) {
 	env := NewEnv(25, 3)

@@ -14,8 +14,9 @@ import (
 // stream whose compose-post fan-outs straddle the statefun runtime's
 // per-invocation send budget (statefun.MaxSends), with follow/unfollow
 // churn mutating the fan-out key sets between posts. Every cell must
-// deliver exactly and preserve read-your-writes; the statefun cell must
-// chunk instead of dropping ops on ErrTooManySends.
+// deliver exactly and preserve read-your-writes; the statefun cell sends
+// one message per partition, never per key, so it must never drop an op
+// on ErrTooManySends.
 
 // wideSocialStream drives ops ops from a churned generator into cell,
 // recording accepted ops in a fresh auditor (the eventual cell records on
@@ -33,8 +34,8 @@ func wideSocialStream(t *testing.T, cell Cell, seed int64, users, fanout, ops in
 		} else {
 			t.Fatalf("op %d (%s, fan-out %d): %v", i, SocialOpName(op), len(op.Followers), err)
 		}
-		// Bound the eventual cell's in-flight choreography: wide posts are
-		// hundreds of messages each.
+		// Bound the eventual cell's in-flight choreography: wide posts
+		// carry dozens of writes each.
 		if cell.Model() == StatefulDataflow && i%32 == 31 {
 			if err := cell.Settle(); err != nil {
 				t.Fatal(err)
@@ -81,10 +82,11 @@ func TestWideTxnCrossCellConformance(t *testing.T) {
 	}
 }
 
-// TestStatefunTooManySendsUnreachable pins the tentpole directly: a
-// compose-post to 4x the send budget — the celebrity hot path that used
-// to hard-fail — chunks through the continuation rounds with zero handler
-// errors, and in particular never surfaces statefun.ErrTooManySends.
+// TestStatefunTooManySendsUnreachable pins the send budget directly: a
+// compose-post to 4x the send budget — the celebrity hot path that once
+// hard-failed — goes out as one read and one write batch per partition
+// with zero handler errors, and in particular never surfaces
+// statefun.ErrTooManySends.
 func TestStatefunTooManySendsUnreachable(t *testing.T) {
 	users := 4*statefun.MaxSends + 8
 	env := NewEnv(19, 3)
