@@ -24,7 +24,10 @@ verify:
 # goroutine per partition) and the root
 # package's submit / shed / session / read-only / wide-transaction / geo /
 # statefun-cell tests (the dataflow cell's key functions reach each
-# other's state on their partition's goroutine), ten times each under the race detector at 1, 2, 4 and 8 Ps — the
+# other's state on their partition's goroutine) / micro-cell tests (a
+# saga's steps run concurrently with other sagas' reads and steps on the
+# same shard databases), ten times each under the race detector at 1, 2,
+# 4 and 8 Ps — the
 # bugs ROADMAP item 1 lists only showed at more than one P, and not on
 # every run. The first line is the store's OCC retry test 200 times without
 # the race detector: the setting where back-to-back retries exhausted. The
@@ -32,7 +35,7 @@ verify:
 stress:
 	go test -count=200 -run TestUpdateRetriesConflicts ./internal/store
 	go test -race -count=10 -cpu 1,2,4,8 ./internal/store ./internal/actor ./internal/core ./internal/wal ./internal/dataflow ./internal/statefun
-	go test -race -count=10 -cpu 1,2,4,8 -run 'Submit|Shed|Session|ReadOnly|WideTxn|Geo|Statefun' .
+	go test -race -count=10 -cpu 1,2,4,8 -run 'Submit|Shed|Session|ReadOnly|WideTxn|Geo|Statefun|Micro' .
 	go test -run '^$$' -fuzz '^FuzzDecodeTPCCOp$$' -fuzztime 15s ./internal/workload
 
 fmt:
@@ -97,7 +100,7 @@ bench-baseline:
 # outside bench/ (the benchmark module is not the system under study). It
 # is also a ratchet: it fails when the non-test count exceeds LOC_CEILING,
 # so a change that grows the system raises the ceiling in its own diff.
-LOC_CEILING = 20162
+LOC_CEILING = 20161
 loc:
 	@nontest=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo "non-test Go lines: $$nontest"; \

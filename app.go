@@ -129,8 +129,11 @@ type Op struct {
 	Name string
 	// Keys derives the declared key set from the op's arguments.
 	// Deterministic cells schedule on it, locking cells lock it up front,
-	// sharded cells route with it, and dataflow cells gather reads from it
-	// before the body runs. Bodies must confine their Gets to these keys.
+	// sharded cells route with it, and the dataflow and microservices
+	// cells gather every read from it, one request per owning partition or
+	// service, before the body runs. Bodies must confine their Gets to
+	// these keys: on those two cells any other Get fails with
+	// ErrUndeclaredKey.
 	Keys func(args []byte) []string
 	// ReadOnly declares the op a pure query: its body reads its declared
 	// keys and returns a result without writing. Cells use the hint to
@@ -152,6 +155,10 @@ type Op struct {
 
 // ErrReadOnlyOp rejects writes from the body of an Op declared ReadOnly.
 var ErrReadOnlyOp = errors.New("tca: write attempted by read-only op")
+
+// ErrUndeclaredKey rejects a body's Get of a key its Op.Keys did not
+// declare, on the cells that gather reads before the body runs.
+var ErrUndeclaredKey = errors.New("tca: get of an undeclared key")
 
 // App is a model-agnostic transactional application: a named set of Ops
 // over uniform keyed state. Build one with NewApp + Register, then deploy

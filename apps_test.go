@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"tca/internal/fabric"
 	"tca/internal/mq"
 	"tca/internal/workload"
 )
@@ -261,6 +262,40 @@ func TestStatefunCellRecordsPerOp(t *testing.T) {
 	t.Logf("%d broker records for %d ops: %.2f per op", records, ops, perOp)
 	if perOp > 9 {
 		t.Fatalf("%.2f broker records per op, want <= 9", perOp)
+	}
+}
+
+// TestMicroCellHopsPerOp pins what one TPC-C op costs the microservices
+// cell in fabric hops: one get RPC per service that owns a declared key,
+// then one apply RPC per service the writes touch. A saga step or a read
+// per key reads well above the bound.
+func TestMicroCellHopsPerOp(t *testing.T) {
+	const ops = 2000
+	cell, err := Deploy(Microservices, TPCCApp(), NewEnv(1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cell.Close()
+	next := opStream(workload.NewTPCC(1, workload.DefaultTPCCConfig(32)).Next, tpccOpName)
+	sess := NewSession(cell, "hops", SessionOptions{MaxInFlight: 16})
+	traces := make([]*fabric.Trace, ops)
+	for i := range traces {
+		name, args := next()
+		traces[i] = fabric.NewTrace()
+		sess.Submit(name, args, traces[i])
+	}
+	sess.Drain()
+	if n := sess.Errors(); n != 0 {
+		t.Fatalf("%d of %d submissions failed", n, ops)
+	}
+	hops := 0
+	for _, tr := range traces {
+		hops += tr.Hops()
+	}
+	perOp := float64(hops) / ops
+	t.Logf("%d fabric hops for %d ops: %.2f per op", hops, ops, perOp)
+	if perOp > 10 {
+		t.Fatalf("%.2f fabric hops per op, want <= 10", perOp)
 	}
 }
 

@@ -44,7 +44,7 @@ type statefunExec struct {
 
 	probeSeq atomic.Int64
 	mu       sync.Mutex
-	probes   map[string]chan sfVal
+	probes   map[string]chan keyVal
 
 	// resolvers holds the in-flight Submit handles by reqID, resolved when
 	// the choreography's result record lands on the egress. The egress
@@ -75,21 +75,14 @@ type sfErrBox struct{ err error }
 // txn function receives on submit, a "read" listing one partition's keys,
 // its "resp" carrying their values, and a "write" batch of one
 // partition's writes, in buffer order. Probes are the one exception: a
-// probe id is its own payload, and its answer on the egress is an sfVal.
+// probe id is its own payload, and its answer on the egress is a keyVal.
 type sfMsg struct {
 	Kind   string   `json:"k,omitempty"` // "op", "read", "resp", "write"
 	Op     string   `json:"o,omitempty"`
 	Args   []byte   `json:"a,omitempty"`
 	Keys   []string `json:"ks,omitempty"`
-	Vals   []sfVal  `json:"vs,omitempty"`
+	Vals   []keyVal `json:"vs,omitempty"`
 	Writes []write  `json:"w,omitempty"`
-}
-
-// sfVal is one key's value as a key function read it.
-type sfVal struct {
-	Key   string `json:"key,omitempty"`
-	Val   []byte `json:"v,omitempty"`
-	Found bool   `json:"f,omitempty"`
 }
 
 const sfProbePrefix = "probe-"
@@ -122,9 +115,11 @@ const (
 	sfResultTimeout = 30 * time.Second
 )
 
+// sfKeyFn owns one key's state; sfCoordFn, the "txn" function, is keyed
+// by request id and coordinates one op.
 const (
-	sfKeyFn = "key"
-	sfTxnFn = "txn"
+	sfKeyFn   = "key"
+	sfCoordFn = "txn"
 )
 
 // sfParallelism is the cell's partition count, and so the most messages
@@ -141,7 +136,7 @@ const sfDefaultMaxInflight = 1024
 func newStatefunExec(cl *cell, env *Env, opts Options) (*statefunExec, error) {
 	c := &statefunExec{
 		c:           cl,
-		probes:      make(map[string]chan sfVal),
+		probes:      make(map[string]chan keyVal),
 		resolvers:   make(map[string]sfPending),
 		maxInflight: pendingBound(opts.MaxPending, sfDefaultMaxInflight),
 	}
@@ -156,7 +151,7 @@ func newStatefunExec(cl *cell, env *Env, opts Options) (*statefunExec, error) {
 				c.resolveDone(req, value)
 				return
 			}
-			var resp sfVal
+			var resp keyVal
 			if json.Unmarshal(value, &resp) != nil {
 				return
 			}
@@ -166,7 +161,7 @@ func newStatefunExec(cl *cell, env *Env, opts Options) (*statefunExec, error) {
 		},
 	})
 	sf.Register(sfKeyFn, c.trap(c.keyHandler))
-	sf.Register(sfTxnFn, c.trap(c.txnHandler))
+	sf.Register(sfCoordFn, c.trap(c.txnHandler))
 	if err := sf.Start(); err != nil {
 		return nil, err
 	}
@@ -217,7 +212,7 @@ func (c *statefunExec) resolveDone(reqID string, value []byte) {
 func (c *statefunExec) keyHandler(ctx *statefun.Ctx, payload []byte) error {
 	if bytes.HasPrefix(payload, []byte(sfProbePrefix)) {
 		val, found := ctx.Get("v")
-		out, _ := json.Marshal(sfVal{Val: val, Found: found})
+		out, _ := json.Marshal(keyVal{Val: val, Found: found})
 		ctx.SendEgress(string(payload), out)
 		return nil
 	}
@@ -227,14 +222,14 @@ func (c *statefunExec) keyHandler(ctx *statefun.Ctx, payload []byte) error {
 	}
 	switch m.Kind {
 	case "read":
-		resp := sfMsg{Kind: "resp", Vals: make([]sfVal, len(m.Keys))}
+		resp := sfMsg{Kind: "resp", Vals: make([]keyVal, len(m.Keys))}
 		for i, k := range m.Keys {
 			st, err := ctx.StateOf(sfKeyRef(k))
 			if err != nil {
 				return err
 			}
 			val, found := st.Get("v")
-			resp.Vals[i] = sfVal{Key: k, Val: val, Found: found}
+			resp.Vals[i] = keyVal{Key: k, Val: val, Found: found}
 		}
 		reply, _ := json.Marshal(resp)
 		return ctx.Send(ctx.Caller, reply)
@@ -269,7 +264,7 @@ func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		if len(keys) == 0 {
 			return c.execute(ctx, op, m.Args, nil)
 		}
-		groups := byPartition(c.sf, keys, func(k string) string { return k })
+		groups := byShard(keys, sfParallelism, func(k string) string { return k }, c.partitionOf)
 		for _, group := range groups {
 			read, _ := json.Marshal(sfMsg{Kind: "read", Keys: group})
 			if err := ctx.Send(sfKeyRef(group[0]), read); err != nil {
@@ -304,11 +299,11 @@ func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 		if err != nil {
 			return err
 		}
-		snapshot := make(map[string][]byte)
-		for _, k := range c.c.app.keysOf(op, om.Args) {
-			if v, found := ctx.Get("val/" + k); found {
-				snapshot[k] = v
-			}
+		keys := c.c.app.keysOf(op, om.Args)
+		snapshot := make(map[string]keyVal, len(keys))
+		for _, k := range keys {
+			v, found := ctx.Get("val/" + k)
+			snapshot[k] = keyVal{Val: v, Found: found}
 			ctx.Del("val/" + k)
 		}
 		ctx.Del("op")
@@ -319,22 +314,8 @@ func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 	return nil
 }
 
-// byPartition groups items by the partition of their key's key function,
-// keeping the items' order within each group; empty groups are left out.
-func byPartition[T any](sf *statefun.App, items []T, key func(T) string) [][]T {
-	groups := make([][]T, sfParallelism)
-	for _, it := range items {
-		p := sf.PartitionOf(sfKeyRef(key(it)))
-		groups[p] = append(groups[p], it)
-	}
-	out := groups[:0]
-	for _, g := range groups {
-		if len(g) > 0 {
-			out = append(out, g)
-		}
-	}
-	return out
-}
+// partitionOf is the partition of key's key function.
+func (c *statefunExec) partitionOf(key string) int { return c.sf.PartitionOf(sfKeyRef(key)) }
 
 func sfKeyRef(key string) statefun.Ref { return statefun.Ref{Type: sfKeyFn, ID: key} }
 
@@ -343,8 +324,8 @@ func sfKeyRef(key string) statefun.Ref { return statefun.Ref{Type: sfKeyFn, ID: 
 // the op — the honest dataflow failure mode — but the result record
 // carries the error, so a Submit handle learns about the drop. The txn
 // function instance is keyed by the request id.
-func (c *statefunExec) execute(ctx *statefun.Ctx, op Op, args []byte, snapshot map[string][]byte) error {
-	tx := &sfTxn{snapshot: snapshot}
+func (c *statefunExec) execute(ctx *statefun.Ctx, op Op, args []byte, snapshot map[string]keyVal) error {
+	tx := &snapshotTxn{snapshot: snapshot}
 	result, err := c.c.runBody(op, ctx.Self.ID, tx, args)
 	if err != nil {
 		c.sendDone(ctx, nil, err)
@@ -355,7 +336,7 @@ func (c *statefunExec) execute(ctx *statefun.Ctx, op Op, args []byte, snapshot m
 	// partition's log before the result record is emitted (the sends are
 	// exactly-once produces), so a read submitted once the handle
 	// resolves gathers a snapshot that includes this op's writes.
-	for _, batch := range byPartition(c.sf, tx.writeBuffer, func(w write) string { return w.Key }) {
+	for _, batch := range byShard(tx.writeBuffer, sfParallelism, func(w write) string { return w.Key }, c.partitionOf) {
 		msg, _ := json.Marshal(sfMsg{Kind: "write", Writes: batch})
 		if err := ctx.Send(sfKeyRef(batch[0].Key), msg); err != nil {
 			return err
@@ -375,20 +356,6 @@ func (c *statefunExec) sendDone(ctx *statefun.Ctx, val []byte, err error) {
 	}
 	raw, _ := json.Marshal(out)
 	ctx.SendEgress(sfDonePrefix+ctx.Self.ID, raw)
-}
-
-// sfTxn runs a body over the choreography's gathered snapshot. Writes are
-// buffered and shipped as write batches after the body succeeds; Gets
-// overlay the op's own writes on the snapshot.
-type sfTxn struct {
-	snapshot map[string][]byte
-	writeBuffer
-}
-
-func (t *sfTxn) Get(key string) ([]byte, bool, error) {
-	raw, found := t.snapshot[key]
-	raw, found = t.overlay(key, raw, found)
-	return raw, found, nil
 }
 
 func (c *statefunExec) guarantee() Guarantee {
@@ -430,7 +397,7 @@ func (c *statefunExec) submit(op Op, reqID string, args []byte, tr *fabric.Trace
 	c.resMu.Unlock()
 	payload, _ := json.Marshal(sfMsg{Kind: "op", Op: op.Name, Args: args})
 	tr.Charge(time.Millisecond / 2) // acceptance: one produce hop
-	if err := c.sf.SendToIngress(statefun.Ref{Type: sfTxnFn, ID: reqID}, payload); err != nil {
+	if err := c.sf.SendToIngress(statefun.Ref{Type: sfCoordFn, ID: reqID}, payload); err != nil {
 		c.resMu.Lock()
 		delete(c.resolvers, reqID)
 		c.resMu.Unlock()
@@ -467,7 +434,7 @@ func (c *statefunExec) read(key string) ([]byte, bool, error) {
 // performs mid-flight (experiment E7).
 func (c *statefunExec) peek(key string) ([]byte, bool, error) {
 	probe := fmt.Sprintf("%s%d", sfProbePrefix, c.probeSeq.Add(1))
-	ch := make(chan sfVal, 1)
+	ch := make(chan keyVal, 1)
 	c.mu.Lock()
 	c.probes[probe] = ch
 	c.mu.Unlock()
@@ -485,7 +452,7 @@ func (c *statefunExec) peek(key string) ([]byte, bool, error) {
 }
 
 // takeProbe removes and returns a registered probe's reply channel.
-func (c *statefunExec) takeProbe(probe string) (chan sfVal, bool) {
+func (c *statefunExec) takeProbe(probe string) (chan keyVal, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ch, ok := c.probes[probe]

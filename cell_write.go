@@ -1,5 +1,7 @@
 package tca
 
+import "fmt"
+
 // verb is which of the Txn write verbs a write record carries.
 type verb uint8
 
@@ -12,8 +14,8 @@ const (
 
 // write is the one record of a Put / Add / PushCap below the Txn surface:
 // the read-your-writes buffer entry of the executors that stage writes
-// until the body returns, the saga step and its compensation on the
-// microservices cell, the write message and the chunked write tail on the
+// until the body returns, the entry of a saga step's batch and of its
+// inverse on the microservices cell, the entry of a write batch on the
 // dataflow cell, the unit a write observer sees, and the delta geo
 // replication ships. What a verb does to a value is decided here, in
 // apply, and nowhere else — except audit.go, whose reference Txns spell
@@ -70,10 +72,8 @@ func rmw(tx Txn, w write) error {
 	return tx.Put(w.Key, val)
 }
 
-// writeBuffer is the write half of a Txn for the executors that stage a
-// body's writes and apply them after it returns — saga steps on the
-// microservices cell, messages on the dataflow cell. Their Get overlays
-// the buffer on whatever they read, so bodies read their own writes.
+// writeBuffer is the write half of a Txn that stages a body's writes, in
+// order, until it returns: snapshotTxn's, and the write observer's record.
 type writeBuffer []write
 
 func (b *writeBuffer) Put(key string, value []byte) error {
@@ -91,13 +91,52 @@ func (b *writeBuffer) PushCap(key string, id int64, cap int) error {
 	return nil
 }
 
-// overlay applies the buffered writes to key, in order, over the value
-// read from the cell.
-func (b writeBuffer) overlay(key string, cur []byte, found bool) ([]byte, bool) {
-	for _, w := range b {
-		if w.Key == key {
-			cur, found = w.apply(cur, found)
+// keyVal is one key's value as the service or key function that owns it
+// read it.
+type keyVal struct {
+	Key   string `json:"key,omitempty"`
+	Val   []byte `json:"v,omitempty"`
+	Found bool   `json:"f,omitempty"`
+}
+
+// byShard groups items by the shard, one of n, that owns their key,
+// keeping the items' order within each group; empty groups are left out.
+// The microservices cell groups by service and the dataflow cell by
+// partition, reads and writes alike.
+func byShard[T any](items []T, n int, key func(T) string, shard func(string) int) [][]T {
+	groups := make([][]T, n)
+	for _, it := range items {
+		s := shard(key(it))
+		groups[s] = append(groups[s], it)
+	}
+	out := groups[:0]
+	for _, g := range groups {
+		if len(g) > 0 {
+			out = append(out, g)
 		}
 	}
-	return cur, found
+	return out
+}
+
+// snapshotTxn runs a body over the values gathered for every declared key,
+// found or not, before it ran. Its writes are buffered and shipped after
+// it succeeds, one batch per service or partition. A Get applies the op's
+// own writes to the snapshot's value, in order, so a body reads its own
+// writes; a Get of an undeclared key fails with ErrUndeclaredKey.
+type snapshotTxn struct {
+	snapshot map[string]keyVal
+	writeBuffer
+}
+
+func (t *snapshotTxn) Get(key string) ([]byte, bool, error) {
+	v, ok := t.snapshot[key]
+	if !ok {
+		return nil, false, fmt.Errorf("%w: %q", ErrUndeclaredKey, key)
+	}
+	for _, w := range t.writeBuffer {
+		if w.Key == key {
+			v.Val, v.Found = w.apply(v.Val, v.Found)
+		}
+	}
+	return v.Val, v.Found, nil
 }

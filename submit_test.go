@@ -359,7 +359,7 @@ func TestSessionRequestIDs(t *testing.T) {
 		}
 	}
 	for _, n := range []int64{0, 7, 12, -3, math.MaxInt64, math.MinInt64} {
-		for _, sep := range []string{"/", "/w", "/c"} {
+		for _, sep := range []string{"/", "/w", "/s", "/c"} {
 			if got, want := workload.Join("s1/12", sep, n), fmt.Sprintf("%s%s%d", "s1/12", sep, n); got != want {
 				t.Errorf("workload.Join = %q, want %q", got, want)
 			}

@@ -50,9 +50,9 @@
 // re-execution (the last report before the handle resolves is the one
 // that committed), never for a shed submission. Geo replication captures
 // its write-sets there. What Put, Add and PushCap do to a value is decided
-// once, by the write record under all five executors (cell_write.go): the
-// saga step and its compensation, the dataflow write message, the
-// read-your-writes buffer and the replicated delta are that record. The
+// once, by the write record under all five executors (cell_write.go): a
+// saga step's batch and its inverse, a dataflow write batch, the
+// read-your-writes buffer and the replicated delta are made of it. The
 // auditors' reference Txns (audit.go) deliberately spell the verbs out on
 // their own — they are what the cells are judged against.
 //
