@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"tca/internal/fabric"
 	"tca/internal/mq"
+	"tca/internal/statefun"
 	"tca/internal/workload"
 )
 
@@ -173,7 +175,10 @@ func TestLedgerCrossModelAudit(t *testing.T) {
 // readable: the recovered job replays the app's topic from the
 // checkpoint's offsets, and the broker's idempotent produce dedups the
 // replayed sends against the ones the crashed run made, so every bump
-// applies exactly once and post-recovery probes still answer.
+// applies exactly once and post-recovery probes still answer. The tail
+// holds bumps of both kinds: one whose txn function shares cnt/0's
+// partition applies in place, as part of its own invocation's state, and
+// one on the other partition ships a write batch.
 func TestStatefunCellCrashRecoverReads(t *testing.T) {
 	env := NewEnv(1, 3)
 	cell, err := Deploy(StatefulDataflow, geoTestApp(), env)
@@ -197,6 +202,14 @@ func TestStatefunCellCrashRecoverReads(t *testing.T) {
 	if sf == nil {
 		t.Fatal("StatefunRuntime returned nil for a statefun cell")
 	}
+	inPlace := map[bool]int{}
+	for i := 10; i < 15; i++ {
+		coord := sf.PartitionOf(statefun.Ref{Type: sfCoordFn, ID: fmt.Sprintf("w%d", i)})
+		inPlace[coord == sf.PartitionOf(sfKeyRef("cnt/0"))]++
+	}
+	if inPlace[true] == 0 || inPlace[false] == 0 {
+		t.Fatalf("tail w10..w14: %d in place, %d shipped; want both kinds", inPlace[true], inPlace[false])
+	}
 	if _, err := sf.TriggerCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -217,13 +230,31 @@ func TestStatefunCellCrashRecoverReads(t *testing.T) {
 	}
 }
 
+// brokerRecords sums the records on every topic a dataflow cell of app
+// has named; "internal" is the copy topic of the retired ingress relay
+// and, like any topic that does not exist, counts 0.
+func brokerRecords(env *Env, app *App) int64 {
+	var records int64
+	for _, suffix := range []string{"ingress", "internal"} {
+		topic := "cell-" + app.Name() + "-" + suffix
+		parts, err := env.Broker.Partitions(topic)
+		if err != nil {
+			continue // never created
+		}
+		for p := 0; p < parts; p++ {
+			hw, _ := env.Broker.HighWater(mq.TopicPartition{Topic: topic, Partition: p})
+			records += hw
+		}
+	}
+	return records
+}
+
 // TestStatefunCellRecordsPerOp pins what one TPC-C op costs the dataflow
-// cell in broker records: the op itself, then at most one read, one
-// response and one write batch per touched partition. A per-key
-// choreography, or a second topic each ingress message is copied into,
-// reads well above the bound. The sum runs over every topic the cell has
-// named; "internal" is the copy topic of the retired ingress relay and,
-// like any topic that does not exist, counts 0.
+// cell in broker records: the op, then one read, one response and one
+// write batch per touched partition other than the coordinator's. A
+// per-key choreography, a coordinator that messages its own partition, or
+// a second topic each ingress message is copied into reads above the
+// bound.
 func TestStatefunCellRecordsPerOp(t *testing.T) {
 	const ops = 2000
 	env := NewEnv(1, 3)
@@ -246,22 +277,77 @@ func TestStatefunCellRecordsPerOp(t *testing.T) {
 	if n := sess.Errors(); n != 0 {
 		t.Fatalf("%d of %d submissions failed", n, ops)
 	}
-	var records int64
-	for _, suffix := range []string{"ingress", "internal"} {
-		topic := "cell-" + app.Name() + "-" + suffix
-		parts, err := env.Broker.Partitions(topic)
-		if err != nil {
-			continue // never created
-		}
-		for p := 0; p < parts; p++ {
-			hw, _ := env.Broker.HighWater(mq.TopicPartition{Topic: topic, Partition: p})
-			records += hw
-		}
-	}
+	records := brokerRecords(env, app)
 	perOp := float64(records) / ops
 	t.Logf("%d broker records for %d ops: %.2f per op", records, ops, perOp)
-	if perOp > 9 {
-		t.Fatalf("%.2f broker records per op, want <= 9", perOp)
+	if perOp > 4 {
+		t.Fatalf("%.2f broker records per op, want <= 4", perOp)
+	}
+}
+
+// TestStatefunCellInPlace pins the coordinator's in-place path, with the
+// request ids and keys picked by partition. An op whose keys all live on
+// its txn function's partition is read, run and written in the invocation
+// the op starts: the op is its only broker record. An op that spans both
+// partitions messages only the other one: the op, one read, one response
+// and one write batch. Both apply every write.
+func TestStatefunCellInPlace(t *testing.T) {
+	env := NewEnv(1, 3)
+	app := NewApp("inplace")
+	pair := func(args []byte) []string { return strings.Split(string(args), ",") }
+	app.Register(Op{Name: "add2", Keys: pair, Body: func(tx Txn, args []byte) ([]byte, error) {
+		for _, k := range pair(args) {
+			if err := tx.Add(k, 1); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	}})
+	cell, err := Deploy(StatefulDataflow, app, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cell.Close()
+	sf := StatefunRuntime(cell)
+	// pick returns the first id prefix0, prefix1, ... whose ref lives on part.
+	pick := func(part int, ref func(string) statefun.Ref, prefix string) string {
+		for i := 0; ; i++ {
+			if r := ref(fmt.Sprintf("%s%d", prefix, i)); sf.PartitionOf(r) == part {
+				return r.ID
+			}
+		}
+	}
+	coord := func(id string) statefun.Ref { return statefun.Ref{Type: sfCoordFn, ID: id} }
+	own, local, other := pick(0, sfKeyRef, "a/"), pick(0, sfKeyRef, "b/"), pick(1, sfKeyRef, "c/")
+	for _, tc := range []struct {
+		reqID, args string
+		records     int64
+	}{
+		{pick(0, coord, "local-"), own + "," + local, 1},
+		{pick(0, coord, "span-"), own + "," + other, 4},
+	} {
+		before := brokerRecords(env, app)
+		if _, err := cell.Invoke(tc.reqID, "add2", []byte(tc.args), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := cell.Settle(); err != nil {
+			t.Fatal(err)
+		}
+		if n := brokerRecords(env, app) - before; n != tc.records {
+			t.Errorf("%s over %s: %d broker records, want %d", tc.reqID, tc.args, n, tc.records)
+		}
+	}
+	for k, want := range map[string]int64{own: 2, local: 1, other: 1} {
+		raw, _, err := cell.Read(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := DecodeInt(raw); got != want {
+			t.Errorf("%s = %d, want %d", k, got, want)
+		}
+	}
+	if n, err := executorOf(cell).(*statefunExec).handlerErrors(); n != 0 {
+		t.Fatalf("%d handler errors, last: %v", n, err)
 	}
 }
 

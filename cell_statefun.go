@@ -17,27 +17,29 @@ import (
 // statefunExec runs an App on stateful dataflow functions. Every key's
 // state lives in a keyed "key" function; an op runs as a message
 // choreography coordinated by a per-request "txn" function, with one
-// message per touched partition rather than per key:
+// message per touched partition other than the txn function's own:
 //
 //  1. submit appends the op to the app's topic (acceptance, not
 //     completion);
 //  2. the txn function groups the declared keys by partition and sends
-//     one read message per group, to the group's first key;
+//     one read message per group on another partition, to its first key;
 //  3. that key function answers the whole group in one response, reading
 //     its partition's other key functions through statefun.Ctx.StateOf;
-//  4. when the last response arrives the body runs over the gathered
-//     snapshot, and its writes go out as one write batch per touched
-//     partition, applied the same way: a Put as a full value, an Add as a
-//     commutative delta, a PushCap as a bounded-list merge.
+//  4. when the last response arrives (at once, if none is awaited) the
+//     txn function reads its own partition's group the same way, runs the
+//     body over the snapshot, applies its own partition's writes in place
+//     and sends one write batch per other touched partition, applied the
+//     same way: a Put as a full value, an Add as a commutative delta, a
+//     PushCap as a bounded-list merge.
 //
-// A scatter sends at most sfParallelism messages, so no op, however wide,
-// nears the runtime's per-invocation send budget (statefun.MaxSends).
+// A scatter sends at most sfParallelism−1 messages, so no op, however
+// wide, nears the runtime's per-invocation send budget (statefun.MaxSends).
 //
 // Every message is exactly-once (the statefun runtime's idempotent
-// produce), so deltas never double-apply — but the snapshot is gathered
-// asynchronously and writes land asynchronously: the partitions are read
-// at different times and there is no isolation across keys, the §4.2 gap
-// E7/E17 demonstrate.
+// produce), so deltas never double-apply — but an op that spans both
+// partitions reads the other one at a different time from when it writes
+// it: no isolation across keys, the §4.2 gap E7/E17 show. Only an op whose
+// keys all live on its txn function's partition runs in one invocation.
 type statefunExec struct {
 	c  *cell
 	sf *statefun.App
@@ -61,7 +63,8 @@ type statefunExec struct {
 	// the cell's honest drop count, which the conformance tests pin to
 	// zero (in particular: statefun.ErrTooManySends must be unreachable,
 	// and so must statefun.ErrOtherPartition, since every group is sent
-	// to a key on its own partition).
+	// to a key on its own partition or served in place on the txn
+	// function's own).
 	handlerErrs    atomic.Int64
 	lastHandlerErr atomic.Value // sfErrBox
 }
@@ -122,8 +125,8 @@ const (
 	sfCoordFn = "txn"
 )
 
-// sfParallelism is the cell's partition count, and so the most messages
-// one scatter sends.
+// sfParallelism is the cell's partition count, and so one more than the
+// most messages one scatter sends.
 const sfParallelism = 2
 
 // sfDefaultMaxInflight is the default bound on acknowledged-not-yet-applied
@@ -222,96 +225,100 @@ func (c *statefunExec) keyHandler(ctx *statefun.Ctx, payload []byte) error {
 	}
 	switch m.Kind {
 	case "read":
-		resp := sfMsg{Kind: "resp", Vals: make([]keyVal, len(m.Keys))}
-		for i, k := range m.Keys {
-			st, err := ctx.StateOf(sfKeyRef(k))
-			if err != nil {
-				return err
-			}
-			val, found := st.Get("v")
-			resp.Vals[i] = keyVal{Key: k, Val: val, Found: found}
+		vals, err := readGroup(ctx, m.Keys)
+		if err != nil {
+			return err
 		}
-		reply, _ := json.Marshal(resp)
+		reply, _ := json.Marshal(sfMsg{Kind: "resp", Vals: vals})
 		return ctx.Send(ctx.Caller, reply)
 	case "write":
-		for _, w := range m.Writes {
-			st, err := ctx.StateOf(sfKeyRef(w.Key))
-			if err != nil {
-				return err
-			}
-			val, _ := w.apply(st.Get("v"))
-			st.Set("v", val)
-		}
+		return applyGroup(ctx, m.Writes)
 	}
 	return nil
 }
 
-// txnHandler coordinates one op: it sends one read per touched partition,
-// gathers the responses in its scoped state (keyed by the reqID), and runs
-// the body when the last one lands.
+// readGroup reads keys on the invocation's own partition: a key
+// function's read, or a coordinator's in-place read.
+func readGroup(ctx *statefun.Ctx, keys []string) ([]keyVal, error) {
+	vals := make([]keyVal, len(keys))
+	for i, k := range keys {
+		st, err := ctx.StateOf(sfKeyRef(k))
+		if err != nil {
+			return nil, err
+		}
+		val, found := st.Get("v")
+		vals[i] = keyVal{Key: k, Val: val, Found: found}
+	}
+	return vals, nil
+}
+
+// applyGroup applies a write batch, in order, on the invocation's own
+// partition: a key function's write, or a coordinator's in-place batch.
+func applyGroup(ctx *statefun.Ctx, writes []write) error {
+	for _, w := range writes {
+		st, err := ctx.StateOf(sfKeyRef(w.Key))
+		if err != nil {
+			return err
+		}
+		val, _ := w.apply(st.Get("v"))
+		st.Set("v", val)
+	}
+	return nil
+}
+
+// txnHandler coordinates one op. On the op it sends one read per touched
+// partition other than its own; it keeps each response but the last in
+// its scoped state (keyed by the reqID). The last response runs the op,
+// or the op itself does if it touches no other partition.
 func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 	var m sfMsg
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return err
 	}
-	switch m.Kind {
-	case "op":
-		op, err := c.c.op(m.Op)
-		if err != nil {
+	first, last := m.Kind == "op", m.Vals
+	if !first {
+		raw, _ := ctx.Get("left")
+		if left := DecodeInt(raw) - 1; left > 0 {
+			for _, v := range m.Vals {
+				if v.Found {
+					ctx.Set("val/"+v.Key, v.Val)
+				}
+			}
+			ctx.Set("left", EncodeInt(left))
+			return nil
+		}
+		payload, _ = ctx.Get("op")
+		ctx.Del("op")
+		ctx.Del("left")
+		m = sfMsg{}
+		if err := json.Unmarshal(payload, &m); err != nil {
 			return err
 		}
-		keys := c.c.app.keysOf(op, m.Args)
-		if len(keys) == 0 {
-			return c.execute(ctx, op, m.Args, nil)
-		}
-		groups := byShard(keys, sfParallelism, func(k string) string { return k }, c.partitionOf)
-		for _, group := range groups {
+	}
+	op, err := c.c.op(m.Op)
+	if err != nil {
+		return err
+	}
+	keys := c.c.app.keysOf(op, m.Args)
+	if first {
+		own, left := c.sf.PartitionOf(ctx.Self), 0
+		for _, group := range byShard(keys, sfParallelism, func(k string) string { return k }, c.partitionOf) {
+			if c.partitionOf(group[0]) == own {
+				continue
+			}
 			read, _ := json.Marshal(sfMsg{Kind: "read", Keys: group})
 			if err := ctx.Send(sfKeyRef(group[0]), read); err != nil {
 				return err
 			}
+			left++
 		}
-		ctx.Set("op", payload)
-		ctx.Set("want", EncodeInt(int64(len(groups))))
-		ctx.Set("got", EncodeInt(0))
-	case "resp":
-		for _, v := range m.Vals {
-			if v.Found {
-				ctx.Set("val/"+v.Key, v.Val)
-			}
-		}
-		raw, _ := ctx.Get("got")
-		got := DecodeInt(raw) + 1
-		ctx.Set("got", EncodeInt(got))
-		wantRaw, ok := ctx.Get("want")
-		if !ok || got < DecodeInt(wantRaw) {
+		if left > 0 {
+			ctx.Set("op", payload)
+			ctx.Set("left", EncodeInt(int64(left)))
 			return nil
 		}
-		opRaw, ok := ctx.Get("op")
-		if !ok {
-			return nil
-		}
-		var om sfMsg
-		if err := json.Unmarshal(opRaw, &om); err != nil {
-			return err
-		}
-		op, err := c.c.op(om.Op)
-		if err != nil {
-			return err
-		}
-		keys := c.c.app.keysOf(op, om.Args)
-		snapshot := make(map[string]keyVal, len(keys))
-		for _, k := range keys {
-			v, found := ctx.Get("val/" + k)
-			snapshot[k] = keyVal{Val: v, Found: found}
-			ctx.Del("val/" + k)
-		}
-		ctx.Del("op")
-		ctx.Del("want")
-		ctx.Del("got")
-		return c.execute(ctx, op, om.Args, snapshot)
 	}
-	return nil
+	return c.execute(ctx, op, m.Args, keys, last)
 }
 
 // partitionOf is the partition of key's key function.
@@ -319,24 +326,52 @@ func (c *statefunExec) partitionOf(key string) int { return c.sf.PartitionOf(sfK
 
 func sfKeyRef(key string) statefun.Ref { return statefun.Ref{Type: sfKeyFn, ID: key} }
 
-// execute runs the body over the gathered snapshot, sends one write batch
-// per touched partition, and emits the result record. Body errors drop
-// the op — the honest dataflow failure mode — but the result record
-// carries the error, so a Submit handle learns about the drop. The txn
-// function instance is keyed by the request id.
-func (c *statefunExec) execute(ctx *statefun.Ctx, op Op, args []byte, snapshot map[string]keyVal) error {
+// execute reads the coordinator's own partition in place, so that half of
+// the op is read and written in one invocation, completes the snapshot
+// with the other partitions' responses, runs the body, applies its own
+// partition's writes in place, sends one write batch per other touched
+// partition, and emits the result record. Body errors drop the op — the
+// honest dataflow failure mode — but the result record carries the error.
+func (c *statefunExec) execute(ctx *statefun.Ctx, op Op, args []byte, keys []string, last []keyVal) error {
+	own := c.sf.PartitionOf(ctx.Self)
+	snapshot := make(map[string]keyVal, len(keys))
+	for _, v := range last {
+		snapshot[v.Key] = v
+	}
+	var local []string
+	for _, k := range keys {
+		if c.partitionOf(k) == own {
+			local = append(local, k)
+		} else if _, ok := snapshot[k]; !ok {
+			v, found := ctx.Get("val/" + k)
+			snapshot[k] = keyVal{Val: v, Found: found}
+			ctx.Del("val/" + k)
+		}
+	}
+	vals, err := readGroup(ctx, local)
+	if err != nil {
+		return err
+	}
+	for _, v := range vals {
+		snapshot[v.Key] = v
+	}
 	tx := &snapshotTxn{snapshot: snapshot}
 	result, err := c.c.runBody(op, ctx.Self.ID, tx, args)
 	if err != nil {
 		c.sendDone(ctx, nil, err)
 		return nil
 	}
-	// A query's buffer is empty (runBody refuses its writes), so it is
-	// answered by the gather alone. Otherwise every batch is in its
-	// partition's log before the result record is emitted (the sends are
-	// exactly-once produces), so a read submitted once the handle
-	// resolves gathers a snapshot that includes this op's writes.
+	// A query's buffer is empty (runBody refuses its writes). Otherwise
+	// every batch is applied or in its partition's log before the result
+	// record is emitted (the sends are exactly-once produces), so a read
+	// submitted once the handle resolves sees this op's writes.
 	for _, batch := range byShard(tx.writeBuffer, sfParallelism, func(w write) string { return w.Key }, c.partitionOf) {
+		if c.partitionOf(batch[0].Key) == own {
+			if err := applyGroup(ctx, batch); err != nil {
+				return err
+			}
+			continue
+		}
 		msg, _ := json.Marshal(sfMsg{Kind: "write", Writes: batch})
 		if err := ctx.Send(sfKeyRef(batch[0].Key), msg); err != nil {
 			return err
