@@ -22,13 +22,14 @@ import (
 //  1. submit appends the op to the app's topic (acceptance, not
 //     completion);
 //  2. the txn function groups the declared keys by partition and sends
-//     one read message per group on another partition, to its first key;
+//     one read message to the group on the other partition, if any, to
+//     its first key;
 //  3. that key function answers the whole group in one response, reading
 //     its partition's other key functions through statefun.Ctx.StateOf;
-//  4. when the last response arrives (at once, if none is awaited) the
+//  4. when the response arrives (at once, if no read was sent) the
 //     txn function reads its own partition's group the same way, runs the
 //     body over the snapshot, applies its own partition's writes in place
-//     and sends one write batch per other touched partition, applied the
+//     and sends the other partition's write batch, if any, applied the
 //     same way: a Put as a full value, an Add as a commutative delta, a
 //     PushCap as a bounded-list merge.
 //
@@ -126,7 +127,8 @@ const (
 )
 
 // sfParallelism is the cell's partition count, and so one more than the
-// most messages one scatter sends.
+// most messages one scatter sends. At 2, an op awaits at most one
+// response; a larger count would need a gather counter again.
 const sfParallelism = 2
 
 // sfDefaultMaxInflight is the default bound on acknowledged-not-yet-applied
@@ -266,30 +268,19 @@ func applyGroup(ctx *statefun.Ctx, writes []write) error {
 	return nil
 }
 
-// txnHandler coordinates one op. On the op it sends one read per touched
-// partition other than its own; it keeps each response but the last in
-// its scoped state (keyed by the reqID). The last response runs the op,
-// or the op itself does if it touches no other partition.
+// txnHandler coordinates one op. On the op it sends one read to the
+// other partition if the op touches it, and keeps the op in its scoped
+// state (keyed by the reqID) until the response lands. The response runs
+// the op, or the op itself does if it touches no other partition.
 func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 	var m sfMsg
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return err
 	}
-	first, last := m.Kind == "op", m.Vals
+	first, remote := m.Kind == "op", m.Vals
 	if !first {
-		raw, _ := ctx.Get("left")
-		if left := DecodeInt(raw) - 1; left > 0 {
-			for _, v := range m.Vals {
-				if v.Found {
-					ctx.Set("val/"+v.Key, v.Val)
-				}
-			}
-			ctx.Set("left", EncodeInt(left))
-			return nil
-		}
 		payload, _ = ctx.Get("op")
 		ctx.Del("op")
-		ctx.Del("left")
 		m = sfMsg{}
 		if err := json.Unmarshal(payload, &m); err != nil {
 			return err
@@ -301,7 +292,7 @@ func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 	}
 	keys := c.c.app.keysOf(op, m.Args)
 	if first {
-		own, left := c.sf.PartitionOf(ctx.Self), 0
+		own := c.sf.PartitionOf(ctx.Self)
 		for _, group := range byShard(keys, sfParallelism, func(k string) string { return k }, c.partitionOf) {
 			if c.partitionOf(group[0]) == own {
 				continue
@@ -310,15 +301,11 @@ func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 			if err := ctx.Send(sfKeyRef(group[0]), read); err != nil {
 				return err
 			}
-			left++
-		}
-		if left > 0 {
 			ctx.Set("op", payload)
-			ctx.Set("left", EncodeInt(int64(left)))
-			return nil
+			return nil // sfParallelism is 2: this is the only other group
 		}
 	}
-	return c.execute(ctx, op, m.Args, keys, last)
+	return c.execute(ctx, op, m.Args, keys, remote)
 }
 
 // partitionOf is the partition of key's key function.
@@ -328,24 +315,20 @@ func sfKeyRef(key string) statefun.Ref { return statefun.Ref{Type: sfKeyFn, ID: 
 
 // execute reads the coordinator's own partition in place, so that half of
 // the op is read and written in one invocation, completes the snapshot
-// with the other partitions' responses, runs the body, applies its own
-// partition's writes in place, sends one write batch per other touched
-// partition, and emits the result record. Body errors drop the op — the
+// with the other partition's response (remote), runs the body, applies
+// its own partition's writes in place, sends the other partition's write
+// batch, and emits the result record. Body errors drop the op — the
 // honest dataflow failure mode — but the result record carries the error.
-func (c *statefunExec) execute(ctx *statefun.Ctx, op Op, args []byte, keys []string, last []keyVal) error {
+func (c *statefunExec) execute(ctx *statefun.Ctx, op Op, args []byte, keys []string, remote []keyVal) error {
 	own := c.sf.PartitionOf(ctx.Self)
 	snapshot := make(map[string]keyVal, len(keys))
-	for _, v := range last {
+	for _, v := range remote {
 		snapshot[v.Key] = v
 	}
 	var local []string
 	for _, k := range keys {
 		if c.partitionOf(k) == own {
 			local = append(local, k)
-		} else if _, ok := snapshot[k]; !ok {
-			v, found := ctx.Get("val/" + k)
-			snapshot[k] = keyVal{Val: v, Found: found}
-			ctx.Del("val/" + k)
 		}
 	}
 	vals, err := readGroup(ctx, local)
