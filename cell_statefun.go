@@ -2,7 +2,7 @@ package tca
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -75,13 +75,13 @@ type statefunExec struct {
 // legitimately vary in dynamic type.
 type sfErrBox struct{ err error }
 
-// sfMsg is the wire format of the choreography's messages: the "op" a
-// txn function receives on submit, a "read" listing one partition's keys,
-// its "resp" carrying their values, and a "write" batch of one
-// partition's writes, in buffer order. Probes are the one exception: a
-// probe id is its own payload, and its answer on the egress is a keyVal.
+// sfMsg is a message of the choreography: the op a txn function
+// receives on submit, a read listing one partition's keys, its resp
+// carrying their values, and a write batch of one partition's writes, in
+// buffer order. Its json tags are not a wire format: they name the JSON
+// encoding the frame replaced, which its tests hold the decoder to.
 type sfMsg struct {
-	Kind   string   `json:"k,omitempty"` // "op", "read", "resp", "write"
+	Kind   sfKind   `json:"k,omitempty"`
 	Op     string   `json:"o,omitempty"`
 	Args   []byte   `json:"a,omitempty"`
 	Keys   []string `json:"ks,omitempty"`
@@ -89,15 +89,157 @@ type sfMsg struct {
 	Writes []write  `json:"w,omitempty"`
 }
 
+// sfKind is an sfMsg's first byte. No kind is sfProbePrefix's first
+// byte, so a key function tells a probe from a message by that byte.
+type sfKind byte
+
+const (
+	sfOp sfKind = iota + 1
+	sfRead
+	sfResp
+	sfWrite
+)
+
+// A probe is the one payload that is not an sfMsg: a probe id is its own
+// payload, and its answer on the egress is the key's found byte (1 or 0)
+// followed by its value.
 const sfProbePrefix = "probe-"
 
-// sfDone is the choreography's result record, emitted on the egress under
-// the key "done/<reqID>" when the txn function has run the body and
-// shipped its write batches. Err carries a body failure — the drop an
-// asynchronous cell could never report to its caller before Submit.
-type sfDone struct {
-	Val []byte `json:"v,omitempty"`
-	Err string `json:"e,omitempty"`
+// encode frames m: the kind byte, then the fields of that kind. A string
+// or byte slice is a uvarint length and its bytes, a list a uvarint count
+// and its items; Delta, ID and Cap are varints, Verb and Found one byte.
+func (m sfMsg) encode() []byte {
+	b := append(make([]byte, 0, 256), byte(m.Kind)) // most frames fit
+	switch m.Kind {
+	case sfOp:
+		b = appendField(appendField(b, m.Op), m.Args)
+	case sfRead:
+		b = binary.AppendUvarint(b, uint64(len(m.Keys)))
+		for _, k := range m.Keys {
+			b = appendField(b, k)
+		}
+	case sfResp:
+		b = binary.AppendUvarint(b, uint64(len(m.Vals)))
+		for _, v := range m.Vals {
+			b = append(appendField(appendField(b, v.Key), v.Val), flagByte(v.Found))
+		}
+	case sfWrite:
+		b = binary.AppendUvarint(b, uint64(len(m.Writes)))
+		for _, w := range m.Writes {
+			b = appendField(append(appendField(b, w.Key), byte(w.Verb)), w.Val)
+			b = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(b, w.Delta), w.ID), int64(w.Cap))
+		}
+	}
+	return b
+}
+
+func appendField[T string | []byte](b []byte, f T) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(f))), f...)
+}
+
+func flagByte(f bool) byte {
+	if f {
+		return 1
+	}
+	return 0
+}
+
+// nonEmpty is b, or nil if b is empty: an empty value decodes as nil.
+func nonEmpty(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b
+}
+
+// decodeSfMsg parses a frame into a message that shares no memory with
+// it: the cell keeps decoded values past the invocation, and a
+// crash-replay decodes the same record again. Empty fields and lists
+// decode as nil, as they did from JSON.
+func decodeSfMsg(frame []byte) (sfMsg, error) {
+	r := frameReader(bytes.Clone(frame))
+	m := sfMsg{Kind: sfKind(r.next())}
+	switch m.Kind {
+	case sfOp:
+		m.Op, m.Args = string(r.field()), r.field()
+	case sfRead:
+		m.Keys = list[string](r.count())
+		for i := range m.Keys {
+			m.Keys[i] = string(r.field())
+		}
+	case sfResp:
+		m.Vals = list[keyVal](r.count())
+		for i := range m.Vals {
+			m.Vals[i] = keyVal{Key: string(r.field()), Val: r.field(), Found: r.next() == 1}
+		}
+	case sfWrite:
+		m.Writes = list[write](r.count())
+		for i := range m.Writes {
+			w := &m.Writes[i]
+			w.Key, w.Verb, w.Val = string(r.field()), verb(r.next()), r.field()
+			w.Delta, w.ID, w.Cap = r.varint(), r.varint(), int(r.varint())
+		}
+	default:
+		r = nil
+	}
+	if r == nil || len(r) > 0 {
+		return sfMsg{}, errors.New("tca: malformed dataflow message")
+	}
+	return m, nil
+}
+
+func list[T any](n uint64) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
+}
+
+// frameReader is the unread rest of a frame. A malformed field sets it to
+// nil, and every read after that is zero.
+type frameReader []byte
+
+// skip drops the next n bytes; n < 1 or past the end is malformed.
+func (r *frameReader) skip(n int) {
+	if n < 1 || n > len(*r) {
+		*r = nil
+		return
+	}
+	*r = (*r)[n:]
+}
+
+func (r *frameReader) next() (c byte) {
+	if len(*r) > 0 {
+		c = (*r)[0]
+	}
+	r.skip(1)
+	return c
+}
+
+func (r *frameReader) varint() int64 {
+	v, n := binary.Varint(*r) // 0 if malformed
+	r.skip(n)
+	return v
+}
+
+// count reads a length or a list count. Neither can exceed the bytes
+// left: every byte of a field and every list item takes at least one.
+func (r *frameReader) count() uint64 {
+	n, k := binary.Uvarint(*r)
+	if r.skip(k); n > uint64(len(*r)) {
+		*r = nil
+		return 0
+	}
+	return n
+}
+
+// field reads a length and that many bytes, capped so that an append to
+// the field cannot overwrite the next one.
+func (r *frameReader) field() []byte {
+	n := r.count()
+	f := (*r)[:n:n]
+	*r = (*r)[n:]
+	return nonEmpty(f)
 }
 
 // sfPending pairs an in-flight handle with its trace (the result hop is
@@ -107,16 +249,19 @@ type sfPending struct {
 	tr *fabric.Trace
 }
 
-// sfDonePrefix keys result records on the egress; sfResultTimeout bounds
-// how long a Submit handle waits for its result record. It is a hang
-// backstop, not a rejection policy — an accepted op is exactly-once in
-// the ingress and will still apply even if its handle times out — so the
-// bound is generous (3× Settle's quiesce timeout) to keep a deep
-// pipelined backlog on a loaded machine from resolving live handles
-// spuriously.
+// sfDonePrefix keys result records on the egress. A result record is
+// sfDoneOK and the body's result, or sfDoneErr and the text of the body's
+// error — the drop an asynchronous cell could never report to its caller
+// before Submit. sfResultTimeout bounds how long a Submit handle waits
+// for its result record. It is a hang backstop, not a rejection policy —
+// an accepted op is exactly-once in the ingress and will still apply even
+// if its handle times out — so the bound is generous (3× Settle's quiesce
+// timeout) to keep a deep pipelined backlog on a loaded machine from
+// resolving live handles spuriously.
 const (
-	sfDonePrefix    = "done/"
-	sfResultTimeout = 30 * time.Second
+	sfDonePrefix        = "done/"
+	sfDoneOK, sfDoneErr = byte(0), byte(1)
+	sfResultTimeout     = 30 * time.Second
 )
 
 // sfKeyFn owns one key's state; sfCoordFn, the "txn" function, is keyed
@@ -156,12 +301,8 @@ func newStatefunExec(cl *cell, env *Env, opts Options) (*statefunExec, error) {
 				c.resolveDone(req, value)
 				return
 			}
-			var resp keyVal
-			if json.Unmarshal(value, &resp) != nil {
-				return
-			}
-			if ch, ok := c.takeProbe(key); ok {
-				ch <- resp // buffered, and taken exactly once: never blocks
+			if ch, ok := c.takeProbe(key); ok && len(value) > 0 {
+				ch <- keyVal{Found: value[0] == 1, Val: nonEmpty(value[1:])} // buffered, taken once: never blocks
 			}
 		},
 	})
@@ -190,10 +331,6 @@ func (c *statefunExec) trap(h statefun.Handler) statefun.Handler {
 
 // resolveDone completes the in-flight handle whose result record landed.
 func (c *statefunExec) resolveDone(reqID string, value []byte) {
-	var out sfDone
-	if json.Unmarshal(value, &out) != nil {
-		return
-	}
 	c.resMu.Lock()
 	p, ok := c.resolvers[reqID]
 	if ok {
@@ -204,11 +341,11 @@ func (c *statefunExec) resolveDone(reqID string, value []byte) {
 		return // duplicate delivery or an abandoned (timed-out) handle
 	}
 	p.tr.Charge(time.Millisecond / 2) // result record -> client
-	if out.Err != "" {
-		p.h.resolve(nil, fmt.Errorf("tca: statefun op dropped: %s", out.Err))
+	if len(value) == 0 || value[0] == sfDoneErr {
+		p.h.resolve(nil, fmt.Errorf("tca: statefun op dropped: %s", value[1:]))
 		return
 	}
-	p.h.resolve(out.Val, nil)
+	p.h.resolve(nonEmpty(value[1:]), nil)
 }
 
 // keyHandler owns one key's state (scoped under the function instance).
@@ -216,24 +353,22 @@ func (c *statefunExec) resolveDone(reqID string, value []byte) {
 // group of keys through StateOf.
 func (c *statefunExec) keyHandler(ctx *statefun.Ctx, payload []byte) error {
 	if bytes.HasPrefix(payload, []byte(sfProbePrefix)) {
-		val, found := ctx.Get("v")
-		out, _ := json.Marshal(keyVal{Val: val, Found: found})
-		ctx.SendEgress(string(payload), out)
+		val, ok := ctx.Get("v")
+		ctx.SendEgress(string(payload), append([]byte{flagByte(ok)}, val...))
 		return nil
 	}
-	var m sfMsg
-	if err := json.Unmarshal(payload, &m); err != nil {
+	m, err := decodeSfMsg(payload)
+	if err != nil {
 		return err
 	}
 	switch m.Kind {
-	case "read":
+	case sfRead:
 		vals, err := readGroup(ctx, m.Keys)
 		if err != nil {
 			return err
 		}
-		reply, _ := json.Marshal(sfMsg{Kind: "resp", Vals: vals})
-		return ctx.Send(ctx.Caller, reply)
-	case "write":
+		return ctx.Send(ctx.Caller, sfMsg{Kind: sfResp, Vals: vals}.encode())
+	case sfWrite:
 		return applyGroup(ctx, m.Writes)
 	}
 	return nil
@@ -273,16 +408,15 @@ func applyGroup(ctx *statefun.Ctx, writes []write) error {
 // state (keyed by the reqID) until the response lands. The response runs
 // the op, or the op itself does if it touches no other partition.
 func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
-	var m sfMsg
-	if err := json.Unmarshal(payload, &m); err != nil {
+	m, err := decodeSfMsg(payload)
+	if err != nil {
 		return err
 	}
-	first, remote := m.Kind == "op", m.Vals
+	first, remote := m.Kind == sfOp, m.Vals
 	if !first {
 		payload, _ = ctx.Get("op")
 		ctx.Del("op")
-		m = sfMsg{}
-		if err := json.Unmarshal(payload, &m); err != nil {
+		if m, err = decodeSfMsg(payload); err != nil {
 			return err
 		}
 	}
@@ -297,8 +431,7 @@ func (c *statefunExec) txnHandler(ctx *statefun.Ctx, payload []byte) error {
 			if c.partitionOf(group[0]) == own {
 				continue
 			}
-			read, _ := json.Marshal(sfMsg{Kind: "read", Keys: group})
-			if err := ctx.Send(sfKeyRef(group[0]), read); err != nil {
+			if err := ctx.Send(sfKeyRef(group[0]), sfMsg{Kind: sfRead, Keys: group}.encode()); err != nil {
 				return err
 			}
 			ctx.Set("op", payload)
@@ -355,8 +488,7 @@ func (c *statefunExec) execute(ctx *statefun.Ctx, op Op, args []byte, keys []str
 			}
 			continue
 		}
-		msg, _ := json.Marshal(sfMsg{Kind: "write", Writes: batch})
-		if err := ctx.Send(sfKeyRef(batch[0].Key), msg); err != nil {
+		if err := ctx.Send(sfKeyRef(batch[0].Key), sfMsg{Kind: sfWrite, Writes: batch}.encode()); err != nil {
 			return err
 		}
 	}
@@ -368,12 +500,11 @@ func (c *statefunExec) execute(ctx *statefun.Ctx, op Op, args []byte, keys []str
 // function instance is keyed by the reqID, so Self.ID addresses the
 // in-flight handle.
 func (c *statefunExec) sendDone(ctx *statefun.Ctx, val []byte, err error) {
-	out := sfDone{Val: val}
+	out := append([]byte{sfDoneOK}, val...)
 	if err != nil {
-		out.Err = err.Error()
+		out = append([]byte{sfDoneErr}, err.Error()...)
 	}
-	raw, _ := json.Marshal(out)
-	ctx.SendEgress(sfDonePrefix+ctx.Self.ID, raw)
+	ctx.SendEgress(sfDonePrefix+ctx.Self.ID, out)
 }
 
 func (c *statefunExec) guarantee() Guarantee {
@@ -413,7 +544,7 @@ func (c *statefunExec) submit(op Op, reqID string, args []byte, tr *fabric.Trace
 	}
 	c.resolvers[reqID] = sfPending{h: h, tr: tr}
 	c.resMu.Unlock()
-	payload, _ := json.Marshal(sfMsg{Kind: "op", Op: op.Name, Args: args})
+	payload := sfMsg{Kind: sfOp, Op: op.Name, Args: args}.encode()
 	tr.Charge(time.Millisecond / 2) // acceptance: one produce hop
 	if err := c.sf.SendToIngress(statefun.Ref{Type: sfCoordFn, ID: reqID}, payload); err != nil {
 		c.resMu.Lock()

@@ -11,7 +11,9 @@
 // Architecture: one dataflow job over the app's one topic (Config.Ingress),
 // whose single keyed operator dispatches each message to its function on
 // the goroutine that owns the message's partition. External messages and
-// function-to-function sends land on the same topic. Sends carry
+// function-to-function sends land on the same topic as envelope frames:
+// the addressee's and sender's type and id, then the payload as is, to
+// the end of the record; a record that is not a frame is dropped. Sends carry
 // deterministic idempotent-producer sequence numbers derived from the
 // consumed record's coordinates, so crash-replay re-sends are deduplicated
 // by the broker — exactly-once function messaging without any application
@@ -31,7 +33,7 @@
 package statefun
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -68,11 +70,34 @@ type Ref struct {
 
 func (r Ref) String() string { return r.Type + "/" + r.ID }
 
-// envelope is the wire format on the app's topic.
+// envelope is a record on the app's topic: the addressee, the sender
+// (zero for an external message) and the payload.
 type envelope struct {
-	To      Ref    `json:"to"`
-	From    Ref    `json:"from,omitempty"`
-	Payload []byte `json:"p"`
+	To, From Ref
+	Payload  []byte
+}
+
+// encode frames e: To.Type, To.ID, From.Type and From.ID, each a uvarint
+// length and its bytes, then the payload, which runs to the end.
+func (e envelope) encode() []byte {
+	b := make([]byte, 0, 4*binary.MaxVarintLen64+len(e.To.Type)+len(e.To.ID)+len(e.From.Type)+len(e.From.ID)+len(e.Payload))
+	for _, s := range [...]string{e.To.Type, e.To.ID, e.From.Type, e.From.ID} {
+		b = append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	}
+	return append(b, e.Payload...)
+}
+
+// decodeEnvelope parses a frame; the payload is a sub-slice of b.
+func decodeEnvelope(b []byte) (envelope, bool) {
+	var addr [4]string
+	for i := range addr {
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n > uint64(len(b)-k) {
+			return envelope{}, false
+		}
+		addr[i], b = string(b[k:k+int(n)]), b[k+int(n):]
+	}
+	return envelope{To: Ref{addr[0], addr[1]}, From: Ref{addr[2], addr[3]}, Payload: b}, true
 }
 
 // Handler is the body of a stateful function.
@@ -140,15 +165,10 @@ func (c *Ctx) Send(to Ref, payload []byte) error {
 	if c.sends >= MaxSends {
 		return fmt.Errorf("%w: > %d", ErrTooManySends, MaxSends)
 	}
-	env := envelope{To: to, From: c.Self, Payload: payload}
-	data, err := json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("statefun: marshal envelope: %w", err)
-	}
-	producerID := fmt.Sprintf("%s-fn-p%d", c.app.cfg.Name, c.origin.Partition)
+	data := envelope{To: to, From: c.Self, Payload: payload}.encode()
 	seq := c.origin.Offset*MaxSends + int64(c.sends)
 	c.sends++
-	_, err = c.app.broker.ProduceIdempotent(c.app.cfg.Ingress, to.String(), data, producerID, seq)
+	_, err := c.app.broker.ProduceIdempotent(c.app.cfg.Ingress, to.String(), data, c.app.producers[c.origin.Partition], seq)
 	return err
 }
 
@@ -194,9 +214,10 @@ type Config struct {
 
 // App is a stateful-functions application.
 type App struct {
-	cfg    Config
-	broker *mq.Broker
-	job    *dataflow.Job
+	cfg       Config
+	broker    *mq.Broker
+	job       *dataflow.Job
+	producers []string // producers[p]: the producer id of sends on partition p
 
 	mu      sync.RWMutex
 	fns     map[string]Handler
@@ -209,6 +230,9 @@ func NewApp(broker *mq.Broker, cfg Config) *App {
 		cfg.Parallelism = 4
 	}
 	a := &App{cfg: cfg, broker: broker, fns: make(map[string]Handler)}
+	for p := 0; p < cfg.Parallelism; p++ {
+		a.producers = append(a.producers, fmt.Sprintf("%s-fn-p%d", cfg.Name, p))
+	}
 	broker.CreateTopic(cfg.Ingress, cfg.Parallelism)
 	if cfg.Egress != "" {
 		broker.CreateTopic(cfg.Egress, cfg.Parallelism)
@@ -262,8 +286,8 @@ func (a *App) Start() error {
 
 // dispatch decodes an envelope and invokes the target function.
 func (a *App) dispatch(op *dataflow.OpCtx, rec dataflow.Record) {
-	var env envelope
-	if err := json.Unmarshal(rec.Value, &env); err != nil {
+	env, ok := decodeEnvelope(rec.Value)
+	if !ok {
 		return // poison message: drop (a DLQ is application policy)
 	}
 	a.mu.RLock()
@@ -278,13 +302,8 @@ func (a *App) dispatch(op *dataflow.OpCtx, rec dataflow.Record) {
 
 // SendToIngress enqueues an external message for a function.
 func (a *App) SendToIngress(to Ref, payload []byte) error {
-	env := envelope{To: to, Payload: payload}
-	data, err := json.Marshal(env)
-	if err != nil {
-		return err
-	}
 	p := a.broker.NewProducer("")
-	_, _, err = p.Send(a.cfg.Ingress, to.String(), data)
+	_, _, err := p.Send(a.cfg.Ingress, to.String(), envelope{To: to, Payload: payload}.encode())
 	return err
 }
 
