@@ -2,8 +2,9 @@
 // §3.1 in the style of Apache Flink: one keyed, stateful operator fed by
 // the partitions of a message-log topic. Instance i owns partition i: one
 // goroutine fetches it, runs the operator on each record, and hands every
-// emitted record to the sink, all inline. The engine provides the
-// fault-tolerance design of §4.1:
+// emitted record to the sink, all inline; at the end of its partition it
+// parks on the broker's append wakeup instead of polling. The engine
+// provides the fault-tolerance design of §4.1:
 //
 //   - Checkpoints: each instance reports, at a record boundary, its next
 //     source offset, a copy of its state and the output it buffered for
@@ -142,8 +143,9 @@ type Job struct {
 	sinkTopic   string       // "" = callback sink
 	sinkFn      func(Record) // may be nil
 
-	mu sync.Mutex
-	rt *runtime // live execution; nil when stopped
+	mu     sync.Mutex
+	rt     *runtime  // live execution; nil when stopped
+	parked broadcast // signalled by each park and each halt
 
 	// latest is the last completed checkpoint. It survives Crash: it
 	// models the external durable storage (S3 / DFS) checkpoints are
@@ -251,6 +253,7 @@ func (j *Job) halt() bool {
 	}
 	j.rt.halt()
 	j.rt = nil
+	j.parked.signal()
 	return true
 }
 
@@ -289,16 +292,21 @@ func (j *Job) Lag() int64 {
 	return rt.lag()
 }
 
-// WaitIdle blocks until the job is quiescent or the timeout elapses.
+// WaitIdle blocks until the job is quiescent or the timeout elapses. It
+// takes the park signal before it reads the lag: an instance with records
+// left signals when it next parks, so no wakeup is lost in between.
 func (j *Job) WaitIdle(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
 	for {
+		parked := j.parked.wait()
 		if j.Lag() == 0 {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-parked:
+		case <-deadline.C:
 			return fmt.Errorf("dataflow: not idle after %v (lag %d)", timeout, j.Lag())
 		}
-		time.Sleep(200 * time.Microsecond)
 	}
 }

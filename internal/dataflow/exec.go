@@ -3,7 +3,6 @@ package dataflow
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tca/internal/metrics"
 	"tca/internal/mq"
@@ -45,6 +44,7 @@ type cut struct {
 func newRuntime(j *Job, partitions int, ck *checkpoint) *runtime {
 	rt := &runtime{job: j, stop: make(chan struct{})}
 	sinkRecords := j.m.Counter("dataflow.sink_records")
+	parks := j.m.Counter("dataflow.idle_parks")
 	for p := 0; p < partitions; p++ {
 		inst := &instance{
 			rt:    rt,
@@ -58,7 +58,7 @@ func newRuntime(j *Job, partitions int, ck *checkpoint) *runtime {
 		}
 		rt.insts = append(rt.insts, inst)
 		rt.wg.Add(1)
-		go inst.run(j.stages[0].fn, sinkRecords)
+		go inst.run(j.stages[0].fn, sinkRecords, parks)
 	}
 	return rt
 }
@@ -87,7 +87,11 @@ func (rt *runtime) lag() int64 {
 	return lag
 }
 
-func (i *instance) run(fn ProcessFunc, sinkRecords *metrics.Counter) {
+// run fetches the partition and runs the operator on each record. Between
+// batches it serves a pending stop or checkpoint request (select picks it or
+// the next batch at random). After an empty fetch it signals WaitIdle and
+// parks on the broker's append wakeup; dataflow.idle_parks counts the parks.
+func (i *instance) run(fn ProcessFunc, sinkRecords, parks *metrics.Counter) {
 	defer i.rt.wg.Done()
 	j := i.rt.job
 	ctx := &OpCtx{state: i.state, emit: func(rec Record) {
@@ -100,20 +104,9 @@ func (i *instance) run(fn ProcessFunc, sinkRecords *metrics.Counter) {
 		sinkRecords.Inc()
 	}}
 	for {
-		select {
-		case <-i.rt.stop:
-			return
-		case reply := <-i.cuts:
-			reply <- cut{offset: i.pos.Load(), state: i.state.snapshot(), out: i.out}
-			i.out = nil
-			continue
-		default:
-		}
-		msgs, err := j.broker.Fetch(i.tp, i.pos.Load(), pollBatch)
-		if err != nil || len(msgs) == 0 {
-			time.Sleep(100 * time.Microsecond)
-			continue
-		}
+		pos := i.pos.Load()
+		// Start checked the source partition, so Fetch and Grown cannot fail.
+		msgs, _ := j.broker.Fetch(i.tp, pos, pollBatch)
 		for _, m := range msgs {
 			fn(ctx, Record{
 				Key: m.Key, Value: m.Value,
@@ -121,5 +114,47 @@ func (i *instance) run(fn ProcessFunc, sinkRecords *metrics.Counter) {
 			})
 			i.pos.Store(m.Offset + 1)
 		}
+		wake := ready
+		if len(msgs) == 0 {
+			wake, _ = j.broker.Grown(i.tp, pos)
+			parks.Inc()
+			j.parked.signal()
+		}
+		select {
+		case <-i.rt.stop:
+			return
+		case reply := <-i.cuts:
+			reply <- cut{offset: i.pos.Load(), state: i.state.snapshot(), out: i.out}
+			i.out = nil
+		case <-wake:
+		}
+	}
+}
+
+// ready is closed: after a non-empty batch run does not wait.
+var ready = func() <-chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+// broadcast wakes all its waiters at once: signal closes the channel that
+// wait made, if any. A signal with no waiter costs one lock.
+type broadcast struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+func (b *broadcast) wait() <-chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.ch == nil {
+		b.ch = make(chan struct{})
+	}
+	return b.ch
+}
+
+func (b *broadcast) signal() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.ch != nil {
+		close(b.ch)
+		b.ch = nil
 	}
 }

@@ -56,7 +56,10 @@ type partition struct {
 	msgs []Message
 	// producer dedup: highest sequence number appended per producer id.
 	producerSeq map[string]int64
+	grown       chan struct{} // closed by the next append; only Grown makes it
 }
+
+var closedChan = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
 func newPartition() *partition {
 	return &partition{producerSeq: make(map[string]int64)}
@@ -86,6 +89,10 @@ func (p *partition) append(topic string, part int, producerID string, baseSeq in
 		}
 		p.msgs = append(p.msgs, m)
 		appended++
+	}
+	if appended > 0 && p.grown != nil {
+		close(p.grown)
+		p.grown = nil
 	}
 	return appended, base
 }
@@ -170,21 +177,26 @@ func (b *Broker) CreateTopic(name string, n int) {
 
 // Partitions returns the partition count of a topic.
 func (b *Broker) Partitions(name string) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t, ok := b.topics[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNoTopic, name)
+	t, err := b.topic(name)
+	if err != nil {
+		return 0, err
 	}
 	return len(t.parts), nil
 }
 
-func (b *Broker) partition(tp TopicPartition) (*partition, error) {
+func (b *Broker) topic(name string) (*topic, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	t, ok := b.topics[tp.Topic]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoTopic, tp.Topic)
+	if t, ok := b.topics[name]; ok {
+		return t, nil
+	}
+	return nil, fmt.Errorf("%w: %s", ErrNoTopic, name)
+}
+
+func (b *Broker) partition(tp TopicPartition) (*partition, error) {
+	t, err := b.topic(tp.Topic)
+	if err != nil {
+		return nil, err
 	}
 	if tp.Partition < 0 || tp.Partition >= len(t.parts) {
 		return nil, fmt.Errorf("%w: %s", ErrNoPartition, tp)
@@ -199,6 +211,25 @@ func (b *Broker) HighWater(tp TopicPartition) (int64, error) {
 		return 0, err
 	}
 	return p.highWater(), nil
+}
+
+// Grown returns a channel that is closed at once if tp holds a record at
+// offset, else by the next append to tp: a reader's wakeup after an empty
+// fetch. An append with no reader waiting pays one nil check for it.
+func (b *Broker) Grown(tp TopicPartition, offset int64) (<-chan struct{}, error) {
+	p, err := b.partition(tp)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if offset < int64(len(p.msgs)) {
+		return closedChan, nil
+	}
+	if p.grown == nil {
+		p.grown = make(chan struct{})
+	}
+	return p.grown, nil
 }
 
 // Fetch reads up to max messages from tp starting at offset (a low-level
@@ -274,19 +305,13 @@ func (b *Broker) CommittedOffset(group string, tp TopicPartition) int64 {
 // stateful-functions runtime, which uses the consumed record's offset) get
 // exactly-once appends across crash-replay cycles.
 func (b *Broker) ProduceIdempotent(topicName, key string, value []byte, producerID string, seq int64) (appended bool, err error) {
-	b.mu.Lock()
-	t, ok := b.topics[topicName]
-	b.mu.Unlock()
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrNoTopic, topicName)
-	}
-	tp := TopicPartition{Topic: topicName, Partition: t.partitionFor(key)}
-	p, err := b.partition(tp)
+	t, err := b.topic(topicName)
 	if err != nil {
 		return false, err
 	}
+	part := t.partitionFor(key)
 	msg := Message{Key: key, Value: append([]byte(nil), value...)}
-	n, _ := p.append(tp.Topic, tp.Partition, producerID, seq, []Message{msg})
+	n, _ := t.parts[part].append(topicName, part, producerID, seq, []Message{msg})
 	return n == 1, nil
 }
 

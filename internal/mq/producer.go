@@ -85,11 +85,9 @@ func (p *Producer) SendH(topicName, key string, value []byte, headers map[string
 	if err := p.checkFenced(); err != nil {
 		return TopicPartition{}, 0, err
 	}
-	p.b.mu.Lock()
-	t, ok := p.b.topics[topicName]
-	p.b.mu.Unlock()
-	if !ok {
-		return TopicPartition{}, 0, fmt.Errorf("%w: %s", ErrNoTopic, topicName)
+	t, err := p.b.topic(topicName)
+	if err != nil {
+		return TopicPartition{}, 0, err
 	}
 	tp := TopicPartition{Topic: topicName, Partition: t.partitionFor(key)}
 	msg := Message{Key: key, Value: append([]byte(nil), value...), Headers: cloneHeaders(headers)}
@@ -102,10 +100,7 @@ func (p *Producer) SendH(topicName, key string, value []byte, headers map[string
 	}
 	p.txnMu.Unlock()
 
-	part, err := p.b.partition(tp)
-	if err != nil {
-		return TopicPartition{}, 0, err
-	}
+	part := t.parts[tp.Partition]
 	seq := p.nextSeq(tp, 1)
 	_, off := part.append(tp.Topic, tp.Partition, p.id, seq, []Message{msg})
 	if off < 0 { // idempotent duplicate: report the end of the log

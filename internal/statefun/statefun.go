@@ -106,23 +106,24 @@ type Handler func(ctx *Ctx, payload []byte) error
 // Scope is the scoped state of one function instance: its keys, prefixed
 // with the instance's address, within its partition's keyed state.
 type Scope struct {
-	state  dataflow.State
-	prefix string
+	state dataflow.State
+	ref   Ref
 }
 
-func scopeOf(state dataflow.State, ref Ref) Scope {
-	return Scope{state: state, prefix: ref.String() + "\x00"}
-}
+func scopeOf(state dataflow.State, ref Ref) Scope { return Scope{state, ref} }
+
+// key prefixes k with the instance's address and a NUL, in one allocation.
+func (s Scope) key(k string) string { return s.ref.Type + "/" + s.ref.ID + "\x00" + k }
 
 // Get reads a key of the scoped state.
-func (s Scope) Get(key string) ([]byte, bool) { return s.state.Get(s.prefix + key) }
+func (s Scope) Get(key string) ([]byte, bool) { return s.state.Get(s.key(key)) }
 
 // Set writes a key of the scoped state. The update is covered by the job's
 // checkpoints: state and message progress commit together.
-func (s Scope) Set(key string, value []byte) { s.state.Put(s.prefix+key, value) }
+func (s Scope) Set(key string, value []byte) { s.state.Put(s.key(key), value) }
 
 // Del removes a key of the scoped state.
-func (s Scope) Del(key string) { s.state.Delete(s.prefix + key) }
+func (s Scope) Del(key string) { s.state.Delete(s.key(key)) }
 
 // Ctx is the per-invocation context of a function.
 type Ctx struct {
