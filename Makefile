@@ -28,7 +28,10 @@ verify:
 # other's state on their partition's goroutine) / micro-cell tests (a
 # saga's steps run concurrently with other sagas' reads and steps on the
 # same shard databases), ten times each under the race detector at 1, 2,
-# 4 and 8 Ps — the
+# 4 and 8 Ps, and so are the packages the micro cell's exactly-once rests
+# on (the dedup store's in-flight locking under concurrent sagas, behind
+# the rpc idempotency middleware, the saga orchestrator and the micro
+# framework that binds them) — the
 # bugs ROADMAP item 1 lists only showed at more than one P, and not on
 # every run. The first line is the store's OCC retry test 200 times without
 # the race detector: the setting where back-to-back retries exhausted. The
@@ -37,7 +40,7 @@ verify:
 # encoding it replaced) and the statefun envelope frame.
 stress:
 	go test -count=200 -run TestUpdateRetriesConflicts ./internal/store
-	go test -race -count=10 -cpu 1,2,4,8 ./internal/store ./internal/actor ./internal/core ./internal/wal ./internal/dataflow ./internal/statefun ./internal/mq
+	go test -race -count=10 -cpu 1,2,4,8 ./internal/store ./internal/actor ./internal/core ./internal/wal ./internal/dataflow ./internal/statefun ./internal/mq ./internal/dedup ./internal/rpc ./internal/saga ./internal/micro
 	go test -race -count=10 -cpu 1,2,4,8 -run 'Submit|Shed|Session|ReadOnly|WideTxn|Geo|Statefun|Micro' .
 	go test -run '^$$' -fuzz '^FuzzDecodeTPCCOp$$' -fuzztime 15s ./internal/workload
 	go test -run '^$$' -fuzz '^FuzzSfMsgFrame$$' -fuzztime 10s .
@@ -105,7 +108,7 @@ bench-baseline:
 # outside bench/ (the benchmark module is not the system under study). It
 # is also a ratchet: it fails when the non-test count exceeds LOC_CEILING,
 # so a change that grows the system raises the ceiling in its own diff.
-LOC_CEILING = 20393
+LOC_CEILING = 20451
 loc:
 	@nontest=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo "non-test Go lines: $$nontest"; \

@@ -29,32 +29,69 @@ const microShards = 2
 // writes, and between its services' steps (the cell's honest anomaly).
 // The REST stack is synchronous per request, so pipelining is the pool's
 // client-side concurrency: Options.Clients sagas in flight.
+//
+// Every RPC body is an sfMsg frame, the dataflow cell's wire format: a get
+// sends a read and gets a resp, an apply sends a write batch and gets its
+// undo batch, which the compensation sends back as it is. micro.Codec is
+// the framework's JSON convenience for other callers, not this cell's.
 type microExec struct {
-	c    *cell
-	dep  *micro.Deployment
-	svcs []*micro.Service // by shard
-	orch *saga.Orchestrator
+	c         *cell
+	dep       *micro.Deployment
+	svcs      []*micro.Service // by shard
+	endpoints [][2]string      // by shard, then microGet or microApply
+	orch      *saga.Orchestrator
 }
+
+// microGet and microApply name a shard service's two operations.
+const (
+	microGet = iota
+	microApply
+)
 
 func newMicroExec(c *cell, env *Env) *microExec {
 	e := &microExec{c: c, dep: micro.NewDeployment(env.Cluster), orch: saga.NewOrchestrator(nil)}
 	for s := 0; s < microShards; s++ {
 		// Idempotency middleware makes retries of the non-idempotent
 		// "apply" safe on a lossy, duplicating network (§3.2).
-		svc := e.dep.AddService(micro.ServiceConfig{
-			Name:        fmt.Sprintf("%s-shard-%d", c.app.Name(), s),
-			Idempotency: dedup.New(0),
+		name := fmt.Sprintf("%s-shard-%d", c.app.Name(), s)
+		svc := e.dep.AddService(micro.ServiceConfig{Name: name, Idempotency: dedup.New(0)})
+		db := svc.DB()
+		db.CreateTable("state")
+		svc.Handle("get", func(_ *micro.Ctx, req []byte) ([]byte, error) {
+			m, err := decodeKind(req, sfRead)
+			if err != nil {
+				return nil, err
+			}
+			vals, err := readKeys(db, m.Keys)
+			if err != nil {
+				return nil, err
+			}
+			return sfMsg{Kind: sfResp, Vals: vals}.encode(), nil
 		})
-		svc.DB().CreateTable("state")
-		svc.Handle("get", micro.JSONHandler(func(mc *micro.Ctx, keys []string) ([]keyVal, error) {
-			return readKeys(mc.DB(), keys)
-		}))
-		svc.Handle("apply", micro.JSONHandler(func(mc *micro.Ctx, ws []write) ([]write, error) {
-			return applyBatch(mc.DB(), ws)
-		}))
+		svc.Handle("apply", func(_ *micro.Ctx, req []byte) ([]byte, error) {
+			m, err := decodeKind(req, sfWrite)
+			if err != nil {
+				return nil, err
+			}
+			undo, err := applyBatch(db, m.Writes)
+			if err != nil {
+				return nil, err
+			}
+			return sfMsg{Kind: sfWrite, Writes: undo}.encode(), nil
+		})
 		e.svcs = append(e.svcs, svc)
+		e.endpoints = append(e.endpoints, [2]string{"svc/" + name + "/get", "svc/" + name + "/apply"})
 	}
 	return e
+}
+
+// decodeKind decodes a frame that must hold a message of kind k.
+func decodeKind(frame []byte, k sfKind) (sfMsg, error) {
+	m, err := decodeSfMsg(frame)
+	if err == nil && m.Kind != k {
+		return sfMsg{}, fmt.Errorf("tca: message of kind %d where kind %d was expected", m.Kind, k)
+	}
+	return m, err
 }
 
 func microShard(key string) int { return keyShard(key, microShards) }
@@ -112,18 +149,14 @@ func applyBatch(db *store.DB, ws []write) ([]write, error) {
 	return undo, err
 }
 
-func (e *microExec) call(shard int, op, idemKey string, req, resp any, tr *fabric.Trace) error {
-	var codec micro.Codec
-	s := e.svcs[shard]
-	raw, err := e.dep.Transport().Call(s.Node(), "svc/"+s.Name()+"/"+op, codec.Marshal(req), tr, rpc.CallOptions{
+// call sends the frame req to a shard service's operation and returns the
+// frame it answers with.
+func (e *microExec) call(shard, op int, idemKey string, req []byte, tr *fabric.Trace) ([]byte, error) {
+	return e.dep.Transport().Call(e.svcs[shard].Node(), e.endpoints[shard][op], req, tr, rpc.CallOptions{
 		Retries:        3,
 		RetryBackoff:   time.Millisecond,
 		IdempotencyKey: idemKey,
 	})
-	if err != nil || resp == nil {
-		return err
-	}
-	return codec.Unmarshal(raw, resp)
 }
 
 func (e *microExec) guarantee() Guarantee {
@@ -138,11 +171,15 @@ func (e *microExec) run(op Op, reqID string, args []byte, tr *fabric.Trace) ([]b
 	keys := e.c.app.keysOf(op, args)
 	tx := &snapshotTxn{snapshot: make(map[string]keyVal, len(keys))}
 	for _, group := range byShard(keys, microShards, func(k string) string { return k }, microShard) {
-		var vals []keyVal
-		if err := e.call(microShard(group[0]), "get", "", group, &vals, tr); err != nil {
+		resp, err := e.call(microShard(group[0]), microGet, "", sfMsg{Kind: sfRead, Keys: group}.encode(), tr)
+		if err != nil {
 			return nil, err
 		}
-		for _, v := range vals {
+		m, err := decodeKind(resp, sfResp)
+		if err != nil {
+			return nil, err
+		}
+		for _, v := range m.Vals {
 			tx.snapshot[v.Key] = v
 		}
 	}
@@ -157,16 +194,18 @@ func (e *microExec) run(op Op, reqID string, args []byte, tr *fabric.Trace) ([]b
 	}
 	batches := byShard(tx.writeBuffer, microShards, func(w write) string { return w.Key }, microShard)
 	steps := make([]saga.Step, len(batches))
-	undos := make([][]write, len(batches)) // each step's inverse batch, as its apply answered it
+	undos := make([][]byte, len(batches)) // each step's undo frame, as its apply answered it
 	for i, batch := range batches {
 		shard := microShard(batch[0].Key)
 		steps[i] = saga.Step{
 			Name: e.svcs[shard].Name(),
-			Action: func(*saga.Ctx) error {
-				return e.call(shard, "apply", workload.Join(reqID, "/s", int64(shard)), batch, &undos[i], tr)
+			Action: func(*saga.Ctx) (err error) {
+				undos[i], err = e.call(shard, microApply, workload.Join(reqID, "/s", int64(shard)), sfMsg{Kind: sfWrite, Writes: batch}.encode(), tr)
+				return err
 			},
 			Compensate: func(*saga.Ctx) error {
-				return e.call(shard, "apply", workload.Join(reqID, "/c", int64(shard)), undos[i], nil, tr)
+				_, err := e.call(shard, microApply, workload.Join(reqID, "/c", int64(shard)), undos[i], tr)
+				return err
 			},
 		}
 	}

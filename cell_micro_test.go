@@ -1,6 +1,7 @@
 package tca
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -37,7 +38,7 @@ func TestMicroApplyUndoRestoresState(t *testing.T) {
 		{Key: list, Val: EncodeIntList([]int64{9, 5})},
 		{Key: other, Val: []byte("untouched")},
 	}
-	if err := e.call(0, "apply", "seed", seed, nil, nil); err != nil {
+	if _, err := e.call(0, microApply, "seed", sfMsg{Kind: sfWrite, Writes: seed}.encode(), nil); err != nil {
 		t.Fatal(err)
 	}
 	state := func() map[string]string {
@@ -61,8 +62,8 @@ func TestMicroApplyUndoRestoresState(t *testing.T) {
 		{Key: list, Verb: verbPush, ID: 7, Cap: 2},
 		{Key: created, Val: EncodeInt(1)},
 	}
-	var undo []write
-	if err := e.call(0, "apply", "step", batch, &undo, nil); err != nil {
+	undo, err := e.call(0, microApply, "step", sfMsg{Kind: sfWrite, Writes: batch}.encode(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	mid := state()
@@ -72,7 +73,7 @@ func TestMicroApplyUndoRestoresState(t *testing.T) {
 	if got := DecodeIntList([]byte(mid[list])); !reflect.DeepEqual(got, []int64{9, 7}) {
 		t.Fatalf("%s = %v after the batch, want [9 7]", list, got)
 	}
-	if err := e.call(0, "apply", "undo", undo, nil, nil); err != nil {
+	if _, err := e.call(0, microApply, "undo", undo, nil); err != nil {
 		t.Fatal(err)
 	}
 	after := state()
@@ -120,5 +121,99 @@ func TestUndeclaredGetFails(t *testing.T) {
 				t.Fatalf("Read(a) = found %v, err %v; want no write", found, err)
 			}
 		})
+	}
+}
+
+// deployMicro deploys the microservices cell and returns its executor and
+// a key its shard 0 owns.
+func deployMicro(t *testing.T) (*microExec, string) {
+	t.Helper()
+	c, err := Deploy(Microservices, geoTestApp(), NewEnv(1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	key := "k0"
+	for i := 1; microShard(key) != 0; i++ {
+		key = fmt.Sprintf("k%d", i)
+	}
+	return executorOf(c).(*microExec), key
+}
+
+// shardState is a shard database's state table, key to value.
+func shardState(t *testing.T, e *microExec, shard int) map[string]string {
+	t.Helper()
+	rows := map[string]string{}
+	err := e.svcs[shard].DB().View(func(tx *store.Txn) error {
+		return tx.Scan("state", "", "", func(key string, row store.Row) bool {
+			rows[key] = row.Str("v")
+			return true
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// TestMicroRejectsBadFrames sends get and apply every proper prefix of a
+// frame of the kind each expects, and a whole frame of the kind the other
+// expects: each is an error, none panics, and the shard's state table is
+// what it was.
+func TestMicroRejectsBadFrames(t *testing.T) {
+	e, key := deployMicro(t)
+	seed := sfMsg{Kind: sfWrite, Writes: []write{{Key: key, Val: EncodeInt(10)}}}.encode()
+	if _, err := e.call(0, microApply, "seed", seed, nil); err != nil {
+		t.Fatal(err)
+	}
+	before := shardState(t, e, 0)
+	read := sfMsg{Kind: sfRead, Keys: []string{key, "other"}}.encode()
+	apply := sfMsg{Kind: sfWrite, Writes: []write{{Key: key, Verb: verbAdd, Delta: 5}, {Key: key, Val: EncodeInt(1)}}}.encode()
+	for _, c := range []struct {
+		name  string
+		op    int
+		whole []byte // of the kind op expects
+		wrong []byte // of another kind
+	}{
+		{"get", microGet, read, apply},
+		{"apply", microApply, apply, read},
+	} {
+		for n := range len(c.whole) {
+			if resp, err := e.call(0, c.op, fmt.Sprintf("%s/cut%d", c.name, n), c.whole[:n], nil); err == nil {
+				t.Errorf("%s of a frame cut to %d of %d bytes answered %x, want an error", c.name, n, len(c.whole), resp)
+			}
+		}
+		if resp, err := e.call(0, c.op, c.name+"/wrong", c.wrong, nil); err == nil {
+			t.Errorf("%s of a kind %d frame answered %x, want an error", c.name, c.wrong[0], resp)
+		}
+	}
+	if after := shardState(t, e, 0); !reflect.DeepEqual(after, before) {
+		t.Fatalf("state after the bad frames = %q, want %q", after, before)
+	}
+}
+
+// TestMicroDuplicateApplyAppliesOnce sends one apply twice under the same
+// idempotency key: its Add lands once, and the second call answers with
+// the first call's undo frame, byte for byte.
+func TestMicroDuplicateApplyAppliesOnce(t *testing.T) {
+	e, key := deployMicro(t)
+	batch := sfMsg{Kind: sfWrite, Writes: []write{{Key: key, Verb: verbAdd, Delta: 5}}}.encode()
+	first, err := e.call(0, microApply, "r1/s0", batch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := e.call(0, microApply, "r1/s0", batch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(second, first) {
+		t.Fatalf("duplicate apply answered %x, the first %x", second, first)
+	}
+	if got := DecodeInt([]byte(shardState(t, e, 0)[key])); got != 5 {
+		t.Fatalf("%s = %d after the duplicated apply, want 5", key, got)
+	}
+	undo, err := decodeKind(first, sfWrite)
+	if want := []write{{Key: key, Verb: verbAdd, Delta: -5}}; err != nil || !reflect.DeepEqual(undo.Writes, want) {
+		t.Fatalf("undo = %+v (%v), want %+v", undo.Writes, err, want)
 	}
 }

@@ -2,7 +2,6 @@ package tca
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -75,172 +74,11 @@ type statefunExec struct {
 // legitimately vary in dynamic type.
 type sfErrBox struct{ err error }
 
-// sfMsg is a message of the choreography: the op a txn function
-// receives on submit, a read listing one partition's keys, its resp
-// carrying their values, and a write batch of one partition's writes, in
-// buffer order. Its json tags are not a wire format: they name the JSON
-// encoding the frame replaced, which its tests hold the decoder to.
-type sfMsg struct {
-	Kind   sfKind   `json:"k,omitempty"`
-	Op     string   `json:"o,omitempty"`
-	Args   []byte   `json:"a,omitempty"`
-	Keys   []string `json:"ks,omitempty"`
-	Vals   []keyVal `json:"vs,omitempty"`
-	Writes []write  `json:"w,omitempty"`
-}
-
-// sfKind is an sfMsg's first byte. No kind is sfProbePrefix's first
-// byte, so a key function tells a probe from a message by that byte.
-type sfKind byte
-
-const (
-	sfOp sfKind = iota + 1
-	sfRead
-	sfResp
-	sfWrite
-)
-
-// A probe is the one payload that is not an sfMsg: a probe id is its own
+// A probe is the one payload that is not an sfMsg (the frame in
+// cell_write.go, shared with the microservices cell): a probe id is its own
 // payload, and its answer on the egress is the key's found byte (1 or 0)
 // followed by its value.
 const sfProbePrefix = "probe-"
-
-// encode frames m: the kind byte, then the fields of that kind. A string
-// or byte slice is a uvarint length and its bytes, a list a uvarint count
-// and its items; Delta, ID and Cap are varints, Verb and Found one byte.
-func (m sfMsg) encode() []byte {
-	b := append(make([]byte, 0, 256), byte(m.Kind)) // most frames fit
-	switch m.Kind {
-	case sfOp:
-		b = appendField(appendField(b, m.Op), m.Args)
-	case sfRead:
-		b = binary.AppendUvarint(b, uint64(len(m.Keys)))
-		for _, k := range m.Keys {
-			b = appendField(b, k)
-		}
-	case sfResp:
-		b = binary.AppendUvarint(b, uint64(len(m.Vals)))
-		for _, v := range m.Vals {
-			b = append(appendField(appendField(b, v.Key), v.Val), flagByte(v.Found))
-		}
-	case sfWrite:
-		b = binary.AppendUvarint(b, uint64(len(m.Writes)))
-		for _, w := range m.Writes {
-			b = appendField(append(appendField(b, w.Key), byte(w.Verb)), w.Val)
-			b = binary.AppendVarint(binary.AppendVarint(binary.AppendVarint(b, w.Delta), w.ID), int64(w.Cap))
-		}
-	}
-	return b
-}
-
-func appendField[T string | []byte](b []byte, f T) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(f))), f...)
-}
-
-func flagByte(f bool) byte {
-	if f {
-		return 1
-	}
-	return 0
-}
-
-// nonEmpty is b, or nil if b is empty: an empty value decodes as nil.
-func nonEmpty(b []byte) []byte {
-	if len(b) == 0 {
-		return nil
-	}
-	return b
-}
-
-// decodeSfMsg parses a frame into a message that shares no memory with
-// it: the cell keeps decoded values past the invocation, and a
-// crash-replay decodes the same record again. Empty fields and lists
-// decode as nil, as they did from JSON.
-func decodeSfMsg(frame []byte) (sfMsg, error) {
-	r := frameReader(bytes.Clone(frame))
-	m := sfMsg{Kind: sfKind(r.next())}
-	switch m.Kind {
-	case sfOp:
-		m.Op, m.Args = string(r.field()), r.field()
-	case sfRead:
-		m.Keys = list[string](r.count())
-		for i := range m.Keys {
-			m.Keys[i] = string(r.field())
-		}
-	case sfResp:
-		m.Vals = list[keyVal](r.count())
-		for i := range m.Vals {
-			m.Vals[i] = keyVal{Key: string(r.field()), Val: r.field(), Found: r.next() == 1}
-		}
-	case sfWrite:
-		m.Writes = list[write](r.count())
-		for i := range m.Writes {
-			w := &m.Writes[i]
-			w.Key, w.Verb, w.Val = string(r.field()), verb(r.next()), r.field()
-			w.Delta, w.ID, w.Cap = r.varint(), r.varint(), int(r.varint())
-		}
-	default:
-		r = nil
-	}
-	if r == nil || len(r) > 0 {
-		return sfMsg{}, errors.New("tca: malformed dataflow message")
-	}
-	return m, nil
-}
-
-func list[T any](n uint64) []T {
-	if n == 0 {
-		return nil
-	}
-	return make([]T, n)
-}
-
-// frameReader is the unread rest of a frame. A malformed field sets it to
-// nil, and every read after that is zero.
-type frameReader []byte
-
-// skip drops the next n bytes; n < 1 or past the end is malformed.
-func (r *frameReader) skip(n int) {
-	if n < 1 || n > len(*r) {
-		*r = nil
-		return
-	}
-	*r = (*r)[n:]
-}
-
-func (r *frameReader) next() (c byte) {
-	if len(*r) > 0 {
-		c = (*r)[0]
-	}
-	r.skip(1)
-	return c
-}
-
-func (r *frameReader) varint() int64 {
-	v, n := binary.Varint(*r) // 0 if malformed
-	r.skip(n)
-	return v
-}
-
-// count reads a length or a list count. Neither can exceed the bytes
-// left: every byte of a field and every list item takes at least one.
-func (r *frameReader) count() uint64 {
-	n, k := binary.Uvarint(*r)
-	if r.skip(k); n > uint64(len(*r)) {
-		*r = nil
-		return 0
-	}
-	return n
-}
-
-// field reads a length and that many bytes, capped so that an append to
-// the field cannot overwrite the next one.
-func (r *frameReader) field() []byte {
-	n := r.count()
-	f := (*r)[:n:n]
-	*r = (*r)[n:]
-	return nonEmpty(f)
-}
 
 // sfPending pairs an in-flight handle with its trace (the result hop is
 // charged at resolution).

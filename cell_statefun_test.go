@@ -2,6 +2,7 @@ package tca
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -118,6 +119,28 @@ func TestSfMsgDecodeCopies(t *testing.T) {
 	for _, k := range []sfKind{sfOp, sfRead, sfResp, sfWrite} {
 		if byte(k) == sfProbePrefix[0] {
 			t.Fatalf("kind %d is the probe prefix's first byte", k)
+		}
+	}
+}
+
+// TestSfMsgFrameExactSize pins that a frame's capacity is its length, for
+// every kind, empty lists included, and for fields and varints of every
+// width: the microservices cell's idempotency store keeps apply responses
+// for the life of the run, so slack would be retained with them.
+func TestSfMsgFrameExactSize(t *testing.T) {
+	long := []byte(strings.Repeat("v", 300))
+	wide := strings.TrimSuffix(strings.Repeat("key,", 200), ",")
+	msgs := []sfMsg{{Kind: sfOp}, {Kind: sfRead}, {Kind: sfResp}, {Kind: sfWrite}}
+	for kind := byte(0); kind < 4; kind++ {
+		for _, n := range []int64{0, 1, -1, 63, -64, 64, 1 << 20, -1 << 40, math.MaxInt64, math.MinInt64} {
+			msgs = append(msgs,
+				fuzzMsg(kind, "a,bc,", []byte("x"), nil, n, n%2 == 0),
+				fuzzMsg(kind, wide, long, []byte{}, n, true))
+		}
+	}
+	for _, m := range msgs {
+		if f := m.encode(); len(f) != cap(f) {
+			t.Fatalf("kind %d frame of %d keys, %d vals, %d writes: len %d, cap %d", m.Kind, len(m.Keys), len(m.Vals), len(m.Writes), len(f), cap(f))
 		}
 	}
 }

@@ -111,8 +111,11 @@ func (s *Service) Handle(op string, h Handler) {
 	s.bind(op)
 }
 
+// bind registers op's endpoint. Its name and the service's request
+// counter are resolved here, once, not per request.
 func (s *Service) bind(op string) {
 	name := endpointName(s.cfg.Name, op)
+	requests := s.dep.metrics.Counter("micro.requests." + s.cfg.Name)
 	inner := func(c *rpc.Call, req []byte) ([]byte, error) {
 		s.mu.RLock()
 		h, ok := s.ops[op]
@@ -120,7 +123,7 @@ func (s *Service) bind(op string) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %s/%s", ErrNoOp, s.cfg.Name, op)
 		}
-		s.dep.metrics.Counter("micro.requests." + s.cfg.Name).Inc()
+		requests.Inc()
 		return h(&Ctx{Service: s, RPC: c}, req)
 	}
 	if s.cfg.Idempotency != nil {
