@@ -129,11 +129,11 @@ type Op struct {
 	Name string
 	// Keys derives the declared key set from the op's arguments.
 	// Deterministic cells schedule on it, locking cells lock it up front,
-	// sharded cells route with it, and the dataflow and microservices
-	// cells gather every read from it, one request per owning partition or
-	// service, before the body runs. Bodies must confine their Gets to
-	// these keys: on those two cells any other Get fails with
-	// ErrUndeclaredKey.
+	// sharded cells route with it, and the dataflow, microservices and
+	// cloud-functions cells gather every read from it (one request per
+	// owning partition or service, or one critical section) before the
+	// body runs. Bodies must confine their Gets to these keys: on those
+	// three cells any other Get fails with ErrUndeclaredKey.
 	Keys func(args []byte) []string
 	// ReadOnly declares the op a pure query: its body reads its declared
 	// keys and returns a result without writing. Cells use the hint to

@@ -10,12 +10,15 @@ import (
 // op becomes a registered function, every key a durable entity, and each
 // invocation opens an explicit critical section over the op's declared key
 // set (locks acquired in canonical order — deadlock-free, as Durable
-// Functions requires entities to be declared up front). Writes are
-// buffered and flushed only when the body succeeds, so a business failure
-// leaves no partial state. Invocation ids give exactly-once per op. The
-// platform's invocation path is synchronous, so pipelining is the pool's
-// client-side concurrency: concurrent submissions on overlapping entities
-// serialize on the entity locks, the cell's honest contention behavior.
+// Functions requires entities to be declared up front). The section is one
+// store transaction: the handler reads every declared key through it into
+// a snapshotTxn, the body runs on that, and its buffered writes are staged
+// through the section in order and commit in one store commit when the
+// section unlocks — or, if the body or a staged write fails, none do.
+// Invocation ids give exactly-once per op. The platform's invocation path
+// is synchronous, so pipelining is the pool's client-side concurrency:
+// concurrent submissions on overlapping entities serialize on the entity
+// locks, the cell's honest contention behavior.
 type faasExec struct {
 	c *cell
 	p *faas.Platform
@@ -33,23 +36,32 @@ func newFaasExec(c *cell, env *Env) *faasExec {
 			}
 			cs := e.p.Entities().Lock(ids...)
 			defer cs.Unlock()
-			ftx := &faasTxn{e: e, cs: cs, writes: make(map[string][]byte)}
-			result, err := c.runBody(op, ctx.InvocationID(), ftx, payload)
-			if err != nil {
-				return nil, err // buffered writes dropped: all-or-nothing
-			}
-			if op.ReadOnly {
-				// Queries read the locked entities and return: the
-				// buffered-write commit loop never runs.
-				return result, nil
-			}
-			for _, k := range sortedKeys(ftx.writes) {
-				value := ftx.writes[k]
-				if err := cs.Update(e.entity(k), func(store.Row) (store.Row, error) {
-					return store.Row{"v": string(value)}, nil
-				}); err != nil {
+			tx := &snapshotTxn{snapshot: make(map[string]keyVal, len(keys))}
+			for i, k := range keys {
+				row, found, err := cs.Get(ids[i])
+				if err != nil {
 					return nil, err
 				}
+				tx.snapshot[k] = keyVal{Key: k, Val: valueOf(row), Found: found}
+			}
+			result, err := c.runBody(op, ctx.InvocationID(), tx, payload)
+			if err != nil {
+				return nil, err // nothing staged: the section commits nothing
+			}
+			for _, w := range tx.writeBuffer {
+				// A failed Update is kept: Unlock returns it and commits
+				// none of the op's writes.
+				cs.Update(e.entity(w.Key), func(cur store.Row) (store.Row, error) {
+					val, _ := w.apply(valueOf(cur), cur != nil)
+					if cur == nil {
+						cur = store.Row{}
+					}
+					cur["v"] = string(val) // cur is the section's own copy
+					return cur, nil
+				})
+			}
+			if err := cs.Unlock(); err != nil {
+				return nil, err
 			}
 			return result, nil
 		})
@@ -61,38 +73,12 @@ func (e *faasExec) entity(key string) faas.EntityID {
 	return faas.EntityID{Type: e.c.app.Name(), ID: key}
 }
 
-// faasTxn buffers writes inside the critical section; reads see the locked
-// entities overlaid with the op's own writes. The buffer holds final
-// values, not write records: the critical section holds every entity lock,
-// so Add and PushCap are exact as read-modify-writes.
-type faasTxn struct {
-	e      *faasExec
-	cs     *faas.CriticalSection
-	writes map[string][]byte
-}
-
-func (t *faasTxn) Get(key string) ([]byte, bool, error) {
-	if v, ok := t.writes[key]; ok {
-		return v, true, nil
+// valueOf is the value an entity row holds, nil when the entity is absent.
+func valueOf(row store.Row) []byte {
+	if row == nil {
+		return nil
 	}
-	row, ok, err := t.cs.Get(t.e.entity(key))
-	if err != nil || !ok {
-		return nil, false, err // undeclared keys surface ErrNotInCriticalSection
-	}
-	return []byte(row.Str("v")), true, nil
-}
-
-func (t *faasTxn) Put(key string, value []byte) error {
-	t.writes[key] = value
-	return nil
-}
-
-func (t *faasTxn) Add(key string, delta int64) error {
-	return rmw(t, write{Key: key, Verb: verbAdd, Delta: delta})
-}
-
-func (t *faasTxn) PushCap(key string, id int64, cap int) error {
-	return rmw(t, write{Key: key, Verb: verbPush, ID: id, Cap: cap})
+	return []byte(row.Str("v"))
 }
 
 func (e *faasExec) guarantee() Guarantee {
@@ -100,23 +86,15 @@ func (e *faasExec) guarantee() Guarantee {
 		Note: "Durable-Functions entities: explicit critical sections, dedup by op id; cold starts on the latency tail"}
 }
 
-// run is one function invocation: acquire the critical section, run the
-// body, commit the buffered writes.
+// run is one function invocation, routed by its request id: acquire the
+// critical section, run the body, commit its writes.
 func (e *faasExec) run(op Op, reqID string, args []byte, tr *fabric.Trace) ([]byte, error) {
-	// Route by the first declared key (platform placement only).
-	routing := reqID
-	if keys := e.c.app.keysOf(op, args); len(keys) > 0 {
-		routing = keys[0]
-	}
-	return e.p.InvokeID(reqID, op.Name, routing, args, tr)
+	return e.p.InvokeID(reqID, op.Name, reqID, args, tr)
 }
 
 func (e *faasExec) read(key string) ([]byte, bool, error) {
-	row, ok, err := e.p.Entities().Read(e.entity(key))
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return []byte(row.Str("v")), true, nil
+	row, found, err := e.p.Entities().Read(e.entity(key))
+	return valueOf(row), found, err
 }
 
 func (e *faasExec) settle() error { return nil }

@@ -101,7 +101,7 @@ func TestUndeclaredGetFails(t *testing.T) {
 			return nil, err
 		},
 	})
-	for _, model := range []ProgrammingModel{Microservices, StatefulDataflow} {
+	for _, model := range []ProgrammingModel{Microservices, StatefulDataflow, CloudFunctions} {
 		t.Run(model.String(), func(t *testing.T) {
 			c, err := Deploy(model, app, NewEnv(1, 3))
 			if err != nil {
@@ -121,6 +121,36 @@ func TestUndeclaredGetFails(t *testing.T) {
 				t.Fatalf("Read(a) = found %v, err %v; want no write", found, err)
 			}
 		})
+	}
+}
+
+// TestFaasUndeclaredWriteAppliesNothing pins the FaaS cell's atomicity
+// when a body writes a key it did not declare: the staged write to that
+// key fails, so the op fails, and its write to the declared key before it
+// does not land either.
+func TestFaasUndeclaredWriteAppliesNothing(t *testing.T) {
+	app := NewApp("undeclared").Register(Op{
+		Name: "stray",
+		Keys: func([]byte) []string { return []string{"a"} },
+		Body: func(tx Txn, _ []byte) ([]byte, error) {
+			if err := tx.Put("a", EncodeInt(1)); err != nil {
+				return nil, err
+			}
+			return nil, tx.Put("z", EncodeInt(1))
+		},
+	})
+	c, err := Deploy(CloudFunctions, app, NewEnv(1, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Invoke("r1", "stray", nil, nil); err == nil {
+		t.Fatal("Invoke of a body that writes an undeclared key succeeded")
+	}
+	for _, k := range []string{"a", "z"} {
+		if _, found, err := c.Read(k); err != nil || found {
+			t.Fatalf("Read(%s) = found %v, err %v; want no write", k, found, err)
+		}
 	}
 }
 

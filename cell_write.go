@@ -65,8 +65,8 @@ func (w write) inverse(prev []byte, found bool) write {
 }
 
 // rmw applies w as a read-modify-write over tx's own Get and Put: how the
-// executors whose Txn is already isolated (2PL actors, locked entities,
-// the deterministic schedule) implement Add and PushCap.
+// executors whose Txn is already isolated (2PL actors, the deterministic
+// schedule) implement Add and PushCap.
 func rmw(tx Txn, w write) error {
 	cur, found, err := tx.Get(w.Key)
 	if err != nil {
@@ -123,8 +123,9 @@ func byShard[T any](items []T, n int, key func(T) string, shard func(string) int
 }
 
 // snapshotTxn runs a body over the values gathered for every declared key,
-// found or not, before it ran. Its writes are buffered and shipped after
-// it succeeds, one batch per service or partition. A Get applies the op's
+// found or not, before it ran. Its writes are buffered and applied after
+// it succeeds: one batch per service or partition, or one critical
+// section's store transaction on the FaaS cell. A Get applies the op's
 // own writes to the snapshot's value, in order, so a body reads its own
 // writes; a Get of an undeclared key fails with ErrUndeclaredKey.
 type snapshotTxn struct {
@@ -145,14 +146,14 @@ func (t *snapshotTxn) Get(key string) ([]byte, bool, error) {
 	return v.Val, v.Found, nil
 }
 
-// sfMsg is the one wire format of the two cells that gather reads before
-// the body runs. On the dataflow cell it is the op a txn function receives
-// on submit, a read listing one partition's keys, its resp carrying their
-// values, and a write batch of one partition's writes, in buffer order; on
-// the microservices cell, a get's read and resp, and an apply's write
-// batch and the undo batch it answers with. Its json tags are not a wire
-// format: they name the JSON encoding the frame replaced, which its tests
-// hold the decoder to.
+// sfMsg is the one wire format of the two cells that gather reads by
+// message before the body runs. On the dataflow cell it is the op a txn
+// function receives on submit, a read listing one partition's keys, its
+// resp carrying their values, and a write batch of one partition's
+// writes, in buffer order; on the microservices cell, a get's read and
+// resp, and an apply's write batch and the undo batch it answers with.
+// Its json tags are not a wire format: they name the JSON encoding the
+// frame replaced, which its tests hold the decoder to.
 type sfMsg struct {
 	Kind   sfKind   `json:"k,omitempty"`
 	Op     string   `json:"o,omitempty"`

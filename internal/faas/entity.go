@@ -3,17 +3,16 @@ package faas
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"tca/internal/store"
 )
 
-// Entity errors.
-var (
-	ErrNotInCriticalSection = errors.New("faas: entity not locked by this critical section")
-	ErrLockOrdering         = errors.New("faas: critical sections must lock all entities up front")
-)
+// ErrNotInCriticalSection rejects a section's access to an entity it
+// does not hold, or any access after Unlock.
+var ErrNotInCriticalSection = errors.New("faas: entity not locked by this critical section")
 
 // EntityID addresses a durable entity (the typed-object state abstraction
 // of Azure Durable Functions surveyed in §4.2).
@@ -35,26 +34,23 @@ type EntityManager struct {
 	db *store.DB
 
 	mu    sync.Mutex
-	locks map[string]*entityLock
-}
-
-type entityLock struct {
-	mu sync.Mutex
+	locks map[string]*sync.Mutex // by entity name
 }
 
 func newEntityManager(p *Platform) *EntityManager {
 	db := store.NewDB(store.Config{Name: "faas-entities"})
 	db.CreateTable("entities")
-	return &EntityManager{p: p, db: db, locks: make(map[string]*entityLock)}
+	return &EntityManager{p: p, db: db, locks: make(map[string]*sync.Mutex)}
 }
 
-func (m *EntityManager) lockOf(id EntityID) *entityLock {
+// lockOf returns the lock of the entity named name (an EntityID.String()).
+func (m *EntityManager) lockOf(name string) *sync.Mutex {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	l, ok := m.locks[id.String()]
+	l, ok := m.locks[name]
 	if !ok {
-		l = &entityLock{}
-		m.locks[id.String()] = l
+		l = &sync.Mutex{}
+		m.locks[name] = l
 	}
 	return l
 }
@@ -64,29 +60,29 @@ func (m *EntityManager) lockOf(id EntityID) *entityLock {
 // read-modify-write is serialized per entity and durably committed —
 // single-entity operations need no explicit locking.
 func (m *EntityManager) Signal(id EntityID, fn func(state store.Row) (store.Row, error)) error {
-	l := m.lockOf(id)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return m.apply(id, fn)
-}
-
-func (m *EntityManager) apply(id EntityID, fn func(state store.Row) (store.Row, error)) error {
+	name := id.String()
+	l := m.lockOf(name)
+	l.Lock()
+	defer l.Unlock()
 	tx := m.db.Begin(store.ReadCommitted)
-	cur, _, err := tx.Get("entities", id.String())
-	if err != nil {
-		tx.Abort()
-		return err
-	}
-	next, err := fn(cur)
-	if err != nil {
-		tx.Abort()
-		return err
-	}
-	if err := tx.Put("entities", id.String(), next); err != nil {
+	if err := update(tx, name, fn); err != nil {
 		tx.Abort()
 		return err
 	}
 	return tx.Commit()
+}
+
+// update runs fn's read-modify-write of the entity named name in tx.
+func update(tx *store.Txn, name string, fn func(state store.Row) (store.Row, error)) error {
+	cur, _, err := tx.Get("entities", name)
+	if err != nil {
+		return err
+	}
+	next, err := fn(cur)
+	if err != nil {
+		return err
+	}
+	return tx.Put("entities", name, next)
 }
 
 // Read returns an entity's current state without locking (a dirty read by
@@ -98,68 +94,94 @@ func (m *EntityManager) Read(id EntityID) (store.Row, bool, error) {
 	return tx.Get("entities", id.String())
 }
 
-// CriticalSection is an explicit multi-entity lock scope.
+// CriticalSection is an explicit multi-entity lock scope, and one store
+// transaction: its reads and writes run in that transaction, and Unlock
+// commits the writes together or not at all.
 type CriticalSection struct {
-	m      *EntityManager
-	ids    []EntityID
-	held   []*entityLock
+	held   []heldEntity // sorted by name, the acquisition order
+	tx     *store.Txn
+	staged bool  // an Update has put a row in tx
+	err    error // the first failed Update's error
 	closed bool
+}
+
+type heldEntity struct {
+	id   EntityID
+	name string // id.String(), built once per section
+	lock *sync.Mutex
 }
 
 // Lock opens a critical section over the given entities. Locks are
 // acquired in a canonical (sorted) order, which makes cross-section
 // deadlock impossible — the discipline Durable Functions enforces by
-// requiring all entities to be declared up front.
+// requiring all entities to be declared up front. It then begins the
+// section's one ReadCommitted transaction: every entity it may touch is
+// locked, so its reads are stable until Unlock.
 func (m *EntityManager) Lock(ids ...EntityID) *CriticalSection {
-	sorted := make([]EntityID, len(ids))
-	copy(sorted, ids)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].String() < sorted[j].String() })
-	cs := &CriticalSection{m: m, ids: sorted}
-	for _, id := range sorted {
-		l := m.lockOf(id)
-		l.mu.Lock()
-		cs.held = append(cs.held, l)
+	cs := &CriticalSection{held: make([]heldEntity, len(ids))}
+	for i, id := range ids {
+		cs.held[i] = heldEntity{id: id, name: id.String()}
 	}
-	m.p.metrics.Counter("faas.critical_sections").Inc()
+	slices.SortFunc(cs.held, func(a, b heldEntity) int { return strings.Compare(a.name, b.name) })
+	for i := range cs.held {
+		cs.held[i].lock = m.lockOf(cs.held[i].name)
+		cs.held[i].lock.Lock()
+	}
+	cs.tx = m.db.Begin(store.ReadCommitted)
+	m.p.criticalSections.Inc()
 	return cs
 }
 
-// Update performs an atomic read-modify-write on one locked entity.
+// Update performs a read-modify-write on one locked entity in the
+// section's transaction: later reads in the section see it, and it
+// commits at Unlock. After a failed Update the section commits nothing.
 func (cs *CriticalSection) Update(id EntityID, fn func(state store.Row) (store.Row, error)) error {
-	if cs.closed {
-		return ErrNotInCriticalSection
+	name, err := cs.nameOf(id)
+	if err == nil {
+		err = update(cs.tx, name, fn)
 	}
-	if !cs.holds(id) {
-		return fmt.Errorf("%w: %s", ErrNotInCriticalSection, id)
+	if err != nil && cs.err == nil {
+		cs.err = err
 	}
-	return cs.m.apply(id, fn)
+	cs.staged = cs.staged || err == nil
+	return err
 }
 
-// Get reads one locked entity.
+// Get reads one locked entity, as the section's own Updates left it.
 func (cs *CriticalSection) Get(id EntityID) (store.Row, bool, error) {
-	if cs.closed || !cs.holds(id) {
-		return nil, false, fmt.Errorf("%w: %s", ErrNotInCriticalSection, id)
+	name, err := cs.nameOf(id)
+	if err != nil {
+		return nil, false, err
 	}
-	return cs.m.Read(id)
+	return cs.tx.Get("entities", name)
 }
 
-func (cs *CriticalSection) holds(id EntityID) bool {
-	for _, held := range cs.ids {
-		if held == id {
-			return true
+// nameOf returns the name of id if the section is open and holds it.
+func (cs *CriticalSection) nameOf(id EntityID) (string, error) {
+	for _, h := range cs.held {
+		if h.id == id && !cs.closed {
+			return h.name, nil
 		}
 	}
-	return false
+	return "", fmt.Errorf("%w: %s", ErrNotInCriticalSection, id)
 }
 
-// Unlock releases the critical section. Idempotent.
-func (cs *CriticalSection) Unlock() {
+// Unlock ends the critical section: it commits the section's Updates in
+// one store commit — or, if one failed, commits nothing and returns that
+// Update's error — and then releases the locks. Idempotent.
+func (cs *CriticalSection) Unlock() error {
 	if cs.closed {
-		return
+		return nil
 	}
 	cs.closed = true
+	err := cs.err
+	if err == nil && cs.staged {
+		err = cs.tx.Commit()
+	}
+	cs.tx.Abort() // a no-op after Commit
 	// Release in reverse acquisition order.
 	for i := len(cs.held) - 1; i >= 0; i-- {
-		cs.held[i].mu.Unlock()
+		cs.held[i].lock.Unlock()
 	}
+	return err
 }

@@ -2,7 +2,9 @@
 // Function-as-a-Service with the two state models §3.3 identifies —
 // private state (a durable object tied to a function identity, the Azure
 // Durable Functions "entity" design) and shared state (a causally
-// consistent key-value store, the Cloudburst design).
+// consistent key-value store, the Cloudburst design). An operation over
+// several entities is an explicit critical section: one store transaction
+// under the entities' locks, whose writes commit together or not at all.
 //
 // Lifecycle costs are modeled explicitly (§4.3): each function has a warm
 // container pool; an invocation that finds no warm container pays the cold
@@ -99,6 +101,7 @@ func DefaultConfig() Config {
 type function struct {
 	name    string
 	handler Handler
+	exec    *metrics.Histogram // faas.exec.<name>
 
 	mu    sync.Mutex
 	warm  int // containers currently warm and idle
@@ -117,6 +120,9 @@ type Platform struct {
 	shared   *SharedStore
 	results  *dedup.Store // invocation-id dedup (exactly-once per op)
 
+	// The invoke path's counters, resolved once.
+	coldStarts, warmStarts, throttled, dedupReplays, criticalSections *metrics.Counter
+
 	mu      sync.RWMutex
 	fns     map[string]*function
 	stopped bool
@@ -130,12 +136,18 @@ func NewPlatform(cluster *fabric.Cluster, cfg Config) *Platform {
 	if cfg.WarmPool <= 0 {
 		cfg.WarmPool = 8
 	}
+	m := metrics.NewRegistry()
 	p := &Platform{
-		cfg:     cfg,
-		cluster: cluster,
-		metrics: metrics.NewRegistry(),
-		results: dedup.New(0),
-		fns:     make(map[string]*function),
+		cfg:              cfg,
+		cluster:          cluster,
+		metrics:          m,
+		results:          dedup.New(0),
+		fns:              make(map[string]*function),
+		coldStarts:       m.Counter("faas.cold_starts"),
+		warmStarts:       m.Counter("faas.warm_starts"),
+		throttled:        m.Counter("faas.throttled"),
+		dedupReplays:     m.Counter("faas.dedup_replays"),
+		criticalSections: m.Counter("faas.critical_sections"),
 	}
 	p.entities = newEntityManager(p)
 	p.shared = NewSharedStore()
@@ -158,6 +170,7 @@ func (p *Platform) Register(name string, h Handler) {
 	p.fns[name] = &function{
 		name:    name,
 		handler: h,
+		exec:    p.metrics.Histogram("faas.exec." + name),
 		limit:   p.cfg.MaxConcurrent,
 		pool:    p.cfg.WarmPool,
 	}
@@ -190,7 +203,7 @@ func (p *Platform) InvokeID(id, fn, key string, payload []byte, tr *fabric.Trace
 		return p.execute(f, id, key, payload, tr)
 	})
 	if dup {
-		p.metrics.Counter("faas.dedup_replays").Inc()
+		p.dedupReplays.Inc()
 	}
 	return resp, err
 }
@@ -198,21 +211,21 @@ func (p *Platform) InvokeID(id, fn, key string, payload []byte, tr *fabric.Trace
 func (p *Platform) execute(f *function, id, key string, payload []byte, tr *fabric.Trace) ([]byte, error) {
 	cold, err := f.acquire()
 	if err != nil {
-		p.metrics.Counter("faas.throttled").Inc()
+		p.throttled.Inc()
 		return nil, err
 	}
 	defer f.release()
 	if cold {
 		tr.Charge(p.cfg.ColdStart)
 		tr.Charge(p.cfg.StateFetch) // fresh container pulls its state
-		p.metrics.Counter("faas.cold_starts").Inc()
+		p.coldStarts.Inc()
 	} else {
-		p.metrics.Counter("faas.warm_starts").Inc()
+		p.warmStarts.Inc()
 	}
 	ctx := &Ctx{Function: f.name, Key: key, Trace: tr, Cold: cold, id: id, platform: p}
 	start := time.Now()
 	resp, err := f.handler(ctx, payload)
-	p.metrics.Histogram("faas.exec." + f.name).RecordDuration(time.Since(start))
+	f.exec.RecordDuration(time.Since(start))
 	return resp, err
 }
 

@@ -3,6 +3,7 @@ package faas
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -297,6 +298,154 @@ func TestCriticalSectionsNoDeadlockOppositeOrders(t *testing.T) {
 	rb, _, _ := em.Read(b)
 	if ra.Int("bal")+rb.Int("bal") != 0 {
 		t.Fatalf("conservation violated: %d + %d != 0", ra.Int("bal"), rb.Int("bal"))
+	}
+}
+
+// txnsBegun returns how many store transactions db began since the one
+// whose id is since, and the id to pass next time: Begin hands out
+// consecutive ids.
+func txnsBegun(db *store.DB, since uint64) (n, id uint64) {
+	tx := db.Begin(store.ReadCommitted)
+	defer tx.Abort()
+	return tx.ID() - since - 1, tx.ID()
+}
+
+func TestCriticalSectionIsOneTransaction(t *testing.T) {
+	p := newPlatform(DefaultConfig())
+	em := p.entities
+	ids := []EntityID{{"acc", "a"}, {"acc", "b"}, {"acc", "c"}}
+	bump := func(s store.Row) (store.Row, error) { return store.Row{"n": s.Int("n") + 1}, nil }
+	_, id := txnsBegun(em.db, 0)
+	commits := em.db.Commits.Load()
+
+	cs := em.Lock(ids...)
+	for _, e := range append(ids, ids[0]) {
+		if err := cs.Update(e, bump); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if row, _, _ := cs.Get(ids[0]); row.Int("n") != 2 {
+		t.Fatalf("Get after two Updates in the section = %v, want n=2", row)
+	}
+	if err := cs.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	var begun uint64
+	if begun, id = txnsBegun(em.db, id); begun != 1 {
+		t.Fatalf("a section with 4 Updates began %d store transactions, want 1", begun)
+	}
+	if got := em.db.Commits.Load() - commits; got != 1 {
+		t.Fatalf("a section with 4 Updates made %d commits, want 1", got)
+	}
+
+	commits = em.db.Commits.Load()
+	cs = em.Lock(ids...)
+	if _, _, err := cs.Get(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.Unlock(); err != nil {
+		t.Fatal(err)
+	}
+	if begun, _ = txnsBegun(em.db, id); begun != 1 {
+		t.Fatalf("a read-only section began %d store transactions, want 1", begun)
+	}
+	if got := em.db.Commits.Load() - commits; got != 0 {
+		t.Fatalf("a read-only section made %d commits, want 0", got)
+	}
+}
+
+func TestCriticalSectionFailedUpdateCommitsNothing(t *testing.T) {
+	p := newPlatform(DefaultConfig())
+	em := p.entities
+	a, b, stray := EntityID{"acc", "a"}, EntityID{"acc", "b"}, EntityID{"acc", "z"}
+	boom := errors.New("insufficient funds")
+	for _, tc := range []struct {
+		name string
+		fail func(cs *CriticalSection) error
+		want error
+	}{
+		{"fn error", func(cs *CriticalSection) error {
+			return cs.Update(b, func(store.Row) (store.Row, error) { return nil, boom })
+		}, boom},
+		{"undeclared entity", func(cs *CriticalSection) error {
+			return cs.Update(stray, func(store.Row) (store.Row, error) { return store.Row{"n": int64(1)}, nil })
+		}, ErrNotInCriticalSection},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cs := em.Lock(a, b)
+			if err := cs.Update(a, func(store.Row) (store.Row, error) { return store.Row{"n": int64(1)}, nil }); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.fail(cs); !errors.Is(err, tc.want) {
+				t.Fatalf("failing Update = %v, want %v", err, tc.want)
+			}
+			// A later Update that succeeds does not clear the failure.
+			if err := cs.Update(b, func(store.Row) (store.Row, error) { return store.Row{"n": int64(1)}, nil }); err != nil {
+				t.Fatal(err)
+			}
+			if err := cs.Unlock(); !errors.Is(err, tc.want) {
+				t.Fatalf("Unlock = %v, want the failed Update's %v", err, tc.want)
+			}
+			for _, id := range []EntityID{a, b, stray} {
+				if row, found, _ := em.Read(id); found {
+					t.Fatalf("%s = %v after a section whose Update failed, want absent", id, row)
+				}
+			}
+		})
+	}
+}
+
+// TestCriticalSectionTransferNeverTorn reads two accounts in one snapshot
+// while sections move money between them: every snapshot must see each
+// transfer whole.
+func TestCriticalSectionTransferNeverTorn(t *testing.T) {
+	p := newPlatform(DefaultConfig())
+	em := p.entities
+	a, b := EntityID{"acc", "a"}, EntityID{"acc", "b"}
+	move := func(delta int64) func(store.Row) (store.Row, error) {
+		return func(s store.Row) (store.Row, error) { return store.Row{"bal": s.Int("bal") + delta}, nil }
+	}
+	em.Signal(a, move(100))
+	em.Signal(b, move(100))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 500; i++ {
+			cs := em.Lock(a, b)
+			cs.Update(a, move(-1))
+			runtime.Gosched() // let the reader in mid-transfer
+			cs.Update(b, move(1))
+			if err := cs.Unlock(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			return
+		default:
+			runtime.Gosched()
+		}
+		var sum int64
+		err := em.db.View(func(tx *store.Txn) error {
+			for _, id := range []EntityID{a, b} {
+				row, _, err := tx.Get("entities", id.String())
+				if err != nil {
+					return err
+				}
+				sum += row.Int("bal")
+			}
+			return nil
+		})
+		if err == nil && sum != 200 {
+			err = fmt.Errorf("snapshot %d saw a torn transfer: a+b = %d, want 200", reads, sum)
+		}
+		if err != nil {
+			<-done
+			t.Fatal(err)
+		}
 	}
 }
 
