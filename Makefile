@@ -34,7 +34,9 @@ verify:
 # framework that binds them), and the FaaS platform, whose critical
 # sections each keep one store transaction open under their entity locks
 # while other sections, Signals and readers run on the same entity
-# database — the bugs ROADMAP item 1 lists only showed at more than one
+# database, and the fabric, whose cached list of up nodes Crash and
+# Restart rebuild while every actor access places a key on it — the bugs
+# ROADMAP item 1 lists only showed at more than one
 # P, and not on every run. The first line is the store's OCC retry test
 # 200 times without the race detector: the setting where back-to-back
 # retries exhausted. The last three fuzz the TPC-C args decoder against encoding/json for 15 s,
@@ -42,7 +44,7 @@ verify:
 # encoding it replaced) and the statefun envelope frame.
 stress:
 	go test -count=200 -run TestUpdateRetriesConflicts ./internal/store
-	go test -race -count=10 -cpu 1,2,4,8 ./internal/store ./internal/actor ./internal/core ./internal/wal ./internal/dataflow ./internal/statefun ./internal/mq ./internal/dedup ./internal/rpc ./internal/saga ./internal/micro ./internal/faas
+	go test -race -count=10 -cpu 1,2,4,8 ./internal/store ./internal/actor ./internal/core ./internal/wal ./internal/dataflow ./internal/statefun ./internal/mq ./internal/dedup ./internal/rpc ./internal/saga ./internal/micro ./internal/faas ./internal/fabric
 	go test -race -count=10 -cpu 1,2,4,8 -run 'Submit|Shed|Session|ReadOnly|WideTxn|Geo|Statefun|Micro' .
 	go test -run '^$$' -fuzz '^FuzzDecodeTPCCOp$$' -fuzztime 15s ./internal/workload
 	go test -run '^$$' -fuzz '^FuzzSfMsgFrame$$' -fuzztime 10s .
@@ -110,7 +112,7 @@ bench-baseline:
 # outside bench/ (the benchmark module is not the system under study). It
 # is also a ratchet: it fails when the non-test count exceeds LOC_CEILING,
 # so a change that grows the system raises the ceiling in its own diff.
-LOC_CEILING = 20466
+LOC_CEILING = 20516
 loc:
 	@nontest=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo "non-test Go lines: $$nontest"; \

@@ -256,10 +256,13 @@ type pendingIntent struct {
 // refAuditor is the shared engine behind every workload auditor: the
 // serial reference, the constraint machinery, and the order verdict.
 type refAuditor struct {
+	// pendMu guards pending alone: Record, inline in an open-loop pacer,
+	// must not wait behind an Observe's replay under mu.
+	pendMu  sync.Mutex
+	pending map[string]pendingIntent
 	mu      sync.Mutex
 	cfg     auditorConfig
 	state   mapTxn
-	pending map[string]pendingIntent
 	order   *orderAudit
 	// clock stamps serial (zero-time) commits so offline replays still
 	// carry a total order for the precedence graph.
@@ -318,15 +321,15 @@ func intCompare(key string, got, want []byte) string {
 
 // Record declares an accepted intent; its Observe (or Discard) resolves it.
 func (a *refAuditor) Record(reqID, op string, args []byte) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.pendMu.Lock()
+	defer a.pendMu.Unlock()
 	a.pending[reqID] = pendingIntent{op: op, args: args, start: time.Now()}
 }
 
 // Discard drops a recorded intent whose submission was rejected.
 func (a *refAuditor) Discard(reqID string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.pendMu.Lock()
+	defer a.pendMu.Unlock()
 	delete(a.pending, reqID)
 }
 
@@ -344,17 +347,18 @@ func (a *refAuditor) Discard(reqID string) {
 // above any harness's in-flight depth, the bound on observation
 // displacement); Violations, Stats, and Verify drain it.
 func (a *refAuditor) Observe(c Commit) {
+	a.pendMu.Lock()
+	p, ok := a.pending[c.ReqID]
+	delete(a.pending, c.ReqID)
+	a.pendMu.Unlock()
+	if ok && c.Op == "" {
+		c.Op, c.Args = p.op, p.args
+	}
+	if ok && c.Start.IsZero() {
+		c.Start = p.start
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if p, ok := a.pending[c.ReqID]; ok {
-		delete(a.pending, c.ReqID)
-		if c.Op == "" {
-			c.Op, c.Args = p.op, p.args
-		}
-		if c.Start.IsZero() {
-			c.Start = p.start
-		}
-	}
 	if _, ok := a.cfg.app.Op(c.Op); !ok {
 		return
 	}
@@ -514,8 +518,10 @@ func (a *refAuditor) Close() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.state = make(mapTxn)
-	a.pending = make(map[string]pendingIntent)
 	a.order = newOrderAudit(auditWindow)
+	a.pendMu.Lock()
+	a.pending = make(map[string]pendingIntent)
+	a.pendMu.Unlock()
 }
 
 // LiveKeys returns the declared keys of an op that the set's live checks

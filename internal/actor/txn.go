@@ -3,8 +3,10 @@ package actor
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tca/internal/fabric"
+	"tca/internal/metrics"
 	"tca/internal/store"
 )
 
@@ -26,12 +28,17 @@ type Coordinator struct {
 	sys *System
 	// Retries on serialization conflicts / wounds.
 	Retries int
+
+	commits, readOnly, retries, exhausted *metrics.Counter // actor.txn_*
 }
 
 // NewCoordinator creates a transaction coordinator for the system.
 func NewCoordinator(sys *System) *Coordinator {
 	sys.db.CreateTable("actor_txn_state")
-	return &Coordinator{sys: sys, Retries: 10}
+	m := sys.metrics
+	return &Coordinator{sys: sys, Retries: 10,
+		commits: m.Counter("actor.txn_commits"), readOnly: m.Counter("actor.txn_readonly"),
+		retries: m.Counter("actor.txn_retries"), exhausted: m.Counter("actor.txn_exhausted")}
 }
 
 // ActorTxn is the per-transaction handle passed to the body function.
@@ -41,18 +48,21 @@ type ActorTxn struct {
 	trace *fabric.Trace
 	coord fabric.NodeID
 	// participants are the distinct nodes hosting actors this transaction
-	// touched; each costs a prepare and a commit round trip.
-	participants map[fabric.NodeID]struct{}
+	// touched, in touch order; each costs a prepare and a commit round trip.
+	// parts backs it until more nodes than that are touched.
+	participants []fabric.NodeID
+	parts        [4]fabric.NodeID
 	// readOnly transactions reject writes and skip the commit protocol.
 	readOnly bool
 }
 
 // Read returns the transactional state of ref, acquiring a shared lock.
 func (t *ActorTxn) Read(ref Ref) (store.Row, bool, error) {
-	if err := t.charge(ref); err != nil {
+	key, err := t.charge(ref)
+	if err != nil {
 		return nil, false, err
 	}
-	return t.tx.Get("actor_txn_state", ref.String())
+	return t.tx.Get("actor_txn_state", key)
 }
 
 // Write replaces the transactional state of ref, acquiring an exclusive
@@ -61,21 +71,26 @@ func (t *ActorTxn) Write(ref Ref, state store.Row) error {
 	if t.readOnly {
 		return ErrReadOnlyTxn
 	}
-	if err := t.charge(ref); err != nil {
-		return err
-	}
-	return t.tx.Put("actor_txn_state", ref.String(), state)
-}
-
-// charge records ref's node as a participant and charges the access hop.
-func (t *ActorTxn) charge(ref Ref) error {
-	node, err := t.sys.cluster.PlaceAlive(ref.String())
+	key, err := t.charge(ref)
 	if err != nil {
 		return err
 	}
+	return t.tx.Put("actor_txn_state", key, state)
+}
+
+// charge records ref's node as a participant, charges the access hop, and
+// returns ref's state key.
+func (t *ActorTxn) charge(ref Ref) (string, error) {
+	key := ref.String()
+	node, err := t.sys.cluster.PlaceAlive(key)
+	if err != nil {
+		return "", err
+	}
 	t.sys.cluster.Send(t.coord, node, t.trace)
-	t.participants[node] = struct{}{}
-	return nil
+	if !slices.Contains(t.participants, node) {
+		t.participants = append(t.participants, node)
+	}
+	return key, nil
 }
 
 // Run executes fn as one ACID transaction across any set of actors,
@@ -105,9 +120,9 @@ func (c *Coordinator) run(tr *fabric.Trace, readOnly bool, fn func(t *ActorTxn) 
 	if err != nil {
 		return err
 	}
-	kind, done := "", "actor.txn_commits"
+	kind, done := "", c.commits
 	if readOnly {
-		kind, done = "read-only ", "actor.txn_readonly"
+		kind, done = "read-only ", c.readOnly
 	}
 	tx := c.sys.db.Begin(store.Locking2PL)
 	var lastErr error
@@ -116,13 +131,13 @@ func (c *Coordinator) run(tr *fabric.Trace, readOnly bool, fn func(t *ActorTxn) 
 			tx = tx.Restart()
 		}
 		t := &ActorTxn{
-			sys:          c.sys,
-			tx:           tx,
-			trace:        tr,
-			coord:        coord,
-			participants: make(map[fabric.NodeID]struct{}),
-			readOnly:     readOnly,
+			sys:      c.sys,
+			tx:       tx,
+			trace:    tr,
+			coord:    coord,
+			readOnly: readOnly,
 		}
+		t.participants = t.parts[:0]
 		err := fn(t)
 		if err == nil && !readOnly {
 			err = c.commit(t)
@@ -131,23 +146,23 @@ func (c *Coordinator) run(tr *fabric.Trace, readOnly bool, fn func(t *ActorTxn) 
 		// transaction with no writes has nothing else to undo.
 		tx.Abort()
 		if err == nil {
-			c.sys.metrics.Counter(done).Inc()
+			done.Inc()
 			return nil
 		}
 		if !store.IsRetryable(err) {
 			return err
 		}
 		lastErr = err
-		c.sys.metrics.Counter("actor.txn_retries").Inc()
+		c.retries.Inc()
 	}
-	c.sys.metrics.Counter("actor.txn_exhausted").Inc()
+	c.exhausted.Inc()
 	return fmt.Errorf("actor: %stransaction retries exhausted: %w", kind, lastErr)
 }
 
 // commit runs two-phase commit for t across its participant nodes.
 func (c *Coordinator) commit(t *ActorTxn) error {
 	// Phase one: prepare every participant (one round trip each).
-	for node := range t.participants {
+	for _, node := range t.participants {
 		c.sys.cluster.Send(t.coord, node, t.trace)
 		c.sys.cluster.Send(node, t.coord, t.trace)
 	}
@@ -155,7 +170,7 @@ func (c *Coordinator) commit(t *ActorTxn) error {
 		return err
 	}
 	// Phase two: commit decision to every participant.
-	for node := range t.participants {
+	for _, node := range t.participants {
 		c.sys.cluster.Send(t.coord, node, t.trace)
 		c.sys.cluster.Send(node, t.coord, t.trace)
 	}

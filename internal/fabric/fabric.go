@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 )
@@ -113,13 +114,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// Cluster is a set of nodes plus the network between them.
+// Cluster is a set of nodes plus the network between them. Placement hashes
+// a key onto ids (every node) or alive (the up ones), both sorted and kept
+// under mu; Crash and Restart rebuild alive, so placing allocates nothing.
 type Cluster struct {
 	cfg Config
 
 	mu         sync.Mutex
 	rng        *rand.Rand
 	nodes      map[NodeID]*nodeState
+	ids        []NodeID
+	alive      []NodeID
 	regions    map[NodeID]string
 	partitions map[partitionKey]bool
 	epoch      uint64 // incremented on every membership/failure event
@@ -151,7 +156,21 @@ func NewCluster(cfg Config, nodes ...NodeID) *Cluster {
 	for _, n := range nodes {
 		c.nodes[n] = &nodeState{up: true}
 	}
+	c.ids = slices.Clone(nodes)
+	slices.Sort(c.ids)
+	c.ids = slices.Compact(c.ids)
+	c.refreshAlive()
 	return c
+}
+
+// refreshAlive rebuilds alive from ids. Caller holds c.mu.
+func (c *Cluster) refreshAlive() {
+	c.alive = c.alive[:0]
+	for _, n := range c.ids {
+		if c.nodes[n].up {
+			c.alive = append(c.alive, n)
+		}
+	}
 }
 
 // SingleNode returns a one-node cluster with default config, convenient for
@@ -160,15 +179,11 @@ func SingleNode() *Cluster {
 	return NewCluster(DefaultConfig(), "node-0")
 }
 
-// Nodes returns the IDs of all nodes, in unspecified order.
+// Nodes returns the IDs of all nodes, in ascending order.
 func (c *Cluster) Nodes() []NodeID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]NodeID, 0, len(c.nodes))
-	for n := range c.nodes {
-		out = append(out, n)
-	}
-	return out
+	return slices.Clone(c.ids)
 }
 
 // Crash marks a node as down. Messages to/from it fail until Restart.
@@ -182,6 +197,7 @@ func (c *Cluster) Crash(n NodeID) error {
 	if s.up {
 		s.up = false
 		c.epoch++
+		c.refreshAlive()
 	}
 	return nil
 }
@@ -198,6 +214,7 @@ func (c *Cluster) Restart(n NodeID) error {
 		s.up = true
 		s.restarts++
 		c.epoch++
+		c.refreshAlive()
 	}
 	return nil
 }
@@ -346,16 +363,10 @@ func (c *Cluster) Intn(n int) int {
 func (c *Cluster) Place(key string) NodeID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.nodes) == 0 {
+	if len(c.ids) == 0 {
 		return ""
 	}
-	ids := make([]NodeID, 0, len(c.nodes))
-	for n := range c.nodes {
-		ids = append(ids, n)
-	}
-	sortNodeIDs(ids)
-	h := fnv64(key)
-	return ids[h%uint64(len(ids))]
+	return c.ids[fnv64(key)%uint64(len(c.ids))]
 }
 
 // PlaceAlive maps a key to an up node, skipping crashed nodes; returns
@@ -363,26 +374,10 @@ func (c *Cluster) Place(key string) NodeID {
 func (c *Cluster) PlaceAlive(key string) (NodeID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := make([]NodeID, 0, len(c.nodes))
-	for n, s := range c.nodes {
-		if s.up {
-			ids = append(ids, n)
-		}
-	}
-	if len(ids) == 0 {
+	if len(c.alive) == 0 {
 		return "", ErrNodeDown
 	}
-	sortNodeIDs(ids)
-	h := fnv64(key)
-	return ids[h%uint64(len(ids))], nil
-}
-
-func sortNodeIDs(ids []NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	return c.alive[fnv64(key)%uint64(len(c.alive))], nil
 }
 
 // fnv64 hashes a string with FNV-1a.

@@ -2,6 +2,9 @@ package fabric
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -191,6 +194,89 @@ func TestPlaceAliveSkipsCrashed(t *testing.T) {
 	}
 }
 
+// TestPlaceAliveFollowsMembership holds the cached node lists to the
+// sort-and-hash placement they replaced, through every crash and restart
+// (Place ignores liveness, so it keeps to all four nodes), and pins that
+// placing a key allocates nothing.
+func TestPlaceAliveFollowsMembership(t *testing.T) {
+	nodes := []NodeID{"n3", "n1", "n4", "n2"}
+	c := NewCluster(DefaultConfig(), nodes...)
+	keys := make([]string, 1000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("Account/%d", i)
+	}
+	sortHash := func(ids []NodeID, key string) NodeID {
+		ids = slices.Clone(ids)
+		slices.Sort(ids)
+		return ids[fnv64(key)%uint64(len(ids))]
+	}
+	check := func(when string, up []NodeID) {
+		t.Helper()
+		for _, k := range keys {
+			got, err := c.PlaceAlive(k)
+			if err != nil {
+				t.Fatalf("%s: PlaceAlive(%q): %v", when, k, err)
+			}
+			if want := sortHash(up, k); got != want {
+				t.Fatalf("%s: PlaceAlive(%q) = %s, want %s", when, k, got, want)
+			}
+			if got, want := c.Place(k), sortHash(nodes, k); got != want {
+				t.Fatalf("%s: Place(%q) = %s, want %s", when, k, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = c.PlaceAlive(keys[7]) }); allocs != 0 {
+			t.Fatalf("%s: PlaceAlive allocates %v times, want 0", when, allocs)
+		}
+	}
+	check("all up", nodes)
+	for i, n := range nodes {
+		if err := c.Crash(n); err != nil {
+			t.Fatal(err)
+		}
+		if i < len(nodes)-1 {
+			check("after crashing "+string(n), nodes[i+1:])
+		}
+	}
+	if _, err := c.PlaceAlive(keys[0]); !errors.Is(err, ErrNodeDown) {
+		t.Fatalf("PlaceAlive with every node down = %v, want ErrNodeDown", err)
+	}
+	for i, n := range nodes {
+		if err := c.Restart(n); err != nil {
+			t.Fatal(err)
+		}
+		check("after restarting "+string(n), nodes[:i+1])
+	}
+}
+
+// TestPlaceAliveDuringCrashes places keys from two goroutines while a
+// third crashes and restarts a node, so the race detector sees the alive
+// list rebuilt under its readers.
+func TestPlaceAliveDuringCrashes(t *testing.T) {
+	c := NewCluster(DefaultConfig(), "a", "b", "c")
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			c.Crash("b")
+			c.Restart("b")
+		}
+	}()
+	for g := 0; g < 2; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				n, err := c.PlaceAlive(fmt.Sprint("key-", g, "-", i))
+				if err != nil || (n != "a" && n != "b" && n != "c") {
+					t.Errorf("PlaceAlive = %q, %v", n, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestPlaceSpreadsKeys(t *testing.T) {
 	c := NewCluster(DefaultConfig(), "a", "b", "c", "d")
 	counts := map[NodeID]int{}
@@ -236,6 +322,9 @@ func (c *Cluster) AddNode(n NodeID) {
 	defer c.mu.Unlock()
 	if _, ok := c.nodes[n]; !ok {
 		c.nodes[n] = &nodeState{up: true}
+		c.ids = append(c.ids, n)
+		slices.Sort(c.ids)
+		c.refreshAlive()
 		c.epoch++
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -32,13 +33,23 @@ type lockManager struct {
 	entries map[tableKey]*lockEntry
 }
 
-type lockEntry struct {
-	key tableKey
+// lockHold is one transaction's hold on, or blocked request for, a lock.
+type lockHold struct {
+	t    *Txn
+	mode lockMode
+}
 
+// lockEntry is one key's lock. Entries live as long as the manager, so
+// holders and waiters keep their capacity from one grant to the next:
+// after the first, an uncontended grant and release allocate nothing.
+// change is the wake channel: the first waiter to park makes it, and a
+// release or a waiter leaving closes and clears it, so only a lock someone
+// waits on has one.
+type lockEntry struct {
 	mu      sync.Mutex
-	holders map[*Txn]lockMode
-	waiters map[*Txn]lockMode // blocked requests, by requested mode
-	change  chan struct{}     // closed and replaced whenever holders or waiters shrink
+	holders []lockHold
+	waiters []lockHold // blocked requests, by requested mode
+	change  chan struct{}
 }
 
 func newLockManager(db *DB) *lockManager {
@@ -50,10 +61,20 @@ func (lm *lockManager) entry(tk tableKey) *lockEntry {
 	defer lm.mu.Unlock()
 	e, ok := lm.entries[tk]
 	if !ok {
-		e = &lockEntry{key: tk, holders: make(map[*Txn]lockMode), waiters: make(map[*Txn]lockMode), change: make(chan struct{})}
+		e = &lockEntry{}
 		lm.entries[tk] = e
 	}
 	return e
+}
+
+// holdOf returns the index of t's hold or request in hs, or -1.
+func holdOf(hs []lockHold, t *Txn) int {
+	for i, h := range hs {
+		if h.t == t {
+			return i
+		}
+	}
+	return -1
 }
 
 // acquire takes the lock on tk in the given mode for t, blocking until
@@ -64,28 +85,28 @@ func (lm *lockManager) acquire(t *Txn, tk tableKey, mode lockMode) error {
 	deadline := time.Now().Add(lm.db.cfg.LockWaitTimeout)
 	for {
 		e.mu.Lock()
-		if cur, held := e.holders[t]; held && (cur == lockExclusive || cur == mode) {
+		held := holdOf(e.holders, t)
+		if held >= 0 && (e.holders[held].mode == lockExclusive || e.holders[held].mode == mode) {
 			e.mu.Unlock()
 			return nil
 		}
-		conflicts := e.conflictsLocked(t, mode)
-		if len(conflicts) == 0 && !e.olderWaiterLocked(t, mode) {
-			_, alreadyHeld := e.holders[t]
-			e.holders[t] = mode // grant (or upgrade shared -> exclusive)
-			if !alreadyHeld {
+		if !e.woundConflictsLocked(t, mode) && !e.olderWaiterLocked(t, mode) {
+			if held >= 0 {
+				e.holders[held].mode = mode // upgrade shared -> exclusive
+			} else {
+				e.holders = append(e.holders, lockHold{t, mode})
 				t.held = append(t.held, e)
 			}
 			e.stopWaitingLocked(t)
 			e.mu.Unlock()
 			return nil
 		}
-		// Wound-wait: wound every conflicting holder younger than t.
-		for _, h := range conflicts {
-			if t.id < h.id {
-				h.wound()
-			}
+		if holdOf(e.waiters, t) < 0 {
+			e.waiters = append(e.waiters, lockHold{t, mode})
 		}
-		e.waiters[t] = mode
+		if e.change == nil {
+			e.change = make(chan struct{})
+		}
 		waitCh := e.change
 		e.mu.Unlock()
 
@@ -114,8 +135,8 @@ func (lm *lockManager) acquire(t *Txn, tk tableKey, mode lockMode) error {
 // queues behind it instead of taking the lock from under it. Caller holds
 // e.mu.
 func (e *lockEntry) olderWaiterLocked(t *Txn, mode lockMode) bool {
-	for w, m := range e.waiters {
-		if w.id < t.id && (mode == lockExclusive || m == lockExclusive) {
+	for _, w := range e.waiters {
+		if w.t.id < t.id && (mode == lockExclusive || w.mode == lockExclusive) {
 			return true
 		}
 	}
@@ -125,36 +146,44 @@ func (e *lockEntry) olderWaiterLocked(t *Txn, mode lockMode) bool {
 // stopWaitingLocked removes t from the waiters and wakes the requests
 // queued behind it. Caller holds e.mu.
 func (e *lockEntry) stopWaitingLocked(t *Txn) {
-	if _, waiting := e.waiters[t]; waiting {
-		delete(e.waiters, t)
-		close(e.change)
-		e.change = make(chan struct{})
+	if i := holdOf(e.waiters, t); i >= 0 {
+		e.waiters = slices.Delete(e.waiters, i, i+1)
+		e.wakeLocked()
 	}
 }
 
-// conflictsLocked returns holders whose mode conflicts with t requesting
-// mode. Caller holds e.mu.
-func (e *lockEntry) conflictsLocked(t *Txn, mode lockMode) []*Txn {
-	var out []*Txn
-	for h, m := range e.holders {
-		if h == t {
+// wakeLocked wakes every parked waiter, if any. Caller holds e.mu.
+func (e *lockEntry) wakeLocked() {
+	if e.change != nil {
+		close(e.change)
+		e.change = nil
+	}
+}
+
+// woundConflictsLocked reports whether a holder other than t holds e in a
+// mode that conflicts with t requesting mode, and wounds (wound-wait) every
+// such holder younger than t. Caller holds e.mu.
+func (e *lockEntry) woundConflictsLocked(t *Txn, mode lockMode) bool {
+	conflict := false
+	for _, h := range e.holders {
+		if h.t == t || (mode == lockShared && h.mode == lockShared) {
 			continue
 		}
-		if mode == lockExclusive || m == lockExclusive {
-			out = append(out, h)
+		conflict = true
+		if t.id < h.t.id {
+			h.t.wound()
 		}
 	}
-	return out
+	return conflict
 }
 
 // releaseAll drops every lock held by t and wakes waiters.
 func (lm *lockManager) releaseAll(t *Txn) {
 	for _, e := range t.held {
 		e.mu.Lock()
-		if _, held := e.holders[t]; held {
-			delete(e.holders, t)
-			close(e.change)
-			e.change = make(chan struct{})
+		if i := holdOf(e.holders, t); i >= 0 {
+			e.holders = slices.Delete(e.holders, i, i+1)
+			e.wakeLocked()
 		}
 		e.mu.Unlock()
 	}

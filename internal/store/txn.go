@@ -33,12 +33,12 @@ type Txn struct {
 	snapTS uint64
 	state  txnState
 
-	reads  map[tableKey]uint64 // observed commit ts (0 = observed absent)
+	reads  map[tableKey]uint64 // Serializable only: observed commit ts (0 = observed absent)
 	writes map[tableKey]writeOp
 	order  []tableKey // write order for deterministic install
 
 	wounded   atomic.Bool
-	woundedCh chan struct{}
+	woundedCh chan struct{} // Locking2PL only, the one level whose txns hold locks and so get wounded
 	held      []*lockEntry
 }
 
@@ -48,15 +48,20 @@ func (db *DB) Begin(iso Isolation) *Txn {
 }
 
 func (db *DB) begin(iso Isolation, id uint64) *Txn {
-	return &Txn{
-		db:        db,
-		iso:       iso,
-		id:        id,
-		snapTS:    db.register(),
-		reads:     make(map[tableKey]uint64),
-		writes:    make(map[tableKey]writeOp),
-		woundedCh: make(chan struct{}),
+	t := &Txn{
+		db:     db,
+		iso:    iso,
+		id:     id,
+		snapTS: db.register(),
+		writes: make(map[tableKey]writeOp),
 	}
+	switch iso {
+	case Serializable:
+		t.reads = make(map[tableKey]uint64)
+	case Locking2PL:
+		t.woundedCh = make(chan struct{})
+	}
+	return t
 }
 
 // Restart aborts t (if it has not finished) and begins its retry: a fresh
