@@ -18,7 +18,9 @@ verify:
 
 # stress is the concurrency check verify's single -race pass is too short
 # for: the packages every cell's isolation rests on (the store's OCC and
-# wound-wait locks, actor transactions, the deterministic core and the WAL
+# wound-wait locks, actor transactions, the deterministic core — whose
+# follower runtimes, a sequenced geo group's regions, are appended to under
+# the leader's log lock while they crash and recover — and the WAL
 # whose WaitDurable its interval-mode two-phase ack rests on, and the
 # dataflow engine and stateful functions, whose egress callbacks run on one
 # goroutine per partition, and the broker, whose append wakeup hands a
@@ -112,7 +114,7 @@ bench-baseline:
 # outside bench/ (the benchmark module is not the system under study). It
 # is also a ratchet: it fails when the non-test count exceeds LOC_CEILING,
 # so a change that grows the system raises the ceiling in its own diff.
-LOC_CEILING = 20516
+LOC_CEILING = 20461
 loc:
 	@nontest=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo "non-test Go lines: $$nontest"; \

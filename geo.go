@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"tca/internal/core"
 	"tca/internal/fabric"
 	"tca/internal/mq"
 	"tca/internal/region"
@@ -40,13 +40,15 @@ import (
 //     otherwise have to forbid: replication lag in committed txns and in
 //     wall-modeled time, and the max per-key divergence window.
 //
-//   - SequencedReplication (the deterministic core): a single global
-//     sequencer orders every write and feeds the identical op sequence
-//     to every region's cell, so all replicas apply the same log order;
-//     the group commit round-trips the WAN to a majority
-//     (Topology.QuorumRTT) before acknowledging — cross-region commits
-//     pay >= 1 WAN RTT, and every replica is serializable against the
-//     same order (the auditor's verdict is exactly zero anomalies).
+//   - SequencedReplication (the deterministic core only): every write goes
+//     to the home region's core, and every other region's core follows
+//     the home's input logs (core.Runtime.Follow) — Calvin's replication
+//     of the input, not of the effects — so all replicas execute the same
+//     log in the same order. A write resolves once the home has applied it
+//     and every follower has executed it, charged one round trip to a
+//     majority (Topology.QuorumRTT): cross-region commits pay >= 1 WAN
+//     RTT, and every replica is serializable against the same order (the
+//     auditor's verdict is exactly zero anomalies).
 //
 // Reads choose their consistency per request: ReadLocal serves from the
 // submitting region's replica (fast, possibly stale under async);
@@ -60,8 +62,9 @@ type ReplicationMode int
 const (
 	// AsyncReplication ships per-key versioned deltas after local commit.
 	AsyncReplication ReplicationMode = iota
-	// SequencedReplication routes every write through one global
-	// sequencer so all regions apply the identical log order.
+	// SequencedReplication sends every write to the home region's
+	// deterministic core, whose input log every region's core follows, so
+	// all regions apply the identical log order.
 	SequencedReplication
 )
 
@@ -277,8 +280,6 @@ type ReplicaGroup struct {
 	sealWG    sync.WaitGroup // outstanding sealOnCommit watchers
 	flushReq  chan chan struct{}
 
-	seq *geoSequencer
-
 	// Staleness probe state.
 	stMu     sync.Mutex
 	st       StalenessStats
@@ -292,9 +293,13 @@ type ReplicaGroup struct {
 // DeployReplicated deploys app as a replica group: one cell per region,
 // kept in sync per GeoOptions.Mode. Regions are named "region-<i>" and
 // are GeoOptions.WAN apart; region 0 is the home region.
+// SequencedReplication needs the Deterministic model.
 func DeployReplicated(model ProgrammingModel, app *App, regions int, gopts GeoOptions) (*ReplicaGroup, error) {
 	if regions < 1 {
 		return nil, fmt.Errorf("tca: replica group needs >= 1 region (got %d)", regions)
+	}
+	if gopts.Mode == SequencedReplication && model != Deterministic {
+		return nil, fmt.Errorf("tca: sequenced replication follows the deterministic core's input log; %v has none", model)
 	}
 	seed := gopts.Seed
 	if seed == 0 {
@@ -375,7 +380,13 @@ func DeployReplicated(model ProgrammingModel, app *App, regions int, gopts GeoOp
 		go g.shipLoop()
 	}
 	if g.mode == SequencedReplication {
-		g.seq = newGeoSequencer(g)
+		home := CoreRuntime(g.reps[g.Home()].cell)
+		for _, rep := range g.reps[1:] {
+			if err := CoreRuntime(rep.cell).Follow(home); err != nil {
+				g.Close()
+				return nil, err
+			}
+		}
 	}
 	return g, nil
 }
@@ -436,16 +447,16 @@ func (g *ReplicaGroup) CellAt(i int) Cell { return g.reps[i].cell }
 func (g *ReplicaGroup) Home() int { return 0 }
 
 // Submit starts a write op at the origin region. Async mode commits
-// locally and replicates in the background; sequenced mode routes
-// through the global sequencer — the trace is charged the WAN to the
-// home sequencer plus the group's quorum round trip before the handle
-// resolves. Read-only ops should use Query instead.
+// locally and replicates in the background; sequenced mode submits to the
+// home region's log — the trace is charged the WAN to the home plus one
+// quorum round trip before the handle resolves. Read-only ops should use
+// Query instead.
 func (g *ReplicaGroup) Submit(origin int, reqID, opName string, args []byte, tr *fabric.Trace) Handle {
 	if origin < 0 || origin >= len(g.reps) {
 		return resolvedHandle(nil, fmt.Errorf("tca: unknown origin region %d", origin))
 	}
 	if g.mode == SequencedReplication {
-		return g.seq.submit(origin, reqID, opName, args, tr)
+		return g.submitSequenced(origin, reqID, opName, args, tr)
 	}
 	rep := g.reps[origin]
 	h := rep.cell.Submit(reqID, opName, args, tr)
@@ -745,9 +756,6 @@ func (g *ReplicaGroup) Close() {
 		close(g.stopShip)
 		g.shipWG.Wait()
 	}
-	if g.seq != nil {
-		g.seq.stop()
-	}
 	for _, rep := range g.reps {
 		rep.cell.Close()
 	}
@@ -755,187 +763,51 @@ func (g *ReplicaGroup) Close() {
 
 // --- sequenced mode ---------------------------------------------------------
 
-// geoSeqReq is one write waiting for the global sequencer.
-type geoSeqReq struct {
-	origin int
-	reqID  string
-	op     string
-	args   []byte
-	tr     *fabric.Trace
-	h      *geoSeqHandle
-}
-
 // geoSeqHandle resolves with the home replica's result and carries the
 // home cell's serialization stamp for the auditor.
 type geoSeqHandle struct {
 	*opHandle
-	seq atomic.Int64
+	home Handle
 }
 
-// Seq returns the home replica's log-derived serialization position
-// (0 until resolution) — the same contract as the core cell's handles.
-func (h *geoSeqHandle) Seq() int64 { return h.seq.Load() }
+// Seq returns the home replica's log-derived serialization position — the
+// same contract as the core cell's handles.
+func (h *geoSeqHandle) Seq() int64 { return handleSeq(h.home) }
 
-// geoSeqGroupCap bounds how many pending writes one sequencer round
-// packs into a single cross-region group commit (one quorum WAN round
-// trip amortized across the group, like the WAL's group fsync).
-const geoSeqGroupCap = 64
-
-// geoSequencer is the global sequencer of SequencedReplication: one
-// goroutine drains submissions in arrival order and feeds the identical
-// op sequence to every region's cell, so every replica applies — and
-// logs — the same order. Each group pays one modeled quorum WAN round
-// trip before its handles resolve.
-type geoSequencer struct {
-	g    *ReplicaGroup
-	in   chan geoSeqReq
-	quit chan struct{}
-	wg   sync.WaitGroup
-
-	// logs records every replica's applied order as (reqID, log stamp)
-	// pairs — the surface the identical-log-order tests compare across
-	// regions and across crash/replay.
-	logMu sync.Mutex
-	logs  [][]geoSeqEntry
-}
-
-// geoSeqEntry is one committed op in one replica's log order.
-type geoSeqEntry struct {
-	reqID string
-	seq   int64
-}
-
-func newGeoSequencer(g *ReplicaGroup) *geoSequencer {
-	s := &geoSequencer{
-		g:    g,
-		in:   make(chan geoSeqReq, geoSeqGroupCap),
-		quit: make(chan struct{}),
-		logs: make([][]geoSeqEntry, len(g.reps)),
+// submitSequenced sends a write to the home region's core, whose input log
+// every other region's core follows. The handle resolves once the home has
+// applied the write and every follower has executed it — so a local read
+// anywhere sees it — and charges the origin-to-home WAN leg and one quorum
+// round trip to tr.
+func (g *ReplicaGroup) submitSequenced(origin int, reqID, opName string, args []byte, tr *fabric.Trace) Handle {
+	home := g.reps[g.Home()]
+	if origin != g.Home() {
+		g.top.Charge(g.reps[origin].name, home.name, tr)
 	}
-	s.wg.Add(1)
-	go s.loop()
-	return s
-}
-
-func (s *geoSequencer) submit(origin int, reqID, opName string, args []byte, tr *fabric.Trace) Handle {
-	// The submission travels to the home-region sequencer first: one WAN
-	// leg, charged on the way in.
-	home := s.g.Home()
-	if origin != home {
-		s.g.top.Charge(s.g.reps[origin].name, s.g.reps[home].name, tr)
-	}
-	h := &geoSeqHandle{opHandle: newOpHandle()}
-	select {
-	case s.in <- geoSeqReq{origin: origin, reqID: reqID, op: opName, args: args, tr: tr, h: h}:
-	case <-s.quit:
-		h.resolve(nil, errors.New("tca: replica group closed"))
-	}
+	h := &geoSeqHandle{opHandle: newOpHandle(), home: home.cell.Submit(reqID, opName, args, tr)}
+	go func() {
+		res, err := h.home.Result()
+		if _, logged := h.home.(*core.Handle); logged { // a rejected write reached no log
+			for _, rep := range g.reps[1:] {
+				CoreRuntime(rep.cell).Await(reqID).Result()
+			}
+		}
+		if rtt := g.top.QuorumRTT(home.name); rtt > 0 {
+			tr.Charge(rtt)
+		}
+		h.resolve(res, err)
+	}()
 	return h
 }
 
-func (s *geoSequencer) stop() {
-	close(s.quit)
-	s.wg.Wait()
-}
-
-// loop sequences groups: drain up to geoSeqGroupCap pending writes,
-// submit them in the same order to every region (per-region goroutines,
-// order preserved within each region), wait for every replica's
-// acknowledgment, then charge the group's quorum round trip and resolve
-// every handle with the home replica's result.
-func (s *geoSequencer) loop() {
-	defer s.wg.Done()
-	for {
-		var group []geoSeqReq
-		select {
-		case r := <-s.in:
-			group = append(group, r)
-		case <-s.quit:
-			return
-		}
-	drain:
-		for len(group) < geoSeqGroupCap {
-			select {
-			case r := <-s.in:
-				group = append(group, r)
-			default:
-				break drain
-			}
-		}
-		s.commit(group)
-	}
-}
-
-func (s *geoSequencer) commit(group []geoSeqReq) {
-	g := s.g
-	home := g.Home()
-	handles := make([][]Handle, len(g.reps))
-	var wg sync.WaitGroup
-	for ri, rep := range g.reps {
-		ri, rep := ri, rep
-		handles[ri] = make([]Handle, len(group))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i, req := range group {
-				// Same reqID on every replica: the op is one logical
-				// transaction applied N times, idempotent per cell.
-				var tr *fabric.Trace
-				if ri == req.origin {
-					tr = req.tr
-				}
-				h := rep.cell.Submit(req.reqID, req.op, req.args, tr)
-				handles[ri][i] = h
-				// The deterministic cell's Submit returns at durable
-				// append, so sequential submission pins the log order;
-				// waiting for apply here would serialize execution too.
-			}
-			for _, h := range handles[ri] {
-				h.Result()
-			}
-		}()
-	}
-	wg.Wait()
-	// One quorum WAN round trip per group — the cross-region commit
-	// cost, amortized across the group's members like a group fsync.
-	rtt := g.top.QuorumRTT(g.reps[home].name)
-	s.logMu.Lock()
-	for ri := range g.reps {
-		for i, req := range group {
-			if _, err := handles[ri][i].Result(); err != nil {
-				continue
-			}
-			if seq := handleSeq(handles[ri][i]); seq != 0 { // only a cell that knows its order has a log to compare
-				s.logs[ri] = append(s.logs[ri], geoSeqEntry{reqID: req.reqID, seq: seq})
-			}
-		}
-	}
-	s.logMu.Unlock()
-	for i, req := range group {
-		if rtt > 0 {
-			req.tr.Charge(rtt)
-		}
-		req.h.seq.Store(handleSeq(handles[home][i]))
-		req.h.resolve(handles[home][i].Result())
-	}
-}
-
-// SequencedOrder returns region i's applied commit order — reqIDs sorted
-// by the replica's own log-derived serialization stamps. Under
-// SequencedReplication this order must be identical on every region, and
-// must survive one region's crash/replay (the log replays in append
-// order); the geo tests pin both. Nil for async groups.
+// SequencedOrder returns region i's commit order: the request ids its core
+// committed, by log-derived serialization stamp. Every region executes the
+// home's input log, so under SequencedReplication this order is identical
+// on every region and survives one region's crash/replay; the geo tests pin
+// both. Nil for async groups.
 func (g *ReplicaGroup) SequencedOrder(i int) []string {
-	if g.seq == nil {
+	if g.mode != SequencedReplication {
 		return nil
 	}
-	g.seq.logMu.Lock()
-	entries := append([]geoSeqEntry(nil), g.seq.logs[i]...)
-	g.seq.logMu.Unlock()
-	sort.Slice(entries, func(a, b int) bool { return entries[a].seq < entries[b].seq })
-	out := make([]string, len(entries))
-	for j, e := range entries {
-		out[j] = e.reqID
-	}
-	return out
+	return CoreRuntime(g.reps[i].cell).Committed()
 }

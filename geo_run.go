@@ -15,7 +15,7 @@ import (
 // replica group and measures the three-way trade ISSUE 10 names: local
 // reads are fast but possibly stale (async mode), home reads are fresh
 // but pay the WAN round trip, and sequenced commits are anomaly-free but
-// every cross-region group pays the sequencer's WAN round trip. The
+// every cross-region commit pays a quorum WAN round trip. The
 // latencies reported are modeled (fabric trace) time, not wall-clock;
 // the staleness probe mixes real queue wait with the modeled WAN leg.
 // The audit path (auditTap) is the cell harness's (concurrency.go),
@@ -25,7 +25,7 @@ import (
 type GeoConfig struct {
 	// Mode picks the replication protocol: AsyncReplication deploys the
 	// eventual (stateful-dataflow) cell per region, SequencedReplication
-	// the deterministic core under the global sequencer.
+	// the deterministic core, every region following the home's log.
 	Mode ReplicationMode
 	// Regions is the replica count (>= 1; 1 is the no-WAN baseline).
 	Regions int
@@ -56,7 +56,7 @@ type GeoResult struct {
 
 	// ReadP50/P99 are the modeled latencies of the query path under the
 	// chosen read mode; WriteP50/P99 the modeled commit latencies — in
-	// sequenced mode these carry the sequencer WAN round trip, the
+	// sequenced mode these carry the quorum WAN round trip, the
 	// cross-region commit cost the frontier trades against staleness.
 	ReadP50, ReadP99   time.Duration
 	WriteP50, WriteP99 time.Duration
@@ -112,7 +112,7 @@ func RunGeoCell(cfg GeoConfig) (GeoResult, error) {
 	}
 	defer g.Close()
 
-	// Sequenced mode audits for real: the sequencer's log order is the
+	// Sequenced mode audits for real: the home core's log order is the
 	// serialization, so the precedence-graph verdict must come back
 	// empty. Async mode is audited for convergence instead — its local
 	// interleavings are exactly the drift E24 prices via the staleness

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +20,7 @@ import (
 // is fixed so convergence checks can enumerate it.
 type geoTestArgs struct {
 	K  string `json:"k"`
+	K2 string `json:"k2,omitempty"`
 	V  int64  `json:"v"`
 	ID int64  `json:"id,omitempty"`
 }
@@ -50,6 +52,22 @@ func geoTestApp() *App {
 			return nil, err
 		}
 		return nil, tx.PushCap(a.K, a.ID, 8)
+	}})
+	// pair bumps two keys at once: on a sharded core, a cross-partition op
+	// when they live on different partitions.
+	app.Register(Op{Name: "pair", Keys: func(args []byte) []string {
+		var a geoTestArgs
+		json.Unmarshal(args, &a)
+		return []string{a.K, a.K2}
+	}, Body: func(tx Txn, args []byte) ([]byte, error) {
+		var a geoTestArgs
+		if err := json.Unmarshal(args, &a); err != nil {
+			return nil, err
+		}
+		if err := tx.Add(a.K, a.V); err != nil {
+			return nil, err
+		}
+		return nil, tx.Add(a.K2, a.V)
 	}})
 	app.Register(Op{Name: "peek", Keys: keys, ReadOnly: true, Body: func(tx Txn, args []byte) ([]byte, error) {
 		var a geoTestArgs
@@ -256,71 +274,141 @@ func TestGeoStalenessBounded(t *testing.T) {
 // core's defining property: every region applies the identical log
 // order, and one region's crash/replay neither loses a committed op nor
 // reorders it — after recovery the replica continues from the same
-// order and converges to the same state.
+// order and converges to the same state. On two partitions most ops are
+// cross-partition pairs, so the followed logs carry the home sequencer's
+// markers too.
 func TestGeoSequencedIdenticalOrderAcrossCrashReplay(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("partitions=%d", parts), func(t *testing.T) {
+			g, err := DeployReplicated(Deterministic, geoTestApp(), 3, GeoOptions{
+				Mode: SequencedReplication,
+				WAN:  10 * time.Millisecond,
+				Seed: 5,
+				Cell: Options{SequenceDelay: 80 * time.Microsecond, Partitions: parts},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			home := CoreRuntime(g.CellAt(0))
+			// partner returns the i-th counter or config key on another
+			// partition than key.
+			partner := func(key string, i int) string {
+				var others []string
+				for _, k := range geoTestKeys() {
+					if !strings.HasPrefix(k, "log/") && home.PartitionOf(k) != home.PartitionOf(key) {
+						others = append(others, k)
+					}
+				}
+				if len(others) == 0 {
+					t.Fatalf("no key on another partition than %s", key)
+				}
+				return others[i%len(others)]
+			}
+
+			submit := func(phase string, n int) {
+				t.Helper()
+				for i := 0; i < n; i++ {
+					var name string
+					a := geoTestArgs{K: fmt.Sprintf("cnt/%d", i%4), V: 1}
+					switch {
+					case i%4 == 3:
+						name = "set"
+						a = geoTestArgs{K: fmt.Sprintf("cfg/%d", i%4), V: int64(i)}
+					case parts > 1:
+						name = "pair"
+						a.K2 = partner(a.K, i)
+					default:
+						name = "bump"
+					}
+					args, _ := json.Marshal(a)
+					if _, err := g.Invoke(i%3, fmt.Sprintf("%s-%d", phase, i), name, args, nil); err != nil {
+						t.Fatalf("%s op %d: %v", phase, i, err)
+					}
+				}
+			}
+
+			submit("p1", 24)
+			if err := g.Drain(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Crash region 2 and replay its durable log.
+			rt := CoreRuntime(g.CellAt(2))
+			rt.Crash()
+			if err := rt.Recover(); err != nil {
+				t.Fatal(err)
+			}
+
+			submit("p2", 24)
+			if err := g.Drain(); err != nil {
+				t.Fatal(err)
+			}
+
+			if parts > 1 && home.Metrics().Counter("core.cross_sequenced").Value() == 0 {
+				t.Fatal("no cross-partition op was sequenced")
+			}
+			base := g.SequencedOrder(0)
+			if len(base) != 48 {
+				t.Fatalf("region 0 applied %d sequenced ops, want 48", len(base))
+			}
+			for r := 1; r < g.Regions(); r++ {
+				order := g.SequencedOrder(r)
+				if len(order) != len(base) {
+					t.Fatalf("region %d applied %d ops, region 0 applied %d", r, len(order), len(base))
+				}
+				for i := range base {
+					if order[i] != base[i] {
+						t.Fatalf("log order diverges at position %d: region 0 applied %s, region %d applied %s",
+							i, base[i], r, order[i])
+					}
+				}
+			}
+			assertReplicasEqual(t, g, geoTestKeys())
+		})
+	}
+}
+
+// TestGeoSequencedReadsFreshEverywhere pins what the followers' await buys:
+// once a sequenced write resolves, a local read in every region returns it.
+func TestGeoSequencedReadsFreshEverywhere(t *testing.T) {
 	g, err := DeployReplicated(Deterministic, geoTestApp(), 3, GeoOptions{
 		Mode: SequencedReplication,
 		WAN:  10 * time.Millisecond,
-		Seed: 5,
-		Cell: Options{SequenceDelay: 80 * time.Microsecond},
+		Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-
-	submit := func(phase string, n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			var name string
-			a := geoTestArgs{K: fmt.Sprintf("cnt/%d", i%4), V: 1}
-			if i%4 == 3 {
-				name = "set"
-				a = geoTestArgs{K: fmt.Sprintf("cfg/%d", i%4), V: int64(i)}
-			} else {
-				name = "bump"
+	for i := 0; i < 30; i++ {
+		key := fmt.Sprintf("cfg/%d", i%4)
+		args, _ := json.Marshal(geoTestArgs{K: key, V: int64(i)})
+		if _, err := g.Invoke(i%3, fmt.Sprintf("fresh-%d", i), "set", args, nil); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < g.Regions(); r++ {
+			raw, _, err := g.ReadLocal(r, key)
+			if err != nil {
+				t.Fatal(err)
 			}
-			args, _ := json.Marshal(a)
-			if _, err := g.Invoke(i%3, fmt.Sprintf("%s-%d", phase, i), name, args, nil); err != nil {
-				t.Fatalf("%s op %d: %v", phase, i, err)
+			if got := DecodeInt(raw); got != int64(i) {
+				t.Fatalf("write %d: region %d reads %s = %d", i, r, key, got)
 			}
 		}
 	}
+}
 
-	submit("p1", 24)
-	if err := g.Drain(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Crash region 2 and replay its durable log.
-	rt := CoreRuntime(g.CellAt(2))
-	rt.Crash()
-	if err := rt.Recover(); err != nil {
-		t.Fatal(err)
-	}
-
-	submit("p2", 24)
-	if err := g.Drain(); err != nil {
-		t.Fatal(err)
-	}
-
-	base := g.SequencedOrder(0)
-	if len(base) != 48 {
-		t.Fatalf("region 0 applied %d sequenced ops, want 48", len(base))
-	}
-	for r := 1; r < g.Regions(); r++ {
-		order := g.SequencedOrder(r)
-		if len(order) != len(base) {
-			t.Fatalf("region %d applied %d ops, region 0 applied %d", r, len(order), len(base))
-		}
-		for i := range base {
-			if order[i] != base[i] {
-				t.Fatalf("log order diverges at position %d: region 0 applied %s, region %d applied %s",
-					i, base[i], r, order[i])
-			}
+// TestGeoSequencedNeedsDeterministic pins that sequenced replication is the
+// deterministic core's: every other model has no input log to follow.
+func TestGeoSequencedNeedsDeterministic(t *testing.T) {
+	for _, model := range []ProgrammingModel{Microservices, Actors, CloudFunctions, StatefulDataflow} {
+		g, err := DeployReplicated(model, geoTestApp(), 2, GeoOptions{Mode: SequencedReplication})
+		if err == nil {
+			g.Close()
+			t.Errorf("%v: DeployReplicated accepted sequenced replication", model)
 		}
 	}
-	assertReplicasEqual(t, g, geoTestKeys())
 }
 
 // TestGeoReadModesChargeTheWAN pins the read-mode contract: ReadLocal

@@ -53,6 +53,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sort"
@@ -366,8 +367,12 @@ type Runtime struct {
 	// inflightN counts the same scheduled-transaction goroutines as
 	// inflight. Crash waits on the WaitGroup after the schedulers have
 	// stopped; Quiesce runs while they still schedule — where
-	// WaitGroup.Wait must not race an Add from zero — and polls this.
+	// WaitGroup.Wait must not race an Add from zero — and reads this.
 	inflightN atomic.Int64
+
+	// quiesceCh, made only by a waiting Quiesce, is closed by the next
+	// inflightN drop to zero or log seek: the events that can satisfy it.
+	quiesceCh atomic.Pointer[chan struct{}]
 
 	seqMu   sync.Mutex
 	seqSeen map[string]struct{} // request ids already sequenced (dedup)
@@ -488,19 +493,19 @@ func (r *Runtime) Start() error {
 	r.ckMu.Lock()
 	ck := r.checkpoint
 	if ck == nil {
-		ck = &snapshot{offsets: make([]int64, len(r.logs))}
+		ck = &snapshot{offsets: make([]int64, len(r.logs)), seqSeen: map[string]struct{}{}, results: map[string]Result{}}
 	}
 	r.stateMu.Lock()
 	r.state = cloneState(ck.state)
 	r.stateMu.Unlock()
 	r.resMu.Lock()
-	r.results = cloneResults(ck.results)
+	r.results = maps.Clone(ck.results)
 	r.resMu.Unlock()
 	for i, l := range r.logs {
 		l.seek(ck.offsets[i])
 	}
 	r.seqMu.Lock()
-	r.seqSeen = cloneSet(ck.seqSeen)
+	r.seqSeen = maps.Clone(ck.seqSeen)
 	r.seqMu.Unlock()
 	r.ckMu.Unlock()
 	// Handles registered before a crash survive it (they are client-side
@@ -812,7 +817,11 @@ func (r *Runtime) launch(waits []chan struct{}, done, stop chan struct{}, tid, s
 	r.inflightN.Add(1)
 	go func() {
 		defer r.inflight.Done()
-		defer r.inflightN.Add(-1)
+		defer func() {
+			if r.inflightN.Add(-1) == 0 {
+				r.wakeQuiesce()
+			}
+		}()
 		defer close(done)
 		if part < 0 {
 			defer func() {
@@ -1001,13 +1010,6 @@ func (h *Handle) Seq() int64 {
 	return h.res.Seq
 }
 
-// resolvedHandle wraps an already-known result (dedup fast path).
-func resolvedHandle(res Result) *Handle {
-	h := &Handle{done: make(chan struct{}), res: res}
-	close(h.done)
-	return h
-}
-
 // Submit appends a transaction to its home partition (or, when its declared
 // keys span partitions, to the gseq log) and waits for its
 // result. reqID makes the call idempotent: resubmitting (a client retry)
@@ -1038,22 +1040,18 @@ func (r *Runtime) SubmitAsync(reqID, fn string, keys []string, args []byte, tr *
 	}
 	r.chargeHop(tr) // client -> sequencer
 	// Fast path: already executed (client retry).
-	r.resMu.Lock()
-	if res, ok := r.results[reqID]; ok {
-		r.resMu.Unlock()
+	h, cached := r.await(reqID, tr)
+	if cached {
 		r.m.Counter("core.dedup_hits").Inc()
 		r.chargeHop(tr) // cached result -> client
-		return resolvedHandle(res), nil
+		return h, nil
 	}
-	ch := make(chan Result, 1)
-	r.waiters[reqID] = append(r.waiters[reqID], ch)
-	r.resMu.Unlock()
 	// Every failure past this point must unregister the waiter: the
 	// request never reached the log, so nothing will ever deliver it —
 	// and Crash deliberately preserves waiters, so a leaked one would
 	// outlive every recovery.
 	fail := func(err error) (*Handle, error) {
-		r.dropWaiter(reqID, ch)
+		r.dropWaiter(reqID, h.ch)
 		return nil, err
 	}
 
@@ -1107,9 +1105,68 @@ func (r *Runtime) SubmitAsync(reqID, fn string, keys []string, args []byte, tr *
 		r.m.Counter("core.cross_submits").Inc()
 		r.gseq.notify()
 	}
-	h := &Handle{ch: ch, done: make(chan struct{}), timeout: r.cfg.ResultTimeout, rt: r, tr: tr, reqID: reqID}
 	go h.watch()
 	return h, nil
+}
+
+// await returns reqID's handle. cached reports that reqID has already
+// executed and the handle is resolved; otherwise its waiter is registered,
+// and the caller starts the handle's watch once it keeps it.
+func (r *Runtime) await(reqID string, tr *fabric.Trace) (h *Handle, cached bool) {
+	h = &Handle{ch: make(chan Result, 1), done: make(chan struct{}), timeout: r.cfg.ResultTimeout, rt: r, tr: tr, reqID: reqID}
+	r.resMu.Lock()
+	defer r.resMu.Unlock()
+	if h.res, cached = r.results[reqID]; cached {
+		close(h.done)
+	} else {
+		r.waiters[reqID] = append(r.waiters[reqID], h.ch)
+	}
+	return h, cached
+}
+
+// Await returns a handle that resolves when r has executed reqID, submitted
+// here or, on a follower, at its leader. It survives Crash/Recover.
+func (r *Runtime) Await(reqID string) *Handle {
+	h, cached := r.await(reqID, nil)
+	if !cached {
+		go h.watch()
+	}
+	return h
+}
+
+// Follow makes r a follower of leader: each group leader appends to a
+// partition log from now on, markers included, is appended to r's log of
+// that partition before leader acknowledges it, so r executes leader's log
+// in leader's order. The gseq log is not followed: r's sequencer would
+// re-stamp the markers. Call it before leader accepts submissions.
+func (r *Runtime) Follow(leader *Runtime) error {
+	if leader.nparts != r.nparts {
+		return fmt.Errorf("core: follower has %d partitions, leader %d", r.nparts, leader.nparts)
+	}
+	for p, l := range leader.logs[:leader.nparts] {
+		l.mu.Lock()
+		l.mirrors = append(l.mirrors, r.logs[p])
+		l.mu.Unlock()
+	}
+	return nil
+}
+
+// Committed returns the ids of the committed transactions in commit order:
+// by Seq, ties broken by id, so runtimes that ran the same logs agree.
+func (r *Runtime) Committed() []string {
+	r.resMu.Lock()
+	defer r.resMu.Unlock()
+	var ids []string
+	for id, res := range r.results {
+		if res.Err == "" {
+			ids = append(ids, id)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		a, b := r.results[ids[i]], r.results[ids[j]]
+		return a.Seq < b.Seq || a.Seq == b.Seq && ids[i] < ids[j]
+	})
+	return ids
 }
 
 // dropWaiter unregisters one waiter channel for reqID (submission failure
@@ -1234,19 +1291,39 @@ func (r *Runtime) caughtUp() bool {
 
 // Quiesce blocks until every transaction in the logs so far has executed.
 func (r *Runtime) Quiesce(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for {
+		// Hold the wake channel before checking, so that an event after the
+		// check closes a channel this call already holds.
+		wake := r.quiesceCh.Load()
+		if wake == nil {
+			ch := make(chan struct{})
+			if wake = &ch; !r.quiesceCh.CompareAndSwap(nil, wake) {
+				continue
+			}
+		}
 		ok := r.caughtUp()
 		if ok && r.inflightN.Load() == 0 {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		select {
+		case <-*wake:
+		case <-timer.C:
 			if ok {
 				return fmt.Errorf("core: quiesce timeout draining in-flight")
 			}
 			return fmt.Errorf("core: quiesce timeout (logs not drained)")
 		}
-		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// wakeQuiesce wakes every waiting Quiesce. With none, it is one atomic load.
+func (r *Runtime) wakeQuiesce() {
+	if r.quiesceCh.Load() != nil {
+		if wake := r.quiesceCh.Swap(nil); wake != nil {
+			close(*wake)
+		}
 	}
 }
 
@@ -1284,10 +1361,10 @@ func (r *Runtime) Checkpoint() (int64, error) {
 		state := cloneState(r.state)
 		r.stateMu.Unlock()
 		r.resMu.Lock()
-		results := cloneResults(r.results)
+		results := maps.Clone(r.results)
 		r.resMu.Unlock()
 		r.seqMu.Lock()
-		seqSeen := cloneSet(r.seqSeen)
+		seqSeen := maps.Clone(r.seqSeen)
 		r.seqMu.Unlock()
 		if err := r.Quiesce(time.Until(deadline)); err != nil {
 			return 0, err
@@ -1367,22 +1444,6 @@ func cloneState(m map[string][]byte) map[string][]byte {
 	out := make(map[string][]byte, len(m))
 	for k, v := range m {
 		out[k] = append([]byte(nil), v...)
-	}
-	return out
-}
-
-func cloneResults(m map[string]Result) map[string]Result {
-	out := make(map[string]Result, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func cloneSet(m map[string]struct{}) map[string]struct{} {
-	out := make(map[string]struct{}, len(m))
-	for k := range m {
-		out[k] = struct{}{}
 	}
 	return out
 }

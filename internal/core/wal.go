@@ -106,6 +106,7 @@ type inputLog struct {
 	// increasing stamp order, so this watermark is the fan-out's dedup.
 	// Replay seeds it from the disk.
 	markerHi int64
+	mirrors  []*inputLog // followers' logs of this partition (Runtime.Follow)
 
 	// tailMu guards the tail and the reader's position. It is never held
 	// across a disk write, so a reader never waits behind an fsync. Tail
@@ -150,7 +151,9 @@ func walOptions(cfg Config) wal.Options {
 // acks mean. A written group is in the disk's record stream even when that
 // wait fails (it fails only when the runtime stops under it), so it enters
 // the tail either way and the error is still returned: the tail mirrors the
-// disk group for group. reqs must not be mutated afterwards.
+// disk group for group. A pushed group is then appended to every mirror, and
+// a mirror's failure is returned too, so a nil return means every follower
+// holds the group. reqs must not be mutated afterwards.
 func (l *inputLog) appendGroup(reqs []request, stamp int64, cancel <-chan struct{}) error {
 	var members [][]byte
 	if l.dir != "" {
@@ -175,6 +178,12 @@ func (l *inputLog) appendGroup(reqs []request, stamp int64, cancel <-chan struct
 		err = l.waitDurable(cancel)
 	}
 	l.push(reqs, stamp)
+	for _, m := range l.mirrors {
+		if merr := m.appendGroup(reqs, stamp, cancel); err == nil {
+			err = merr
+		}
+		m.notify()
+	}
 	return err
 }
 
@@ -387,8 +396,9 @@ func (l *inputLog) consume(stop chan struct{}, fn func(from int64, groups [][]re
 // re-reads it — by moving the unread entries to the front of the tail and
 // clearing the slots they leave; base keeps offsets absolute. Only the
 // reader (or Start, before any reader runs) seeks, so no batch consume
-// handed out is still being read.
+// handed out is still being read. It wakes a waiting Quiesce.
 func (l *inputLog) seek(pos int64) {
+	defer l.rt.wakeQuiesce()
 	l.tailMu.Lock()
 	defer l.tailMu.Unlock()
 	l.pos = pos

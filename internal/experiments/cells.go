@@ -184,8 +184,8 @@ func e23() Experiment {
 
 // e24 is the geo frontier: the marketplace as a replica group across
 // regions × WAN × read mode, async (eventual cells, local commit +
-// background shipping) vs sequenced (the deterministic core behind the
-// WAN-round-tripping global sequencer). Latencies are modeled (fabric
+// background shipping) vs sequenced (deterministic cores, every region
+// following the home region's input log). Latencies are modeled (fabric
 // trace) time. A row that audits an anomaly or fails to converge exactly
 // is a failed row. The gate row paces a 2-region async group at a fixed
 // sub-capacity 500/s; its gated read p99 is fabric-trace time, not

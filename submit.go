@@ -59,7 +59,7 @@ func resolvedHandle(res []byte, err error) Handle {
 
 // handleSeq returns the serialization position a handle was stamped with:
 // the deterministic core's log position (its *core.Handle is returned
-// unwrapped, and a sequenced replica group forwards the home replica's),
+// unwrapped, and a sequenced replica group forwards the home core's),
 // zero on every cell that does not know its own commit order.
 func handleSeq(h Handle) int64 {
 	if sh, ok := h.(interface{ Seq() int64 }); ok {

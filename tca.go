@@ -196,11 +196,13 @@
 //     exactly — byte-equal state on all replicas, or Drain returns the
 //     batch a peer failed to apply (StalenessStats.FailedApplies) —
 //     while steady-state reads trade freshness for locality.
-//   - SequencedReplication routes every write through the home region's global
-//     sequencer before group commit, so all regions apply the identical
-//     log order (SequencedOrder) and reads are fresh everywhere; the
-//     price is that every cross-region commit pays at least one WAN
-//     round trip by construction.
+//   - SequencedReplication (Deterministic cells only) sends every write
+//     to the home region's core, whose input log every other region's
+//     core follows, so all regions apply the identical log order
+//     (SequencedOrder). A write resolves once every region has executed
+//     it, so reads are fresh everywhere; the price is that every
+//     cross-region commit pays at least one WAN round trip by
+//     construction.
 //
 // Reads pick their side of the trade per query: ReadLocal answers
 // from the caller's region at region-local latency (possibly stale under
