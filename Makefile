@@ -22,8 +22,8 @@ verify:
 # follower runtimes, a sequenced geo group's regions, are appended to under
 # the leader's log lock while they crash and recover — and the WAL
 # whose WaitDurable its interval-mode two-phase ack rests on, and the
-# dataflow engine and stateful functions, whose egress callbacks run on one
-# goroutine per partition, and the broker, whose append wakeup hands a
+# stateful-functions engine, whose egress callbacks run on one goroutine
+# per partition, and the broker, whose append wakeup hands a
 # channel from the appending goroutine to the parked reader) and the root
 # package's submit / shed / session / read-only / wide-transaction / geo /
 # statefun-cell tests (the dataflow cell's key functions reach each
@@ -46,7 +46,7 @@ verify:
 # encoding it replaced) and the statefun envelope frame.
 stress:
 	go test -count=200 -run TestUpdateRetriesConflicts ./internal/store
-	go test -race -count=10 -cpu 1,2,4,8 ./internal/store ./internal/actor ./internal/core ./internal/wal ./internal/dataflow ./internal/statefun ./internal/mq ./internal/dedup ./internal/rpc ./internal/saga ./internal/micro ./internal/faas ./internal/fabric
+	go test -race -count=10 -cpu 1,2,4,8 ./internal/store ./internal/actor ./internal/core ./internal/wal ./internal/statefun ./internal/mq ./internal/dedup ./internal/rpc ./internal/saga ./internal/micro ./internal/faas ./internal/fabric
 	go test -race -count=10 -cpu 1,2,4,8 -run 'Submit|Shed|Session|ReadOnly|WideTxn|Geo|Statefun|Micro' .
 	go test -run '^$$' -fuzz '^FuzzDecodeTPCCOp$$' -fuzztime 15s ./internal/workload
 	go test -run '^$$' -fuzz '^FuzzSfMsgFrame$$' -fuzztime 10s .
@@ -114,7 +114,7 @@ bench-baseline:
 # outside bench/ (the benchmark module is not the system under study). It
 # is also a ratchet: it fails when the non-test count exceeds LOC_CEILING,
 # so a change that grows the system raises the ceiling in its own diff.
-LOC_CEILING = 20461
+LOC_CEILING = 20179
 loc:
 	@nontest=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo "non-test Go lines: $$nontest"; \

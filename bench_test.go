@@ -24,13 +24,13 @@ import (
 
 	"tca"
 	"tca/internal/actor"
-	"tca/internal/dataflow"
 	"tca/internal/dedup"
 	"tca/internal/experiments"
 	"tca/internal/fabric"
 	"tca/internal/grid"
 	"tca/internal/mq"
 	"tca/internal/rpc"
+	"tca/internal/statefun"
 	"tca/internal/store"
 	"tca/internal/workload"
 )
@@ -370,39 +370,37 @@ func balanceNoSettle(bank tca.Bank, account int) (int64, error) {
 func BenchmarkE8_CheckpointRecovery(b *testing.B) {
 	for _, keys := range []int{1000, 10000, 100000} {
 		b.Run(fmt.Sprintf("keys=%d", keys), func(b *testing.B) {
-			broker := mq.NewBroker()
-			broker.CreateTopic("in", 2)
-			j := dataflow.NewJob(broker, dataflow.Config{Name: "ck"}).
-				Source("in").
-				Stage("acc", 2, func(ctx *dataflow.OpCtx, rec dataflow.Record) {
-					ctx.State().Put(rec.Key, rec.Value)
-				}).
-				Sink(func(dataflow.Record) {})
-			if err := j.Start(); err != nil {
+			app := statefun.NewApp(mq.NewBroker(), statefun.Config{Name: "ck", Parallelism: 2, Ingress: "in"})
+			app.Register("acc", func(ctx *statefun.Ctx, payload []byte) error {
+				ctx.Set("v", payload)
+				return nil
+			})
+			if err := app.Start(); err != nil {
 				b.Fatal(err)
 			}
-			defer j.Stop()
-			p := broker.NewProducer("")
+			defer app.Stop()
 			for i := 0; i < keys; i++ {
-				p.Send("in", fmt.Sprintf("k%d", i), []byte("valuevaluevalue"))
+				if err := app.SendToIngress(statefun.Ref{Type: "acc", ID: fmt.Sprintf("k%d", i)}, []byte("valuevaluevalue")); err != nil {
+					b.Fatal(err)
+				}
 			}
-			if err := j.WaitIdle(30 * time.Second); err != nil {
+			if err := app.WaitIdle(30 * time.Second); err != nil {
 				b.Fatal(err)
 			}
 			var ckNanos, recNanos int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				t0 := time.Now()
-				if _, err := j.TriggerCheckpoint(); err != nil {
+				if _, err := app.TriggerCheckpoint(); err != nil {
 					b.Fatal(err)
 				}
 				ckNanos += int64(time.Since(t0))
-				j.Crash()
+				app.Crash()
 				t1 := time.Now()
-				if err := j.Recover(); err != nil {
+				if err := app.Recover(); err != nil {
 					b.Fatal(err)
 				}
-				if err := j.WaitIdle(30 * time.Second); err != nil {
+				if err := app.WaitIdle(30 * time.Second); err != nil {
 					b.Fatal(err)
 				}
 				recNanos += int64(time.Since(t1))

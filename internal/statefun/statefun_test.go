@@ -40,18 +40,20 @@ func counterFn(ctx *Ctx, payload []byte) error {
 func newCounterApp(t *testing.T, name string, egress func(key string, value []byte)) (*App, *mq.Broker) {
 	t.Helper()
 	b := mq.NewBroker()
-	app := NewApp(b, Config{
-		Name:        name,
-		Parallelism: 2,
-		Ingress:     name + "-in",
-		OnEgress:    egress,
-	})
+	return startCounterApp(t, b, Config{Name: name, Parallelism: 2, Ingress: name + "-in", OnEgress: egress}), b
+}
+
+// startCounterApp starts an app over b with counterFn registered as
+// "counter"; the test's cleanup stops it.
+func startCounterApp(t *testing.T, b *mq.Broker, cfg Config) *App {
+	t.Helper()
+	app := NewApp(b, cfg)
 	app.Register("counter", counterFn)
 	if err := app.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(app.Stop)
-	return app, b
+	return app
 }
 
 func waitIdle(t *testing.T, app *App) {
