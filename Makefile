@@ -29,9 +29,10 @@ verify:
 # statefun-cell tests (the dataflow cell's key functions reach each
 # other's state on their partition's goroutine) / micro-cell tests (a
 # saga's steps run concurrently with other sagas' reads and steps on the
-# same shard databases), ten times each under the race detector at 1, 2,
-# 4 and 8 Ps, and so are the packages the micro cell's exactly-once rests
-# on (the dedup store's in-flight locking under concurrent sagas, behind
+# same shard databases) / FaaS- and actor-cell tests (concurrent ops
+# share the rows the store hands out uncopied), ten times each under the
+# race detector at 1, 2, 4 and 8 Ps, and so are the packages the micro
+# cell's exactly-once rests on (the dedup store's in-flight locking under concurrent sagas, behind
 # the rpc idempotency middleware, the saga orchestrator and the micro
 # framework that binds them), and the FaaS platform, whose critical
 # sections each keep one store transaction open under their entity locks
@@ -47,7 +48,7 @@ verify:
 stress:
 	go test -count=200 -run TestUpdateRetriesConflicts ./internal/store
 	go test -race -count=10 -cpu 1,2,4,8 ./internal/store ./internal/actor ./internal/core ./internal/wal ./internal/statefun ./internal/mq ./internal/dedup ./internal/rpc ./internal/saga ./internal/micro ./internal/faas ./internal/fabric
-	go test -race -count=10 -cpu 1,2,4,8 -run 'Submit|Shed|Session|ReadOnly|WideTxn|Geo|Statefun|Micro' .
+	go test -race -count=10 -cpu 1,2,4,8 -run 'Submit|Shed|Session|ReadOnly|WideTxn|Geo|Statefun|Micro|Faas|Actor' .
 	go test -run '^$$' -fuzz '^FuzzDecodeTPCCOp$$' -fuzztime 15s ./internal/workload
 	go test -run '^$$' -fuzz '^FuzzSfMsgFrame$$' -fuzztime 10s .
 	go test -run '^$$' -fuzz '^FuzzEnvelopeFrame$$' -fuzztime 10s ./internal/statefun
@@ -114,7 +115,7 @@ bench-baseline:
 # outside bench/ (the benchmark module is not the system under study). It
 # is also a ratchet: it fails when the non-test count exceeds LOC_CEILING,
 # so a change that grows the system raises the ceiling in its own diff.
-LOC_CEILING = 20179
+LOC_CEILING = 20207
 loc:
 	@nontest=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo "non-test Go lines: $$nontest"; \

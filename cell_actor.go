@@ -30,8 +30,9 @@ func (e *actorExec) ref(key string) actor.Ref {
 }
 
 // actorTxn adapts ActorTxn to the Txn surface. Values live in a single
-// "v" column of the actor's transactional row (the store copies rows, so
-// the string conversion also decouples the caller's byte slice). Add and
+// "v" column of the actor's transactional row; the store keeps the row it
+// is given, so the string conversion is what decouples the stored value
+// from the caller's byte slice, and each Put builds a new row. Add and
 // PushCap are plain read-modify-writes: the 2PL exclusive lock on the key
 // actor serializes them.
 type actorTxn struct {

@@ -49,15 +49,12 @@ func newFaasExec(c *cell, env *Env) *faasExec {
 				return nil, err // nothing staged: the section commits nothing
 			}
 			for _, w := range tx.writeBuffer {
-				// A failed Update is kept: Unlock returns it and commits
-				// none of the op's writes.
+				// cur is shared, so the write is a new row. A failed Update
+				// is kept: Unlock returns it and commits none of the op's
+				// writes.
 				cs.Update(e.entity(w.Key), func(cur store.Row) (store.Row, error) {
 					val, _ := w.apply(valueOf(cur), cur != nil)
-					if cur == nil {
-						cur = store.Row{}
-					}
-					cur["v"] = string(val) // cur is the section's own copy
-					return cur, nil
+					return store.Row{"v": string(val)}, nil
 				})
 			}
 			if err := cs.Unlock(); err != nil {

@@ -101,12 +101,13 @@ func (c *Ctx) Ask(to Ref, method string, body []byte, tr *fabric.Trace) ([]byte,
 }
 
 // Load reads the actor's persisted state, returning ok=false when the actor
-// has never saved.
+// has never saved. The row is shared (see store.Row): do not change it.
 func (c *Ctx) Load() (store.Row, bool, error) {
 	return c.System.loadState(c.Ref)
 }
 
-// Save persists the actor's state to the system's storage.
+// Save persists the actor's state to the system's storage, which keeps
+// state (see store.Row): do not change it afterwards.
 func (c *Ctx) Save(state store.Row) error {
 	return c.System.saveState(c.Ref, state)
 }

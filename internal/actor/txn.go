@@ -52,11 +52,22 @@ type ActorTxn struct {
 	// parts backs it until more nodes than that are touched.
 	participants []fabric.NodeID
 	parts        [4]fabric.NodeID
+	// names caches each touched ref's state key (one Ref.String per ref);
+	// nameBuf backs it as parts backs participants.
+	names   []refName
+	nameBuf [8]refName
 	// readOnly transactions reject writes and skip the commit protocol.
 	readOnly bool
 }
 
+// refName is a touched ref and its state key.
+type refName struct {
+	ref  Ref
+	name string
+}
+
 // Read returns the transactional state of ref, acquiring a shared lock.
+// The row is shared (see store.Row): do not change it.
 func (t *ActorTxn) Read(ref Ref) (store.Row, bool, error) {
 	key, err := t.charge(ref)
 	if err != nil {
@@ -66,7 +77,8 @@ func (t *ActorTxn) Read(ref Ref) (store.Row, bool, error) {
 }
 
 // Write replaces the transactional state of ref, acquiring an exclusive
-// lock that is held until commit or abort.
+// lock that is held until commit or abort. The store keeps state (see
+// store.Row): do not change it afterwards.
 func (t *ActorTxn) Write(ref Ref, state store.Row) error {
 	if t.readOnly {
 		return ErrReadOnlyTxn
@@ -81,7 +93,7 @@ func (t *ActorTxn) Write(ref Ref, state store.Row) error {
 // charge records ref's node as a participant, charges the access hop, and
 // returns ref's state key.
 func (t *ActorTxn) charge(ref Ref) (string, error) {
-	key := ref.String()
+	key := t.nameOf(ref)
 	node, err := t.sys.cluster.PlaceAlive(key)
 	if err != nil {
 		return "", err
@@ -91,6 +103,18 @@ func (t *ActorTxn) charge(ref Ref) (string, error) {
 		t.participants = append(t.participants, node)
 	}
 	return key, nil
+}
+
+// nameOf returns ref's state key, building it on the ref's first access.
+func (t *ActorTxn) nameOf(ref Ref) string {
+	for _, n := range t.names {
+		if n.ref == ref {
+			return n.name
+		}
+	}
+	name := ref.String()
+	t.names = append(t.names, refName{ref, name})
+	return name
 }
 
 // Run executes fn as one ACID transaction across any set of actors,
@@ -137,7 +161,7 @@ func (c *Coordinator) run(tr *fabric.Trace, readOnly bool, fn func(t *ActorTxn) 
 			coord:    coord,
 			readOnly: readOnly,
 		}
-		t.participants = t.parts[:0]
+		t.participants, t.names = t.parts[:0], t.nameBuf[:0]
 		err := fn(t)
 		if err == nil && !readOnly {
 			err = c.commit(t)
@@ -181,7 +205,8 @@ func (c *Coordinator) commit(t *ActorTxn) error {
 }
 
 // ReadState reads an actor's transactional state outside any transaction
-// (for verification in tests and the harness).
+// (for verification in tests and the harness). The row is shared (see
+// store.Row): do not change it.
 func (c *Coordinator) ReadState(ref Ref) (store.Row, bool, error) {
 	tx := c.sys.db.Begin(store.ReadCommitted)
 	defer tx.Abort()

@@ -56,9 +56,10 @@ func (m *EntityManager) lockOf(name string) *sync.Mutex {
 }
 
 // Signal performs one atomic operation on a single entity: fn receives the
-// current state (nil when fresh) and returns the new state. The
-// read-modify-write is serialized per entity and durably committed —
-// single-entity operations need no explicit locking.
+// current state (nil when fresh), shared (see store.Row), and returns a new
+// state, which the store keeps. The read-modify-write is serialized per
+// entity and durably committed — single-entity operations need no explicit
+// locking.
 func (m *EntityManager) Signal(id EntityID, fn func(state store.Row) (store.Row, error)) error {
 	name := id.String()
 	l := m.lockOf(name)
@@ -87,7 +88,8 @@ func update(tx *store.Txn, name string, fn func(state store.Row) (store.Row, err
 
 // Read returns an entity's current state without locking (a dirty read by
 // design — Durable Functions reads outside critical sections see whatever
-// is committed at that instant).
+// is committed at that instant). The row is shared (see store.Row): do not
+// change it.
 func (m *EntityManager) Read(id EntityID) (store.Row, bool, error) {
 	tx := m.db.Begin(store.ReadCommitted)
 	defer tx.Abort()
@@ -135,6 +137,7 @@ func (m *EntityManager) Lock(ids ...EntityID) *CriticalSection {
 // Update performs a read-modify-write on one locked entity in the
 // section's transaction: later reads in the section see it, and it
 // commits at Unlock. After a failed Update the section commits nothing.
+// As with Signal, fn must not change the row it receives.
 func (cs *CriticalSection) Update(id EntityID, fn func(state store.Row) (store.Row, error)) error {
 	name, err := cs.nameOf(id)
 	if err == nil {
@@ -147,7 +150,8 @@ func (cs *CriticalSection) Update(id EntityID, fn func(state store.Row) (store.R
 	return err
 }
 
-// Get reads one locked entity, as the section's own Updates left it.
+// Get reads one locked entity, as the section's own Updates left it. The
+// row is shared (see store.Row): do not change it.
 func (cs *CriticalSection) Get(id EntityID) (store.Row, bool, error) {
 	name, err := cs.nameOf(id)
 	if err != nil {

@@ -113,6 +113,7 @@ func (r *Relay) Drain() (int, error) {
 			if err != nil || !ok {
 				return err
 			}
+			row = row.Clone() // the store's row is shared: change a copy
 			row["dispatched"] = int64(1)
 			return tx.Put(Table, item.key, row)
 		})

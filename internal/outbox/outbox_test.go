@@ -197,6 +197,7 @@ func TestRelayRedeliveryConsumerDedup(t *testing.T) {
 		var firstKey string
 		tx.Scan(Table, "", "", func(k string, row store.Row) bool { firstKey = k; return false })
 		row, _, _ := tx.Get(Table, firstKey)
+		row = row.Clone()
 		row["dispatched"] = int64(0)
 		return tx.Put(Table, firstKey, row)
 	})

@@ -2,18 +2,54 @@ package store
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
+// versionsDigest hashes every installed version of every table: its key,
+// timestamp, whether it is a delete, and its row's columns. A transaction
+// body installs nothing, so a digest that changes across one means the
+// body changed a row the store shares with its readers.
+func versionsDigest(db *DB) uint64 {
+	h := fnv.New64a()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	for _, name := range keysOf(db.tables) {
+		tbl := db.tables[name]
+		tbl.mu.RLock()
+		for _, k := range keysOf(tbl.recs) {
+			for _, v := range tbl.recs[k].versions {
+				fmt.Fprintf(h, "%s/%s@%d:%v:%v;", name, k, v.ts, v.deleted, v.row) // fmt sorts map keys
+			}
+		}
+		tbl.mu.RUnlock()
+	}
+	return h.Sum64()
+}
+
+func keysOf[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // Model-based property: a single-threaded sequence of serializable
-// transactions agrees with a plain map executed in commit order.
+// transactions agrees with a plain map executed in commit order, every
+// read in a body sees the model (or the body's own write), and no body
+// changes an installed version. An op reads its key before writing it
+// only when Read is set, so bodies mix read-then-write and blind writes.
 func TestSerialEquivalenceProperty(t *testing.T) {
 	type op struct {
 		Key    uint8
 		Val    uint8
+		Read   bool
 		Del    bool
 		Commit bool
 	}
@@ -22,11 +58,25 @@ func TestSerialEquivalenceProperty(t *testing.T) {
 		db.CreateTable("t")
 		model := map[string]int64{}
 		for _, ops := range txns {
+			installed := versionsDigest(db)
 			tx := db.Begin(Serializable)
 			staged := map[string]*int64{} // nil pointer = delete
 			abort := false
 			for _, o := range ops {
 				k := fmt.Sprintf("k%d", o.Key%8)
+				if o.Read {
+					want, present := model[k]
+					if v, own := staged[k]; own {
+						present = v != nil
+						if present {
+							want = *v
+						}
+					}
+					r, ok, err := tx.Get("t", k)
+					if err != nil || ok != present || r.Int("v") != want && present {
+						return false
+					}
+				}
 				if o.Del {
 					if tx.Delete("t", k) != nil {
 						abort = true
@@ -44,6 +94,9 @@ func TestSerialEquivalenceProperty(t *testing.T) {
 				if !o.Commit {
 					continue
 				}
+			}
+			if versionsDigest(db) != installed {
+				return false // the body changed a shared row
 			}
 			commit := len(ops) > 0 && ops[len(ops)-1].Commit && !abort
 			if commit {

@@ -23,6 +23,9 @@
 // chain therefore holds only what open transactions may still read, and a
 // steady-state commit neither copies history nor allocates for it.
 //
+// Rows are never copied (see Row): a version holds the row its transaction
+// was given, and every reader of the version shares it.
+//
 // Update retries OCC conflicts with full-jitter exponential backoff, for at
 // least ten attempts and at least LockWaitTimeout.
 //
@@ -90,8 +93,9 @@ func (i Isolation) String() string {
 	}
 }
 
-// Row is one record. The store copies rows on write and returns copies on
-// read, so callers may freely mutate what they pass in and get back.
+// Row is one record, passed by reference: Put keeps the row it is given,
+// and Get and Scan return the installed (or staged) row, shared with every
+// reader. A caller changes neither; it builds a new row (Clone, then set).
 type Row map[string]any
 
 // Clone returns a shallow copy of the row.

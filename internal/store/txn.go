@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -19,7 +20,10 @@ type tableKey struct {
 	table, key string
 }
 
+// writeOp is one staged write: the row Put gave the transaction, or a
+// delete.
 type writeOp struct {
+	tk  tableKey
 	row Row
 	del bool
 }
@@ -33,9 +37,11 @@ type Txn struct {
 	snapTS uint64
 	state  txnState
 
-	reads  map[tableKey]uint64 // Serializable only: observed commit ts (0 = observed absent)
-	writes map[tableKey]writeOp
-	order  []tableKey // write order for deterministic install
+	reads map[tableKey]uint64 // Serializable only: observed commit ts (0 = observed absent)
+	// writes is the write set, one entry per key in first-write order,
+	// which is also the install order. wbuf backs its first 8 entries.
+	writes []writeOp
+	wbuf   [8]writeOp
 
 	wounded   atomic.Bool
 	woundedCh chan struct{} // Locking2PL only, the one level whose txns hold locks and so get wounded
@@ -53,8 +59,8 @@ func (db *DB) begin(iso Isolation, id uint64) *Txn {
 		iso:    iso,
 		id:     id,
 		snapTS: db.register(),
-		writes: make(map[tableKey]writeOp),
 	}
+	t.writes = t.wbuf[:0]
 	switch iso {
 	case Serializable:
 		t.reads = make(map[tableKey]uint64)
@@ -100,7 +106,9 @@ func (t *Txn) checkUsable() error {
 	return nil
 }
 
-// Get returns the row at key in table, or ok=false when absent.
+// Get returns the row at key in table, or ok=false when absent. The row is
+// the one installed (or staged by this transaction's Put), shared with
+// every other reader: the caller must not change it.
 func (t *Txn) Get(tableName, key string) (Row, bool, error) {
 	if err := t.checkUsable(); err != nil {
 		return nil, false, err
@@ -108,11 +116,9 @@ func (t *Txn) Get(tableName, key string) (Row, bool, error) {
 	done := t.db.admit()
 	defer done()
 	tk := tableKey{tableName, key}
-	if w, ok := t.writes[tk]; ok {
-		if w.del {
-			return nil, false, nil
-		}
-		return w.row.Clone(), true, nil
+	if i := t.staged(tk); i >= 0 {
+		w := t.writes[i]
+		return w.row, !w.del, nil
 	}
 	tbl, err := t.db.table(tableName)
 	if err != nil {
@@ -137,7 +143,7 @@ func (t *Txn) Get(tableName, key string) (Row, bool, error) {
 		return nil, false, nil
 	}
 	t.noteRead(tk, v.ts)
-	return v.row.Clone(), true, nil
+	return v.row, true, nil
 }
 
 // readTS returns the timestamp this transaction reads at.
@@ -158,55 +164,56 @@ func (t *Txn) noteRead(tk tableKey, ts uint64) {
 	}
 }
 
-// Put buffers a write of row under key.
+// Put buffers a write of row under key. The transaction takes ownership of
+// row: the caller must not change it afterwards.
 func (t *Txn) Put(tableName, key string, row Row) error {
-	if err := t.checkUsable(); err != nil {
-		return err
-	}
-	done := t.db.admit()
-	defer done()
-	if _, err := t.db.table(tableName); err != nil {
-		return err
-	}
-	tk := tableKey{tableName, key}
-	if t.iso == Locking2PL {
-		if err := t.db.locks.acquire(t, tk, lockExclusive); err != nil {
-			return err
-		}
-	}
-	if _, exists := t.writes[tk]; !exists {
-		t.order = append(t.order, tk)
-	}
-	t.writes[tk] = writeOp{row: row.Clone()}
-	return nil
+	return t.stage(writeOp{tk: tableKey{tableName, key}, row: row})
 }
 
 // Delete buffers a deletion of key.
 func (t *Txn) Delete(tableName, key string) error {
+	return t.stage(writeOp{tk: tableKey{tableName, key}, del: true})
+}
+
+// stage takes w's key's exclusive lock under Locking2PL and records w,
+// replacing an earlier write of the key in place so that the key keeps its
+// first-write position.
+func (t *Txn) stage(w writeOp) error {
 	if err := t.checkUsable(); err != nil {
 		return err
 	}
 	done := t.db.admit()
 	defer done()
-	if _, err := t.db.table(tableName); err != nil {
+	if _, err := t.db.table(w.tk.table); err != nil {
 		return err
 	}
-	tk := tableKey{tableName, key}
 	if t.iso == Locking2PL {
-		if err := t.db.locks.acquire(t, tk, lockExclusive); err != nil {
+		if err := t.db.locks.acquire(t, w.tk, lockExclusive); err != nil {
 			return err
 		}
 	}
-	if _, exists := t.writes[tk]; !exists {
-		t.order = append(t.order, tk)
+	if i := t.staged(w.tk); i >= 0 {
+		t.writes[i] = w
+		return nil
 	}
-	t.writes[tk] = writeOp{del: true}
+	t.writes = append(t.writes, w)
 	return nil
+}
+
+// staged returns the index of tk's entry in the write set, or -1.
+func (t *Txn) staged(tk tableKey) int {
+	for i := range t.writes {
+		if t.writes[i].tk == tk {
+			return i
+		}
+	}
+	return -1
 }
 
 // Scan iterates rows with keys in [start, end) in ascending key order,
 // merged with the transaction's own uncommitted writes. An empty end means
-// "to the last key". fn returning false stops the scan.
+// "to the last key". fn returning false stops the scan. As with Get, the
+// rows fn receives are shared: fn must not change them.
 //
 // Note: under Serializable, Scan validates the individual keys it returned
 // but not the absence of others — phantoms are not prevented (the store is
@@ -225,34 +232,23 @@ func (t *Txn) Scan(tableName, start, end string, fn func(key string, row Row) bo
 	at := t.readTS()
 	keys := tbl.sortedKeys()
 	// Merge in own-write keys not yet committed.
-	var ownKeys []string
-	for tk := range t.writes {
-		if tk.table == tableName {
-			ownKeys = append(ownKeys, tk.key)
+	committed := len(keys)
+	for i := range t.writes {
+		if tk := t.writes[i].tk; tk.table == tableName {
+			keys = append(keys, tk.key)
 		}
 	}
-	if len(ownKeys) > 0 {
-		set := make(map[string]struct{}, len(keys))
-		for _, k := range keys {
-			set[k] = struct{}{}
-		}
-		for _, k := range ownKeys {
-			if _, ok := set[k]; !ok {
-				keys = append(keys, k)
-			}
-		}
+	if len(keys) > committed {
 		sort.Strings(keys)
+		keys = slices.Compact(keys)
 	}
 	for _, k := range keys {
 		if k < start || (end != "" && k >= end) {
 			continue
 		}
 		tk := tableKey{tableName, k}
-		if w, ok := t.writes[tk]; ok {
-			if w.del {
-				continue
-			}
-			if !fn(k, w.row.Clone()) {
+		if i := t.staged(tk); i >= 0 {
+			if w := t.writes[i]; !w.del && !fn(k, w.row) {
 				return nil
 			}
 			continue
@@ -273,7 +269,7 @@ func (t *Txn) Scan(tableName, start, end string, fn func(key string, row Row) bo
 			continue
 		}
 		t.noteRead(tk, v.ts)
-		if !fn(k, v.row.Clone()) {
+		if !fn(k, v.row) {
 			return nil
 		}
 	}
@@ -318,8 +314,8 @@ func (t *Txn) Commit() error {
 	if t.state == txnActive {
 		switch t.iso {
 		case SnapshotIsolation, Serializable:
-			for _, tk := range t.order {
-				if ts := db.latestTS(tk); ts > t.snapTS {
+			for i := range t.writes {
+				if tk := t.writes[i].tk; db.latestTS(tk) > t.snapTS {
 					db.commitMu.Unlock()
 					db.Conflicts.Add(1)
 					t.Abort()
@@ -329,7 +325,7 @@ func (t *Txn) Commit() error {
 		}
 		if t.iso == Serializable {
 			for tk, seen := range t.reads {
-				if _, alsoWritten := t.writes[tk]; alsoWritten {
+				if t.staged(tk) >= 0 {
 					continue // covered by the write check above
 				}
 				if ts := db.latestTS(tk); ts != seen {
@@ -348,15 +344,14 @@ func (t *Txn) Commit() error {
 	// the pre-ts versions — and validation (latestTS > snapTS) would then
 	// miss the conflict, losing an update.
 	ts, low := db.clock.Load()+1, db.lowWater()
-	for _, tk := range t.order {
-		w := t.writes[tk]
-		tbl, err := db.table(tk.table)
+	for _, w := range t.writes {
+		tbl, err := db.table(w.tk.table)
 		if err != nil {
 			db.commitMu.Unlock()
 			t.Abort()
 			return err
 		}
-		tbl.install(tk.key, version{ts: ts, row: w.row, deleted: w.del}, low)
+		tbl.install(w.tk.key, version{ts: ts, row: w.row, deleted: w.del}, low)
 	}
 	db.clock.Store(ts)
 	db.commitMu.Unlock()
