@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 
@@ -282,14 +281,6 @@ func DeployWith(model ProgrammingModel, app *App, env *Env, opts Options) (Cell,
 // opError is the unknown-op error of every cell.
 func opError(app *App, op string) error {
 	return fmt.Errorf("tca: app %q has no op %q", app.Name(), op)
-}
-
-// keyShard hashes a key onto one of n shards — the routing rule the
-// sharded executors (microservices, partitioned core) share.
-func keyShard(key string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
 }
 
 // sortedKeys returns map keys in deterministic order (bodies and adapters

@@ -3,7 +3,6 @@ package tca
 import (
 	"tca/internal/actor"
 	"tca/internal/fabric"
-	"tca/internal/store"
 )
 
 // actorExec runs an App on the actor model with Orleans-style
@@ -29,10 +28,9 @@ func (e *actorExec) ref(key string) actor.Ref {
 	return actor.Ref{Type: e.c.app.Name(), ID: key}
 }
 
-// actorTxn adapts ActorTxn to the Txn surface. Values live in a single
-// "v" column of the actor's transactional row; the store keeps the row it
-// is given, so the string conversion is what decouples the stored value
-// from the caller's byte slice, and each Put builds a new row. Add and
+// actorTxn adapts ActorTxn to the Txn surface. Values live in the actor's
+// transactional row as valueRow lays it out, and each Put builds a new
+// row. Add and
 // PushCap are plain read-modify-writes: the 2PL exclusive lock on the key
 // actor serializes them.
 type actorTxn struct {
@@ -45,11 +43,11 @@ func (t *actorTxn) Get(key string) ([]byte, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	return []byte(row.Str("v")), true, nil
+	return rowValue(row), true, nil
 }
 
 func (t *actorTxn) Put(key string, value []byte) error {
-	return t.tx.Write(t.e.ref(key), store.Row{"v": string(value)})
+	return t.tx.Write(t.e.ref(key), valueRow(value))
 }
 
 func (t *actorTxn) Add(key string, delta int64) error {
@@ -94,7 +92,7 @@ func (e *actorExec) read(key string) ([]byte, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	return []byte(row.Str("v")), true, nil
+	return rowValue(row), true, nil
 }
 
 func (e *actorExec) settle() error { return nil }

@@ -42,7 +42,7 @@ func newFaasExec(c *cell, env *Env) *faasExec {
 				if err != nil {
 					return nil, err
 				}
-				tx.snapshot[k] = keyVal{Key: k, Val: valueOf(row), Found: found}
+				tx.snapshot[k] = keyVal{Key: k, Val: rowValue(row), Found: found}
 			}
 			result, err := c.runBody(op, ctx.InvocationID(), tx, payload)
 			if err != nil {
@@ -53,8 +53,8 @@ func newFaasExec(c *cell, env *Env) *faasExec {
 				// is kept: Unlock returns it and commits none of the op's
 				// writes.
 				cs.Update(e.entity(w.Key), func(cur store.Row) (store.Row, error) {
-					val, _ := w.apply(valueOf(cur), cur != nil)
-					return store.Row{"v": string(val)}, nil
+					val, _ := w.apply(rowValue(cur), cur != nil)
+					return valueRow(val), nil
 				})
 			}
 			if err := cs.Unlock(); err != nil {
@@ -70,14 +70,6 @@ func (e *faasExec) entity(key string) faas.EntityID {
 	return faas.EntityID{Type: e.c.app.Name(), ID: key}
 }
 
-// valueOf is the value an entity row holds, nil when the entity is absent.
-func valueOf(row store.Row) []byte {
-	if row == nil {
-		return nil
-	}
-	return []byte(row.Str("v"))
-}
-
 func (e *faasExec) guarantee() Guarantee {
 	return Guarantee{Atomic: true, Isolated: true, ExactlyOnce: true,
 		Note: "Durable-Functions entities: explicit critical sections, dedup by op id; cold starts on the latency tail"}
@@ -91,7 +83,7 @@ func (e *faasExec) run(op Op, reqID string, args []byte, tr *fabric.Trace) ([]by
 
 func (e *faasExec) read(key string) ([]byte, bool, error) {
 	row, found, err := e.p.Entities().Read(e.entity(key))
-	return valueOf(row), found, err
+	return rowValue(row), found, err
 }
 
 func (e *faasExec) settle() error { return nil }

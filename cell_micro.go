@@ -7,6 +7,7 @@ import (
 	"tca/internal/dedup"
 	"tca/internal/fabric"
 	"tca/internal/micro"
+	"tca/internal/mq"
 	"tca/internal/rpc"
 	"tca/internal/saga"
 	"tca/internal/store"
@@ -94,7 +95,7 @@ func decodeKind(frame []byte, k sfKind) (sfMsg, error) {
 	return m, err
 }
 
-func microShard(key string) int { return keyShard(key, microShards) }
+func microShard(key string) int { return mq.PartitionForKey(key, microShards) }
 
 // stateOf reads key's value in a shard database transaction.
 func stateOf(tx *store.Txn, key string) ([]byte, bool, error) {
@@ -102,7 +103,7 @@ func stateOf(tx *store.Txn, key string) ([]byte, bool, error) {
 	if !found {
 		return nil, false, err
 	}
-	return []byte(row.Str("v")), true, nil
+	return rowValue(row), true, nil
 }
 
 // readKeys reads keys' committed values from one snapshot of a shard
@@ -136,7 +137,7 @@ func applyBatch(db *store.DB, ws []write) ([]write, error) {
 			}
 			undo[len(ws)-1-i] = w.inverse(cur, found)
 			if val, keep := w.apply(cur, found); keep {
-				err = tx.Put("state", w.Key, store.Row{"v": string(val)})
+				err = tx.Put("state", w.Key, valueRow(val))
 			} else {
 				err = tx.Delete("state", w.Key)
 			}

@@ -4,7 +4,23 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+
+	"tca/internal/store"
 )
+
+// valueRow is the store row holding a cell value, the one value format of
+// the cells over internal/store (actor, FaaS, microservices): a single "v"
+// column. The string conversion decouples the row, which the store keeps,
+// from the caller's bytes.
+func valueRow(val []byte) store.Row { return store.Row{"v": string(val)} }
+
+// rowValue is the value a valueRow holds, nil when the row is absent.
+func rowValue(row store.Row) []byte {
+	if row == nil {
+		return nil
+	}
+	return []byte(row.Str("v"))
+}
 
 // verb is which of the Txn write verbs a write record carries.
 type verb uint8

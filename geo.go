@@ -146,9 +146,8 @@ type StalenessStats struct {
 type GeoOptions struct {
 	// Mode selects the replication mode (default AsyncReplication).
 	Mode ReplicationMode
-	// WAN is the cross-region base latency (default 20ms) — it becomes
-	// fabric.Config.CrossRegionLatency, the tier every region's cluster
-	// is built with.
+	// WAN is the cross-region base latency (default 20ms): the group's
+	// region.Topology charges it to every message between regions.
 	WAN time.Duration
 	// ShipInterval is the async shipper cadence (default 1ms). The
 	// staleness bound is ShipInterval + the pair's WAN latency.
@@ -316,12 +315,11 @@ func DeployReplicated(model ProgrammingModel, app *App, regions int, gopts GeoOp
 
 	cfg := fabric.DefaultConfig()
 	cfg.Seed = seed
-	cfg.CrossRegionLatency = wan
 	names := make([]string, regions)
 	for i := range names {
 		names[i] = fmt.Sprintf("region-%d", i)
 	}
-	top := region.New(cfg, names...)
+	top := region.New(cfg, wan, names...)
 
 	g := &ReplicaGroup{
 		app:       app,
@@ -340,20 +338,16 @@ func DeployReplicated(model ProgrammingModel, app *App, regions int, gopts GeoOp
 			open: make(map[string][]geoWrite),
 			vers: make(map[string]geoVersion),
 		}
-		// Each region is its own intra-region cluster, with the
-		// cross-region tier configured and every node placed in the
-		// region — the per-region analogue of NewEnv.
+		// Each region is its own intra-region cluster — the per-region
+		// analogue of NewEnv. Its sends never leave the region; the
+		// topology charges the WAN between regions.
 		cfg := fabric.DefaultConfig()
 		cfg.Seed = seed + int64(i)
-		cfg.CrossRegionLatency = wan
 		ids := make([]fabric.NodeID, geoRegionNodes)
 		for n := range ids {
 			ids[n] = fabric.NodeID(fmt.Sprintf("%s-node-%d", name, n))
 		}
 		cluster := fabric.NewCluster(cfg, ids...)
-		for _, id := range ids {
-			cluster.SetRegion(id, name)
-		}
 		env := &Env{Cluster: cluster, Broker: mq.NewBroker()}
 
 		deployApp := app

@@ -5,11 +5,13 @@
 // transparently re-placed on another node when theirs fails — the failure
 // transparency §4.1 attributes to Orleans.
 //
-// Delivery semantics follow §4.2: at-most-once by default; Ask with retries
-// gives at-least-once, which duplicates effects unless the actor's handler
-// is idempotent. State durability is the developer's responsibility, via
-// Ctx.Load/Ctx.Save against the system's persistence store — the
-// "checkpoint actor state to an external DBMS" pattern the paper describes.
+// Delivery semantics follow §4.2: Tell and Ask are one attempt each, so a
+// message the network drops is lost (at-most-once), while one it
+// duplicates runs the handler twice, which duplicates effects unless the
+// handler is idempotent. State durability is the developer's
+// responsibility, via Ctx.Load/Ctx.Save against the system's own state
+// store — the "checkpoint actor state to an external DBMS" pattern the
+// paper describes.
 //
 // Cross-actor transactions (the Orleans Transactions API surveyed in §4.2)
 // are provided by Coordinator in txn.go: lock-based two-phase commit over
@@ -95,7 +97,8 @@ func (c *Ctx) Tell(to Ref, method string, body []byte, tr *fabric.Trace) {
 }
 
 // Ask performs a request/response call to another actor, charging hops to
-// the trace. Retries give at-least-once delivery.
+// the trace. It is one attempt: a dropped request fails the call, and a
+// reply slower than askTimeout is ErrAskTimeout.
 func (c *Ctx) Ask(to Ref, method string, body []byte, tr *fabric.Trace) ([]byte, error) {
 	return c.System.ask(c.Node, to, method, body, tr)
 }
@@ -135,17 +138,15 @@ type reply struct {
 	err  error
 }
 
-// Config tunes the runtime.
+// Config tunes the runtime. Ask waits at most askTimeout, and actor state
+// lives in a store.DB the system makes for itself.
 type Config struct {
 	// MailboxSize bounds each activation's queue. Zero means 1024.
 	MailboxSize int
-	// AskTimeout bounds Ask waits. Zero means 2s.
-	AskTimeout time.Duration
-	// AskRetries is the redelivery count for Ask (at-least-once when > 0).
-	AskRetries int
-	// Persistence stores actor state; nil creates a dedicated store.DB.
-	Persistence *store.DB
 }
+
+// askTimeout bounds an Ask's wait for its reply.
+const askTimeout = 2 * time.Second
 
 // System is the virtual-actor runtime over a fabric cluster.
 type System struct {
@@ -166,13 +167,7 @@ func NewSystem(cluster *fabric.Cluster, cfg Config) *System {
 	if cfg.MailboxSize <= 0 {
 		cfg.MailboxSize = 1024
 	}
-	if cfg.AskTimeout <= 0 {
-		cfg.AskTimeout = 2 * time.Second
-	}
-	db := cfg.Persistence
-	if db == nil {
-		db = store.NewDB(store.Config{Name: "actor-state"})
-	}
+	db := store.NewDB(store.Config{Name: "actor-state"})
 	db.CreateTable("actor_state")
 	return &System{
 		cfg:         cfg,
@@ -186,9 +181,6 @@ func NewSystem(cluster *fabric.Cluster, cfg Config) *System {
 
 // Metrics returns the runtime's instruments.
 func (s *System) Metrics() *metrics.Registry { return s.metrics }
-
-// Persistence returns the actor-state database.
-func (s *System) Persistence() *store.DB { return s.db }
 
 // Register makes an actor type known to the runtime.
 func (s *System) Register(actorType string, f Factory) {
@@ -294,24 +286,24 @@ func (s *System) deliverTo(a *activation, from fabric.NodeID, msg Message, reply
 		s.metrics.Counter("actor.deliver_failures").Inc()
 		return d.Err
 	}
-	send := func(r chan reply) error {
+	send := func(m Message, r chan reply) error {
 		select {
-		case a.mailbox <- envelope{msg: msg, reply: r}:
+		case a.mailbox <- envelope{msg: m, reply: r}:
 			return nil
 		default:
 			s.metrics.Counter("actor.mailbox_full").Inc()
 			return ErrMailboxFull
 		}
 	}
-	if err := send(replyCh); err != nil {
+	if err := send(msg, replyCh); err != nil {
 		return err
 	}
 	if d.Duplicated {
 		// Network duplicate: deliver again with no reply channel; the
-		// behavior executes twice.
+		// behavior executes twice, the second time as the next Attempt.
 		dup := msg
-		dup.Attempt = msg.Attempt + 1
-		_ = send(nil)
+		dup.Attempt++
+		_ = send(dup, nil)
 		s.metrics.Counter("actor.duplicates").Inc()
 	}
 	return nil
@@ -336,37 +328,27 @@ func (s *System) Ask(ref Ref, method string, body []byte, tr *fabric.Trace) ([]b
 }
 
 func (s *System) ask(from fabric.NodeID, ref Ref, method string, body []byte, tr *fabric.Trace) ([]byte, error) {
-	attempts := s.cfg.AskRetries + 1
-	var lastErr error
-	for i := 1; i <= attempts; i++ {
-		a, err := s.activationFor(ref)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		replyCh := make(chan reply, 1)
-		msg := Message{Method: method, Body: body, Trace: tr, Attempt: i}
-		if err := s.deliverTo(a, from, msg, replyCh); err != nil {
-			lastErr = err
-			if i < attempts {
-				s.metrics.Counter("actor.ask_retries").Inc()
-			}
-			continue
-		}
-		timer := time.NewTimer(s.cfg.AskTimeout)
-		select {
-		case r := <-replyCh:
-			timer.Stop()
-			s.cluster.Send(a.node, from, tr) // response hop
-			if r.err != nil {
-				return nil, r.err
-			}
-			return r.body, nil
-		case <-timer.C:
-			lastErr = ErrAskTimeout
-		}
+	a, err := s.activationFor(ref)
+	if err != nil {
+		return nil, fmt.Errorf("actor: ask %s.%s failed: %w", ref, method, err)
 	}
-	return nil, fmt.Errorf("actor: ask %s.%s failed: %w", ref, method, lastErr)
+	replyCh := make(chan reply, 1)
+	msg := Message{Method: method, Body: body, Trace: tr, Attempt: 1}
+	if err := s.deliverTo(a, from, msg, replyCh); err != nil {
+		return nil, fmt.Errorf("actor: ask %s.%s failed: %w", ref, method, err)
+	}
+	timer := time.NewTimer(askTimeout)
+	defer timer.Stop()
+	select {
+	case r := <-replyCh:
+		s.cluster.Send(a.node, from, tr) // response hop
+		if r.err != nil {
+			return nil, r.err
+		}
+		return r.body, nil
+	case <-timer.C:
+		return nil, fmt.Errorf("actor: ask %s.%s failed: %w", ref, method, ErrAskTimeout)
+	}
 }
 
 // loadState reads an actor's durable state.

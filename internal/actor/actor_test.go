@@ -247,6 +247,36 @@ func TestDuplicateDeliveryDoublesEffects(t *testing.T) {
 	}
 }
 
+// TestDuplicateDeliveryIsNextAttempt pins Message.Attempt on a network
+// duplicate: the behavior sees the original as attempt 1 and the
+// duplicate as attempt 2.
+func TestDuplicateDeliveryIsNextAttempt(t *testing.T) {
+	cfg := fabric.DefaultConfig()
+	cfg.DupProb = 1.0
+	sys := NewSystem(fabric.NewCluster(cfg, "n1"), Config{})
+	defer sys.Stop()
+	attempts := make(chan int, 2)
+	sys.Register("rec", func(Ref) Behavior {
+		return BehaviorFunc(func(_ *Ctx, msg Message) ([]byte, error) {
+			attempts <- msg.Attempt
+			return nil, nil
+		})
+	})
+	if _, err := sys.Ask(Ref{"rec", "a"}, "m", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	for want := 1; want <= 2; want++ {
+		select {
+		case got := <-attempts:
+			if got != want {
+				t.Fatalf("delivery %d has Attempt %d", want, got)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("delivery %d never arrived", want)
+		}
+	}
+}
+
 func TestActorToActorAsk(t *testing.T) {
 	sys, _ := newSystem(t)
 	registerCounter(sys)

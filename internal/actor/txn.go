@@ -26,17 +26,19 @@ var ErrReadOnlyTxn = errors.New("actor: write in read-only transaction")
 // table so that the two concurrency regimes never silently mix.
 type Coordinator struct {
 	sys *System
-	// Retries on serialization conflicts / wounds.
-	Retries int
 
 	commits, readOnly, retries, exhausted *metrics.Counter // actor.txn_*
 }
+
+// txnRetries is how many times a transaction is retried after a
+// serialization conflict or a wound before it gives up.
+const txnRetries = 10
 
 // NewCoordinator creates a transaction coordinator for the system.
 func NewCoordinator(sys *System) *Coordinator {
 	sys.db.CreateTable("actor_txn_state")
 	m := sys.metrics
-	return &Coordinator{sys: sys, Retries: 10,
+	return &Coordinator{sys: sys,
 		commits: m.Counter("actor.txn_commits"), readOnly: m.Counter("actor.txn_readonly"),
 		retries: m.Counter("actor.txn_retries"), exhausted: m.Counter("actor.txn_exhausted")}
 }
@@ -150,7 +152,7 @@ func (c *Coordinator) run(tr *fabric.Trace, readOnly bool, fn func(t *ActorTxn) 
 	}
 	tx := c.sys.db.Begin(store.Locking2PL)
 	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
+	for attempt := 0; attempt <= txnRetries; attempt++ {
 		if attempt > 0 {
 			tx = tx.Restart()
 		}

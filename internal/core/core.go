@@ -242,8 +242,6 @@ type Config struct {
 	// behavior: a MaxGroupAppend-deep queue with blocking admission. E23
 	// sweeps offered load past saturation against this knob.
 	MaxPending int
-	// ResultTimeout bounds Submit waits. Zero means 10s.
-	ResultTimeout time.Duration
 	// Cluster, when set, charges Submit's sequencer and reply hops to the
 	// caller's trace for latency comparisons.
 	Cluster *fabric.Cluster
@@ -395,9 +393,6 @@ func NewRuntime(_ *mq.Broker, cfg Config) *Runtime {
 	}
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 1
-	}
-	if cfg.ResultTimeout <= 0 {
-		cfg.ResultTimeout = 10 * time.Second
 	}
 	nparts := cfg.Partitions
 	maxGroup := cfg.MaxGroupAppend
@@ -960,7 +955,6 @@ func (r *Runtime) execute(tid, seq int64, req request, part int) {
 type Handle struct {
 	ch       chan Result
 	done     chan struct{}
-	timeout  time.Duration
 	rt       *Runtime
 	tr       *fabric.Trace
 	reqID    string
@@ -968,12 +962,16 @@ type Handle struct {
 	timedOut bool
 }
 
-// watch waits for the executor's result delivery (bounded by the
-// runtime's ResultTimeout) and completes the handle. A timed-out handle
+// resultTimeout bounds how long a handle waits for its transaction's
+// result before it reports ErrTimeout.
+const resultTimeout = 10 * time.Second
+
+// watch waits for the executor's result delivery (bounded by
+// resultTimeout) and completes the handle. A timed-out handle
 // unregisters its waiter so abandoned registrations cannot accumulate
 // across the runtime's lifetime.
 func (h *Handle) watch() {
-	timer := time.NewTimer(h.timeout)
+	timer := time.NewTimer(resultTimeout)
 	defer timer.Stop()
 	select {
 	case res := <-h.ch:
@@ -1113,7 +1111,7 @@ func (r *Runtime) SubmitAsync(reqID, fn string, keys []string, args []byte, tr *
 // executed and the handle is resolved; otherwise its waiter is registered,
 // and the caller starts the handle's watch once it keeps it.
 func (r *Runtime) await(reqID string, tr *fabric.Trace) (h *Handle, cached bool) {
-	h = &Handle{ch: make(chan Result, 1), done: make(chan struct{}), timeout: r.cfg.ResultTimeout, rt: r, tr: tr, reqID: reqID}
+	h = &Handle{ch: make(chan Result, 1), done: make(chan struct{}), rt: r, tr: tr, reqID: reqID}
 	r.resMu.Lock()
 	defer r.resMu.Unlock()
 	if h.res, cached = r.results[reqID]; cached {

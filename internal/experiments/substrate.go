@@ -82,8 +82,8 @@ func e10() Experiment {
 			}
 			return grid.Sample{Metrics: map[string]float64{
 				"ops_s":  res.Throughput(),
-				"p50_us": us(time.Duration(res.Latency.P50)),
-			}, Accept: res.LatencySamples}, nil
+				"p50_us": us(res.Latency.P50()),
+			}, Accept: res.Latency.Samples()}, nil
 		},
 	}
 }

@@ -6,10 +6,11 @@
 // several entities is an explicit critical section: one store transaction
 // under the entities' locks, whose writes commit together or not at all.
 //
-// Lifecycle costs are modeled explicitly (§4.3): each function has a warm
-// container pool; an invocation that finds no warm container pays the cold
-// start latency. Idle eviction shrinks the pool, trading memory for future
-// cold starts — the tension that "undermines wider adoption of FaaS".
+// Lifecycle costs are modeled explicitly (§4.3): each function keeps up to
+// warmPool containers warm; an invocation that finds no warm container
+// pays the cold start and state fetch latencies. Idle eviction shrinks the
+// pool, trading memory for future cold starts — the tension that
+// "undermines wider adoption of FaaS".
 //
 // Exactly-once per operation (§4.2 Durable Functions): invocations carry an
 // id; replays of the same id return the recorded result instead of
@@ -73,41 +74,39 @@ func (c *Ctx) Call(fn, key string, payload []byte) ([]byte, error) {
 	return c.platform.Invoke(fn, key, payload, c.Trace)
 }
 
-// Config tunes the platform's lifecycle model.
-type Config struct {
-	// ColdStart is the simulated latency of provisioning a container.
-	ColdStart time.Duration
-	// StateFetch is the simulated latency of pulling private state from
+// The lifecycle model of a typical FaaS.
+const (
+	// coldStart is the simulated latency of provisioning a container.
+	coldStart = 50 * time.Millisecond
+	// stateFetch is the simulated latency of pulling private state from
 	// disaggregated storage into a fresh container.
-	StateFetch time.Duration
+	stateFetch = 2 * time.Millisecond
+	// warmPool is the number of containers kept warm per function.
+	// Invocations beyond the warm supply pay cold starts.
+	warmPool = 8
+)
+
+// Config tunes the platform's admission; the lifecycle costs are the
+// constants above.
+type Config struct {
 	// MaxConcurrent caps in-flight invocations per function (0 = 256).
 	MaxConcurrent int
-	// WarmPool is the number of containers kept warm per function
-	// (0 = 8). Invocations beyond the warm supply pay cold starts.
-	WarmPool int
 }
 
-// DefaultConfig models a typical FaaS: 50ms cold start, 2ms state fetch.
+// DefaultConfig admits 256 in-flight invocations per function.
 func DefaultConfig() Config {
-	return Config{
-		ColdStart:     50 * time.Millisecond,
-		StateFetch:    2 * time.Millisecond,
-		MaxConcurrent: 256,
-		WarmPool:      8,
-	}
+	return Config{MaxConcurrent: 256}
 }
 
 // function is one registered function and its container pool.
 type function struct {
 	name    string
 	handler Handler
-	exec    *metrics.Histogram // faas.exec.<name>
 
 	mu    sync.Mutex
 	warm  int // containers currently warm and idle
 	busy  int // containers currently executing
 	limit int
-	pool  int
 }
 
 // Platform hosts functions.
@@ -132,9 +131,6 @@ type Platform struct {
 func NewPlatform(cluster *fabric.Cluster, cfg Config) *Platform {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 256
-	}
-	if cfg.WarmPool <= 0 {
-		cfg.WarmPool = 8
 	}
 	m := metrics.NewRegistry()
 	p := &Platform{
@@ -170,9 +166,7 @@ func (p *Platform) Register(name string, h Handler) {
 	p.fns[name] = &function{
 		name:    name,
 		handler: h,
-		exec:    p.metrics.Histogram("faas.exec." + name),
 		limit:   p.cfg.MaxConcurrent,
-		pool:    p.cfg.WarmPool,
 	}
 }
 
@@ -216,17 +210,14 @@ func (p *Platform) execute(f *function, id, key string, payload []byte, tr *fabr
 	}
 	defer f.release()
 	if cold {
-		tr.Charge(p.cfg.ColdStart)
-		tr.Charge(p.cfg.StateFetch) // fresh container pulls its state
+		tr.Charge(coldStart)
+		tr.Charge(stateFetch) // fresh container pulls its state
 		p.coldStarts.Inc()
 	} else {
 		p.warmStarts.Inc()
 	}
 	ctx := &Ctx{Function: f.name, Key: key, Trace: tr, Cold: cold, id: id, platform: p}
-	start := time.Now()
-	resp, err := f.handler(ctx, payload)
-	f.exec.RecordDuration(time.Since(start))
-	return resp, err
+	return f.handler(ctx, payload)
 }
 
 // acquire takes a container, reporting whether it was a cold start.
@@ -250,7 +241,7 @@ func (f *function) release() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.busy--
-	if f.warm < f.pool {
+	if f.warm < warmPool {
 		f.warm++
 	}
 }

@@ -45,12 +45,12 @@ func TestColdStartThenWarm(t *testing.T) {
 
 	cold := fabric.NewTrace()
 	p.Invoke("fn", "k", nil, cold)
-	if cold.Total() < cfg.ColdStart {
-		t.Fatalf("first invocation latency %v, want >= cold start %v", cold.Total(), cfg.ColdStart)
+	if cold.Total() < coldStart {
+		t.Fatalf("first invocation latency %v, want >= cold start %v", cold.Total(), coldStart)
 	}
 	warm := fabric.NewTrace()
 	p.Invoke("fn", "k", nil, warm)
-	if warm.Total() >= cfg.ColdStart {
+	if warm.Total() >= coldStart {
 		t.Fatalf("second invocation latency %v should not pay the cold start", warm.Total())
 	}
 	if got := p.Metrics().Counter("faas.cold_starts").Value(); got != 1 {
@@ -546,7 +546,7 @@ func (p *Platform) Warm(fn string, n int) error {
 		return fmt.Errorf("%w: %s", ErrNoFunction, fn)
 	}
 	f.mu.Lock()
-	f.warm = min(n, f.pool)
+	f.warm = min(n, warmPool)
 	f.mu.Unlock()
 	return nil
 }

@@ -1,6 +1,6 @@
 // Package fabric simulates the distributed computing infrastructure that
 // transactional cloud applications run on: a cluster of nodes connected by a
-// network with configurable latency, message loss, duplication, and
+// network with simulated latency, message loss, duplication, and
 // partitions, plus crash/restart of nodes. Every runtime in this repository
 // (microservices, actors, functions, dataflows) executes on a fabric Cluster
 // so that the failure modes surveyed in §4.1 of the paper — partial
@@ -77,22 +77,19 @@ func (t *Trace) Hops() int {
 	return t.hops
 }
 
+// The simulated base latencies of the two network tiers. A cluster is one
+// region; region.Topology charges the WAN between clusters.
+const (
+	// sameNodeLatency is a message that stays on one node (loopback / IPC).
+	sameNodeLatency = 50 * time.Microsecond
+	// crossNodeLatency is a message between two nodes.
+	crossNodeLatency = 500 * time.Microsecond
+)
+
 // Config describes the simulated infrastructure.
 type Config struct {
 	// Seed makes every probabilistic decision deterministic.
 	Seed int64
-	// SameNodeLatency is the simulated latency of a message that stays on
-	// one node (loopback / IPC).
-	SameNodeLatency time.Duration
-	// CrossNodeLatency is the simulated base latency of a cross-node
-	// message.
-	CrossNodeLatency time.Duration
-	// CrossRegionLatency is the simulated base latency of a message that
-	// crosses a region boundary (WAN). It applies only between nodes that
-	// have been placed in different regions with SetRegion; zero means the
-	// cluster has no geo tier and cross-region sends fall back to
-	// CrossNodeLatency. Jitter and seeding are shared with the other tiers.
-	CrossRegionLatency time.Duration
 	// LatencyJitterPct adds uniform jitter in [0, pct] percent of the base
 	// latency.
 	LatencyJitterPct int
@@ -106,12 +103,7 @@ type Config struct {
 // DefaultConfig models a single-AZ cluster: 50µs loopback, 500µs cross-node,
 // no faults.
 func DefaultConfig() Config {
-	return Config{
-		Seed:             1,
-		SameNodeLatency:  50 * time.Microsecond,
-		CrossNodeLatency: 500 * time.Microsecond,
-		LatencyJitterPct: 20,
-	}
+	return Config{Seed: 1, LatencyJitterPct: 20}
 }
 
 // Cluster is a set of nodes plus the network between them. Placement hashes
@@ -125,7 +117,6 @@ type Cluster struct {
 	nodes      map[NodeID]*nodeState
 	ids        []NodeID
 	alive      []NodeID
-	regions    map[NodeID]string
 	partitions map[partitionKey]bool
 	epoch      uint64 // incremented on every membership/failure event
 }
@@ -150,7 +141,6 @@ func NewCluster(cfg Config, nodes ...NodeID) *Cluster {
 		cfg:        cfg,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		nodes:      make(map[NodeID]*nodeState, len(nodes)),
-		regions:    make(map[NodeID]string),
 		partitions: make(map[partitionKey]bool),
 	}
 	for _, n := range nodes {
@@ -247,15 +237,6 @@ func (c *Cluster) Epoch() uint64 {
 	return c.epoch
 }
 
-// SetRegion places node n in the named region. Nodes default to the
-// empty region, so clusters that never call SetRegion behave exactly as
-// before the geo tier existed.
-func (c *Cluster) SetRegion(n NodeID, region string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.regions[n] = region
-}
-
 // Partition severs the link between a and b in both directions.
 func (c *Cluster) Partition(a, b NodeID) {
 	c.mu.Lock()
@@ -301,17 +282,12 @@ func (c *Cluster) Send(src, dst NodeID, tr *Trace) Delivery {
 		dstUp = s.up
 	}
 	parted := c.partitions[pkey(src, dst)]
-	var base time.Duration
-	switch {
-	case src == dst:
-		base = c.cfg.SameNodeLatency
-	case c.cfg.CrossRegionLatency > 0 && c.regions[src] != c.regions[dst]:
-		base = c.cfg.CrossRegionLatency
-	default:
-		base = c.cfg.CrossNodeLatency
+	base := crossNodeLatency
+	if src == dst {
+		base = sameNodeLatency
 	}
 	jitter := time.Duration(0)
-	if c.cfg.LatencyJitterPct > 0 && base > 0 {
+	if c.cfg.LatencyJitterPct > 0 {
 		jitter = time.Duration(c.rng.Int63n(int64(base) * int64(c.cfg.LatencyJitterPct) / 100))
 	}
 	drop := c.cfg.DropProb > 0 && c.rng.Float64() < c.cfg.DropProb
@@ -366,7 +342,7 @@ func (c *Cluster) Place(key string) NodeID {
 	if len(c.ids) == 0 {
 		return ""
 	}
-	return c.ids[fnv64(key)%uint64(len(c.ids))]
+	return c.ids[Hash(key)%uint64(len(c.ids))]
 }
 
 // PlaceAlive maps a key to an up node, skipping crashed nodes; returns
@@ -377,11 +353,12 @@ func (c *Cluster) PlaceAlive(key string) (NodeID, error) {
 	if len(c.alive) == 0 {
 		return "", ErrNodeDown
 	}
-	return c.alive[fnv64(key)%uint64(len(c.alive))], nil
+	return c.alive[Hash(key)%uint64(len(c.alive))], nil
 }
 
-// fnv64 hashes a string with FNV-1a.
-func fnv64(s string) uint64 {
+// Hash is the repository's one key hash, 64-bit FNV-1a: cluster placement
+// and every key-sharded component (mq.PartitionForKey) use it.
+func Hash(s string) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211

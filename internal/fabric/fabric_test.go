@@ -208,7 +208,7 @@ func TestPlaceAliveFollowsMembership(t *testing.T) {
 	sortHash := func(ids []NodeID, key string) NodeID {
 		ids = slices.Clone(ids)
 		slices.Sort(ids)
-		return ids[fnv64(key)%uint64(len(ids))]
+		return ids[Hash(key)%uint64(len(ids))]
 	}
 	check := func(when string, up []NodeID) {
 		t.Helper()

@@ -242,23 +242,14 @@ func (b *Broker) Fetch(tp TopicPartition, offset int64, max int) ([]Message, err
 	return p.read(offset, max), nil
 }
 
-// PartitionForKey maps a key to one of n partitions with FNV-1a, matching
-// the fabric's placement hash so co-partitioned topics align. Exported so
+// PartitionForKey maps a key to one of n partitions with fabric.Hash, the
+// fabric's placement hash, so co-partitioned topics align. Exported so
 // anything else sharded by key uses the same hash: one hash, one owner.
 func PartitionForKey(key string, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime
-	}
-	return int(h % uint64(n))
+	return int(fabric.Hash(key) % uint64(n))
 }
 
 func (t *topic) partitionFor(key string) int {

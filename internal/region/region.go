@@ -5,12 +5,11 @@
 // experiments report modeled latencies that are independent of the
 // host (the E24 gate row relies on this).
 //
-// A Topology is the geo analogue of fabric.Config's latency tiers: it
-// declares the regions, a default WAN latency for every pair (the
-// fabric config's CrossRegionLatency), optional per-pair overrides for
-// asymmetric topologies, and a seeded jitter source shared with the
-// fabric convention (uniform in [0, LatencyJitterPct] percent of the
-// base).
+// A Topology is the tier above a fabric cluster's node tiers, which stay
+// inside one region: it declares the regions, a default WAN latency for
+// every pair, optional per-pair overrides for asymmetric topologies, and
+// a seeded jitter source shared with the fabric convention (uniform in
+// [0, LatencyJitterPct] percent of the base).
 package region
 
 import (
@@ -34,19 +33,19 @@ type Topology struct {
 	override map[[2]string]time.Duration
 }
 
-// New builds a topology over the named regions. The default per-pair
-// WAN latency and the jitter percent come from cfg (CrossRegionLatency
-// and LatencyJitterPct), and the jitter stream is seeded from cfg.Seed
-// so a geo run is as reproducible as a single-region one. Panics on
-// fewer than one region or a duplicate name, mirroring App.Register's
+// New builds a topology over the named regions with wan as the default
+// per-pair WAN latency. The jitter percent comes from cfg's
+// LatencyJitterPct, and the jitter stream is seeded from cfg.Seed so a
+// geo run is as reproducible as a single-region one. Panics on fewer
+// than one region or a duplicate name, mirroring App.Register's
 // fail-fast contract.
-func New(cfg fabric.Config, names ...string) *Topology {
+func New(cfg fabric.Config, wan time.Duration, names ...string) *Topology {
 	if len(names) == 0 {
 		panic("region: topology needs at least one region")
 	}
 	t := &Topology{
 		names:    append([]string(nil), names...),
-		wan:      cfg.CrossRegionLatency,
+		wan:      wan,
 		pct:      cfg.LatencyJitterPct,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		override: make(map[[2]string]time.Duration),

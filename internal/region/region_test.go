@@ -7,15 +7,14 @@ import (
 	"tca/internal/fabric"
 )
 
-func cfg(wan time.Duration, jitter int) fabric.Config {
+func newTopology(wan time.Duration, jitter int, names ...string) *Topology {
 	c := fabric.DefaultConfig()
-	c.CrossRegionLatency = wan
 	c.LatencyJitterPct = jitter
-	return c
+	return New(c, wan, names...)
 }
 
 func TestLatencyTiersAndOverrides(t *testing.T) {
-	top := New(cfg(80*time.Millisecond, 0), "us", "eu", "ap")
+	top := newTopology(80*time.Millisecond, 0, "us", "eu", "ap")
 	if got := top.Latency("us", "us"); got != 0 {
 		t.Fatalf("intra-region latency = %v, want 0", got)
 	}
@@ -33,8 +32,8 @@ func TestLatencyTiersAndOverrides(t *testing.T) {
 
 func TestJitterBoundedAndSeeded(t *testing.T) {
 	const wan = 20 * time.Millisecond
-	a := New(cfg(wan, 20), "us", "eu")
-	b := New(cfg(wan, 20), "us", "eu")
+	a := newTopology(wan, 20, "us", "eu")
+	b := newTopology(wan, 20, "us", "eu")
 	for i := 0; i < 100; i++ {
 		la, lb := a.Latency("us", "eu"), b.Latency("us", "eu")
 		if la != lb {
@@ -47,18 +46,18 @@ func TestJitterBoundedAndSeeded(t *testing.T) {
 }
 
 func TestQuorumRTT(t *testing.T) {
-	if got := New(cfg(80*time.Millisecond, 0), "solo").QuorumRTT("solo"); got != 0 {
+	if got := newTopology(80*time.Millisecond, 0, "solo").QuorumRTT("solo"); got != 0 {
 		t.Fatalf("single-region quorum RTT = %v, want 0", got)
 	}
 	// Three regions, asymmetric: quorum needs 1 peer beyond the origin,
 	// so the nearest peer's RTT is the cost.
-	top := New(cfg(80*time.Millisecond, 0), "us", "eu", "ap")
+	top := newTopology(80*time.Millisecond, 0, "us", "eu", "ap")
 	top.SetLatency("us", "eu", 20*time.Millisecond)
 	if got := top.QuorumRTT("us"); got != 40*time.Millisecond {
 		t.Fatalf("quorum RTT = %v, want 40ms (nearest peer)", got)
 	}
 	// Five regions: majority needs 2 peers, so the 2nd-nearest RTT.
-	top5 := New(cfg(80*time.Millisecond, 0), "a", "b", "c", "d", "e")
+	top5 := newTopology(80*time.Millisecond, 0, "a", "b", "c", "d", "e")
 	top5.SetLatency("a", "b", 10*time.Millisecond)
 	top5.SetLatency("a", "c", 30*time.Millisecond)
 	if got := top5.QuorumRTT("a"); got != 60*time.Millisecond {
@@ -67,7 +66,7 @@ func TestQuorumRTT(t *testing.T) {
 }
 
 func TestChargeAccumulatesOnTrace(t *testing.T) {
-	top := New(cfg(80*time.Millisecond, 0), "us", "eu")
+	top := newTopology(80*time.Millisecond, 0, "us", "eu")
 	tr := fabric.NewTrace()
 	if d := top.Charge("us", "eu", tr); d != 80*time.Millisecond {
 		t.Fatalf("charged %v, want 80ms", d)

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"tca/internal/metrics"
 )
 
 // Op is the unit of work a driver executes.
@@ -19,14 +17,12 @@ type DriverResult struct {
 	Issued, Errors int64
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// Latency is the response-time distribution. Under the open-loop
-	// driver it includes queueing delay from the request's scheduled
-	// arrival time — the number that explodes at saturation (ref [56]).
-	Latency metrics.Snapshot
-	// LatencySamples is the same distribution's bounded reservoir
-	// (LatencyReservoir), exported so grid repeats can pool their tails
-	// (grid.PooledQuantile) — the p99 the experiment tables report.
-	LatencySamples []time.Duration
+	// Latency is the response-time distribution, never nil. Under the
+	// open-loop driver it includes queueing delay from the request's
+	// scheduled arrival time — the number that explodes at saturation
+	// (ref [56]). Grid repeats pool its Samples (grid.PooledQuantile) for
+	// the p99 the experiment tables report.
+	Latency *LatencyReservoir
 }
 
 // Throughput returns completed operations per second.
@@ -42,7 +38,6 @@ func (r DriverResult) Throughput() float64 {
 // self-throttle: when the server slows down, the arrival rate drops with
 // it, hiding saturation from the latency distribution.
 func ClosedLoop(clients, opsPerClient int, op Op) DriverResult {
-	hist := metrics.NewHistogram()
 	res := NewLatencyReservoir(0, 1)
 	var errs atomic.Int64
 	start := time.Now()
@@ -54,9 +49,7 @@ func ClosedLoop(clients, opsPerClient int, op Op) DriverResult {
 			for i := 0; i < opsPerClient; i++ {
 				t0 := time.Now()
 				err := op()
-				d := time.Since(t0)
-				hist.RecordDuration(d)
-				res.Record(d)
+				res.Record(time.Since(t0))
 				if err != nil {
 					errs.Add(1)
 				}
@@ -65,11 +58,10 @@ func ClosedLoop(clients, opsPerClient int, op Op) DriverResult {
 	}
 	wg.Wait()
 	return DriverResult{
-		Issued:         int64(clients * opsPerClient),
-		Errors:         errs.Load(),
-		Elapsed:        time.Since(start),
-		Latency:        hist.Snapshot(),
-		LatencySamples: res.Samples(),
+		Issued:  int64(clients * opsPerClient),
+		Errors:  errs.Load(),
+		Elapsed: time.Since(start),
+		Latency: res,
 	}
 }
 
@@ -179,9 +171,8 @@ func Pace(n int, gap func() time.Duration, submit func(i int, due time.Time)) {
 // and returns an empty result immediately instead of spinning.
 func OpenLoop(seed int64, n int, rate float64, op Op) DriverResult {
 	if rate <= 0 || n <= 0 {
-		return DriverResult{}
+		return DriverResult{Latency: NewLatencyReservoir(0, 1)}
 	}
-	hist := metrics.NewHistogram()
 	res := NewLatencyReservoir(0, 1)
 	var errs atomic.Int64
 	start := time.Now()
@@ -191,9 +182,7 @@ func OpenLoop(seed int64, n int, rate float64, op Op) DriverResult {
 		go func() {
 			defer wg.Done()
 			err := op()
-			d := time.Since(scheduled)
-			hist.RecordDuration(d)
-			res.Record(d)
+			res.Record(time.Since(scheduled))
 			if err != nil {
 				errs.Add(1)
 			}
@@ -201,11 +190,10 @@ func OpenLoop(seed int64, n int, rate float64, op Op) DriverResult {
 	})
 	wg.Wait()
 	return DriverResult{
-		Issued:         int64(n),
-		Errors:         errs.Load(),
-		Elapsed:        time.Since(start),
-		Latency:        hist.Snapshot(),
-		LatencySamples: res.Samples(),
+		Issued:  int64(n),
+		Errors:  errs.Load(),
+		Elapsed: time.Since(start),
+		Latency: res,
 	}
 }
 

@@ -77,6 +77,11 @@ func TestOpenLoopRejectsInvalidRate(t *testing.T) {
 		if res.Issued != 0 || res.Errors != 0 || res.Elapsed != 0 {
 			t.Fatalf("OpenLoop(rate=%g, n=%d) = %+v, want zero result", tc.rate, tc.n, res)
 		}
+		// A result always carries a distribution, so callers never
+		// nil-check it; an empty one reads zero.
+		if res.Latency == nil || res.Latency.Count() != 0 || res.Latency.P50() != 0 {
+			t.Fatalf("OpenLoop(rate=%g, n=%d) latency = %+v, want empty", tc.rate, tc.n, res.Latency)
+		}
 	}
 	if calls.Load() != 0 {
 		t.Fatalf("invalid open-loop configs ran the op %d times", calls.Load())

@@ -341,8 +341,8 @@ func TestClosedLoopCounts(t *testing.T) {
 	if res.Issued != 100 || res.Errors != 0 {
 		t.Fatalf("issued=%d errors=%d", res.Issued, res.Errors)
 	}
-	if res.Latency.Count != 100 {
-		t.Fatalf("latency samples = %d", res.Latency.Count)
+	if res.Latency.Count() != 100 {
+		t.Fatalf("latency samples = %d", res.Latency.Count())
 	}
 	if res.Throughput() <= 0 {
 		t.Fatal("zero throughput")
@@ -357,8 +357,8 @@ func TestClosedLoopSelfThrottles(t *testing.T) {
 	res := ClosedLoop(4, 10, op)
 	// p50 bounded by clients × service time (each op waits for at most the
 	// other 3 clients).
-	if res.Latency.P50 > int64(10*time.Millisecond) {
-		t.Fatalf("closed-loop p50 = %v, unexpectedly large", time.Duration(res.Latency.P50))
+	if res.Latency.P50() > 10*time.Millisecond {
+		t.Fatalf("closed-loop p50 = %v, unexpectedly large", res.Latency.P50())
 	}
 }
 
@@ -367,16 +367,16 @@ func TestOpenLoopBeyondCapacityExplodes(t *testing.T) {
 	// blow past anything the closed-loop test sees.
 	op := SpinService(1, 200*time.Microsecond)
 	res := OpenLoop(11, 300, 20000, op)
-	if res.Latency.P90 < int64(2*time.Millisecond) {
-		t.Fatalf("open-loop p90 = %v; expected queueing explosion", time.Duration(res.Latency.P90))
+	if res.Latency.Quantile(0.9) < 2*time.Millisecond {
+		t.Fatalf("open-loop p90 = %v; expected queueing explosion", res.Latency.Quantile(0.9))
 	}
 }
 
 func TestOpenLoopUnderCapacityModest(t *testing.T) {
 	op := SpinService(4, 100*time.Microsecond)
 	res := OpenLoop(11, 200, 2000, op) // rho = 2000 / 40000 = 0.05
-	if res.Latency.P50 > int64(5*time.Millisecond) {
-		t.Fatalf("open-loop p50 at low load = %v", time.Duration(res.Latency.P50))
+	if res.Latency.P50() > 5*time.Millisecond {
+		t.Fatalf("open-loop p50 at low load = %v", res.Latency.P50())
 	}
 	if res.Errors != 0 {
 		t.Fatalf("errors = %d", res.Errors)
