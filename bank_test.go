@@ -158,12 +158,6 @@ func TestModelAndAxisStrings(t *testing.T) {
 			t.Errorf("model %d has empty String()", m)
 		}
 	}
-	if REST.String() != "rest" || Queues.String() != "queues" {
-		t.Error("Messaging strings wrong")
-	}
-	if ExternalState.String() != "external" || EmbeddedState.String() != "embedded" {
-		t.Error("StatePlacement strings wrong")
-	}
 }
 
 func TestChaosEnvConstructs(t *testing.T) {

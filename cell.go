@@ -236,10 +236,10 @@ func StatefunRuntime(c Cell) *statefun.App {
 	return nil
 }
 
-// livePeek reads a key without settling the cell: the dataflow executor's
-// dirty peek, every other cell's Read (which serves committed state
-// directly). A failed read counts as not found.
-func livePeek(c Cell, key string) ([]byte, bool) {
+// Peek reads a key without settling the cell: the dataflow executor's
+// dirty peek (what an outside observer sees mid-choreography), any other
+// cell's Read of committed state. A failed read counts as not found.
+func Peek(c Cell, key string) ([]byte, bool) {
 	read := c.Read
 	if cc, ok := c.(*cell); ok {
 		if p, ok := cc.exec.(peeker); ok {

@@ -181,7 +181,7 @@ func formatMetric(key string, v float64) string {
 	case strings.HasSuffix(key, "_us"):
 		return time.Duration(v * 1e3).Round(time.Microsecond).String()
 	case strings.HasSuffix(key, "_ms"):
-		return time.Duration(v * 1e6).Round(time.Millisecond).String()
+		return time.Duration(v * 1e6).Round(10 * time.Microsecond).String()
 	case strings.HasSuffix(key, "_pct"):
 		return fmt.Sprintf("%.1f%%", v)
 	case v == float64(int64(v)) || v >= 100:

@@ -181,7 +181,7 @@ func (t *auditTap) resolve(id, name string, args []byte, h Handle, opErr error, 
 	var sample map[string][]byte
 	if live, ok := t.aud.(liveKeyer); ok && t.cell != nil {
 		for _, k := range live.LiveKeys(name, args) {
-			if v, found := livePeek(t.cell, k); found {
+			if v, found := Peek(t.cell, k); found {
 				if sample == nil {
 					sample = make(map[string][]byte, auditLiveKeyCap)
 				}

@@ -1,15 +1,6 @@
 package tca
 
-// Test seams: methods only tests call. This file is compiled into the
-// package for its own tests and for bench_test.go's external package.
-
-// PeekBalance reads a balance without settling — the dirty read an
-// external observer performs, which E7 uses to expose the dataflow cell's
-// missing isolation. Synchronous cells read committed state.
-func (b *bankCell) PeekBalance(account int) int64 {
-	raw, _ := livePeek(b.cell, acctKey(account))
-	return DecodeInt(raw)
-}
+// Test seams: methods only the package's own tests call.
 
 // handlerErrors returns the number of dropped (errored) handler
 // invocations and the most recent error.

@@ -51,7 +51,7 @@ func e20() Experiment {
 	return Experiment{
 		Spec:    grid.Spec{Experiment: "e20", List: loadRows(loadMixes, models), ThroughputKey: "tx_s", AcceptKey: "accept_p99_us", ApplyKey: "apply_p99_us"},
 		Title:   "concurrency matrix — pipelined Sessions, accept vs apply latency, audited live",
-		Columns: append([]string{"tx_s", "accept_p50_us", "accept_p99_us", "apply_p50_us", "apply_p99_us", "rejected"}, auditColumns...),
+		Columns: append([]string{"tx_s", "accept_p50_us", "accept_p99_us", "apply_p50_us", "apply_p99_us", "shed", "failed"}, auditColumns...),
 		Run: func(row grid.Row, seed int64, ops int) (grid.Sample, error) {
 			// seed-1: the first repeat at the default base seed reproduces
 			// the historical client streams.
@@ -65,7 +65,8 @@ func e20() Experiment {
 				"tx_s":          r.Throughput(),
 				"accept_p50_us": us(r.AcceptP50),
 				"apply_p50_us":  us(r.ApplyP50),
-				"rejected":      float64(r.Shed + r.Failed),
+				"shed":          float64(r.Shed),
+				"failed":        float64(r.Failed),
 			}
 			if r.Audited {
 				addVerdict(metrics, r)

@@ -1,5 +1,5 @@
-// Package experiments is the one registry of the repository's headline
-// experiments (F1, E6, E10, E16–E24): each is written once, as a
+// Package experiments is the one registry of the repository's
+// experiments (F1, E1, E2, E4–E10, E16–E24): each is written once, as a
 // grid.Spec — its rows — plus the grid.RunFunc that measures one row, and
 // every surface is a view over that pair. `go test -bench` runs each row
 // as a sub-benchmark with ops = b.N, the tcabench tables and -json are
@@ -53,7 +53,7 @@ func (e Experiment) Rows(gate bool) []grid.Row {
 // fresh entries: an entry may close over calibration state (E23's
 // measured capacities) that must not leak between views.
 func All() []Experiment {
-	return []Experiment{f1(), e6(), e10(), e16(), e17(), e18(), e19(), e20(), e21(), e22(), e23(), e24()}
+	return []Experiment{f1(), e1(), e2(), e4(), e5(), e6(), e7(), e8(), e9(), e10(), e16(), e17(), e18(), e19(), e20(), e21(), e22(), e23(), e24()}
 }
 
 // models is the five-cell sweep order shared by the matrix experiments.

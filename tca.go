@@ -259,38 +259,6 @@ func (m ProgrammingModel) String() string {
 	}
 }
 
-// Messaging is the second axis of Figure 1.
-type Messaging int
-
-// Messaging styles of §3.2.
-const (
-	REST Messaging = iota
-	Queues
-)
-
-func (m Messaging) String() string {
-	if m == REST {
-		return "rest"
-	}
-	return "queues"
-}
-
-// StatePlacement is the third axis of Figure 1 (embedded vs external).
-type StatePlacement int
-
-// State placements of §3.3.
-const (
-	ExternalState StatePlacement = iota
-	EmbeddedState
-)
-
-func (s StatePlacement) String() string {
-	if s == ExternalState {
-		return "external"
-	}
-	return "embedded"
-}
-
 // Env is the shared infrastructure an application deploys onto: the
 // simulated cluster and the message broker.
 type Env struct {
