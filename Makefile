@@ -115,7 +115,7 @@ bench-baseline:
 # outside bench/ (the benchmark module is not the system under study). It
 # is also a ratchet: it fails when the non-test count exceeds LOC_CEILING,
 # so a change that grows the system raises the ceiling in its own diff.
-LOC_CEILING = 20461
+LOC_CEILING = 20482
 loc:
 	@nontest=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo "non-test Go lines: $$nontest"; \

@@ -36,11 +36,13 @@ import (
 type Txn interface {
 	// Get returns the value of key as visible to this operation. Cells
 	// without isolation (sagas, dataflow) may return stale or dirty values
-	// — that is their honest semantics, not a bug.
+	// — that is their honest semantics, not a bug. The bytes may be the
+	// stored value itself: do not change them.
 	Get(key string) ([]byte, bool, error)
 	// Put replaces the value of key. Writes are all-or-nothing per op
 	// where the cell supports it: synchronous cells buffer or stage writes
-	// until the body returns nil.
+	// until the body returns nil. The cell may keep value without a copy:
+	// do not change it afterwards.
 	Put(key string, value []byte) error
 	// Add atomically adds delta to the EncodeInt-encoded value of key
 	// (missing keys count as zero). Add commutes, so eventual cells apply

@@ -1,6 +1,7 @@
 package tca
 
 import (
+	"bytes"
 	"fmt"
 
 	"tca/internal/core"
@@ -149,9 +150,14 @@ func (c *cell) Invoke(reqID, opName string, args []byte, tr *fabric.Trace) ([]by
 	})
 }
 
-func (c *cell) Read(key string) ([]byte, bool, error) { return c.exec.read(key) }
-func (c *cell) Settle() error                         { return c.exec.settle() }
-func (c *cell) Close()                                { c.exec.close() }
+// Read returns a copy of key's settled value, which the caller may change.
+func (c *cell) Read(key string) ([]byte, bool, error) {
+	val, found, err := c.exec.read(key)
+	return bytes.Clone(val), found, err
+}
+
+func (c *cell) Settle() error { return c.exec.settle() }
+func (c *cell) Close()        { c.exec.close() }
 
 // runBody executes op's body over the executor's Txn: the single call site
 // of Op.Body in a cell. It enforces the read-only contract (a ReadOnly
@@ -236,12 +242,14 @@ func StatefunRuntime(c Cell) *statefun.App {
 	return nil
 }
 
-// Peek reads a key without settling the cell: the dataflow executor's
-// dirty peek (what an outside observer sees mid-choreography), any other
-// cell's Read of committed state. A failed read counts as not found.
+// Peek reads a copy of a key's value without settling the cell: the
+// dataflow executor's dirty peek (what an outside observer sees
+// mid-choreography), any other cell's Read of committed state. A failed
+// read counts as not found.
 func Peek(c Cell, key string) ([]byte, bool) {
 	read := c.Read
 	if cc, ok := c.(*cell); ok {
+		read = cc.exec.read
 		if p, ok := cc.exec.(peeker); ok {
 			read = p.peek
 		}
@@ -250,5 +258,5 @@ func Peek(c Cell, key string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	return raw, found
+	return bytes.Clone(raw), found
 }

@@ -28,11 +28,13 @@ func (e *actorExec) ref(key string) actor.Ref {
 	return actor.Ref{Type: e.c.app.Name(), ID: key}
 }
 
-// actorTxn adapts ActorTxn to the Txn surface. Values live in the actor's
+// actorTxn adapts ActorTxn to the Txn surface. A key is the actor
+// Ref{app name, key}, which the coordinator addresses by its type and ID
+// without building a name; its value is the bytes of the actor's
 // transactional row as valueRow lays it out, and each Put builds a new
-// row. Add and
-// PushCap are plain read-modify-writes: the 2PL exclusive lock on the key
-// actor serializes them.
+// row around the bytes it is given. Add and PushCap are plain
+// read-modify-writes: the 2PL exclusive lock on the key actor serializes
+// them.
 type actorTxn struct {
 	e  *actorExec
 	tx *actor.ActorTxn

@@ -1,6 +1,8 @@
 package tca
 
 import (
+	"slices"
+
 	"tca/internal/faas"
 	"tca/internal/fabric"
 	"tca/internal/store"
@@ -12,9 +14,10 @@ import (
 // set (locks acquired in canonical order — deadlock-free, as Durable
 // Functions requires entities to be declared up front). The section is one
 // store transaction: the handler reads every declared key through it into
-// a snapshotTxn, the body runs on that, and its buffered writes are staged
-// through the section in order and commit in one store commit when the
-// section unlocks — or, if the body or a staged write fails, none do.
+// a snapshotTxn, the body runs on that, and each key it wrote is staged
+// through the section once, with its final value, in first-write order;
+// they commit in one store commit when the section unlocks — or, if the
+// body or a staged write fails, none do.
 // Invocation ids give exactly-once per op. The platform's invocation path
 // is synchronous, so pipelining is the pool's client-side concurrency:
 // concurrent submissions on overlapping entities serialize on the entity
@@ -48,14 +51,18 @@ func newFaasExec(c *cell, env *Env) *faasExec {
 			if err != nil {
 				return nil, err // nothing staged: the section commits nothing
 			}
-			for _, w := range tx.writeBuffer {
-				// cur is shared, so the write is a new row. A failed Update
-				// is kept: Unlock returns it and commits none of the op's
-				// writes.
-				cs.Update(e.entity(w.Key), func(cur store.Row) (store.Row, error) {
-					val, _ := w.apply(rowValue(cur), cur != nil)
-					return valueRow(val), nil
-				})
+			// tx already holds each written key's final value: the stable
+			// snapshot with the op's writes applied. Stage it once per key,
+			// in first-write order. A failed Update (an undeclared key's,
+			// whose Get fails too) is kept: Unlock returns it and commits
+			// none of the op's writes.
+			var val []byte
+			set := func(store.Row) (store.Row, error) { return valueRow(val), nil }
+			for i, w := range tx.writeBuffer {
+				if !slices.ContainsFunc(tx.writeBuffer[:i], func(p write) bool { return p.Key == w.Key }) {
+					val, _, _ = tx.Get(w.Key)
+					cs.Update(e.entity(w.Key), set)
+				}
 			}
 			if err := cs.Unlock(); err != nil {
 				return nil, err

@@ -45,7 +45,7 @@ func TestMicroApplyUndoRestoresState(t *testing.T) {
 		rows := map[string]string{}
 		err := e.svcs[0].DB().View(func(tx *store.Txn) error {
 			return tx.Scan("state", "", "", func(key string, row store.Row) bool {
-				rows[key] = row.Str("v")
+				rows[key] = string(rowValue(row))
 				return true
 			})
 		})
@@ -176,7 +176,7 @@ func shardState(t *testing.T, e *microExec, shard int) map[string]string {
 	rows := map[string]string{}
 	err := e.svcs[shard].DB().View(func(tx *store.Txn) error {
 		return tx.Scan("state", "", "", func(key string, row store.Row) bool {
-			rows[key] = row.Str("v")
+			rows[key] = string(rowValue(row))
 			return true
 		})
 	})

@@ -10,16 +10,17 @@ import (
 
 // valueRow is the store row holding a cell value, the one value format of
 // the cells over internal/store (actor, FaaS, microservices): a single "v"
-// column. The string conversion decouples the row, which the store keeps,
-// from the caller's bytes.
-func valueRow(val []byte) store.Row { return store.Row{"v": string(val)} }
+// column that holds the value's bytes themselves. Neither valueRow nor
+// rowValue copies: a value's bytes are immutable from the moment they are
+// Put, as a row is (see store.Row), so a body that changes a value
+// decodes what it read and Puts a fresh encoding. Cell.Read and Peek hand
+// out copies.
+func valueRow(val []byte) store.Row { return store.Row{"v": val} }
 
 // rowValue is the value a valueRow holds, nil when the row is absent.
 func rowValue(row store.Row) []byte {
-	if row == nil {
-		return nil
-	}
-	return []byte(row.Str("v"))
+	val, _ := row["v"].([]byte)
+	return val
 }
 
 // verb is which of the Txn write verbs a write record carries.

@@ -520,16 +520,6 @@ func (g *ReplicaGroup) ReadLocal(i int, key string) ([]byte, bool, error) {
 	return g.reps[i].cell.Read(key)
 }
 
-// ReadHome returns the settled value of key at the home replica,
-// charging the WAN round trip from region i to tr.
-func (g *ReplicaGroup) ReadHome(i int, key string, tr *fabric.Trace) ([]byte, bool, error) {
-	if i != g.Home() {
-		g.top.Charge(g.reps[i].name, g.reps[g.Home()].name, tr)
-		defer g.top.Charge(g.reps[g.Home()].name, g.reps[i].name, tr)
-	}
-	return g.reps[g.Home()].cell.Read(key)
-}
-
 // shipLoop is the async shipper: every ShipInterval it drains each
 // region's outbox into one batch per peer and applies it, exactly once
 // per peer, through the peer cell's own machinery.

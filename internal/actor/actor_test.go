@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -543,9 +544,53 @@ func (s *System) Deactivate(ref Ref) {
 // coordination.
 func (c *Coordinator) SeedState(ref Ref, state store.Row) error {
 	tx := c.sys.db.Begin(store.ReadCommitted)
-	if err := tx.Put("actor_txn_state", ref.String(), state); err != nil {
+	if err := tx.Put(c.typeOf(ref.Type).table, ref.ID, state); err != nil {
 		tx.Abort()
 		return err
 	}
 	return tx.Commit()
+}
+
+// TestTxnPlacesRefsByRefString: a transaction hashes a ref's Type, "/" and
+// ID without building Ref.String(), and its participants are exactly the
+// nodes PlaceAlive(ref.String()) picks, in touch order, for refs of two
+// types read and written in one transaction.
+func TestTxnPlacesRefsByRefString(t *testing.T) {
+	sys, cl := newSystem(t, "n1", "n2", "n3", "n4", "n5")
+	coord := NewCoordinator(sys)
+	var refs []Ref
+	for i := 0; i < 40; i++ {
+		refs = append(refs, Ref{"acct", fmt.Sprint(i)}, Ref{"acct2", fmt.Sprint(i)})
+	}
+	var want []fabric.NodeID
+	for _, ref := range refs {
+		n, err := cl.PlaceAlive(ref.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(want, n) {
+			want = append(want, n)
+		}
+	}
+	err := coord.Run(nil, func(tx *ActorTxn) error {
+		for i, ref := range refs {
+			if i%2 == 0 {
+				if err := tx.Write(ref, store.Row{"n": int64(i)}); err != nil {
+					return err
+				}
+			} else if _, _, err := tx.Read(ref); err != nil {
+				return err
+			}
+		}
+		if !slices.Equal(tx.participants, want) {
+			return fmt.Errorf("participants %v, want %v", tx.participants, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row, ok, err := coord.ReadState(refs[0]); err != nil || !ok || row.Int("n") != 0 {
+		t.Fatalf("ReadState = %v,%v,%v", row, ok, err)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"tca/internal/fabric"
 	"tca/internal/metrics"
@@ -22,10 +23,12 @@ var ErrReadOnlyTxn = errors.New("actor: write in read-only transaction")
 // and the benchmarks measure it against plain actor calls.
 //
 // As in Orleans, transactional state is disjoint from the actor's ad-hoc
-// Save/Load state: transactions go through the dedicated "actor_txn_state"
-// table so that the two concurrency regimes never silently mix.
+// Save/Load state: each ref type's transactional state is its own table,
+// "actor_txn_state/<Type>", keyed by ID and never the "actor_state" table,
+// so that the two concurrency regimes never silently mix.
 type Coordinator struct {
-	sys *System
+	sys   *System
+	types sync.Map // ref type -> *txnType
 
 	commits, readOnly, retries, exhausted *metrics.Counter // actor.txn_*
 }
@@ -34,9 +37,30 @@ type Coordinator struct {
 // serialization conflict or a wound before it gives up.
 const txnRetries = 10
 
+// txnType is one ref type's transactional state: its table, and the hash
+// of "<Type>/" that placement continues over an ID, so that a ref is
+// placed where Ref.String() places it without building that string.
+type txnType struct {
+	name  string
+	table string
+	place uint64
+}
+
+// typeOf returns the state of ref type name, creating its table on the
+// type's first use.
+func (c *Coordinator) typeOf(name string) *txnType {
+	if ty, ok := c.types.Load(name); ok {
+		return ty.(*txnType)
+	}
+	ty := &txnType{name: name, table: "actor_txn_state/" + name,
+		place: fabric.HashMore(fabric.Hash(name), "/")}
+	c.sys.db.CreateTable(ty.table)
+	got, _ := c.types.LoadOrStore(name, ty)
+	return got.(*txnType)
+}
+
 // NewCoordinator creates a transaction coordinator for the system.
 func NewCoordinator(sys *System) *Coordinator {
-	sys.db.CreateTable("actor_txn_state")
 	m := sys.metrics
 	return &Coordinator{sys: sys,
 		commits: m.Counter("actor.txn_commits"), readOnly: m.Counter("actor.txn_readonly"),
@@ -45,7 +69,7 @@ func NewCoordinator(sys *System) *Coordinator {
 
 // ActorTxn is the per-transaction handle passed to the body function.
 type ActorTxn struct {
-	sys   *System
+	c     *Coordinator
 	tx    *store.Txn
 	trace *fabric.Trace
 	coord fabric.NodeID
@@ -54,28 +78,21 @@ type ActorTxn struct {
 	// parts backs it until more nodes than that are touched.
 	participants []fabric.NodeID
 	parts        [4]fabric.NodeID
-	// names caches each touched ref's state key (one Ref.String per ref);
-	// nameBuf backs it as parts backs participants.
-	names   []refName
-	nameBuf [8]refName
+	// typ is the type of the last ref touched: a transaction's refs are
+	// mostly of one type, so the type lookup is mostly this compare.
+	typ *txnType
 	// readOnly transactions reject writes and skip the commit protocol.
 	readOnly bool
-}
-
-// refName is a touched ref and its state key.
-type refName struct {
-	ref  Ref
-	name string
 }
 
 // Read returns the transactional state of ref, acquiring a shared lock.
 // The row is shared (see store.Row): do not change it.
 func (t *ActorTxn) Read(ref Ref) (store.Row, bool, error) {
-	key, err := t.charge(ref)
+	table, err := t.charge(ref)
 	if err != nil {
 		return nil, false, err
 	}
-	return t.tx.Get("actor_txn_state", key)
+	return t.tx.Get(table, ref.ID)
 }
 
 // Write replaces the transactional state of ref, acquiring an exclusive
@@ -85,38 +102,29 @@ func (t *ActorTxn) Write(ref Ref, state store.Row) error {
 	if t.readOnly {
 		return ErrReadOnlyTxn
 	}
-	key, err := t.charge(ref)
+	table, err := t.charge(ref)
 	if err != nil {
 		return err
 	}
-	return t.tx.Put("actor_txn_state", key, state)
+	return t.tx.Put(table, ref.ID, state)
 }
 
 // charge records ref's node as a participant, charges the access hop, and
-// returns ref's state key.
+// returns the table of ref's type.
 func (t *ActorTxn) charge(ref Ref) (string, error) {
-	key := t.nameOf(ref)
-	node, err := t.sys.cluster.PlaceAlive(key)
+	if t.typ == nil || t.typ.name != ref.Type {
+		t.typ = t.c.typeOf(ref.Type)
+	}
+	cluster := t.c.sys.cluster
+	node, err := cluster.PlaceAliveHash(fabric.HashMore(t.typ.place, ref.ID))
 	if err != nil {
 		return "", err
 	}
-	t.sys.cluster.Send(t.coord, node, t.trace)
+	cluster.Send(t.coord, node, t.trace)
 	if !slices.Contains(t.participants, node) {
 		t.participants = append(t.participants, node)
 	}
-	return key, nil
-}
-
-// nameOf returns ref's state key, building it on the ref's first access.
-func (t *ActorTxn) nameOf(ref Ref) string {
-	for _, n := range t.names {
-		if n.ref == ref {
-			return n.name
-		}
-	}
-	name := ref.String()
-	t.names = append(t.names, refName{ref, name})
-	return name
+	return t.typ.table, nil
 }
 
 // Run executes fn as one ACID transaction across any set of actors,
@@ -157,13 +165,13 @@ func (c *Coordinator) run(tr *fabric.Trace, readOnly bool, fn func(t *ActorTxn) 
 			tx = tx.Restart()
 		}
 		t := &ActorTxn{
-			sys:      c.sys,
+			c:        c,
 			tx:       tx,
 			trace:    tr,
 			coord:    coord,
 			readOnly: readOnly,
 		}
-		t.participants, t.names = t.parts[:0], t.nameBuf[:0]
+		t.participants = t.parts[:0]
 		err := fn(t)
 		if err == nil && !readOnly {
 			err = c.commit(t)
@@ -212,5 +220,5 @@ func (c *Coordinator) commit(t *ActorTxn) error {
 func (c *Coordinator) ReadState(ref Ref) (store.Row, bool, error) {
 	tx := c.sys.db.Begin(store.ReadCommitted)
 	defer tx.Abort()
-	return tx.Get("actor_txn_state", ref.String())
+	return tx.Get(c.typeOf(ref.Type).table, ref.ID)
 }

@@ -1,6 +1,7 @@
 package faas
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -29,28 +30,35 @@ func (e EntityID) String() string { return e.Type + "@" + e.ID }
 // — callers acquire and release locks, exactly the contract the paper
 // describes ("users must acquire and release locks explicitly"). There is
 // no isolation across functions beyond that.
+//
+// An entity is addressed by its (Type, ID) pair and never by a name built
+// from it: each entity type is one store table, created with the type's
+// first entity lock, and an entity's state is the row at its ID there.
 type EntityManager struct {
 	p  *Platform
 	db *store.DB
 
 	mu    sync.Mutex
-	locks map[string]*sync.Mutex // by entity name
+	locks map[EntityID]*sync.Mutex
+	types map[string]bool // the types whose table exists
 }
 
 func newEntityManager(p *Platform) *EntityManager {
 	db := store.NewDB(store.Config{Name: "faas-entities"})
-	db.CreateTable("entities")
-	return &EntityManager{p: p, db: db, locks: make(map[string]*sync.Mutex)}
+	return &EntityManager{p: p, db: db, locks: make(map[EntityID]*sync.Mutex), types: make(map[string]bool)}
 }
 
-// lockOf returns the lock of the entity named name (an EntityID.String()).
-func (m *EntityManager) lockOf(name string) *sync.Mutex {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	l, ok := m.locks[name]
+// lockOf returns id's lock, making it (and its type's table) on first use.
+// Caller holds m.mu.
+func (m *EntityManager) lockOf(id EntityID) *sync.Mutex {
+	l, ok := m.locks[id]
 	if !ok {
 		l = &sync.Mutex{}
-		m.locks[name] = l
+		m.locks[id] = l
+		if !m.types[id.Type] {
+			m.db.CreateTable(id.Type)
+			m.types[id.Type] = true
+		}
 	}
 	return l
 }
@@ -61,21 +69,22 @@ func (m *EntityManager) lockOf(name string) *sync.Mutex {
 // entity and durably committed — single-entity operations need no explicit
 // locking.
 func (m *EntityManager) Signal(id EntityID, fn func(state store.Row) (store.Row, error)) error {
-	name := id.String()
-	l := m.lockOf(name)
+	m.mu.Lock()
+	l := m.lockOf(id)
+	m.mu.Unlock()
 	l.Lock()
 	defer l.Unlock()
 	tx := m.db.Begin(store.ReadCommitted)
-	if err := update(tx, name, fn); err != nil {
+	if err := update(tx, id, fn); err != nil {
 		tx.Abort()
 		return err
 	}
 	return tx.Commit()
 }
 
-// update runs fn's read-modify-write of the entity named name in tx.
-func update(tx *store.Txn, name string, fn func(state store.Row) (store.Row, error)) error {
-	cur, _, err := tx.Get("entities", name)
+// update runs fn's read-modify-write of entity id in tx.
+func update(tx *store.Txn, id EntityID, fn func(state store.Row) (store.Row, error)) error {
+	cur, _, err := tx.Get(id.Type, id.ID)
 	if err != nil {
 		return err
 	}
@@ -83,24 +92,28 @@ func update(tx *store.Txn, name string, fn func(state store.Row) (store.Row, err
 	if err != nil {
 		return err
 	}
-	return tx.Put("entities", name, next)
+	return tx.Put(id.Type, id.ID, next)
 }
 
 // Read returns an entity's current state without locking (a dirty read by
 // design — Durable Functions reads outside critical sections see whatever
 // is committed at that instant). The row is shared (see store.Row): do not
-// change it.
+// change it. An entity of a type never locked is absent.
 func (m *EntityManager) Read(id EntityID) (store.Row, bool, error) {
 	tx := m.db.Begin(store.ReadCommitted)
 	defer tx.Abort()
-	return tx.Get("entities", id.String())
+	row, found, err := tx.Get(id.Type, id.ID)
+	if errors.Is(err, store.ErrNoTable) {
+		return nil, false, nil
+	}
+	return row, found, err
 }
 
 // CriticalSection is an explicit multi-entity lock scope, and one store
 // transaction: its reads and writes run in that transaction, and Unlock
 // commits the writes together or not at all.
 type CriticalSection struct {
-	held   []heldEntity // sorted by name, the acquisition order
+	held   []heldEntity // sorted by (Type, ID), the acquisition order
 	tx     *store.Txn
 	staged bool  // an Update has put a row in tx
 	err    error // the first failed Update's error
@@ -109,25 +122,27 @@ type CriticalSection struct {
 
 type heldEntity struct {
 	id   EntityID
-	name string // id.String(), built once per section
 	lock *sync.Mutex
 }
 
 // Lock opens a critical section over the given entities. Locks are
-// acquired in a canonical (sorted) order, which makes cross-section
+// acquired in a canonical order, by (Type, ID), which makes cross-section
 // deadlock impossible — the discipline Durable Functions enforces by
 // requiring all entities to be declared up front. It then begins the
 // section's one ReadCommitted transaction: every entity it may touch is
 // locked, so its reads are stable until Unlock.
 func (m *EntityManager) Lock(ids ...EntityID) *CriticalSection {
 	cs := &CriticalSection{held: make([]heldEntity, len(ids))}
+	m.mu.Lock()
 	for i, id := range ids {
-		cs.held[i] = heldEntity{id: id, name: id.String()}
+		cs.held[i] = heldEntity{id: id, lock: m.lockOf(id)}
 	}
-	slices.SortFunc(cs.held, func(a, b heldEntity) int { return strings.Compare(a.name, b.name) })
-	for i := range cs.held {
-		cs.held[i].lock = m.lockOf(cs.held[i].name)
-		cs.held[i].lock.Lock()
+	m.mu.Unlock()
+	slices.SortFunc(cs.held, func(a, b heldEntity) int {
+		return cmp.Or(strings.Compare(a.id.Type, b.id.Type), strings.Compare(a.id.ID, b.id.ID))
+	})
+	for _, h := range cs.held {
+		h.lock.Lock()
 	}
 	cs.tx = m.db.Begin(store.ReadCommitted)
 	m.p.criticalSections.Inc()
@@ -139,9 +154,9 @@ func (m *EntityManager) Lock(ids ...EntityID) *CriticalSection {
 // commits at Unlock. After a failed Update the section commits nothing.
 // As with Signal, fn must not change the row it receives.
 func (cs *CriticalSection) Update(id EntityID, fn func(state store.Row) (store.Row, error)) error {
-	name, err := cs.nameOf(id)
+	err := cs.check(id)
 	if err == nil {
-		err = update(cs.tx, name, fn)
+		err = update(cs.tx, id, fn)
 	}
 	if err != nil && cs.err == nil {
 		cs.err = err
@@ -153,21 +168,20 @@ func (cs *CriticalSection) Update(id EntityID, fn func(state store.Row) (store.R
 // Get reads one locked entity, as the section's own Updates left it. The
 // row is shared (see store.Row): do not change it.
 func (cs *CriticalSection) Get(id EntityID) (store.Row, bool, error) {
-	name, err := cs.nameOf(id)
-	if err != nil {
+	if err := cs.check(id); err != nil {
 		return nil, false, err
 	}
-	return cs.tx.Get("entities", name)
+	return cs.tx.Get(id.Type, id.ID)
 }
 
-// nameOf returns the name of id if the section is open and holds it.
-func (cs *CriticalSection) nameOf(id EntityID) (string, error) {
+// check fails unless the section is open and holds id.
+func (cs *CriticalSection) check(id EntityID) error {
 	for _, h := range cs.held {
 		if h.id == id && !cs.closed {
-			return h.name, nil
+			return nil
 		}
 	}
-	return "", fmt.Errorf("%w: %s", ErrNotInCriticalSection, id)
+	return fmt.Errorf("%w: %s", ErrNotInCriticalSection, id)
 }
 
 // Unlock ends the critical section: it commits the section's Updates in

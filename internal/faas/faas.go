@@ -153,9 +153,6 @@ func NewPlatform(cluster *fabric.Cluster, cfg Config) *Platform {
 // Metrics returns the platform's instruments.
 func (p *Platform) Metrics() *metrics.Registry { return p.metrics }
 
-// SharedStore returns the platform's shared causal store.
-func (p *Platform) SharedStore() *SharedStore { return p.shared }
-
 // Entities returns the platform's durable-entity manager.
 func (p *Platform) Entities() *EntityManager { return p.entities }
 

@@ -1,9 +1,13 @@
 package faas
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -431,7 +435,7 @@ func TestCriticalSectionTransferNeverTorn(t *testing.T) {
 		var sum int64
 		err := em.db.View(func(tx *store.Txn) error {
 			for _, id := range []EntityID{a, b} {
-				row, _, err := tx.Get("entities", id.String())
+				row, _, err := tx.Get(id.Type, id.ID)
 				if err != nil {
 					return err
 				}
@@ -446,6 +450,81 @@ func TestCriticalSectionTransferNeverTorn(t *testing.T) {
 			<-done
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestCriticalSectionsOverTwoTypesNeverDeadlock runs concurrent sections
+// over overlapping entity sets of two types, each listing its entities in
+// a random order. The types are "x" and "x0": by (Type, ID) every "x"
+// entity comes first, by the Type@ID name every "x0" entity does, so a
+// section that sorted by one and another that sorted by the other would
+// deadlock. Every section holds its entities in (Type, ID) order, and the
+// transfers conserve the total.
+func TestCriticalSectionsOverTwoTypesNeverDeadlock(t *testing.T) {
+	p := newPlatform(DefaultConfig())
+	em := p.entities
+	var ids []EntityID
+	for _, typ := range []string{"x", "x0"} {
+		for i := 0; i < 4; i++ {
+			ids = append(ids, EntityID{typ, fmt.Sprint(i)})
+		}
+	}
+	add := func(delta int64) func(store.Row) (store.Row, error) {
+		return func(s store.Row) (store.Row, error) { return store.Row{"n": s.Int("n") + delta}, nil }
+	}
+	const workers, sections = 8, 300
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < sections; i++ {
+				set := make([]EntityID, 0, 3)
+				for _, k := range rng.Perm(len(ids))[:3] {
+					set = append(set, ids[k])
+				}
+				cs := em.Lock(set...)
+				if !slices.IsSortedFunc(cs.held, func(a, b heldEntity) int {
+					return cmp.Or(strings.Compare(a.id.Type, b.id.Type), strings.Compare(a.id.ID, b.id.ID))
+				}) {
+					cs.Unlock()
+					errs <- fmt.Errorf("section holds %v, not in (Type, ID) order", cs.held)
+					return
+				}
+				cs.Update(set[0], add(-2))
+				runtime.Gosched()
+				cs.Update(set[1], add(1))
+				cs.Update(set[2], add(1))
+				if err := cs.Unlock(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(int64(w))
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("critical sections over two entity types deadlocked")
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, id := range ids {
+		row, _, err := em.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += row.Int("n")
+	}
+	if sum != 0 {
+		t.Fatalf("entities sum to %d after transfers, want 0", sum)
 	}
 }
 

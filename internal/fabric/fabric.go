@@ -347,23 +347,27 @@ func (c *Cluster) Place(key string) NodeID {
 
 // PlaceAlive maps a key to an up node, skipping crashed nodes; returns
 // ErrNodeDown when no node is alive.
-func (c *Cluster) PlaceAlive(key string) (NodeID, error) {
+func (c *Cluster) PlaceAlive(key string) (NodeID, error) { return c.PlaceAliveHash(Hash(key)) }
+
+// PlaceAliveHash is PlaceAlive of a key whose Hash is h: a caller that
+// names a key by parts hashes them with HashMore instead of joining them.
+func (c *Cluster) PlaceAliveHash(h uint64) (NodeID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.alive) == 0 {
 		return "", ErrNodeDown
 	}
-	return c.alive[Hash(key)%uint64(len(c.alive))], nil
+	return c.alive[h%uint64(len(c.alive))], nil
 }
 
 // Hash is the repository's one key hash, 64-bit FNV-1a: cluster placement
 // and every key-sharded component (mq.PartitionForKey) use it.
-func Hash(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+func Hash(s string) uint64 { return HashMore(14695981039346656037, s) }
+
+// HashMore continues the hash h over s, so that HashMore(Hash(a), b) is
+// Hash(a + b).
+func HashMore(h uint64, s string) uint64 {
+	const prime = 1099511628211
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= prime

@@ -283,12 +283,6 @@ func (b *Broker) commitOffsets(group string, offs map[TopicPartition]int64) {
 	}
 }
 
-// CommittedOffset exposes a group's committed offset for tests and the
-// harness.
-func (b *Broker) CommittedOffset(group string, tp TopicPartition) int64 {
-	return b.committedOffset(group, tp)
-}
-
 // ProduceIdempotent appends one message with an explicit (producerID, seq)
 // pair, deduplicating replays: a message with a sequence number at or below
 // the highest seen for producerID on the target partition is dropped.

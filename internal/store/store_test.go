@@ -82,7 +82,10 @@ func TestReadOwnWrites(t *testing.T) {
 // by reference, never copied. Get returns the very map Put installed (or
 // staged), a found Get allocates nothing, and a later commit installs a
 // new row beside the one an earlier snapshot reader holds instead of
-// changing it.
+// changing it. The contract reaches into a row's values: the cells over
+// the store keep a value's bytes in its row uncopied, so those bytes are
+// immutable once Put, and only Cell.Read and Peek hand out copies
+// (TestFaasActorMicroValueOwnership in the root package).
 func TestRowCopySemantics(t *testing.T) {
 	db := NewDB(Config{})
 	db.CreateTable("t")

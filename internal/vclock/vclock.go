@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Lamport is a thread-safe Lamport logical clock.
@@ -82,11 +81,6 @@ func (t HLCTimestamp) Before(o HLCTimestamp) bool { return t.Compare(o) < 0 }
 
 func (t HLCTimestamp) String() string {
 	return fmt.Sprintf("%d.%d", t.Wall, t.Logical)
-}
-
-// NewHLC returns an HLC reading physical time from the real clock.
-func NewHLC() *HLC {
-	return &HLC{nowFn: func() int64 { return time.Now().UnixNano() }}
 }
 
 // NewHLCWithSource returns an HLC with a custom physical time source,
