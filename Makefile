@@ -3,7 +3,7 @@
 # benchmark smoke pass so bench-only code paths can't rot unbuilt, and the
 # bench module's vet and tests (its catalogue lint against BENCHMARK.json
 # included).
-.PHONY: verify stress fmt test bench bench-smoke bench-json bench-gate bench-baseline loc scaling
+.PHONY: verify stress fmt test bench bench-smoke bench-json bench-gate bench-baseline loc reach scaling
 
 verify:
 	@unformatted=$$(gofmt -l .); \
@@ -115,7 +115,7 @@ bench-baseline:
 # outside bench/ (the benchmark module is not the system under study). It
 # is also a ratchet: it fails when the non-test count exceeds LOC_CEILING,
 # so a change that grows the system raises the ceiling in its own diff.
-LOC_CEILING = 20482
+LOC_CEILING = 20442
 loc:
 	@nontest=$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' | xargs cat | wc -l); \
 	echo "non-test Go lines: $$nontest"; \
@@ -123,6 +123,15 @@ loc:
 	if [ "$$nontest" -gt $(LOC_CEILING) ]; then \
 		echo "non-test Go lines $$nontest exceed LOC_CEILING $(LOC_CEILING): raise it in the same change if the growth is intended" >&2; exit 1; \
 	fi
+
+# reach prints the two lists internal/reach's tier-1 test holds to the
+# allow-list ci/unreached.txt: the functions and methods no program (a
+# main under cmd/, examples/ or bench/, an init, a package-level
+# initializer) reaches, and the …Config/…Options fields no non-test code
+# sets, each with its line totals per package, for a change to quote.
+reach:
+	@out=$$(go test -count=1 -run '^TestReachReport$$' -v ./internal/reach) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -v -e '^=== RUN' -e '^--- PASS' -e '^PASS' -e '^ok'
 
 # scaling measures how every bench/ workload scales from one CPU to all of
 # them (the bench caps GOMAXPROCS at 4): the timed pass of bench/run.sh

@@ -19,22 +19,19 @@ type coreExec struct {
 }
 
 func newCoreExec(c *cell, env *Env, opts Options) (*coreExec, error) {
-	// Admission control: the batcher queue bound defaults to 4× the group
-	// size (a queue that can feed four full group appends).
-	group := opts.MaxGroupAppend
-	if group <= 0 {
-		group = 128
-	}
+	// Admission control: the batcher queue bound defaults to 4× the
+	// runtime's group-append cap of 128 (a queue that can feed four full
+	// group appends).
+	const group = 128
 	rt := core.NewRuntime(env.Broker, core.Config{
-		Name:           "cell-" + c.app.Name(),
-		Cluster:        env.Cluster,
-		Partitions:     opts.Partitions,
-		Workers:        opts.Workers,
-		SequenceDelay:  opts.SequenceDelay,
-		LogDir:         opts.LogDir,
-		Fsync:          opts.Fsync,
-		MaxGroupAppend: opts.MaxGroupAppend,
-		MaxPending:     pendingBound(opts.MaxPending, 4*group),
+		Name:          "cell-" + c.app.Name(),
+		Cluster:       env.Cluster,
+		Partitions:    opts.Partitions,
+		Workers:       opts.Workers,
+		SequenceDelay: opts.SequenceDelay,
+		LogDir:        opts.LogDir,
+		Fsync:         opts.Fsync,
+		MaxPending:    pendingBound(opts.MaxPending, 4*group),
 	})
 	for _, name := range c.app.Ops() {
 		op, _ := c.app.Op(name)

@@ -784,11 +784,14 @@ func (g *ReplicaGroup) submitSequenced(origin int, reqID, opName string, args []
 	return h
 }
 
-// SequencedOrder returns region i's commit order: the request ids its core
-// committed, by log-derived serialization stamp. Every region executes the
-// home's input log, so under SequencedReplication this order is identical
-// on every region and survives one region's crash/replay; the geo tests pin
-// both. Nil for async groups.
+// SequencedOrder returns region i's committed request ids in the order of
+// core.Runtime.Committed: by log-derived stamp (Seq), ties broken by id.
+// Every region executes the home's input log, so under
+// SequencedReplication this order is identical on every region and
+// survives one region's crash/replay; the geo tests pin both. With
+// Partitions > 1 a home-partition stamp can equal a cross-partition one,
+// so it is not the serialization order until Seq is made total (ROADMAP
+// item 12a). Nil for async groups.
 func (g *ReplicaGroup) SequencedOrder(i int) []string {
 	if g.mode != SequencedReplication {
 		return nil

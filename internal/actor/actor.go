@@ -138,19 +138,21 @@ type reply struct {
 	err  error
 }
 
-// Config tunes the runtime. Ask waits at most askTimeout, and actor state
-// lives in a store.DB the system makes for itself.
-type Config struct {
-	// MailboxSize bounds each activation's queue. Zero means 1024.
-	MailboxSize int
-}
+// Config is the runtime's settings, none today: an Ask waits at most
+// askTimeout, a mailbox holds mailboxSize messages, and actor state lives
+// in a store.DB the system makes for itself.
+type Config struct{}
 
-// askTimeout bounds an Ask's wait for its reply.
-const askTimeout = 2 * time.Second
+const (
+	// askTimeout bounds an Ask's wait for its reply.
+	askTimeout = 2 * time.Second
+	// mailboxSize bounds each activation's queue; a Tell or Ask past it
+	// fails with ErrMailboxFull.
+	mailboxSize = 1024
+)
 
 // System is the virtual-actor runtime over a fabric cluster.
 type System struct {
-	cfg     Config
 	cluster *fabric.Cluster
 	metrics *metrics.Registry
 	db      *store.DB
@@ -163,14 +165,10 @@ type System struct {
 }
 
 // NewSystem creates a runtime on the cluster.
-func NewSystem(cluster *fabric.Cluster, cfg Config) *System {
-	if cfg.MailboxSize <= 0 {
-		cfg.MailboxSize = 1024
-	}
+func NewSystem(cluster *fabric.Cluster, _ Config) *System {
 	db := store.NewDB(store.Config{Name: "actor-state"})
 	db.CreateTable("actor_state")
 	return &System{
-		cfg:         cfg,
 		cluster:     cluster,
 		metrics:     metrics.NewRegistry(),
 		db:          db,
@@ -225,7 +223,7 @@ func (s *System) activationFor(ref Ref) (*activation, error) {
 		ref:      ref,
 		node:     node,
 		behavior: f(ref),
-		mailbox:  make(chan envelope, s.cfg.MailboxSize),
+		mailbox:  make(chan envelope, mailboxSize),
 		done:     make(chan struct{}),
 		sys:      s,
 	}

@@ -301,7 +301,7 @@ func TestActorToActorAsk(t *testing.T) {
 
 func TestMailboxOverflow(t *testing.T) {
 	cl := fabric.NewCluster(fabric.DefaultConfig(), "n1")
-	sys := NewSystem(cl, Config{MailboxSize: 1})
+	sys := NewSystem(cl, Config{})
 	defer sys.Stop()
 	block := make(chan struct{})
 	sys.Register("slow", func(ref Ref) Behavior {
@@ -311,11 +311,15 @@ func TestMailboxOverflow(t *testing.T) {
 		})
 	})
 	ref := Ref{"slow", "s"}
-	// First message occupies the loop; second fills the mailbox; third
-	// must be rejected.
+	// First message occupies the loop; the next mailboxSize fill the
+	// mailbox; the one after must be rejected.
 	sys.Tell(ref, "op", nil, nil)
 	time.Sleep(10 * time.Millisecond)
-	sys.Tell(ref, "op", nil, nil)
+	for i := 0; i < mailboxSize; i++ {
+		if err := sys.Tell(ref, "op", nil, nil); err != nil {
+			t.Fatalf("tell %d of %d into an empty mailbox: %v", i+1, mailboxSize, err)
+		}
+	}
 	err := sys.Tell(ref, "op", nil, nil)
 	close(block)
 	if !errors.Is(err, ErrMailboxFull) {

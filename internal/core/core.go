@@ -118,15 +118,9 @@ type Tx struct {
 	reqID  string
 	keys   map[string]struct{}
 	writes map[string][]byte
-	dels   map[string]struct{}
 	ro     bool
 	snap   map[string][]byte
 }
-
-// TID returns the transaction's global id. A single-partition transaction's
-// id encodes (home-partition log offset, partition); a cross-partition
-// transaction's id is its global sequence offset.
-func (t *Tx) TID() int64 { return t.tid }
 
 // ReqID returns the request id the transaction was submitted under — the
 // same on every re-execution of it (recovery replay).
@@ -143,9 +137,6 @@ func (t *Tx) Get(key string) ([]byte, bool, error) {
 			return nil, false, nil
 		}
 		return append([]byte(nil), v...), true, nil
-	}
-	if _, deleted := t.dels[key]; deleted {
-		return nil, false, nil
 	}
 	if v, ok := t.writes[key]; ok {
 		return v, true, nil
@@ -167,21 +158,7 @@ func (t *Tx) Put(key string, value []byte) error {
 	if _, ok := t.keys[key]; !ok {
 		return fmt.Errorf("%w: %s", ErrUndeclared, key)
 	}
-	delete(t.dels, key)
 	t.writes[key] = append([]byte(nil), value...)
-	return nil
-}
-
-// Del buffers a delete of a declared key.
-func (t *Tx) Del(key string) error {
-	if t.ro {
-		return fmt.Errorf("%w: %s", ErrReadOnly, key)
-	}
-	if _, ok := t.keys[key]; !ok {
-		return fmt.Errorf("%w: %s", ErrUndeclared, key)
-	}
-	delete(t.writes, key)
-	t.dels[key] = struct{}{}
 	return nil
 }
 
@@ -247,11 +224,15 @@ type Config struct {
 	Cluster *fabric.Cluster
 }
 
-// Result is a transaction outcome. Seq is the transaction's position in
-// the runtime's serialization order — derived from its log offset, with
-// group-append members sub-ordered by their batch index (members share a
-// log entry and therefore a TID, but are scheduled, and so serialized, in
-// batch order). Zero means unknown (e.g. a timed-out handle).
+// Result is a transaction outcome. Seq is a stamp derived from the
+// transaction's log offset, with group-append members sub-ordered by their
+// batch index (members share a log entry and therefore a TID, but are
+// scheduled, and so serialized, in batch order). With one partition it is
+// the transaction's position in the runtime's serialization order. With
+// Partitions > 1 it is not unique: a home-partition transaction's stamp
+// can equal a cross-partition one's, so Seq orders each partition's log
+// but is not a total serialization order (ROADMAP item 12a). Zero means
+// unknown (e.g. a timed-out handle).
 type Result struct {
 	Value []byte
 	Err   string // "" = committed
@@ -429,10 +410,6 @@ func NewRuntime(_ *mq.Broker, cfg Config) *Runtime {
 
 // Metrics returns the runtime's instruments.
 func (r *Runtime) Metrics() *metrics.Registry { return r.m }
-
-// Partitions returns the number of input-log partitions the runtime shards
-// the key space across.
-func (r *Runtime) Partitions() int { return r.nparts }
 
 // PartitionOf returns the home partition of a key.
 func (r *Runtime) PartitionOf(key string) int { return mq.PartitionForKey(key, r.nparts) }
@@ -904,7 +881,6 @@ func (r *Runtime) execute(tid, seq int64, req request, part int) {
 			reqID:  req.ReqID,
 			keys:   make(map[string]struct{}, len(req.Keys)),
 			writes: make(map[string][]byte),
-			dels:   make(map[string]struct{}),
 		}
 		for _, k := range req.Keys {
 			tx.keys[k] = struct{}{}
@@ -920,9 +896,6 @@ func (r *Runtime) execute(tid, seq int64, req request, part int) {
 			r.stateMu.Lock()
 			for k, v := range tx.writes {
 				r.state[k] = v
-			}
-			for k := range tx.dels {
-				delete(r.state, k)
 			}
 			r.stateMu.Unlock()
 			res = Result{Value: value, TID: tid, Seq: seq}
@@ -1149,8 +1122,12 @@ func (r *Runtime) Follow(leader *Runtime) error {
 	return nil
 }
 
-// Committed returns the ids of the committed transactions in commit order:
-// by Seq, ties broken by id, so runtimes that ran the same logs agree.
+// Committed returns the ids of the committed transactions by Seq, ties
+// broken by id, so runtimes that ran the same logs agree on it. With
+// Partitions > 1 a home-partition Seq can equal a cross-partition one, and
+// the id tie-break is not the serialization order: this is a replica-
+// stable order, not the commit order, until Seq is made total (ROADMAP
+// item 12a).
 func (r *Runtime) Committed() []string {
 	r.resMu.Lock()
 	defer r.resMu.Unlock()

@@ -662,7 +662,7 @@ func TestReplayRunsTheLiveRequests(t *testing.T) {
 		}
 		sort.Strings(keys)
 		mu.Lock()
-		ran[tx.ReqID()] = execution{keys: keys, args: bytes.Clone(args), tid: tx.TID()}
+		ran[tx.ReqID()] = execution{keys: keys, args: bytes.Clone(args), tid: tx.tid}
 		mu.Unlock()
 		return nil, nil
 	})

@@ -7,9 +7,15 @@
 package dedup
 
 import (
+	"errors"
 	"sync"
 	"time"
 )
+
+// ErrNotRun marks an error from an operation that never ran (an admission
+// rejection): DoLocked records no result for it, so the next call with the
+// key, a duplicate that waited on this one included, runs the operation.
+var ErrNotRun = errors.New("dedup: operation did not run")
 
 // Store is a TTL-bounded idempotency-key store. Safe for concurrent use.
 // Keys expire after the window, modeling the bounded dedup horizon every
@@ -81,7 +87,8 @@ func (s *Store) Do(key string, fn func() ([]byte, error)) (resp []byte, dup bool
 
 // DoLocked is Do with in-flight locking: a concurrent duplicate blocks
 // until the first execution finishes, then returns its result. This is the
-// stronger (and costlier) idempotency contract.
+// stronger (and costlier) idempotency contract. A result whose error wraps
+// ErrNotRun is returned but not recorded.
 func (s *Store) DoLocked(key string, fn func() ([]byte, error)) (resp []byte, dup bool, err error) {
 	s.mu.Lock()
 	if e, ok := s.m[key]; ok && !s.expired(e) {
@@ -93,13 +100,14 @@ func (s *Store) DoLocked(key string, fn func() ([]byte, error)) (resp []byte, du
 	if waiting {
 		s.mu.Unlock()
 		<-ch
-		// First execution finished; its result is recorded.
+		// First execution finished; its result is recorded unless the
+		// operation never ran.
 		r, e, seen := s.Check(key)
 		if seen {
 			return r, true, e
 		}
-		// Window expired immediately or first caller failed to record —
-		// fall through to execute ourselves.
+		// Window expired immediately or the first call never ran the
+		// operation: execute it ourselves.
 		return s.DoLocked(key, fn)
 	}
 	done := make(chan struct{})
@@ -110,7 +118,9 @@ func (s *Store) DoLocked(key string, fn func() ([]byte, error)) (resp []byte, du
 	resp, err = fn()
 
 	s.mu.Lock()
-	s.m[key] = entry{resp: resp, err: err, addedAt: s.now()}
+	if !errors.Is(err, ErrNotRun) {
+		s.m[key] = entry{resp: resp, err: err, addedAt: s.now()}
+	}
 	delete(s.locks(), key)
 	close(done)
 	s.mu.Unlock()

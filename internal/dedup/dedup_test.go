@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -151,6 +152,42 @@ func TestDoLockedSerializesConcurrentDuplicates(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("fn ran %d times, want 1", calls.Load())
+	}
+}
+
+// TestDoLockedNotRunIsNotRecorded: a first call whose operation never ran
+// (its error wraps ErrNotRun) records nothing, so a duplicate runs the
+// operation, and later calls see that run's result.
+func TestDoLockedNotRunIsNotRecorded(t *testing.T) {
+	s := New(0)
+	started, release := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		_, _, err := s.DoLocked("k", func() ([]byte, error) {
+			close(started)
+			<-release
+			return nil, fmt.Errorf("admission full: %w", ErrNotRun)
+		})
+		first <- err
+	}()
+	<-started
+	dupResult := make(chan string, 1)
+	go func() {
+		r, _, _ := s.DoLocked("k", func() ([]byte, error) { return []byte("ran"), nil })
+		dupResult <- string(r)
+	}()
+	// Whether the duplicate waits on the first or arrives after it, it
+	// finds nothing recorded and runs the operation itself.
+	close(release)
+	if err := <-first; !errors.Is(err, ErrNotRun) {
+		t.Fatalf("first call: %v, want ErrNotRun", err)
+	}
+	if r := <-dupResult; r != "ran" {
+		t.Fatalf("duplicate got %q, want its own run's result", r)
+	}
+	r, dup, err := s.DoLocked("k", func() ([]byte, error) { return []byte("again"), nil })
+	if !dup || err != nil || string(r) != "ran" {
+		t.Fatalf("third call: %q dup=%v err=%v, want the recorded run", r, dup, err)
 	}
 }
 

@@ -84,34 +84,30 @@ const (
 	// warmPool is the number of containers kept warm per function.
 	// Invocations beyond the warm supply pay cold starts.
 	warmPool = 8
+	// maxConcurrent caps in-flight invocations per function; one past it
+	// fails with ErrThrottled.
+	maxConcurrent = 256
 )
 
-// Config tunes the platform's admission; the lifecycle costs are the
-// constants above.
-type Config struct {
-	// MaxConcurrent caps in-flight invocations per function (0 = 256).
-	MaxConcurrent int
-}
+// Config is the platform's settings, none today: admission and the
+// lifecycle costs are the constants above.
+type Config struct{}
 
-// DefaultConfig admits 256 in-flight invocations per function.
-func DefaultConfig() Config {
-	return Config{MaxConcurrent: 256}
-}
+// DefaultConfig returns the platform's settings.
+func DefaultConfig() Config { return Config{} }
 
 // function is one registered function and its container pool.
 type function struct {
 	name    string
 	handler Handler
 
-	mu    sync.Mutex
-	warm  int // containers currently warm and idle
-	busy  int // containers currently executing
-	limit int
+	mu   sync.Mutex
+	warm int // containers currently warm and idle
+	busy int // containers currently executing
 }
 
 // Platform hosts functions.
 type Platform struct {
-	cfg     Config
 	cluster *fabric.Cluster
 	metrics *metrics.Registry
 
@@ -128,13 +124,9 @@ type Platform struct {
 }
 
 // NewPlatform creates a platform on the cluster.
-func NewPlatform(cluster *fabric.Cluster, cfg Config) *Platform {
-	if cfg.MaxConcurrent <= 0 {
-		cfg.MaxConcurrent = 256
-	}
+func NewPlatform(cluster *fabric.Cluster, _ Config) *Platform {
 	m := metrics.NewRegistry()
 	p := &Platform{
-		cfg:              cfg,
 		cluster:          cluster,
 		metrics:          m,
 		results:          dedup.New(0),
@@ -163,7 +155,6 @@ func (p *Platform) Register(name string, h Handler) {
 	p.fns[name] = &function{
 		name:    name,
 		handler: h,
-		limit:   p.cfg.MaxConcurrent,
 	}
 }
 
@@ -221,8 +212,10 @@ func (p *Platform) execute(f *function, id, key string, payload []byte, tr *fabr
 func (f *function) acquire() (cold bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.busy >= f.limit {
-		return false, fmt.Errorf("%w: %s at %d", ErrThrottled, f.name, f.limit)
+	if f.busy >= maxConcurrent {
+		// The handler never ran: an InvokeID records nothing for it, so a
+		// retry of the same id runs.
+		return false, fmt.Errorf("%w: %s at %d: %w", ErrThrottled, f.name, maxConcurrent, dedup.ErrNotRun)
 	}
 	f.busy++
 	if f.warm > 0 {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -93,29 +94,76 @@ func TestWarmProvisioning(t *testing.T) {
 	}
 }
 
-func TestConcurrencyThrottle(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxConcurrent = 2
-	p := newPlatform(cfg)
-	block := make(chan struct{})
-	p.Register("slow", func(ctx *Ctx, payload []byte) ([]byte, error) {
-		<-block
-		return nil, nil
-	})
+// holdingHandler runs an invocation whose payload is "hold" until hold is
+// closed, after a send on started; any other payload counts one run in ran
+// and returns "done".
+func holdingHandler(started, hold chan struct{}, ran *atomic.Int32) Handler {
+	return func(ctx *Ctx, payload []byte) ([]byte, error) {
+		if string(payload) == "hold" {
+			started <- struct{}{}
+			<-hold
+			return nil, nil
+		}
+		ran.Add(1)
+		return []byte("done"), nil
+	}
+}
+
+// fillSlots starts maxConcurrent held invocations of fn and returns once
+// every one of them runs; they return when hold is closed, and the group
+// is done then.
+func fillSlots(p *Platform, fn string, started chan struct{}) *sync.WaitGroup {
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	for i := 0; i < maxConcurrent; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.Invoke("slow", "k", nil, nil)
+			p.Invoke(fn, "k", []byte("hold"), nil)
 		}()
 	}
-	time.Sleep(20 * time.Millisecond) // let both invocations occupy slots
+	for i := 0; i < maxConcurrent; i++ {
+		<-started
+	}
+	return &wg
+}
+
+func TestConcurrencyThrottle(t *testing.T) {
+	p := newPlatform(DefaultConfig())
+	started, hold := make(chan struct{}), make(chan struct{})
+	var ran atomic.Int32
+	p.Register("slow", holdingHandler(started, hold, &ran))
+	wg := fillSlots(p, "slow", started)
 	_, err := p.Invoke("slow", "k", nil, nil)
-	close(block)
+	close(hold)
 	wg.Wait()
 	if !errors.Is(err, ErrThrottled) {
 		t.Fatalf("err = %v, want ErrThrottled", err)
+	}
+}
+
+// TestInvokeIDThrottledIsNotRecorded pins that an invocation id rejected
+// at admission is not its outcome: the handler never ran, so a retry of
+// the id after slots free up runs it, once.
+func TestInvokeIDThrottledIsNotRecorded(t *testing.T) {
+	p := newPlatform(DefaultConfig())
+	started, hold := make(chan struct{}), make(chan struct{})
+	var ran atomic.Int32
+	p.Register("op", holdingHandler(started, hold, &ran))
+	wg := fillSlots(p, "op", started)
+	_, err := p.InvokeID("x", "op", "k", nil, nil)
+	close(hold)
+	wg.Wait()
+	if !errors.Is(err, ErrThrottled) {
+		t.Fatalf("err = %v with every slot held, want ErrThrottled", err)
+	}
+	for i := 0; i < 2; i++ {
+		resp, err := p.InvokeID("x", "op", "k", nil, nil)
+		if err != nil || string(resp) != "done" {
+			t.Fatalf("invocation %d of x after the slots freed: %q, %v; want done", i+1, resp, err)
+		}
+	}
+	if got := ran.Load(); got != 1 {
+		t.Fatalf("handler ran %d times for x, want 1", got)
 	}
 }
 

@@ -317,22 +317,6 @@ func (c *Cluster) DupVerdict() bool {
 	return c.cfg.DupProb > 0 && c.rng.Float64() < c.cfg.DupProb
 }
 
-// Rand returns a deterministic float64 in [0,1) from the cluster's seeded
-// source; runtimes use it for their own probabilistic choices so that one
-// seed drives the whole simulation.
-func (c *Cluster) Rand() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rng.Float64()
-}
-
-// Intn returns a deterministic int in [0,n).
-func (c *Cluster) Intn(n int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rng.Intn(n)
-}
-
 // Place deterministically maps a string key to one of the cluster's nodes
 // using consistent ordering, ignoring liveness. Runtimes that need
 // failure-aware placement should check Up and re-place.

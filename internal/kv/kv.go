@@ -109,11 +109,6 @@ type Options struct {
 	// MaxRuns is the number of immutable runs that triggers compaction.
 	// Zero means the default (4).
 	MaxRuns int
-	// WAL configures the write-ahead log when the store is durable.
-	WAL wal.Options
-	// DisableWAL turns off logging even when a directory is given
-	// (checkpoint-only durability, how Flink uses RocksDB).
-	DisableWAL bool
 }
 
 // Store is the embedded key-value store. Safe for concurrent use.
@@ -156,15 +151,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := s.loadCheckpoint(filepath.Join(dir, "CHECKPOINT")); err != nil {
 		return nil, err
 	}
-	if !opts.DisableWAL {
-		l, err := wal.Open(filepath.Join(dir, "wal"), opts.WAL)
-		if err != nil {
-			return nil, fmt.Errorf("kv: open wal: %w", err)
-		}
-		s.log = l
-		if err := s.replayWAL(); err != nil {
-			return nil, err
-		}
+	l, err := wal.Open(filepath.Join(dir, "wal"), wal.DefaultOptions())
+	if err != nil {
+		return nil, fmt.Errorf("kv: open wal: %w", err)
+	}
+	s.log = l
+	if err := s.replayWAL(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -417,14 +410,6 @@ func (s *Store) scanAt(start, end string, atSeq uint64, fn func(string, []byte) 
 		}
 	}
 	return nil
-}
-
-// Flush forces the memtable into an immutable run (test hook and checkpoint
-// preparation).
-func (s *Store) Flush() {
-	s.mu.Lock()
-	s.flushLocked()
-	s.mu.Unlock()
 }
 
 // Close releases resources. Outstanding snapshots become invalid.

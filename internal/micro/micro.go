@@ -171,9 +171,6 @@ func NewDeployment(cluster *fabric.Cluster) *Deployment {
 	}
 }
 
-// Cluster returns the deployment's fabric.
-func (d *Deployment) Cluster() *fabric.Cluster { return d.cluster }
-
 // Transport returns the deployment's RPC transport.
 func (d *Deployment) Transport() *rpc.Transport { return d.transport }
 

@@ -161,9 +161,6 @@ func (r *Relay) Stop() {
 	r.wg.Wait()
 }
 
-// Published returns the number of events published so far.
-func (r *Relay) Published() int64 { return r.published.Load() }
-
 // CrashPoint selects where DualWriter fails.
 type CrashPoint int
 

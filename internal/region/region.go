@@ -6,10 +6,9 @@
 // host (the E24 gate row relies on this).
 //
 // A Topology is the tier above a fabric cluster's node tiers, which stay
-// inside one region: it declares the regions, a default WAN latency for
-// every pair, optional per-pair overrides for asymmetric topologies, and
-// a seeded jitter source shared with the fabric convention (uniform in
-// [0, LatencyJitterPct] percent of the base).
+// inside one region: it declares the regions, one WAN latency for every
+// pair, and a seeded jitter source shared with the fabric convention
+// (uniform in [0, LatencyJitterPct] percent of the base).
 package region
 
 import (
@@ -25,15 +24,14 @@ import (
 // Topology declares N regions and the WAN between them.
 type Topology struct {
 	names []string
-	wan   time.Duration // default pair latency
+	wan   time.Duration // every pair's base latency
 	pct   int           // jitter percent, fabric convention
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	override map[[2]string]time.Duration
+	mu  sync.Mutex
+	rng *rand.Rand
 }
 
-// New builds a topology over the named regions with wan as the default
+// New builds a topology over the named regions with wan as the
 // per-pair WAN latency. The jitter percent comes from cfg's
 // LatencyJitterPct, and the jitter stream is seeded from cfg.Seed so a
 // geo run is as reproducible as a single-region one. Panics on fewer
@@ -44,11 +42,10 @@ func New(cfg fabric.Config, wan time.Duration, names ...string) *Topology {
 		panic("region: topology needs at least one region")
 	}
 	t := &Topology{
-		names:    append([]string(nil), names...),
-		wan:      wan,
-		pct:      cfg.LatencyJitterPct,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		override: make(map[[2]string]time.Duration),
+		names: append([]string(nil), names...),
+		wan:   wan,
+		pct:   cfg.LatencyJitterPct,
+		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
 	seen := make(map[string]bool, len(names))
 	for _, n := range names {
@@ -66,24 +63,11 @@ func (t *Topology) Names() []string { return append([]string(nil), t.names...) }
 // Size returns the number of regions.
 func (t *Topology) Size() int { return len(t.names) }
 
-func pair(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]string{a, b}
-}
-
 // Base returns the un-jittered WAN latency between two regions: zero
-// within a region, the per-pair override if set, the topology default
-// otherwise.
+// within a region, the topology's WAN latency otherwise.
 func (t *Topology) Base(a, b string) time.Duration {
 	if a == b {
 		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if d, ok := t.override[pair(a, b)]; ok {
-		return d
 	}
 	return t.wan
 }
@@ -114,8 +98,8 @@ func (t *Topology) RTT(a, b string) time.Duration {
 // QuorumRTT returns one sampled round trip from origin to the nearest
 // majority of the topology: the k-th smallest peer RTT where k peers
 // plus the origin form a strict majority of the regions. With one
-// region it is zero (no coordination to pay); with a uniform WAN it
-// equals RTT to any peer. This is the modeled cost a cross-region
+// region it is zero (no coordination to pay); without jitter it equals
+// the RTT to any peer. This is the modeled cost a cross-region
 // sequenced commit pays before acknowledging.
 func (t *Topology) QuorumRTT(origin string) time.Duration {
 	n := len(t.names)

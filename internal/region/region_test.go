@@ -1,6 +1,7 @@
 package region
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -21,9 +22,8 @@ func TestLatencyTiersAndOverrides(t *testing.T) {
 	if got := top.Latency("us", "eu"); got != 80*time.Millisecond {
 		t.Fatalf("default WAN latency = %v, want 80ms", got)
 	}
-	top.SetLatency("us", "ap", 120*time.Millisecond)
-	if got := top.Latency("ap", "us"); got != 120*time.Millisecond {
-		t.Fatalf("override not symmetric: %v", got)
+	if got := top.Latency("ap", "us"); got != 80*time.Millisecond {
+		t.Fatalf("reverse WAN latency = %v, want 80ms", got)
 	}
 	if got := top.RTT("us", "eu"); got != 160*time.Millisecond {
 		t.Fatalf("RTT = %v, want 160ms", got)
@@ -49,19 +49,25 @@ func TestQuorumRTT(t *testing.T) {
 	if got := newTopology(80*time.Millisecond, 0, "solo").QuorumRTT("solo"); got != 0 {
 		t.Fatalf("single-region quorum RTT = %v, want 0", got)
 	}
-	// Three regions, asymmetric: quorum needs 1 peer beyond the origin,
-	// so the nearest peer's RTT is the cost.
-	top := newTopology(80*time.Millisecond, 0, "us", "eu", "ap")
-	top.SetLatency("us", "eu", 20*time.Millisecond)
-	if got := top.QuorumRTT("us"); got != 40*time.Millisecond {
-		t.Fatalf("quorum RTT = %v, want 40ms (nearest peer)", got)
-	}
-	// Five regions: majority needs 2 peers, so the 2nd-nearest RTT.
-	top5 := newTopology(80*time.Millisecond, 0, "a", "b", "c", "d", "e")
-	top5.SetLatency("a", "b", 10*time.Millisecond)
-	top5.SetLatency("a", "c", 30*time.Millisecond)
-	if got := top5.QuorumRTT("a"); got != 60*time.Millisecond {
-		t.Fatalf("5-region quorum RTT = %v, want 60ms (2nd peer)", got)
+	// Majority needs n/2 peers beyond the origin, so the quorum RTT is the
+	// (n/2)-th smallest peer RTT. Each RTT is one jittered draw, taken in
+	// declaration order, so a second topology with the same seed draws the
+	// same four (or two) RTTs.
+	for _, names := range [][]string{{"a", "b", "c"}, {"a", "b", "c", "d", "e"}} {
+		const wan = 80 * time.Millisecond
+		got := newTopology(wan, 20, names...).QuorumRTT("a")
+		twin := newTopology(wan, 20, names...)
+		var rtts []time.Duration
+		for _, r := range names[1:] {
+			rtts = append(rtts, twin.RTT("a", r))
+		}
+		slices.Sort(rtts)
+		if want := rtts[len(names)/2-1]; got != want {
+			t.Fatalf("%d-region quorum RTT = %v, want %v (peer RTTs %v)", len(names), got, want, rtts)
+		}
+		if rtts[0] == rtts[len(rtts)-1] {
+			t.Fatalf("%d-region peer RTTs all equal %v: jitter drew nothing to order", len(names), rtts[0])
+		}
 	}
 }
 
@@ -79,12 +85,4 @@ func TestChargeAccumulatesOnTrace(t *testing.T) {
 	if tr.Hops() != 1 {
 		t.Fatalf("hops = %d, want 1", tr.Hops())
 	}
-}
-
-// SetLatency overrides the WAN base latency for one pair (both
-// directions — the modeled WAN is symmetric).
-func (t *Topology) SetLatency(a, b string, d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.override[pair(a, b)] = d
 }

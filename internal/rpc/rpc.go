@@ -76,9 +76,6 @@ func NewTransport(cluster *fabric.Cluster) *Transport {
 // Metrics exposes the transport's instrument registry.
 func (t *Transport) Metrics() *metrics.Registry { return t.metrics }
 
-// Cluster returns the underlying fabric.
-func (t *Transport) Cluster() *fabric.Cluster { return t.cluster }
-
 // Register binds an endpoint name to a handler on a node. Re-registering
 // replaces the handler (how a service restart rebinds its routes).
 func (t *Transport) Register(name string, node fabric.NodeID, h Handler) {

@@ -152,7 +152,7 @@ func TestTxnUnregistersOnce(t *testing.T) {
 		t.Fatalf("low-water mark = %d, want pin's start %d", low, start)
 	}
 	pin.Abort()
-	if low, now := db.lowWater(), db.Now(); low != now {
+	if low, now := db.lowWater(), db.clock.Load(); low != now {
 		t.Fatalf("low-water mark = %d with nothing open, want the clock %d", low, now)
 	}
 }

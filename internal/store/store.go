@@ -128,20 +128,6 @@ func (r Row) Str(col string) string {
 	return s
 }
 
-// Float reads column col as a float64, returning 0 when absent.
-func (r Row) Float(col string) float64 {
-	switch v := r[col].(type) {
-	case float64:
-		return v
-	case int64:
-		return float64(v)
-	case int:
-		return float64(v)
-	default:
-		return 0
-	}
-}
-
 // version is one committed version of a row.
 type version struct {
 	ts      uint64 // commit timestamp
@@ -336,9 +322,6 @@ func spin(d time.Duration) {
 	for time.Now().Before(end) {
 	}
 }
-
-// Now returns the latest commit timestamp.
-func (db *DB) Now() uint64 { return db.clock.Load() }
 
 // register returns a new transaction's start timestamp and records it as
 // open. Reading the clock under the same mutex lowWater takes is what

@@ -688,15 +688,12 @@ func TestIsolationString(t *testing.T) {
 }
 
 func TestRowHelpers(t *testing.T) {
-	r := Row{"i": int64(3), "n": 4, "s": "x", "f": 2.5}
+	r := Row{"i": int64(3), "n": 4, "s": "x"}
 	if r.Int("i") != 3 || r.Int("n") != 4 || r.Int("missing") != 0 {
 		t.Fatal("Int helper broken")
 	}
 	if r.Str("s") != "x" || r.Str("i") != "" {
 		t.Fatal("Str helper broken")
-	}
-	if r.Float("f") != 2.5 || r.Float("i") != 3 {
-		t.Fatal("Float helper broken")
 	}
 	if c := r.Clone(); c.Int("i") != 3 {
 		t.Fatal("Clone broken")

@@ -85,9 +85,6 @@ func (t *Txn) Restart() *Txn {
 // among transactions started by Begin and inherited by a Restart.
 func (t *Txn) ID() uint64 { return t.id }
 
-// Isolation returns the transaction's isolation level.
-func (t *Txn) Isolation() Isolation { return t.iso }
-
 // wound marks the transaction as a deadlock-avoidance victim. Idempotent.
 func (t *Txn) wound() {
 	if t.wounded.CompareAndSwap(false, true) {

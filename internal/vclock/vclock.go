@@ -79,10 +79,6 @@ func (t HLCTimestamp) Compare(o HLCTimestamp) int {
 // Before reports whether t orders strictly before o.
 func (t HLCTimestamp) Before(o HLCTimestamp) bool { return t.Compare(o) < 0 }
 
-func (t HLCTimestamp) String() string {
-	return fmt.Sprintf("%d.%d", t.Wall, t.Logical)
-}
-
 // NewHLCWithSource returns an HLC with a custom physical time source,
 // used by deterministic tests.
 func NewHLCWithSource(now func() int64) *HLC { return &HLC{nowFn: now} }

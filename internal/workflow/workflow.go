@@ -63,9 +63,6 @@ type Ctx struct {
 	executedNow        int
 }
 
-// Replaying reports whether the next step is served from history.
-func (c *Ctx) Replaying() bool { return c.cursor < len(c.history) }
-
 // Activity executes fn exactly once per history position: on replay the
 // recorded result is returned without running fn. Activity errors are
 // recorded too — a failed activity deterministically fails on replay.

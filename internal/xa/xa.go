@@ -165,9 +165,6 @@ func NewCoordinator(cluster *fabric.Cluster, node fabric.NodeID) *Coordinator {
 	}
 }
 
-// Metrics returns the coordinator's instruments.
-func (c *Coordinator) Metrics() *metrics.Registry { return c.m }
-
 // Enlist registers a resource manager.
 func (c *Coordinator) Enlist(rm *ResourceManager) {
 	c.mu.Lock()

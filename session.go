@@ -2,7 +2,6 @@ package tca
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,23 +30,21 @@ type SessionOptions struct {
 	OrderKeys bool
 	// RetryBudget caps the total attempts (the first submission plus
 	// retries) for a submission the cell sheds (ErrOverloaded). Between
-	// attempts the session backs off exponentially with full jitter,
+	// attempts the session backs off exponentially with full jitter
+	// (from retryBackoff, doubling per attempt up to 64× it),
 	// honoring the shed hint's RetryAfter as a floor, and resubmits the
 	// same request id — safe, since a shed op never entered the cell.
 	// Zero means 8 attempts; negative disables retries (one attempt, shed
 	// errors surface to the caller). Non-shed errors never retry.
 	RetryBudget int
-	// Backoff is the base delay before the first retry; it doubles per
-	// attempt (capped at 64× the base) with full jitter. Zero means 200µs.
-	Backoff time.Duration
-	// Rand draws the retry jitter. Nil means a generator seeded from the
-	// session id (FNV-1a), so a rerun with the same session ids draws the
-	// identical jitter sequence — what keeps audited overload runs
-	// seed-stable end to end (the arrival schedules already are). The
-	// session serializes its draws; hand a generator to at most one
-	// session and use it nowhere else.
-	Rand *rand.Rand
 }
+
+// retryBackoff is the base delay before a session's first retry. The
+// jitter is drawn from a generator seeded from the session id (FNV-1a),
+// so a rerun with the same session ids draws the identical jitter
+// sequence — what keeps audited overload runs seed-stable end to end (the
+// arrival schedules already are).
+const retryBackoff = 200 * time.Microsecond
 
 // Session is a client of one deployed Cell: it assigns the session's
 // request ids, caps how many submissions are in flight, and (optionally)
@@ -85,18 +82,11 @@ func NewSession(cell Cell, id string, opts SessionOptions) *Session {
 	} else if opts.RetryBudget < 0 {
 		opts.RetryBudget = 1
 	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 200 * time.Microsecond
-	}
-	jitter := backoff.Named(id)
-	if opts.Rand != nil {
-		jitter = backoff.New(opts.Rand)
-	}
 	return &Session{
 		cell:   cell,
 		id:     id,
 		opts:   opts,
-		jitter: jitter,
+		jitter: backoff.Named(id),
 		slots:  make(chan struct{}, opts.MaxInFlight),
 		last:   make(map[string]Handle),
 	}
@@ -176,11 +166,11 @@ func (s *Session) submitWithRetry(reqID, opName string, args []byte, tr *fabric.
 	}
 	out := newOpHandle()
 	go func() {
-		window := s.opts.Backoff
+		window := retryBackoff
 		for attempt := 2; ; attempt++ {
 			s.retries.Add(1)
 			time.Sleep(s.retryWait(window, retryAfter))
-			window = backoff.Grow(window, s.opts.Backoff)
+			window = backoff.Grow(window, retryBackoff)
 			h := s.cell.Submit(reqID, opName, args, tr)
 			res, err := h.Result()
 			if err == nil || !errors.Is(err, ErrOverloaded) || attempt >= s.opts.RetryBudget {

@@ -160,10 +160,11 @@
 // scheduler reads it as decoded requests; the tail keeps only what the
 // scheduler has not yet read, since the disk holds the rest. Submit
 // acknowledges after that append: on the every-batch policy, acknowledged
-// means fsynced. Options.MaxGroupAppend caps the
-// group size, trading acknowledgment latency against how many
-// transactions amortize each fsync — E22
-// (BenchmarkE22_DurabilityFrontier) maps that frontier.
+// means fsynced. The runtime caps the group size at 128
+// (core.Config.MaxGroupAppend), trading acknowledgment latency against
+// how many transactions amortize each fsync — E22
+// (BenchmarkE22_DurabilityFrontier) maps that frontier on the core
+// runtime directly.
 //
 // On every Start, a recovery after a crash included, the cell rebuilds
 // the tails from disk before accepting traffic, re-verifying each group
@@ -327,22 +328,17 @@ type Options struct {
 	// Other models ignore it.
 	LogDir string
 	// Fsync selects the durable log's sync policy in LogDir mode:
-	// FsyncEveryBatch (default), FsyncInterval, or FsyncNone. E22 sweeps
-	// this knob against MaxGroupAppend.
+	// FsyncEveryBatch (default), FsyncInterval, or FsyncNone.
 	Fsync FsyncPolicy
-	// MaxGroupAppend caps how many concurrent submissions the Deterministic
-	// cell packs into one group log append (zero = the runtime's default,
-	// 128). E22 sweeps it to map batch size against fsync policy.
-	MaxGroupAppend int
 	// MaxPending is the admission-control knob: how much
 	// accepted-but-unfinished work a cell will hold beyond its executing
 	// capacity before Submit sheds — the returned Handle resolves
 	// immediately with a *ShedError (errors.Is(err, ErrOverloaded)) and
 	// the op provably never runs. Zero means each cell's default bound:
-	// 4× the worker pool for the synchronous cells, 4× MaxGroupAppend
-	// un-appended submissions per partition for the Deterministic cell,
-	// and 1024 acknowledged-not-yet-applied ingress records for the
-	// dataflow cell. Negative disables admission control entirely — the
+	// 4× the worker pool for the synchronous cells, 512 (4× the
+	// group-append cap) un-appended submissions per partition for the
+	// Deterministic cell, and 1024 acknowledged-not-yet-applied ingress
+	// records for the dataflow cell. Negative disables admission control entirely — the
 	// pre-overload-aware behavior (blocking pools, unbounded queues).
 	// E23 sweeps offered load past saturation against this bound.
 	MaxPending int
